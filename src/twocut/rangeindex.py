@@ -3,27 +3,23 @@
 Each graph edge becomes one point (min(po u, po v), max(po u, po v)) carrying
 its weight, so subtree degrees and subtree-to-subtree crossings reduce to at
 most two axis-aligned rectangle sums. The weight index is a static merge-sort
-tree (O(m log m) build, O(log^2 m) per rectangle); the sampling index keeps
-halving subsets S_0 .. S_k whose membership is fixed by the build seed.
+tree (O(m log^2 m) build) that answers a whole batch of rectangles with
+O(log m) vectorized `searchsorted` calls, each over the batch; the sampling
+index keeps halving subsets S_0 .. S_k whose membership is fixed by the build
+seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graph import RootedSpanTree, WeightedGraph
+from .graph import RootedSpanTree, WeightedGraph, WeightOverflowError
 from .requests import CrossNested, CrossSub, DegSubtree
 from .util import ceil_log2, rng_for
 
-
-@dataclass(frozen=True)
-class EdgePoint:
-    x: int
-    y: int
-    w: int
-    edge_id: int
+# Prefix sums are int64; keeping the total below this leaves every partial
+# sum and every difference of two of them exact.
+WEIGHT_SUM_LIMIT = 1 << 62
 
 
 class EdgePointSet:
@@ -42,72 +38,68 @@ class EdgePointSet:
     def __len__(self):
         return len(self.xs)
 
-    def point(self, i) -> EdgePoint:
-        return EdgePoint(int(self.xs[i]), int(self.ys[i]), int(self.ws[i]), int(self.ids[i]))
-
 
 class WeightRangeIndex:
-    """Merge-sort tree: exact weight sums over axis-aligned rectangles."""
+    """Merge-sort tree: exact weight sums over batches of axis-aligned rectangles.
+
+    Points are ranked by (x, y). Level d cuts the ranks into blocks of 2**d;
+    its one flat array holds the keys block * K + rank(y), sorted, so every
+    block is a sorted run and one `searchsorted` locates a y bound inside
+    any block. One prefix sum of the weights in that order per level turns
+    each located run into a weight. The first k ranks split into the blocks
+    named by the set bits of k, which gives the four dominance sums behind a
+    rectangle with two searches per level for the whole batch.
+    """
 
     def __init__(self, xs, ys, ws):
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        ws = np.asarray(ws, dtype=np.int64)
+        self.total = sum(ws.tolist())
+        if self.total >= WEIGHT_SUM_LIMIT:
+            raise WeightOverflowError(f"total point weight {self.total} reaches 2**62")
         order = np.lexsort((ys, xs))
-        self.xs = np.asarray(xs, dtype=np.int64)[order]
-        m = len(self.xs)
-        self.m = m
-        self.depths = max(1, ceil_log2(m) + 1) if m else 1
-        self._ys = []
+        self.xs = xs[order]
+        self.m = m = len(xs)
+        self._yvals, yrank = np.unique(ys[order], return_inverse=True)
+        self._span = len(self._yvals) + 1
+        w = ws[order]
+        perm = np.arange(m, dtype=np.int64)
+        self._keys = []
         self._cum = []
-        ys_sorted = np.asarray(ys, dtype=np.int64)[order]
-        ws_sorted = np.asarray(ws, dtype=np.int64)[order]
-        for d in range(self.depths):
-            block = 1 << d
-            pad = (-m) % block
-            yy = np.concatenate([ys_sorted, np.full(pad, np.iinfo(np.int64).max)])
-            wwpad = np.concatenate([ws_sorted, np.zeros(pad, dtype=np.int64)])
-            yy = yy.reshape(-1, block)
-            idx = np.argsort(yy, axis=1, kind="stable")
-            yy = np.take_along_axis(yy, idx, axis=1)
-            ww = np.take_along_axis(wwpad.reshape(-1, block), idx, axis=1)
-            self._ys.append(yy.reshape(-1))
-            self._cum.append(np.cumsum(ww.reshape(-1, block), axis=1).reshape(-1))
-            if block >= m:
-                self.depths = d + 1
-                break
-        self.total = int(ws_sorted.sum()) if m else 0
+        for d in range(m.bit_length()):
+            keys = (perm >> d) * self._span + yrank[perm]
+            step = np.argsort(keys, kind="stable")  # merges the sorted runs of level d-1
+            perm = perm[step]
+            self._keys.append(keys[step])
+            self._cum.append(np.concatenate(([0], np.cumsum(w[perm]))))
 
-    def _blocks(self, lo, hi):
-        """Canonical aligned blocks covering index range [lo, hi)."""
-        out = []
-        while lo < hi:
-            d = (lo & -lo).bit_length() - 1 if lo else self.depths - 1
-            d = min(d, self.depths - 1)
-            while (1 << d) > hi - lo:
-                d -= 1
-            out.append((d, lo))
-            lo += 1 << d
-        return out
+    def rect_weights(self, x1, x2, y1, y2):
+        """Weight sums of the rectangles [x1, x2] x [y1, y2] (aligned int64 arrays).
 
-    def _block_weight(self, d, start, ylo, yhi):
-        block = 1 << d
-        base = (start >> d) << d  # start is block-aligned already
-        ys = self._ys[d][base : base + block]
-        cum = self._cum[d][base : base + block]
-        a = int(np.searchsorted(ys, ylo, side="left"))
-        b = int(np.searchsorted(ys, yhi, side="right"))
-        if b <= a:
-            return 0
-        hi_sum = int(cum[b - 1])
-        lo_sum = int(cum[a - 1]) if a else 0
-        return hi_sum - lo_sum
+        Empty and inverted rectangles sum to 0; bounds may lie anywhere.
+        """
+        x1, x2, y1, y2 = (np.asarray(a, dtype=np.int64) for a in (x1, x2, y1, y2))
+        lo = np.searchsorted(self.xs, x1, side="left")
+        hi = np.searchsorted(self.xs, x2, side="right")
+        top = np.searchsorted(self._yvals, y2, side="right") - 1
+        bot = np.searchsorted(self._yvals, y1, side="left") - 1
+        q = len(x1)
+        # strip(k) = F(k, top) - F(k, bot), F the dominance sum over ranks < k
+        k = np.concatenate((hi, lo))
+        hi_y = np.concatenate((top, top))
+        lo_y = np.concatenate((bot, bot))
+        strip = np.zeros(2 * q, dtype=np.int64)
+        for d, (keys, cum) in enumerate(zip(self._keys, self._cum)):
+            sel = np.flatnonzero((k >> d) & 1)
+            base = ((k[sel] >> d) - 1) * self._span
+            strip[sel] += (cum[np.searchsorted(keys, base + hi_y[sel], side="right")]
+                           - cum[np.searchsorted(keys, base + lo_y[sel], side="right")])
+        ok = (x1 <= x2) & (y1 <= y2)
+        return np.where(ok, strip[:q] - strip[q:], 0)
 
     def rect_weight(self, x1, x2, y1, y2) -> int:
-        if x1 > x2 or y1 > y2 or self.m == 0:
-            return 0
-        lo = int(np.searchsorted(self.xs, x1, side="left"))
-        hi = int(np.searchsorted(self.xs, x2, side="right"))
-        if hi <= lo:
-            return 0
-        return sum(self._block_weight(d, s, y1, y2) for d, s in self._blocks(lo, hi))
+        return int(self.rect_weights([x1], [x2], [y1], [y2])[0])
 
 
 class _LevelPoints:
@@ -185,32 +177,48 @@ def rect_weight(idx: WeightRangeIndex, rect) -> int:
     return idx.rect_weight(x1, x2, y1, y2)
 
 
-def subtree_rects(t: RootedSpanTree, q):
-    """Rectangles whose weight sum answers a subtree cut request."""
+def subtree_rects(t: RootedSpanTree, u, v, sub):
+    """The two rectangles per request row whose weight sums answer it.
+
+    Row i is CrossSub(u, v) where sub[i] holds, else CrossNested(v, u);
+    DegSubtree(v) is the CrossNested row with u = v. Returns x1, x2, y1, y2,
+    each of shape (2, rows); a CrossSub's second rectangle is empty.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    sub = np.asarray(sub, dtype=bool)
+    a, b, c, d = t.lo[u], t.hi[u], t.lo[v], t.hi[v]
+    swap = sub & (a > c)
+    a, b, c, d = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, a, c), np.where(swap, b, d)
+    if (sub & (b >= c)).any():
+        raise ValueError("subtree ranges overlap in a CrossSub request")
+    if (~sub & ((c < a) | (d > b))).any():
+        raise ValueError("a CrossNested request does not nest")
     n = t.n
-    if isinstance(q, DegSubtree):
-        a, b = t.range_of(q.v)
-        return [(0, a - 1, a, b), (a, b, b + 1, n - 1)]
-    if isinstance(q, CrossSub):
-        a, b = t.range_of(q.u)
-        c, d = t.range_of(q.v)
-        if a > c:
-            (a, b), (c, d) = (c, d), (a, b)
-        if b >= c:
-            raise ValueError(f"subtree ranges overlap for {q}")
-        return [(a, b, c, d)]
-    if isinstance(q, CrossNested):
-        a, b = t.range_of(q.u)
-        c, d = t.range_of(q.v)
-        if not (a <= c and d <= b):
-            raise ValueError(f"{q} does not nest")
-        return [(0, a - 1, c, d), (c, d, b + 1, n - 1)]
-    raise TypeError(f"not a subtree query: {q!r}")
+    x1 = np.stack((np.where(sub, a, 0), c))
+    x2 = np.stack((np.where(sub, b, a - 1), d))
+    y1 = np.stack((c, np.where(sub, n, b + 1)))
+    y2 = np.stack((d, np.full_like(d, n - 1)))
+    return x1, x2, y1, y2
+
+
+def subtree_sums(idx: WeightRangeIndex, t: RootedSpanTree, u, v, sub):
+    """Exact values of the subtree_rects request rows, one rect_weights call."""
+    x1, x2, y1, y2 = subtree_rects(t, u, v, sub)
+    return idx.rect_weights(x1.ravel(), x2.ravel(), y1.ravel(), y2.ravel()).reshape(2, -1).sum(axis=0)
 
 
 def subtree_queries(idx: WeightRangeIndex, t: RootedSpanTree, q) -> int:
     """Answer DegSubtree / CrossSub / CrossNested with at most two rectangles."""
-    return sum(idx.rect_weight(x1, x2, y1, y2) for x1, x2, y1, y2 in subtree_rects(t, q))
+    if isinstance(q, DegSubtree):
+        u, v, sub = q.v, q.v, False
+    elif isinstance(q, CrossSub):
+        u, v, sub = q.u, q.v, True
+    elif isinstance(q, CrossNested):
+        u, v, sub = q.u, q.v, False
+    else:
+        raise TypeError(f"not a subtree query: {q!r}")
+    return int(subtree_sums(idx, t, [u], [v], [sub])[0])
 
 
 def sample_rect(idx: SampleRangeIndex, rect, k, rng=None):

@@ -182,12 +182,10 @@ def test_criterion_05_probe_budget_to_4096():
             cover[i] += cover[i - 1]
 
         def cost_batch(pairs):
-            out = []
-            for i, j in pairs:
-                a, b = (i, j) if i < j else (j, i)
-                both = widx.rect_weight(0, a, b, p)
-                out.append(cover[a] + cover[b] - 2 * both)
-            return out
+            ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            a, b = ij.min(axis=1), ij.max(axis=1)
+            both = widx.rect_weights(np.zeros_like(a), a, b, np.full_like(b, p)).tolist()
+            return [cover[i] + cover[j] - 2 * w for i, j, w in zip(a.tolist(), b.tolist(), both)]
 
         ledger = ProbeLedger()
         interval_self(cost_batch, list(range(1, p + 1)), ledger)

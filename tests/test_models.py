@@ -12,7 +12,14 @@ from twocut.cutquery import (
     oracle_cross_weight,
     recover_crossing_edge,
 )
-from twocut.graph import TreeEdgePair, WeightedGraph
+from twocut.graph import (
+    TreeEdgePair,
+    WeightedGraph,
+    build_rooted_tree,
+    cross_weight,
+    cut_of_partition,
+    pair_cut_value,
+)
 from twocut.provider import TreeContext
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
@@ -21,7 +28,7 @@ from twocut.sketch import L0Sketch
 from twocut.streaming import StreamHarness, StreamProvider, build_proxy_via_stream, write_stream
 from twocut.util import ceil_log2
 
-from conftest import make_gstar, random_instance
+from conftest import make_gstar, random_instance, random_spanning_tree_edges
 
 
 # ---- cut-query oracle ----
@@ -157,6 +164,33 @@ def test_three_providers_agree_exactly():
         v3 = sp.batch_eval([(ctx3, r) for r in reqs])
         assert v1 == v2 == v3
         assert sp.stats.passes == 1  # one batch, one pass
+
+
+def brute_value(g, t, req):
+    if isinstance(req, DegSubtree):
+        return cut_of_partition(g, t.subtree(req.v))
+    if isinstance(req, CrossSub):
+        return cross_weight(g, t.subtree(req.u), t.subtree(req.v))
+    if isinstance(req, CrossNested):
+        return cross_weight(g, t.subtree(req.v), set(range(g.n)) - set(t.subtree(req.u)))
+    return pair_cut_value(g, t, req.pair)
+
+
+def test_sequential_batch_interleaves_trees_in_input_order():
+    rng = np.random.default_rng(37)
+    g, t0 = random_instance(rng, 9, 13, wmax=1 << 32)
+    trees = [t0] + [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
+                    for _ in range(3)]
+    ctxs = [TreeContext(t) for t in trees]
+    pool = [(ctx, req) for ctx, t in zip(ctxs, trees) for req in all_requests(g, t)]
+    picks = rng.integers(0, len(pool), size=3 * len(pool))  # shuffled, with repeats
+    batch = [pool[int(i)] for i in picks]
+    assert len({ctx.uid for ctx, _ in batch[:40]}) > 1
+    provider = SequentialProvider(g)
+    for _ in range(2):  # the second round answers degrees from the cache
+        got = provider.batch_eval(batch)
+        assert got == [brute_value(g, ctx.tree, req) for ctx, req in batch]
+        assert all(type(x) is int for x in got)
 
 
 # ---- stream harness ----

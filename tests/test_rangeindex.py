@@ -13,7 +13,15 @@ from twocut.rangeindex import (
     subtree_queries,
 )
 from twocut.requests import CrossNested, CrossSub, DegSubtree
-from twocut.graph import cut_of_partition
+from twocut.graph import (
+    WeightedGraph,
+    WeightOverflowError,
+    build_rooted_tree,
+    cut_of_partition,
+    load_graph,
+    oracle_min_cut,
+)
+from twocut.packing import min_cut_pipeline
 
 from conftest import make_gstar, random_instance
 
@@ -57,6 +65,57 @@ def test_rect_weight_matches_linear_scan():
             mask = (pts.xs >= x1) & (pts.xs <= x2) & (pts.ys >= y1) & (pts.ys <= y2)
             assert widx.rect_weight(x1, x2, y1, y2) == int(pts.ws[mask].sum())
             checked += 1
+
+
+def test_rect_weights_match_brute_force_mask():
+    rng = np.random.default_rng(107)
+    for m in (0, 1, 2, 4, 8, 64, 256, 3, 37, 300):
+        n = int(rng.integers(1, 40))
+        xs = rng.integers(0, n, size=m)
+        ys = rng.integers(0, n, size=m)
+        ws = rng.integers(0, 1 << 32, size=m, endpoint=True)
+        widx = WeightRangeIndex(xs, ys, ws)
+        # bounds from -2 to n+1: empty, inverted and out-of-range rectangles included
+        x1, x2, y1, y2 = rng.integers(-2, n + 2, size=(4, 400))
+        got = widx.rect_weights(x1, x2, y1, y2)
+        assert got.dtype == np.int64 and got.shape == (400,)
+        for i in range(400):
+            mask = (xs >= x1[i]) & (xs <= x2[i]) & (ys >= y1[i]) & (ys <= y2[i])
+            assert int(got[i]) == sum(ws[mask].tolist())
+        assert widx.total == sum(ws.tolist())
+        full = widx.rect_weights([-1], [n], [-1], [n])
+        assert int(full[0]) == widx.total
+
+
+def test_weight_total_reaching_2_62_is_refused():
+    g = WeightedGraph(3, [(0, 1, 1 << 61), (1, 2, 1 << 61)])
+    t = build_rooted_tree(g, [(0, 1), (1, 2)], root=0)
+    with pytest.raises(WeightOverflowError):
+        build_indexes(g, t, seed=1)
+    with pytest.raises(WeightOverflowError):
+        min_cut_pipeline(g, "sequential", rng=1)
+    g = WeightedGraph(3, [(0, 1, 1 << 61), (1, 2, (1 << 61) - 1)])
+    t = build_rooted_tree(g, [(0, 1), (1, 2)], root=0)
+    _, widx, _ = build_indexes(g, t, seed=1)
+    assert widx.rect_weight(0, 2, 0, 2) == (1 << 62) - 1
+    assert subtree_queries(widx, t, DegSubtree(2)) == (1 << 61) - 1
+
+
+def test_merged_parallel_edges_near_2_32_stay_exact():
+    cap = 1 << 32
+    lines = ["p 4 9"]
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        lines += [f"{u} {v} {cap}", f"{u} {v} {cap - 1}"]
+    lines.append(f"0 2 {cap}")
+    g = load_graph("\n".join(lines))
+    assert g.edge_weight(0, 1) == 2 * cap - 1
+    t = build_rooted_tree(g, [(0, 1), (1, 2), (2, 3)], root=0)
+    _, widx, _ = build_indexes(g, t, seed=3)
+    for v in (1, 2, 3):
+        assert subtree_queries(widx, t, DegSubtree(v)) == cut_of_partition(g, t.subtree(v))
+    assert subtree_queries(widx, t, CrossNested(3, 1)) == 2 * cap - 1
+    assert subtree_queries(widx, t, CrossNested(2, 1)) == 3 * cap - 1
+    assert min_cut_pipeline(g, "sequential", rng=3)[0].value == oracle_min_cut(g).value == 4 * cap - 2
 
 
 def test_deg_subtree_equals_partition_cut():
