@@ -26,15 +26,8 @@ from .graph import (
     pair_cut_value,
     reconstruct_partition,
 )
-from .hld import decompose, top_edge_below, top_edges_on_root_path
-from .interesting import (
-    PairAccumulator,
-    build_weight_classes,
-    interesting_paths_for_edge,
-    sample_cross_candidates,
-    sample_down_candidates,
-    verify_interest,
-)
+from .hld import decompose, top_edges_on_root_path
+from .interesting import PairAccumulator, build_weight_classes, candidate_tops, sample_cross_candidates
 from .interval import CostMatrixHandle, ProbeLedger, bipartite_interval, interval_self, monge_check
 from .packing import (
     PipelineConfig,

@@ -16,6 +16,9 @@ from .util import DisjointSets
 
 MAX_EDGE_WEIGHT = 1 << 32
 EXHAUSTIVE_CUT_LIMIT = 18
+# int64 prefix sums stay exact while the total weight is below this, and so
+# does every partial sum and every difference of two of them.
+WEIGHT_SUM_LIMIT = 1 << 62
 
 
 class GraphError(Exception):
@@ -77,9 +80,14 @@ class WeightedGraph:
         self.eu = np.asarray(eu, dtype=np.int64)
         self.ev = np.asarray(ev, dtype=np.int64)
         self.ew = np.asarray(ew, dtype=np.int64)
-        self.total_weight = int(self.ew.sum()) if self.m else 0
+        self.total_weight = sum(merged.values())
         if require_connected and not self.is_connected():
             raise DisconnectedError("graph is not connected")
+
+    def check_weight_sum(self):
+        """Refuse graphs whose total weight int64 cut arithmetic cannot carry."""
+        if self.total_weight >= WEIGHT_SUM_LIMIT:
+            raise WeightOverflowError(f"total weight {self.total_weight} reaches 2**62")
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -446,6 +454,7 @@ def oracle_min_cut(g: WeightedGraph, exhaustive: Optional[bool] = None) -> CutRe
     deterministic contraction (maximum adjacency orderings) above that."""
     if g.n < 2:
         raise GraphError("no cut exists on a single vertex")
+    g.check_weight_sum()
     if exhaustive is True and g.n > EXHAUSTIVE_CUT_LIMIT:
         raise GraphError(f"exhaustive oracle capped at n={EXHAUSTIVE_CUT_LIMIT}")
     if exhaustive is False or g.n > EXHAUSTIVE_CUT_LIMIT:

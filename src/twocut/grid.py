@@ -77,10 +77,6 @@ def grid_from_graph(g, po) -> PoPrefixGrid:
 
 
 def subtree_degrees(grid: PoPrefixGrid, lo, hi) -> np.ndarray:
-    """Cut value of every subtree range [lo[v], hi[v]] in one sweep."""
-    n = grid.n
-    out = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        a, b = int(lo[v]), int(hi[v])
-        out[v] = grid.row_mass(a, b) - grid.block(a, b, a, b)
-    return out
+    """Cut value of every subtree range [lo[v], hi[v]]: its incident mass
+    minus the mass inside it."""
+    return grid._row[hi + 1] - grid._row[lo] - grid.blocks(lo, hi, lo, hi)

@@ -4,7 +4,8 @@ The tree's edges are split into vertical paths (each stored top edge first)
 such that any root-to-leaf walk meets at most floor(log2 n) + 1 of them:
 every step off a path follows a light edge, which at least halves the
 subtree size. Queries return, per decomposition path met by a walk, the top
-edge of the met segment.
+edge of the met segment. Walks are answered in batches from padded per-vertex
+tables of the paths each root line meets.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import RootedSpanTree
+from .util import floor_log2
 
 
 class PathDecomposition:
@@ -50,91 +52,68 @@ class PathDecomposition:
         self.paths = paths
         self.path_of = path_of
         self.top_edge = np.asarray([p[0] for p in paths], dtype=np.int64) if paths else np.zeros(0, np.int64)
-        # plain-int mirrors for the hot walks
         self._path_of = path_of.tolist()
-        self._top = self.top_edge.tolist()
-        self._rp_cache = {}
-        # depth of each path's top edge child, for O(1) segment indexing
-        self._top_depth = [t._depth[p[0]] for p in paths]
+        # array forms for the batched walks: all paths back to back (so an
+        # edge's position there orders by path, then depth), each edge's
+        # position, and per path its offset and the depth of its top edge
+        self.flat = np.asarray([c for p in paths for c in p], dtype=np.int64)
+        self.pos = np.full(n, -1, dtype=np.int64)
+        self.pos[self.flat] = np.arange(len(self.flat))
+        self.start = self.pos[self.top_edge]
+        self.top_depth = t.depth[self.top_edge]
+        # row v of exit_path lists the paths met by the root-to-v line, root
+        # first, padded with -1 to floor(log2 n) + 2 columns so that every row
+        # ends in padding; exit_depth holds the depth where the line leaves
+        # each of them (depth v for the last)
+        width = floor_log2(n) + 2
+        jump = np.full(n, t.root, dtype=np.int64)  # the vertex above v's path
+        jump[path_of >= 0] = t.parent[self.top_edge[path_of[path_of >= 0]]]
+        cur = np.arange(n, dtype=np.int64)
+        up = []
+        for _ in range(width):
+            up.append(np.where(cur == t.root, -1, cur))
+            cur = jump[cur]
+        up = np.stack(up, axis=1)
+        assert (up[:, -1] < 0).all(), "a root line meets more than floor(log2 n) + 1 paths"
+        col = (up >= 0).sum(axis=1)[:, None] - 1 - np.arange(width)
+        exits = np.where(col >= 0, np.take_along_axis(up, np.maximum(col, 0), axis=1), -1)
+        self.exit_path = np.where(exits >= 0, path_of[exits], -1)
+        self.exit_depth = np.where(exits >= 0, t.depth[exits], -1)
 
-    def edges_of(self, pid):
-        return self.paths[pid]
+    def anchor_depths(self, us, xs):
+        """Per row, the depth of lca(u, x): the deepest vertex of the root-to-x
+        line that is an ancestor of u (where u's branch diverges).
 
-    def root_entries(self, x):
-        """Cached top_edges_on_root_path(x); one walk per vertex per tree."""
-        got = self._rp_cache.get(x)
-        if got is None:
-            got = top_edges_on_root_path(self, x)
-            self._rp_cache[x] = got
-        return got
+        The paths both root lines meet form a common prefix of their rows; the
+        lca is the shallower of the two exits from the last shared path.
+        """
+        pu, px = self.exit_path[us], self.exit_path[xs]
+        shared = np.argmin((pu == px) & (pu >= 0), axis=1)  # rows end in padding
+        j = np.maximum(shared - 1, 0)[:, None]
+        lca = np.minimum(np.take_along_axis(self.exit_depth[us], j, axis=1),
+                         np.take_along_axis(self.exit_depth[xs], j, axis=1))[:, 0]
+        return np.where(shared > 0, lca, 0)
+
+    def suffix_tops(self, xs, das):
+        """Per-path segment tops of each root-to-x line strictly below depth da.
+
+        Returns aligned (row, f) arrays, each row's tops root first: f is the
+        topmost edge of the line on every path it meets below da.
+        """
+        below = np.asarray(das, dtype=np.int64)[:, None] + 1
+        row, col = np.nonzero(self.exit_depth[xs] >= below)
+        pid = self.exit_path[xs][row, col]
+        seg = np.maximum(below[row, 0], self.top_depth[pid])
+        return row, self.flat[self.start[pid] + seg - self.top_depth[pid]]
 
     def suffix_tops_below_depth(self, x, da):
-        """Per-path segment tops of the root-to-x line strictly below depth da.
-
-        Equivalent to top_edge_below(anchor, x) where anchor is the line's
-        vertex at depth da, but served from the cached root decomposition.
-        """
-        entries = self.root_entries(x)
-        t = self.tree
-        j = len(entries)
-        for i, (top, _) in enumerate(entries):
-            if t._depth[top] > da:
-                j = i
-                break
-        out = []
-        if j >= 1:
-            top_prev, pid_prev = entries[j - 1]
-            end = (t._depth[entries[j][0]] - 1) if j < len(entries) else t._depth[x]
-            if da + 1 <= end:
-                out.append((self.segment_edge_at_depth(pid_prev, da + 1), pid_prev))
-        out.extend(entries[j:])
-        return out
+        """suffix_tops for one line, as (top_edge_child, path_id) pairs."""
+        _, f = self.suffix_tops([x], [da])
+        return list(zip(f.tolist(), self.path_of[f].tolist()))
 
     def cross_anchor_depth(self, u, x):
-        """Depth of the deepest vertex on the root-to-x line that is an
-        ancestor of u (the point where u's branch diverges)."""
-        t = self.tree
-        entries = self.root_entries(x)
-        last = -1
-        for i, (top, _) in enumerate(entries):
-            if t.is_ancestor(top, u):
-                last = i
-            else:
-                break
-        if last < 0:
-            return 0  # only the root is shared
-        top, pid = entries[last]
-        end = (t._depth[entries[last + 1][0]] - 1) if last + 1 < len(entries) else t._depth[x]
-        lo = t._depth[top]
-        hi = min(end, t._depth[u])
-        # deepest on-line child of this window that is still an ancestor of u
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if t.is_ancestor(self.segment_edge_at_depth(pid, mid), u):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def lca(self, a, b):
-        """Lowest common ancestor by jumping chain heads; O(log n)."""
-        t = self.tree
-        while True:
-            if t.is_ancestor(a, b):
-                return a
-            if t.is_ancestor(b, a):
-                return b
-            # neither is the root now, so both have chains
-            ta = self._top[self._path_of[a]]
-            tb = self._top[self._path_of[b]]
-            if t._depth[ta] >= t._depth[tb]:
-                a = t._parent[ta]
-            else:
-                b = t._parent[tb]
-
-    def segment_edge_at_depth(self, pid, d):
-        """Edge of path pid whose child sits at depth d."""
-        return self.paths[pid][d - self._top_depth[pid]]
+        """anchor_depths for one pair."""
+        return int(self.anchor_depths([u], [x])[0])
 
 
 def decompose(t: RootedSpanTree) -> PathDecomposition:
@@ -149,46 +128,5 @@ def top_edges_on_root_path(d: PathDecomposition, v: int):
     Returned as (edge_child, path_id) pairs ordered from the root toward v;
     empty for the root itself.
     """
-    t = d.tree
-    if v == t.root:
-        return []
-    out = []
-    x = v
-    while x != t.root:
-        pid = d._path_of[x]
-        top = d._top[pid]
-        out.append((top, pid))
-        x = t._parent[top]
-    out.reverse()
-    return out
-
-
-def top_edge_below(d: PathDecomposition, u: int, v: int):
-    """Same walk restricted to the u-to-v segment, for v inside u's subtree.
-
-    For each decomposition path met strictly below u, the segment's top edge;
-    the first path met may be entered mid-path, in which case the top edge is
-    the edge just below u.
-    """
-    t = d.tree
-    if v == u:
-        raise ValueError("segment needs v strictly below u")
-    if not t.is_ancestor(u, v):
-        raise ValueError(f"{v} is not in the subtree of {u}")
-    out = []
-    x = v
-    while True:
-        pid = d._path_of[x]
-        top = d._top[pid]
-        if top != u and t.is_ancestor(u, top):
-            # whole head of this path lies below u
-            out.append((top, pid))
-            x = t._parent[top]
-            if x == u:
-                break
-        else:
-            # path climbs past u: the segment's top edge hangs right below u
-            out.append((d.segment_edge_at_depth(pid, t._depth[u] + 1), pid))
-            break
-    out.reverse()
-    return out
+    pids = d.exit_path[v][d.exit_path[v] >= 0]
+    return list(zip(d.top_edge[pids].tolist(), pids.tolist()))

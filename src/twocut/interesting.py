@@ -1,4 +1,4 @@
-"""Discovery of cross- and down-interesting tree-edge pairs.
+"""Discovery of cross- and down-interesting tree-edge pairs, one tree at a time.
 
 For a tree edge e above vertex u, a partner edge above v is cross-interesting
 when C(u_sub, v_sub) > deg(u_sub) / 2 (disjoint subtrees) and
@@ -13,21 +13,23 @@ attracts more than half of u's boundary weight, at least one class gives its
 edges a constant point-fraction, so a logarithmic sample hits it with high
 probability. Pairs within one decomposition path are excluded here; the path
 solver already covers them.
+
+Every stage handles all tree edges of a tree in one batch: one sampling pass
+over the two boundary rectangles of every subtree in every weight class, one
+walk of the decomposition's per-vertex path tables for all sampled
+endpoints, and one sparsifier filter call per interest kind. Candidates travel as (e, f)
+rows of tree-edge children; f's decomposition path is path_of[f].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import WeightedGraph
 from .grid import grid_from_graph, subtree_degrees
 from .hld import PathDecomposition
-from .provider import TreeContext
-from .rangeindex import SampleRangeIndex
-from .requests import CrossNested, CrossSub, DegSubtree
-from .util import ceil_log2
+from .rangeindex import SampleRangeIndex, sample_rects
+from .util import bit_lengths, ceil_log2
 
 DEFAULT_SAMPLE_MULTIPLIER = 4
 
@@ -49,69 +51,37 @@ class WeightClassIndex:
         xs = np.minimum(pu, pv)
         ys = np.maximum(pu, pv)
         ids = np.arange(g.m)
-        cls = np.asarray([w.bit_length() - 1 if w > 0 else -1 for w in map(int, g.ew)], dtype=np.int64)
+        cls = bit_lengths(g.ew) - 1
         self.classes = {}
-        for i in sorted(set(int(c) for c in cls if c >= 0)):
+        for i in np.unique(cls[cls >= 0]).tolist():
             keep = cls == i
             self.classes[i] = SampleRangeIndex(xs[keep], ys[keep], ids[keep], seed=(seed << 6) ^ i)
-
-    @property
-    def class_count(self):
-        return len(self.classes)
 
 
 def build_weight_classes(g: WeightedGraph, t, seed) -> WeightClassIndex:
     return WeightClassIndex(g, t, seed)
 
 
-@dataclass
-class CandidateBundle:
-    """Sampled boundary edges of one subtree, bucketed by weight class."""
-
-    by_class: dict = field(default_factory=dict)
-
-    def all_edges(self):
-        out = []
-        seen = set()
-        for ids in self.by_class.values():
-            for eid in ids:
-                if eid not in seen:
-                    seen.add(eid)
-                    out.append(eid)
-        return out
-
-
-def _boundary_rects(t, u):
-    a, b = int(t.lo[u]), int(t.hi[u])
-    n = t.n
-    return ((0, a - 1, a, b), (a, b, b + 1, n - 1))
-
-
-def _sample_boundary(wc: WeightClassIndex, t, u, k) -> CandidateBundle:
-    bundle = CandidateBundle()
-    for i, sidx in wc.classes.items():
-        got = []
-        for x1, x2, y1, y2 in _boundary_rects(t, u):
-            if x1 <= x2 and y1 <= y2:
-                got.extend(int(e) for e in sidx.sample_rect(x1, x2, y1, y2, k))
-        if got:
-            bundle.by_class[i] = sorted(set(got))
-    return bundle
-
-
 def sample_k(n, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     return max(1, multiplier * ceil_log2(max(n, 2)))
 
 
-def sample_cross_candidates(wc: WeightClassIndex, t, u, rng, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    """Boundary sample aimed at partners v with big C(u_sub, v_sub)."""
-    return _sample_boundary(wc, t, u, sample_k(wc.n, multiplier))
+def sample_cross_candidates(wc: WeightClassIndex, t, us, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+    """Boundary samples of the subtrees below every tree edge in us.
 
-
-def sample_down_candidates(wc: WeightClassIndex, t, u, rng, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    """Boundary sample aimed at descendants v with big C(v_sub, V - u_sub);
-    the witness edge leaves u's subtree from inside v's."""
-    return _sample_boundary(wc, t, u, sample_k(wc.n, multiplier))
+    One sample_rects pass reports both boundary rectangles of every subtree
+    (its edges leaving leftward and rightward in post-order) in every weight
+    class. Returns aligned (edge, sampled edge id) arrays; the rectangles and
+    the classes are disjoint, so no pair repeats. The same sample serves the
+    cross and the down route: both read the same rectangles, and the level
+    walk is fixed by the build seed.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    a, b = t.lo[us], t.hi[us]
+    x1, x2 = np.concatenate((np.zeros_like(a), a)), np.concatenate((a - 1, b))
+    y1, y2 = np.concatenate((a, b + 1)), np.concatenate((b, np.full_like(b, t.n - 1)))
+    rows, eids = sample_rects(list(wc.classes.values()), x1, x2, y1, y2, sample_k(wc.n, multiplier))
+    return us[rows % max(len(us), 1)], eids
 
 
 class ProxyFilter:
@@ -119,7 +89,8 @@ class ProxyFilter:
 
     A (1 +- eps) sparsifier turns the exact strict-half tests into strict
     third tests that never reject a true partner; survivors still get the
-    exact check in the real graph.
+    exact check in the real graph. Both checks take aligned (or scalar) edge
+    arrays us, fs and return one boolean per row.
     """
 
     def __init__(self, h: WeightedGraph, tree):
@@ -127,167 +98,66 @@ class ProxyFilter:
         self.grid = grid_from_graph(h, tree.po)
         self.deg = subtree_degrees(self.grid, tree.lo, tree.hi)
 
-    def cross_ok(self, u, f) -> bool:
-        iu = (self.tree._lo[u], self.tree._hi[u])
-        iv = (self.tree._lo[f], self.tree._hi[f])
-        return 3 * self.grid.cross((iu,), (iv,)) > int(self.deg[u])
-
-    def down_ok(self, u, f) -> bool:
-        ivf = (self.tree._lo[f], self.tree._hi[f])
-        lo, hi = self.tree._lo[u], self.tree._hi[u]
-        comp = ((0, lo - 1), (hi + 1, self.grid.n - 1))
-        return 3 * self.grid.cross((ivf,), comp) > int(self.deg[u])
-
-    def cross_ok_many(self, u, fs):
-        """Vectorized strict-third checks for many cross candidates of u."""
+    def cross_ok_many(self, us, fs):
+        """3 C(u_sub, f_sub) > deg(u_sub) per row."""
         t = self.tree
-        fs = np.asarray(fs, dtype=np.int64)
-        lo_f, hi_f = t.lo[fs], t.hi[fs]
-        lo_u = np.full(len(fs), t._lo[u], dtype=np.int64)
-        hi_u = np.full(len(fs), t._hi[u], dtype=np.int64)
-        val = self.grid.blocks(lo_u, hi_u, lo_f, hi_f)
-        return 3 * val > int(self.deg[u])
+        us, fs = np.broadcast_arrays(np.asarray(us, dtype=np.int64), np.asarray(fs, dtype=np.int64))
+        return 3 * self.grid.blocks(t.lo[us], t.hi[us], t.lo[fs], t.hi[fs]) > self.deg[us]
 
-    def down_ok_many(self, u, fs):
-        """Vectorized strict-third checks for many down candidates of u."""
+    def down_ok_many(self, us, fs):
+        """3 C(f_sub, V - u_sub) > deg(u_sub) per row, for f below u."""
         t = self.tree
-        fs = np.asarray(fs, dtype=np.int64)
+        us, fs = np.broadcast_arrays(np.asarray(us, dtype=np.int64), np.asarray(fs, dtype=np.int64))
         lo_f, hi_f = t.lo[fs], t.hi[fs]
-        n = self.grid.n
-        left = self.grid.blocks(
-            np.zeros(len(fs), dtype=np.int64),
-            np.full(len(fs), t._lo[u] - 1, dtype=np.int64),
-            lo_f,
-            hi_f,
-        )
-        right = self.grid.blocks(
-            lo_f,
-            hi_f,
-            np.full(len(fs), t._hi[u] + 1, dtype=np.int64),
-            np.full(len(fs), n - 1, dtype=np.int64),
-        )
-        return 3 * (left + right) > int(self.deg[u])
+        left = self.grid.blocks(0, t.lo[us] - 1, lo_f, hi_f)
+        right = self.grid.blocks(lo_f, hi_f, t.hi[us] + 1, self.grid.n - 1)
+        return 3 * (left + right) > self.deg[us]
 
 
-def candidate_tops(d: PathDecomposition, e, cross_bundle, down_bundle, g: WeightedGraph):
-    """Segment-top candidates implied by sampled boundary edges of e's subtree.
+def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):
+    """Segment-top candidates implied by sampled boundary edges.
 
-    Returns (cross, down) lists of (top_edge_child, path_id), deduplicated,
-    geometry-filtered (orthogonal for cross, strictly below for down), with
-    e's own path excluded.
+    es, eids: aligned rows of a tree edge and an edge of g leaving its
+    subtree (as from sample_cross_candidates). Returns (cross, down) int64
+    arrays of distinct (e, f) rows sorted by e then f, geometry-filtered
+    (f orthogonal to e for cross, strictly below e for down), with f on e's
+    own path excluded.
     """
     t = d.tree
-    u = e
-    own = d._path_of[e]
-    eids = np.asarray(cross_bundle.all_edges(), dtype=np.int64)
-    if cross_bundle is not down_bundle:
-        extra = np.asarray(down_bundle.all_edges(), dtype=np.int64)
-        eids = np.unique(np.concatenate([eids, extra])) if len(extra) else eids
-    if len(eids) == 0:
-        return [], []
-    pa, pb = t.po[g.eu[eids]], t.po[g.ev[eids]]
-    a_in = (t._lo[u] <= pa) & (pa <= t._hi[u])
-    ends_a, ends_b = g.eu[eids], g.ev[eids]
-    inner = set(np.where(a_in, ends_a, ends_b).tolist())
-    outer = set(np.where(a_in, ends_b, ends_a).tolist())
+    es, eids = np.asarray(es, dtype=np.int64), np.asarray(eids, dtype=np.int64)
+    a, b = g.eu[eids], g.ev[eids]
+    a_in = (t.lo[es] <= t.po[a]) & (t.po[a] <= t.hi[es])
+    inner, outer = np.where(a_in, a, b), np.where(a_in, b, a)
     # witnesses on one decomposition path contribute nested candidate sets,
-    # so only the deepest witness per path matters
-    outer = _deepest_per_path(d, outer)
-    inner = _deepest_per_path(d, inner - {u})
-    cross = {}
-    for x in outer:
-        # true partners sit strictly below the divergence point of u's and
-        # x's root lines; everything there is orthogonal to u, and interest
-        # is closed upward within the segment, so per met path its
-        # segment-top edge decides
-        da = d.cross_anchor_depth(u, x)
-        for f, pid in d.suffix_tops_below_depth(x, da):
-            if t.orthogonal(u, f):
-                cross[(f, pid)] = True
-    down = {}
-    for x in inner:
-        for f, pid in d.suffix_tops_below_depth(x, t._depth[u]):
-            if pid != own:
-                down[(f, pid)] = True
-    return list(cross.keys()), list(down.keys())
+    # so only the deepest witness per (edge, path) matters
+    ec, xc = _deepest_per_path(d, es, outer, outer != t.root)
+    ed, xd = _deepest_per_path(d, es, inner, inner != es)
+    # true partners sit strictly below the divergence point of e's and x's
+    # root lines; everything there is orthogonal to e, and interest is closed
+    # upward within the segment, so per met path its segment-top edge decides
+    row, f = d.suffix_tops(xc, d.anchor_depths(ec, xc))
+    e = ec[row]
+    cross = _distinct_rows(e, f, (t.hi[e] < t.lo[f]) | (t.hi[f] < t.lo[e]), t.n)
+    row, f = d.suffix_tops(xd, t.depth[ed])
+    e = ed[row]
+    down = _distinct_rows(e, f, d.path_of[f] != d.path_of[e], t.n)
+    return cross, down
 
 
-def _deepest_per_path(d, vertices):
-    t = d.tree
-    best = {}
-    for x in vertices:
-        if x == t.root:
-            continue
-        pid = d._path_of[x]
-        cur = best.get(pid)
-        if cur is None or t._depth[x] > t._depth[cur]:
-            best[pid] = x
-    return list(best.values())
+def _deepest_per_path(d, es, xs, ok):
+    # d.pos orders the vertices of each path by depth, paths one after another
+    n = d.tree.n
+    keys = np.sort(es[ok] * n + d.pos[xs[ok]])
+    es, xs = keys // n, d.flat[keys % n]
+    group = es * n + d.path_of[xs]
+    last = np.diff(group, append=-1) != 0
+    return es[last], xs[last]
 
 
-def verify_interest(provider, ctx: TreeContext, e, f, kind, mode="exact") -> bool:
-    """Strict threshold check for one candidate pair.
-
-    exact: 2 C > deg in the real graph, via the provider.
-    proxy: 3 C > deg in the provider's sparsifier, locally (a superset
-    filter; confirm survivors in exact mode before use).
-    """
-    t = ctx.tree
-    if kind == CROSS:
-        if not t.orthogonal(e, f):
-            raise ValueError(f"cross pair ({e}, {f}) is not orthogonal")
-    elif kind == DOWN:
-        if not (t.is_ancestor(e, f) and e != f):
-            raise ValueError(f"down pair needs {f} strictly below {e}")
-    else:
-        raise ValueError(f"unknown interest kind {kind}")
-    if mode == "proxy":
-        h = provider.proxy_graph()
-        if h is None:
-            raise ValueError("provider exposes no proxy graph")
-        filt = ProxyFilter(h, t)
-        return filt.cross_ok(e, f) if kind == CROSS else filt.down_ok(e, f)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode}")
-    req = CrossSub(e, f) if kind == CROSS else CrossNested(f, e)
-    deg, val = provider.batch_eval([(ctx, DegSubtree(e)), (ctx, req)])
-    return 2 * val > deg
-
-
-def interesting_paths_for_edge(d: PathDecomposition, e, bundles, provider, ctx: TreeContext,
-                               use_proxy=None):
-    """Verified interesting decomposition paths for one tree edge.
-
-    bundles is the (cross, down) pair from the two samplers. Verification is
-    exact through the provider; when the provider carries a proxy graph the
-    1/3 filter prunes candidates first (and use_proxy can force either
-    behavior). Returns (cross path ids, down path ids).
-    """
-    cross_cands, down_cands = candidate_tops(d, e, bundles[0], bundles[1], provider_graph(provider, ctx))
-    if use_proxy is None:
-        use_proxy = provider.proxy_graph() is not None
-    if use_proxy:
-        filt = ProxyFilter(provider.proxy_graph(), ctx.tree)
-        cross_cands = [(f, pid) for f, pid in cross_cands if filt.cross_ok(e, f)]
-        down_cands = [(f, pid) for f, pid in down_cands if filt.down_ok(e, f)]
-    reqs = [(ctx, DegSubtree(e))]
-    reqs += [(ctx, CrossSub(e, f)) for f, _ in cross_cands]
-    reqs += [(ctx, CrossNested(f, e)) for f, _ in down_cands]
-    values = provider.batch_eval(reqs)
-    deg = values[0]
-    nc = len(cross_cands)
-    cross_ok = {pid for (f, pid), v in zip(cross_cands, values[1 : 1 + nc]) if 2 * v > deg}
-    down_ok = {pid for (f, pid), v in zip(down_cands, values[1 + nc :]) if 2 * v > deg}
-    return frozenset(cross_ok), frozenset(down_ok)
-
-
-def provider_graph(provider, ctx):
-    """Graph whose edge list backs candidate endpoints: the sparsifier when
-    the provider has one (bundles were sampled from it), else the real graph."""
-    h = provider.proxy_graph()
-    if h is not None:
-        return h
-    return provider.g
+def _distinct_rows(e, f, keep, n):
+    keys = np.sort(e[keep] * n + f[keep])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack((keys // n, keys % n), axis=1)
 
 
 class PairAccumulator:

@@ -216,6 +216,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     """
     if g.n < 2:
         raise GraphError("no cut exists on a single vertex")
+    g.check_weight_sum()
     if not (0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 1/10]")
     cfg = config or PipelineConfig()

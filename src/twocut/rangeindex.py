@@ -6,20 +6,17 @@ most two axis-aligned rectangle sums. The weight index is a static merge-sort
 tree (O(m log^2 m) build) that answers a whole batch of rectangles with
 O(log m) vectorized `searchsorted` calls, each over the batch; the sampling
 index keeps halving subsets S_0 .. S_k whose membership is fixed by the build
-seed.
+seed, and `sample_rects` reports a batch of rectangles over several sampling
+indexes in one pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import RootedSpanTree, WeightedGraph, WeightOverflowError
+from .graph import WEIGHT_SUM_LIMIT, RootedSpanTree, WeightedGraph, WeightOverflowError
 from .requests import CrossNested, CrossSub, DegSubtree
 from .util import ceil_log2, rng_for
-
-# Prefix sums are int64; keeping the total below this leaves every partial
-# sum and every difference of two of them exact.
-WEIGHT_SUM_LIMIT = 1 << 62
 
 
 class EdgePointSet:
@@ -102,19 +99,6 @@ class WeightRangeIndex:
         return int(self.rect_weights([x1], [x2], [y1], [y2])[0])
 
 
-class _LevelPoints:
-    """One sampling level: flat arrays, reporting by direct rectangle scan."""
-
-    def __init__(self, xs, ys, ids):
-        self.xs = xs
-        self.ys = ys
-        self.ids = ids
-
-    def report(self, x1, x2, y1, y2):
-        mask = (self.xs >= x1) & (self.xs <= x2) & (self.ys >= y1) & (self.ys <= y2)
-        return self.ids[mask]
-
-
 class SampleRangeIndex:
     """Halving level subsets with per-level reporting.
 
@@ -135,31 +119,49 @@ class SampleRangeIndex:
         self.xs = np.asarray(xs, dtype=np.int64)
         self.ys = np.asarray(ys, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.levels = []
-        for i in range(self.top + 1):
-            keep = self.point_level >= i
-            self.levels.append(_LevelPoints(self.xs[keep], self.ys[keep], self.ids[keep]))
 
     def sample_rect(self, x1, x2, y1, y2, k):
-        """All rectangle points of the shallowest level that reports >= k of them.
+        """All rectangle points of the shallowest level that reports >= k of them."""
+        return sample_rects([self], [x1], [x2], [y1], [y2], k)[1]
 
-        One vectorized pass: the levels nest, so the stop level falls out of
-        the level histogram of the rectangle's points.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        inside = (self.xs >= x1) & (self.xs <= x2) & (self.ys >= y1) & (self.ys <= y2)
-        lv = self.point_level[inside]
-        if len(lv) <= k:
-            return self.ids[inside]
-        per_level = np.bincount(lv, minlength=self.top + 1)
-        counts_at = per_level[::-1].cumsum()[::-1]  # counts_at[i] = |rect & S_i|
-        stop = 0
-        for i in range(self.top, -1, -1):
-            if counts_at[i] >= k:
-                stop = i
-                break
-        return self.ids[inside][lv >= stop]
+
+SAMPLE_CHUNK_CELLS = 1 << 19  # rows x points per pass of sample_rects: 4 MB of int64
+
+
+def sample_rects(indexes, x1, x2, y1, y2, k):
+    """sample_rect of every rectangle (aligned int64 arrays) in every index, in one pass.
+
+    The indexes are strata with disjoint points and levels of their own.
+    Returns aligned (rectangle row, point id) arrays, rows ascending; within
+    a row the points come index by index, each in point order. One histogram
+    of (row, stratum, level) over the points inside each rectangle gives,
+    since the levels nest, every stop level: the highest holding >= k
+    points, or 0 when the stratum's part holds <= k (all of it is reported
+    either way).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    none = np.zeros(0, dtype=np.int64)
+    xs, ys, ids, level = (np.concatenate([getattr(ix, a) for ix in indexes] + [none])
+                          for a in ("xs", "ys", "ids", "point_level"))
+    strata = len(indexes)
+    width = max((ix.top for ix in indexes), default=0) + 1
+    stratum = np.repeat(np.arange(strata), [ix.m for ix in indexes])
+    cell = stratum * width + level
+    x1, x2, y1, y2 = (np.asarray(a, dtype=np.int64)[:, None] for a in (x1, x2, y1, y2))
+    step = max(1, SAMPLE_CHUNK_CELLS // max(len(xs), 1))
+    rows, got = [none], [none]
+    for s in range(0, len(x1), step):
+        c = slice(s, s + step)
+        r, p = np.nonzero((xs >= x1[c]) & (xs <= x2[c]) & (ys >= y1[c]) & (ys <= y2[c]))
+        nr = len(x1[c])
+        hist = np.bincount(r * (strata * width) + cell[p], minlength=nr * strata * width)
+        counts_at = hist.reshape(nr, strata, width)[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
+        stop = np.maximum((counts_at >= k).sum(axis=2) - 1, 0)
+        keep = level[p] >= stop[r, stratum[p]]
+        rows.append(r[keep] + s)
+        got.append(ids[p[keep]])
+    return np.concatenate(rows), np.concatenate(got)
 
 
 def build_indexes(g: WeightedGraph, t: RootedSpanTree, seed):

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graph import (
     SINGLE,
     CutResult,
@@ -109,6 +111,23 @@ def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
         live = survivors
 
 
+def interest_checks(d, sample_graph: WeightedGraph, proxy, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+    """Step 4 discovery for every tree edge of d's tree in one batch.
+
+    Returns (cross, down) int64 arrays of (e, f) rows left for exact
+    verification: CrossSub(e, f) and CrossNested(f, e) respectively.
+    """
+    t = d.tree
+    wc = build_weight_classes(sample_graph, t, seed)
+    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
+    cross, down = candidate_tops(d, es, eids, sample_graph)
+    if proxy is not None:
+        filt = ProxyFilter(proxy, t)
+        cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
+        down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
+    return cross, down
+
+
 def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed, sink: SearchSink,
                      multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     """The five-step search for one tree, as a lockstep generator.
@@ -137,35 +156,20 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
         if path_solvers:
             yield from _drive_solvers(ctx, path_solvers, best)
 
-        wc = build_weight_classes(sample_graph, t, seed)
-        filt = ProxyFilter(proxy, t) if proxy is not None else None
-        cross_checks = []
-        down_checks = []
-        for e in kids:
-            # the two samplers read the same boundary rectangles and the level
-            # walk is fixed by the build seed, so one sample serves both routes
-            bc = sample_cross_candidates(wc, t, e, None, multiplier)
-            cands_c, cands_d = candidate_tops(d, e, bc, bc, sample_graph)
-            if filt is not None:
-                if cands_c:
-                    keep = filt.cross_ok_many(e, [f for f, _ in cands_c])
-                    cands_c = [c for c, k in zip(cands_c, keep) if k]
-                if cands_d:
-                    keep = filt.down_ok_many(e, [f for f, _ in cands_d])
-                    cands_d = [c for c, k in zip(cands_d, keep) if k]
-            cross_checks.extend((e, f, pid) for f, pid in cands_c)
-            down_checks.extend((e, f, pid) for f, pid in cands_d)
-        reqs = [(ctx, CrossSub(e, f)) for e, f, _ in cross_checks]
-        reqs += [(ctx, CrossNested(f, e)) for e, f, _ in down_checks]
+        cross, down = interest_checks(d, sample_graph, proxy, seed, multiplier)
+        (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
+        reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
+        reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
         values = yield reqs
 
         acc = PairAccumulator(d)
-        for (e, f, pid), v in zip(cross_checks, values[: len(cross_checks)]):
+        path_of = d._path_of
+        for e, f, v in zip(ce, cf, values[: len(ce)]):
             if 2 * v > deg[e]:
-                acc.accumulate(d._path_of[e], pid, e, CROSS)
-        for (e, f, pid), v in zip(down_checks, values[len(cross_checks) :]):
+                acc.accumulate(path_of[e], path_of[f], e, CROSS)
+        for e, f, v in zip(de, df, values[len(ce) :]):
             if 2 * v > deg[e]:
-                acc.accumulate(d._path_of[e], pid, e, DOWN)
+                acc.accumulate(path_of[e], path_of[f], e, DOWN)
 
         pair_solvers = []
         for p, marks_p, q, marks_q, kind in acc.drain():

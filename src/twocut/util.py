@@ -17,6 +17,17 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def bit_lengths(a) -> np.ndarray:
+    """int.bit_length of each non-negative int64, exact (no float rounding)."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.zeros(a.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):  # invariant: a < 2**s after the step
+        big = a >= (1 << s)
+        out += big * s
+        a = np.where(big, a >> s, a)
+    return out + a
+
+
 class DisjointSets:
     """Union-find with path halving and union by size."""
 

@@ -225,3 +225,33 @@ def test_po_ranges_match_ancestor_walks():
                 if u != v:
                     disjoint = not (t.is_ancestor(u, v) or t.is_ancestor(v, u))
                     assert t.orthogonal(u, v) == disjoint
+
+
+def four_cycle(w):
+    return WeightedGraph(4, [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, w)])
+
+
+def test_total_weight_is_exact_past_int64():
+    g = four_cycle(1 << 62)
+    assert g.total_weight == 1 << 64
+    assert isinstance(g.total_weight, int)
+
+
+def test_oracle_refuses_weight_sum_reaching_2_62():
+    with pytest.raises(WeightOverflowError):
+        oracle_min_cut(four_cycle(1 << 62))
+    with pytest.raises(WeightOverflowError):
+        oracle_min_cut(four_cycle(1 << 60), exhaustive=False)  # total exactly 2**62
+    w = (1 << 60) - 1  # total just below the limit: both oracles stay exact
+    assert oracle_min_cut(four_cycle(w)).value == 2 * w
+    assert oracle_min_cut(four_cycle(w), exhaustive=False).value == 2 * w
+
+
+@pytest.mark.parametrize("mode", ["sequential", "cut-query", "streaming"])
+def test_pipeline_refuses_weight_sum_reaching_2_62(mode):
+    from twocut.packing import min_cut_pipeline
+
+    with pytest.raises(WeightOverflowError):
+        min_cut_pipeline(four_cycle(1 << 62), mode, rng=1)
+    w = (1 << 60) - 1
+    assert min_cut_pipeline(four_cycle(w), mode, rng=1)[0].value == 2 * w

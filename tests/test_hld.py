@@ -1,10 +1,9 @@
 """Heavy-light decomposition: structure, bounds, segment queries."""
 
 import numpy as np
-import pytest
 
 from twocut.graph import WeightedGraph, build_rooted_tree
-from twocut.hld import decompose, top_edge_below, top_edges_on_root_path
+from twocut.hld import decompose, top_edges_on_root_path
 from twocut.util import floor_log2
 
 from conftest import make_gstar, random_instance
@@ -17,6 +16,33 @@ def random_tree(rng, n):
     edges = [(parent[v], v, 1) for v in range(1, n)]
     g = WeightedGraph(n, edges)
     return g, build_rooted_tree(g, [(u, v) for u, v, _ in edges], 0)
+
+
+def walk_tops(t, d, u, v):
+    """Brute force: the u..v walk (v in u's subtree) grouped by path, each
+    group's root-most edge, ordered from u down; empty when v == u."""
+    walk = []
+    x = v
+    while x != u:
+        walk.append(x)
+        x = int(t.parent[x])
+    bypath = {}
+    for c in walk:
+        pid = int(d.path_of[c])
+        best = bypath.get(pid)
+        if best is None or t.depth[c] < t.depth[best]:
+            bypath[pid] = c
+    return sorted(((c, pid) for pid, c in bypath.items()), key=lambda e: int(t.depth[e[0]]))
+
+
+def brute_lca(t, a, b):
+    up = {a}
+    while a != t.root:
+        a = int(t.parent[a])
+        up.add(a)
+    while b not in up:
+        b = int(t.parent[b])
+    return b
 
 
 def test_gstar_paths():
@@ -84,11 +110,11 @@ def test_gstar_top_edge_below():
     _, t = make_gstar()
     d = decompose(t)
     p2 = int(d.path_of[3])
-    assert top_edge_below(d, 0, 4) == [(3, p2)]
+    assert d.suffix_tops_below_depth(4, int(t.depth[0])) == [(3, p2)]
     # parent-of: direct edge only
-    assert top_edge_below(d, 3, 4) == [(4, p2)]
-    with pytest.raises(ValueError):
-        top_edge_below(d, 1, 4)
+    assert d.suffix_tops_below_depth(4, int(t.depth[3])) == [(4, p2)]
+    # nothing of a line lies strictly below its own end
+    assert d.suffix_tops_below_depth(4, int(t.depth[4])) == []
 
 
 def test_top_edge_below_matches_walk():
@@ -96,26 +122,17 @@ def test_top_edge_below_matches_walk():
     for _ in range(60):
         g, t = random_instance(rng, 3, 14)
         d = decompose(t)
-        for u in range(g.n):
-            for v in t.subtree(u):
-                if v == u:
-                    continue
-                got = top_edge_below(d, u, v)
-                # brute force: edges on the u..v walk grouped by path; take
-                # each group's root-most edge
-                walk = []
-                x = v
-                while x != u:
-                    walk.append(x)
-                    x = int(t.parent[x])
-                bypath = {}
-                for c in walk:
-                    pid = int(d.path_of[c])
-                    best = bypath.get(pid)
-                    if best is None or t.depth[c] < t.depth[best]:
-                        bypath[pid] = c
-                want = sorted(((c, pid) for pid, c in bypath.items()), key=lambda e: int(t.depth[e[0]]))
-                assert got == want
+        rows = [(u, v) for u in range(g.n) for v in t.subtree(u) if v != u]
+        want = [walk_tops(t, d, u, v) for u, v in rows]
+        for (u, v), w in zip(rows, want):
+            assert d.suffix_tops_below_depth(v, int(t.depth[u])) == w
+        # the same rows in one batch
+        us, vs = np.asarray(rows).T
+        row, f = d.suffix_tops(vs, t.depth[us])
+        got = [[] for _ in rows]
+        for r, c in zip(row.tolist(), f.tolist()):
+            got[r].append((c, int(d.path_of[c])))
+        assert got == want
 
 
 def test_top_edges_on_root_path_matches_walk():
@@ -148,21 +165,17 @@ def test_suffix_tops_match_segment_walk():
     for _ in range(40):
         g, t = random_instance(rng, 4, 14)
         d = decompose(t)
-        for x in range(g.n):
-            if x == t.root:
-                continue
-            for u in range(g.n):
-                if u == x:
-                    continue
-                if t.is_ancestor(u, x):
-                    want = top_edge_below(d, u, x)
-                    got = d.suffix_tops_below_depth(x, int(t.depth[u]))
-                    assert got == want
-                elif not t.is_ancestor(x, u):
-                    anchor = d.lca(u, x)
-                    da = d.cross_anchor_depth(u, x)
-                    assert da == int(t.depth[anchor])
-                    assert d.suffix_tops_below_depth(x, da) == top_edge_below(d, anchor, x)
-                else:
-                    # x an ancestor of u: the divergence sits at x itself
-                    assert d.suffix_tops_below_depth(x, d.cross_anchor_depth(u, x)) == []
+        rows = [(u, x) for x in range(g.n) if x != t.root for u in range(g.n) if u != x]
+        us, xs = np.asarray(rows).T
+        batch = d.anchor_depths(us, xs)
+        for (u, x), da in zip(rows, batch.tolist()):
+            assert d.cross_anchor_depth(u, x) == da
+            if t.is_ancestor(u, x):
+                assert d.suffix_tops_below_depth(x, int(t.depth[u])) == walk_tops(t, d, u, x)
+            elif not t.is_ancestor(x, u):
+                anchor = brute_lca(t, u, x)
+                assert da == int(t.depth[anchor])
+                assert d.suffix_tops_below_depth(x, da) == walk_tops(t, d, anchor, x)
+            else:
+                # x an ancestor of u: the divergence sits at x itself
+                assert d.suffix_tops_below_depth(x, da) == []

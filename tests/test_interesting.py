@@ -1,11 +1,13 @@
-"""Interest discovery: thresholds, structure laws, sampling coverage."""
+"""Interest discovery: thresholds, structure laws, sampling coverage, and the
+per-tree batch against a scalar per-edge reference."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from twocut.graph import all_pair_tables
+from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree
+from twocut.grid import grid_from_graph
 from twocut.hld import decompose
 from twocut.interesting import (
     CROSS,
@@ -13,16 +15,18 @@ from twocut.interesting import (
     PairAccumulator,
     ProxyFilter,
     build_weight_classes,
-    interesting_paths_for_edge,
     sample_cross_candidates,
-    sample_down_candidates,
-    verify_interest,
+    sample_k,
 )
+from twocut.packing import min_cut_pipeline
 from twocut.provider import TreeContext
 from twocut.proxy import build_proxy_direct
+from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.sequential import SequentialProvider
+from twocut.tworespect import interest_checks
 
-from conftest import make_gstar, random_instance
+from conftest import make_gstar, random_connected_graph, random_instance
+from test_hld import brute_lca, walk_tops
 
 
 def exhaustive_interest(g, t):
@@ -44,17 +48,98 @@ def exhaustive_interest(g, t):
     return cross_int, down_int
 
 
+# -- scalar per-edge reference of Step 4 discovery --
+
+
+def reference_sample_rect(sidx, x1, x2, y1, y2, k):
+    """One rectangle: mask every point, histogram the levels, walk down from the top."""
+    inside = (sidx.xs >= x1) & (sidx.xs <= x2) & (sidx.ys >= y1) & (sidx.ys <= y2)
+    lv = sidx.point_level[inside]
+    if len(lv) <= k:
+        return sidx.ids[inside]
+    counts_at = np.bincount(lv, minlength=sidx.top + 1)[::-1].cumsum()[::-1]
+    stop = max(i for i in range(sidx.top + 1) if counts_at[i] >= k)
+    return sidx.ids[inside][lv >= stop]
+
+
+def deepest_per_path(t, d, vertices):
+    best = {}
+    for x in vertices:
+        pid = int(d.path_of[x])
+        if pid not in best or t.depth[x] > t.depth[best[pid]]:
+            best[pid] = x
+    return best.values()
+
+
+def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
+    """The per-edge loop: sample each class and rectangle, walk parent
+    pointers from every witness, then one grid check per candidate."""
+    wc = build_weight_classes(sample_graph, t, seed)
+    k = sample_k(t.n, multiplier)
+    cross, down = set(), set()
+    for e in t.edge_children():
+        a, b = int(t.lo[e]), int(t.hi[e])
+        eids = set()
+        for sidx in wc.classes.values():
+            for x1, x2, y1, y2 in ((0, a - 1, a, b), (a, b, b + 1, t.n - 1)):
+                eids.update(reference_sample_rect(sidx, x1, x2, y1, y2, k).tolist())
+        inner, outer = set(), set()
+        for eid in eids:
+            u, v, _ = sample_graph.edges[eid]
+            if not t.is_ancestor(e, u):
+                u, v = v, u
+            inner.add(u)
+            outer.add(v)
+        for x in deepest_per_path(t, d, outer - {t.root}):
+            cross.update((e, f) for f, _ in walk_tops(t, d, brute_lca(t, e, x), x) if t.orthogonal(e, f))
+        for x in deepest_per_path(t, d, inner - {e}):
+            down.update((e, f) for f, _ in walk_tops(t, d, e, x) if d.path_of[f] != d.path_of[e])
+    if proxy is not None:
+        grid = grid_from_graph(proxy, t.po)
+        deg = {e: grid.cut_union((t.range_of(e),)) for e in t.edge_children()}
+        cross = {(e, f) for e, f in cross if 3 * grid.cross((t.range_of(e),), (t.range_of(f),)) > deg[e]}
+        down = {
+            (e, f) for e, f in down
+            if 3 * grid.cross((t.range_of(f),), ((0, t.lo[e] - 1), (t.hi[e] + 1, t.n - 1))) > deg[e]
+        }
+    return sorted(cross), sorted(down)
+
+
+def verified_partners(g, t, d, seed):
+    """Step 4 end to end on one tree: the batch, then the exact strict-half
+    check of every row through a SequentialProvider, as the pipeline does.
+    Returns {e: (cross path ids, down path ids)}."""
+    provider = SequentialProvider(g)
+    ctx = TreeContext(t)
+    cross, down = (rows.tolist() for rows in interest_checks(d, g, None, seed))
+    kids = t.edge_children()
+    reqs = [(ctx, DegSubtree(e)) for e in kids]
+    reqs += [(ctx, CrossSub(e, f)) for e, f in cross] + [(ctx, CrossNested(f, e)) for e, f in down]
+    values = provider.batch_eval(reqs)
+    deg = dict(zip(kids, values))
+    out = {e: (set(), set()) for e in kids}
+    for i, ((e, f), v) in enumerate(zip(cross + down, values[len(kids):])):
+        if 2 * v > deg[e]:
+            out[e][i >= len(cross)].add(int(d.path_of[f]))
+    return out
+
+
+def exact_interest(provider, t, e, f, kind):
+    """The pipeline's verification request for one row, with Step 1's degree."""
+    ctx = TreeContext(t)
+    req = CrossSub(e, f) if kind == CROSS else CrossNested(f, e)
+    deg, val = provider.batch_eval([(ctx, DegSubtree(e)), (ctx, req)])
+    return 2 * val > deg
+
+
 def test_gstar_weight_classes():
     g, t = make_gstar()
     wc = build_weight_classes(g, t, seed=3)
-    sizes = {i: len(idx.levels[0].ids) for i, idx in wc.classes.items()}
+    sizes = {i: idx.m for i, idx in wc.classes.items()}
     assert sizes == {0: 4, 1: 1, 2: 1}
 
 
 def test_weight_classes_unit_and_sparse():
-    g, t = make_gstar()
-    from twocut.graph import WeightedGraph, build_rooted_tree
-
     unit = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     tu = build_rooted_tree(unit, [(0, 1), (1, 2), (2, 3)], 0)
     assert set(build_weight_classes(unit, tu, 1).classes) == {0}
@@ -63,55 +148,49 @@ def test_weight_classes_unit_and_sparse():
     tw = build_rooted_tree(wide, [(0, 1), (1, 2)], 0)
     assert set(build_weight_classes(wide, tw, 1).classes) == {0, 20}
 
+    # weights past 2**53, where a float bit length rounds 2**61 - 1 up to 62 bits
+    heavy = WeightedGraph(3, [(0, 1, (1 << 61) - 1), (1, 2, 1 << 61), (0, 2, (1 << 53) + 1)])
+    th = build_rooted_tree(heavy, [(0, 1), (1, 2)], 0)
+    wc = build_weight_classes(heavy, th, 1)
+    assert {i: idx.ids.tolist() for i, idx in wc.classes.items()} == {53: [1], 60: [0], 61: [2]}
+
 
 def test_gstar_cross_bundle_contains_heavy_witness():
     g, t = make_gstar()
     heavy = g.edges.index((2, 4, 4))
     for seed in range(50):
         wc = build_weight_classes(g, t, seed)
-        bundle = sample_cross_candidates(wc, t, 2, None)
-        assert heavy in bundle.by_class[2]
-        down = sample_down_candidates(wc, t, 1, None)
-        assert heavy in down.by_class[2]
+        es, eids = sample_cross_candidates(wc, t, t.edge_children())
+        assert len(set(zip(es.tolist(), eids.tolist()))) == len(es)
+        assert heavy in eids[es == 2]  # cross witness for the edge above 2
+        assert heavy in eids[es == 1]  # down witness for the edge above 1
 
 
 def test_verify_interest_examples():
     g, t = make_gstar()
     provider = SequentialProvider(g)
-    ctx = TreeContext(t)
-    assert verify_interest(provider, ctx, 2, 4, CROSS)
-    assert verify_interest(provider, ctx, 1, 4, CROSS)
-    assert verify_interest(provider, ctx, 1, 3, CROSS)  # ancestor closure
-    assert verify_interest(provider, ctx, 3, 1, CROSS)  # C=6 > deg(3_sub)/2 = 3.5
+    assert exact_interest(provider, t, 2, 4, CROSS)
+    assert exact_interest(provider, t, 1, 4, CROSS)
+    assert exact_interest(provider, t, 1, 3, CROSS)  # ancestor closure
+    assert exact_interest(provider, t, 3, 1, CROSS)  # C=6 > deg(3_sub)/2 = 3.5
     with pytest.raises(ValueError):
-        verify_interest(provider, ctx, 1, 2, CROSS)
+        exact_interest(provider, t, 1, 2, CROSS)  # nested, not orthogonal
     with pytest.raises(ValueError):
-        verify_interest(provider, ctx, 2, 3, DOWN)
+        exact_interest(provider, t, 2, 3, DOWN)  # 3 is not below 2
 
 
 def test_verify_interest_zero_cross_false():
-    from twocut.graph import WeightedGraph, build_rooted_tree
-
     g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
     t = build_rooted_tree(g, [(0, 1), (0, 2), (0, 3)], 0)
-    provider = SequentialProvider(g)
-    ctx = TreeContext(t)
-    assert not verify_interest(provider, ctx, 1, 2, CROSS)
+    assert not exact_interest(SequentialProvider(g), t, 1, 2, CROSS)
 
 
 def test_gstar_interesting_paths():
     g, t = make_gstar()
     d = decompose(t)
-    wc = build_weight_classes(g, t, seed=5)
-    provider = SequentialProvider(g)
-    ctx = TreeContext(t)
-    bundles = (
-        sample_cross_candidates(wc, t, 2, None),
-        sample_down_candidates(wc, t, 2, None),
-    )
-    crossed, downed = interesting_paths_for_edge(d, 2, bundles, provider, ctx)
+    crossed, downed = verified_partners(g, t, d, seed=5)[2]
     assert crossed == {int(d.path_of[3])}
-    assert downed == frozenset()
+    assert downed == set()
 
 
 def test_interest_structure_laws_exhaustively():
@@ -139,7 +218,7 @@ def test_interest_structure_laws_exhaustively():
 
 
 def test_sampled_discovery_covers_true_interest():
-    # whenever a true partner exists, some bundle edge lands in its subtree
+    # whenever a true partner exists, some sampled edge lands in its subtree
     rng = np.random.default_rng(64)
     checked = 0
     failures = 0
@@ -153,13 +232,13 @@ def test_sampled_discovery_covers_true_interest():
         checked += 1
         for seed in range(250):
             wc = build_weight_classes(g, t, seed=seed)
+            es, eids = sample_cross_candidates(wc, t, t.edge_children())
             for e, f in pairs:
                 trials += 1
-                bundle = sample_cross_candidates(wc, t, e, None)
                 sub = set(t.subtree(f))
                 hit = any(
                     (g.edges[eid][0] in sub) or (g.edges[eid][1] in sub)
-                    for eid in bundle.all_edges()
+                    for eid in eids[es == e].tolist()
                 )
                 if not hit:
                     failures += 1
@@ -173,21 +252,15 @@ def test_returned_paths_cover_truth():
         g, t = random_instance(rng, 4, 12)
         d = decompose(t)
         cross_int, down_int = exhaustive_interest(g, t)
-        wc = build_weight_classes(g, t, seed=1000 + i)
-        provider = SequentialProvider(g)
-        ctx = TreeContext(t)
+        got = verified_partners(g, t, d, seed=1000 + i)
         ok = True
         for e in t.edge_children():
-            bundles = (
-                sample_cross_candidates(wc, t, e, None),
-                sample_down_candidates(wc, t, e, None),
-            )
-            crossed, downed = interesting_paths_for_edge(d, e, bundles, provider, ctx)
+            crossed, downed = got[e]
             want_cross = {int(d.path_of[f]) for f in cross_int[e]}
             want_down = {
                 int(d.path_of[f]) for f in down_int[e] if d.path_of[f] != d.path_of[e]
             }
-            if not want_cross <= set(crossed) or not want_down <= set(downed):
+            if not want_cross <= crossed or not want_down <= downed:
                 ok = False
         if not ok:
             bad_instances += 1
@@ -203,12 +276,11 @@ def test_proxy_filter_soundness_and_breadth():
         cross_int, down_int = exhaustive_interest(g, t)
         kids = t.edge_children()
         for e in kids:
-            for f in cross_int[e]:
-                assert filt.cross_ok(e, f)
-            for f in down_int[e]:
-                assert filt.down_ok(e, f)
+            assert filt.cross_ok_many(e, sorted(cross_int[e])).all()
+            assert filt.down_ok_many(e, sorted(down_int[e])).all()
             # proxy breadth: no three pairwise-orthogonal 1/3-survivors
-            survivors = [f for f in kids if t.orthogonal(e, f) and filt.cross_ok(e, f)]
+            orth = [f for f in kids if t.orthogonal(e, f)]
+            survivors = [f for f, ok in zip(orth, filt.cross_ok_many(e, orth)) if ok]
             for trio in itertools.combinations(survivors, 3):
                 assert not all(
                     t.orthogonal(a, b) for a, b in itertools.combinations(trio, 2)
@@ -237,19 +309,53 @@ def test_accumulator_canonicalization_and_drain():
 def test_gstar_full_cross_marks():
     g, t = make_gstar()
     d = decompose(t)
-    provider = SequentialProvider(g)
-    ctx = TreeContext(t)
     acc = PairAccumulator(d)
-    for e in t.edge_children():
-        wc = build_weight_classes(g, t, seed=9)
-        bundles = (
-            sample_cross_candidates(wc, t, e, None),
-            sample_down_candidates(wc, t, e, None),
-        )
-        crossed, _ = interesting_paths_for_edge(d, e, bundles, provider, ctx)
+    for e, (crossed, _) in verified_partners(g, t, d, seed=9).items():
         for pid in crossed:
             acc.accumulate(int(d.path_of[e]), pid, e, CROSS)
     drained = list(acc.drain())
     assert len(drained) == 1
     _, mp, _, mq, _ = drained[0]
     assert sorted(mp + mq) == [1, 2, 3, 4]
+
+
+def equivalence_instances():
+    rng = np.random.default_rng(0x57E4)
+    out = [make_gstar() + (4,)]
+    for i in range(160):
+        wmax = 10 if i % 2 else 1 << 32
+        if i % 10 == 9:  # bigger trees, so more sampling levels take part
+            g, t = random_instance(rng, 30, 60, wmax=wmax, extra=4.0)
+        else:
+            g, t = random_instance(rng, 4, 14, wmax=wmax, extra=3.0)
+        # multiplier 1 shrinks k, so boundary rectangles overflow it and the
+        # stop-level walk matters
+        out.append((g, t, 1 if i % 3 == 0 else 4))
+    return out
+
+
+def test_batch_rows_equal_per_edge_reference():
+    for i, (g, t, multiplier) in enumerate(equivalence_instances()):
+        if t.n < 3:
+            continue
+        d = decompose(t)
+        h = build_proxy_direct(g, eps=0.1)
+        for sample_graph, proxy in ((g, None), (h, h)):
+            want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
+            got = interest_checks(d, sample_graph, proxy, 77 + i, multiplier)
+            assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"
+
+
+@pytest.mark.parametrize(
+    "graph_seed, wmax, mode, seed, ledgers",
+    [
+        (11, 10, "sequential", 5, (0, 0, 0, 635)),
+        (12, 1 << 32, "cut-query", 6, (12294, 0, 0, 4199)),
+        (13, 10, "streaming", 7, (0, 9, 55262, 715)),
+    ],
+)
+def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):
+    # discovery rows feed every ledger, so a changed row set shows here
+    g = random_connected_graph(np.random.default_rng(graph_seed), 24, extra=3, wmax=wmax)
+    _, stats = min_cut_pipeline(g, mode, rng=seed)
+    assert (stats.queries, stats.passes, stats.tracked_words, stats.probes) == ledgers

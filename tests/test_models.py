@@ -329,3 +329,26 @@ def test_reservoir_marginals():
             hits30[item] += 1
     freq = hits30 / (trials // 10)
     assert np.all(np.abs(freq - 0.1) <= 0.02)
+
+
+def test_subtree_degrees_match_per_vertex_loop():
+    from twocut.grid import grid_from_graph, subtree_degrees
+
+    from conftest import random_instance
+
+    rng = np.random.default_rng(105)
+    for _ in range(40):
+        g, t = random_instance(rng, 2, 20, wmax=1 << 32)
+        grid = grid_from_graph(g, t.po)
+        want = [grid.row_mass(int(t.lo[v]), int(t.hi[v])) - grid.block(int(t.lo[v]), int(t.hi[v]), int(t.lo[v]), int(t.hi[v]))
+                for v in range(g.n)]
+        assert subtree_degrees(grid, t.lo, t.hi).tolist() == want
+        assert want == [cut_of_partition(g, t.subtree(v)) if v != t.root else 0 for v in range(g.n)]
+
+
+def test_bit_lengths_exact_up_to_int64_max():
+    from twocut.util import bit_lengths
+
+    vals = [0, 1, 2, 3, 4, 7, 8, (1 << 32) - 1, 1 << 32, (1 << 53) + 1, (1 << 62) - 1, 1 << 62, (1 << 63) - 1]
+    vals += [(1 << b) + d for b in range(63) for d in (-1, 0, 1) if 0 <= (1 << b) + d < 1 << 63]
+    assert bit_lengths(np.asarray(vals, dtype=np.int64)).tolist() == [v.bit_length() for v in vals]

@@ -24,6 +24,7 @@ from twocut.graph import (
 from twocut.packing import min_cut_pipeline
 
 from conftest import make_gstar, random_instance
+from test_interesting import reference_sample_rect
 
 
 def test_gstar_point_set():
@@ -176,3 +177,35 @@ def test_sample_rect_rejects_bad_k():
     _, _, sidx = build_indexes(g, t, seed=2)
     with pytest.raises(ValueError):
         sidx.sample_rect(0, 4, 0, 4, 0)
+
+
+def test_sample_rects_match_scalar_reference(monkeypatch):
+    import twocut.rangeindex as rangeindex
+
+    rng = np.random.default_rng(104)
+    for trial in range(60):
+        # a few strata with disjoint ids, as the weight classes of one tree
+        strata = []
+        ids = rng.permutation(4000)
+        for j in range(int(rng.integers(0, 4))):
+            m = int(rng.integers(0, 300))
+            xs = rng.integers(0, 40, size=m)
+            ys = xs + rng.integers(1, 40, size=m)
+            strata.append(SampleRangeIndex(xs, ys, ids[1000 * j : 1000 * j + m], seed=(trial << 6) ^ j))
+        r = 50
+        x1 = rng.integers(-2, 40, size=r)
+        x2 = x1 + rng.integers(-3, 30, size=r)
+        y1 = rng.integers(-2, 80, size=r)
+        y2 = y1 + rng.integers(-3, 60, size=r)
+        k = int(rng.integers(1, 20))
+        if trial % 2:  # a few rows per pass
+            cells = sum(ix.m for ix in strata) * int(rng.integers(1, 7))
+            monkeypatch.setattr(rangeindex, "SAMPLE_CHUNK_CELLS", max(cells, 1))
+        rows, got = rangeindex.sample_rects(strata, x1, x2, y1, y2, k)
+        assert (np.diff(rows) >= 0).all()
+        for i in range(r):
+            want = [reference_sample_rect(ix, x1[i], x2[i], y1[i], y2[i], k).tolist() for ix in strata]
+            assert got[rows == i].tolist() == sum(want, [])
+            for ix, w in zip(strata, want):
+                assert ix.sample_rect(x1[i], x2[i], y1[i], y2[i], k).tolist() == w
+        monkeypatch.undo()

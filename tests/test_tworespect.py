@@ -90,31 +90,20 @@ def test_step5_work_bound():
         n = g.n
         assert provider.stats.probes >= 0
         # direct bound check on the accumulator contents
-        from twocut.interesting import (
-            build_weight_classes,
-            candidate_tops,
-            sample_cross_candidates,
-            sample_down_candidates,
-            CROSS,
-            DOWN,
-        )
+        from twocut.interesting import CROSS, DOWN
+        from twocut.graph import cross_weight
+        from twocut.tworespect import interest_checks
         d = decompose(t)
-        wc = build_weight_classes(g, t, i)
         acc = PairAccumulator(d)
         deg = {v: cut_of_partition(g, t.subtree(v)) for v in t.edge_children()}
-        for e in t.edge_children():
-            bc = sample_cross_candidates(wc, t, e, None)
-            bd = sample_down_candidates(wc, t, e, None)
-            cc, dc = candidate_tops(d, e, bc, bd, g)
-            for f, pid in cc:
-                from twocut.graph import cross_weight
-                if 2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]:
-                    acc.accumulate(int(d.path_of[e]), pid, e, CROSS)
-            for f, pid in dc:
-                rest = set(range(n)) - set(t.subtree(e))
-                from twocut.graph import cross_weight as cw
-                if 2 * cw(g, t.subtree(f), rest) > deg[e]:
-                    acc.accumulate(int(d.path_of[e]), pid, e, DOWN)
+        cc, dc = (rows.tolist() for rows in interest_checks(d, g, None, i))
+        for e, f in cc:
+            if 2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]:
+                acc.accumulate(int(d.path_of[e]), int(d.path_of[f]), e, CROSS)
+        for e, f in dc:
+            rest = set(range(n)) - set(t.subtree(e))
+            if 2 * cross_weight(g, t.subtree(f), rest) > deg[e]:
+                acc.accumulate(int(d.path_of[e]), int(d.path_of[f]), e, DOWN)
         total = 0
         appearances = {}
         for p, mp, q, mq, kind in acc.drain():
