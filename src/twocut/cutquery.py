@@ -7,9 +7,10 @@ recovering one edge leaving a set costs O(log n) by interval bisection, and
 the search's requests cost one query each because the requesting side knows
 its partition already.
 
-Post-order subtree requests are answered through a per-tree prefix grid the
-oracle keeps internally; that is a simulator speed path, every answer is
-still metered as a query.
+The values of the search's requests come from the providers' shared subtree
+formula over a PoPrefixGrid the oracle builds from its hidden edges, one
+per tree; that is a simulator speed path, and QueryProvider still charges
+query_count for every request exactly as the model prices it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
-from .provider import CostProvider, request_plan
+from .provider import CostProvider, tree_rows
 from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
+from .rangeindex import edge_points
 from .util import DisjointSets
 
 
@@ -32,7 +34,6 @@ class CutOracle:
         self._ev = g.ev
         self._ew = g.ew
         self.query_count = 0
-        self._grids = {}
 
     def cut(self, side) -> int:
         """One cut query. `side` is a boolean mask or vertex iterable."""
@@ -50,19 +51,13 @@ class CutOracle:
         mask[list(side)] = True
         return mask
 
-    # -- post-order fast path (still one count per answered cut) --
+    def po_grid(self, po) -> PoPrefixGrid:
+        """Simulator fast path: the hidden edges as a grid under one post-order.
 
-    def register_order(self, key, po):
-        if key not in self._grids:
-            self._grids[key] = PoPrefixGrid(self.n, po[self._eu], po[self._ev], self._ew)
-
-    def cut_intervals(self, key, intervals) -> int:
-        ivs = [iv for iv in intervals if iv[0] <= iv[1]]
-        size = sum(b - a + 1 for a, b in ivs)
-        if size == 0 or size >= self.n:
-            raise ValueError("side must be a proper nonempty subset")
-        self.query_count += 1
-        return self._grids[key].cut_union(ivs)
+        It counts nothing; whoever answers cut values from it charges the
+        queries they stand for to query_count.
+        """
+        return PoPrefixGrid(self.n, *edge_points(po, self._eu, self._ev), self._ew)
 
 
 def oracle_cross_weight(oracle: CutOracle, a, b) -> int:
@@ -216,7 +211,7 @@ def build_proxy_via_oracle(oracle: CutOracle, eps, rng, c4=1.0, c3=4.0) -> Weigh
 
 class QueryProvider(CostProvider):
     """Requests priced per the model: subtree cuts and pair cuts one query,
-    subtree crossings three."""
+    subtree crossings three (two when the sides cover V)."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
         super().__init__()
@@ -227,38 +222,34 @@ class QueryProvider(CostProvider):
     def proxy_graph(self):
         return self._proxy
 
+    def _indexes(self, ctxs):
+        return [self.oracle.po_grid(ctx.tree.po) for ctx in ctxs]
+
     def _eval_unique(self, items):
-        out = []
-        for ctx, req in items:
-            key = ctx.uid
-            self.oracle.register_order(key, ctx.tree.po)
-            plan = request_plan(ctx, req)
-            if plan[0] == "cut":
-                out.append(self.oracle.cut_intervals(key, plan[1]))
-            else:
-                _, ivs_a, ivs_b = plan
-                ca = self.oracle.cut_intervals(key, ivs_a)
-                cb = self.oracle.cut_intervals(key, ivs_b)
-                union = _disjoint_union_or_none(ivs_a, ivs_b, ctx.n)
-                cab = 0 if union is None else self.oracle.cut_intervals(key, union)
-                out.append((ca + cb - cab) // 2)
+        groups = tree_rows(items)
+        self.oracle.query_count += sum(_query_cost(ctx.tree, *cols) for ctx, _, cols in groups)
         self.stats.queries = self.oracle.query_count
-        return out
+        return self._values(groups)
 
 
-def _disjoint_union_or_none(ivs_a, ivs_b, n):
-    """Interval union of two disjoint sets; None when it covers everything."""
-    ivs = [iv for iv in list(ivs_a) + list(ivs_b) if iv[0] <= iv[1]]
-    ivs.sort()
-    merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    if len(merged) == 1 and merged[0] == (0, n - 1):
-        return None
-    return merged
+def _query_cost(t, da, db, u, v, sub, coef) -> int:
+    """Cut queries behind one tree's request rows (see provider._row).
+
+    A subtree or pair cut is one query on its side: sub(da) plus (orthogonal)
+    or minus (nested) sub(db). A crossing of sides A = sub(v) and B = sub(u)
+    (CrossSub) or V - sub(u) (CrossNested) is three, cut(A) + cut(B) -
+    cut(A + B), or two when A + B is all of V. ValueError when a side is
+    empty or all of V, as for CutOracle.cut.
+    """
+    size = np.append(t.size, 0)
+    sub = sub.astype(bool)
+    cut = coef != 1
+    side_a = np.where(cut, size[da] + np.where(sub, size[db], -size[db]), size[v])
+    side_b = np.where(sub, size[u], t.n - size[u])
+    sides = np.concatenate((side_a, side_b[~cut]))
+    if ((sides <= 0) | (sides >= t.n)).any():
+        raise ValueError("side must be a proper nonempty subset")
+    return int(np.where(cut, 1, 3 - (side_a + side_b == t.n)).sum())
 
 
 def query_provider(oracle: CutOracle, eps=0.1, rng=None, c4=1.0, c3=4.0) -> QueryProvider:

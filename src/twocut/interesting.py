@@ -26,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph
-from .grid import grid_from_graph, subtree_degrees
+from .grid import PoPrefixGrid
 from .hld import PathDecomposition
-from .rangeindex import SampleRangeIndex, sample_rects
+from .rangeindex import SampleRangeIndex, edge_points, sample_rects, subtree_sums, tree_degrees
 from .util import bit_lengths, ceil_log2
 
 DEFAULT_SAMPLE_MULTIPLIER = 4
@@ -46,10 +46,7 @@ class WeightClassIndex:
     def __init__(self, g: WeightedGraph, t, seed):
         self.g = g
         self.n = t.n
-        pu = t.po[g.eu]
-        pv = t.po[g.ev]
-        xs = np.minimum(pu, pv)
-        ys = np.maximum(pu, pv)
+        xs, ys = edge_points(t.po, g.eu, g.ev)
         ids = np.arange(g.m)
         cls = bit_lengths(g.ew) - 1
         self.classes = {}
@@ -90,28 +87,26 @@ class ProxyFilter:
     A (1 +- eps) sparsifier turns the exact strict-half tests into strict
     third tests that never reject a true partner; survivors still get the
     exact check in the real graph. Both checks take aligned (or scalar) edge
-    arrays us, fs and return one boolean per row.
+    arrays us, fs and return one boolean per row; the values come from the
+    providers' subtree formula over a grid of the sparsifier's edges.
     """
 
     def __init__(self, h: WeightedGraph, tree):
         self.tree = tree
-        self.grid = grid_from_graph(h, tree.po)
-        self.deg = subtree_degrees(self.grid, tree.lo, tree.hi)
+        self.grid = PoPrefixGrid(tree.n, *edge_points(tree.po, h.eu, h.ev), h.ew)
+        self.deg = tree_degrees(self.grid, tree)
 
     def cross_ok_many(self, us, fs):
-        """3 C(u_sub, f_sub) > deg(u_sub) per row."""
-        t = self.tree
-        us, fs = np.broadcast_arrays(np.asarray(us, dtype=np.int64), np.asarray(fs, dtype=np.int64))
-        return 3 * self.grid.blocks(t.lo[us], t.hi[us], t.lo[fs], t.hi[fs]) > self.deg[us]
+        """3 C(u_sub, f_sub) > deg(u_sub) per row, for disjoint subtrees."""
+        return self._ok(us, fs, True)
 
     def down_ok_many(self, us, fs):
         """3 C(f_sub, V - u_sub) > deg(u_sub) per row, for f below u."""
-        t = self.tree
-        us, fs = np.broadcast_arrays(np.asarray(us, dtype=np.int64), np.asarray(fs, dtype=np.int64))
-        lo_f, hi_f = t.lo[fs], t.hi[fs]
-        left = self.grid.blocks(0, t.lo[us] - 1, lo_f, hi_f)
-        right = self.grid.blocks(lo_f, hi_f, t.hi[us] + 1, self.grid.n - 1)
-        return 3 * (left + right) > self.deg[us]
+        return self._ok(us, fs, False)
+
+    def _ok(self, us, fs, sub):
+        us, fs = np.broadcast_arrays(np.atleast_1d(us), np.atleast_1d(fs))
+        return 3 * subtree_sums(self.grid, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us]
 
 
 def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):

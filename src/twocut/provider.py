@@ -6,6 +6,14 @@ resource being spent: nothing (in-memory indexes), counted oracle queries,
 or stream passes. Search code is written against this contract only, which
 is what makes the three execution models interchangeable.
 
+All providers turn requests into values the same way: each request becomes
+one row of columns (`_row`), a row is subtree degrees plus at most one
+crossing, and per tree and batch one rangeindex.subtree_sums call over a
+rectangle-sum index answers every crossing. The providers hand over
+different indexes (a merge-sort tree over the graph, or a dense prefix grid
+over the oracle's hidden edges or the stream's net updates) and meter
+differently; the formula is shared.
+
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
 rounds: all solver instances advance one recursion depth per provider batch,
@@ -18,7 +26,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graph import SINGLE, ORTHOGONAL, NESTED, RootedSpanTree
+import numpy as np
+
+from .graph import SINGLE, ORTHOGONAL, RootedSpanTree
+from .rangeindex import subtree_sums, tree_degrees
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut, request_key
 
 
@@ -51,52 +62,60 @@ _ctx_ids = itertools.count()
 
 
 class TreeContext:
-    """One rooted spanning tree viewed by providers: uid plus range helpers."""
+    """One rooted spanning tree viewed by providers: a uid to key caches by."""
 
     def __init__(self, tree: RootedSpanTree):
         self.uid = next(_ctx_ids)
         self.tree = tree
-        self.n = tree.n
-
-    def subtree_interval(self, v):
-        return (int(self.tree.lo[v]), int(self.tree.hi[v]))
-
-    def complement_intervals(self, v):
-        lo, hi = self.subtree_interval(v)
-        return ((0, lo - 1), (hi + 1, self.n - 1))
-
-    def pair_intervals(self, pair):
-        """The pair's cut side as a union of disjoint po-intervals."""
-        if pair.kind == SINGLE:
-            return (self.subtree_interval(pair.a),)
-        if pair.kind == ORTHOGONAL:
-            return (self.subtree_interval(pair.a), self.subtree_interval(pair.b))
-        if pair.kind == NESTED:
-            (al, ah) = self.subtree_interval(pair.a)
-            (bl, bh) = self.subtree_interval(pair.b)
-            return ((al, bl - 1), (bh + 1, ah))
-        raise ValueError(f"unknown pair kind {pair.kind}")
 
 
-def request_plan(ctx: TreeContext, req):
-    """Reduce a request to ('cut', side) or ('cross', a, b) interval unions."""
+def _row(req):
+    """(degree a, degree b, crossing u, crossing v, CrossSub?, crossing coefficient).
+
+    The value is deg[a] + deg[b] + coefficient * crossing, where index -1 of
+    the degree array reads 0 and coefficient 0 means no crossing; the
+    crossing is the subtree_sums row (u, v, CrossSub?).
+    """
     if isinstance(req, DegSubtree):
-        return ("cut", (ctx.subtree_interval(req.v),))
-    if isinstance(req, PairCut):
-        return ("cut", ctx.pair_intervals(req.pair))
+        return req.v, -1, req.v, req.v, False, 0
     if isinstance(req, CrossSub):
-        return ("cross", (ctx.subtree_interval(req.u),), (ctx.subtree_interval(req.v),))
+        return -1, -1, req.u, req.v, True, 1
     if isinstance(req, CrossNested):
-        return ("cross", (ctx.subtree_interval(req.v),), ctx.complement_intervals(req.u))
+        return -1, -1, req.u, req.v, False, 1
+    if isinstance(req, PairCut):
+        p = req.pair
+        if p.kind == SINGLE:
+            return p.a, -1, p.a, p.a, False, 0
+        return p.a, p.b, p.a, p.b, p.kind == ORTHOGONAL, -2
     raise TypeError(f"unknown request {req!r}")
 
 
+def tree_rows(items):
+    """The _row columns of (ctx, request) items, grouped by tree in first-seen
+    order: a list of (ctx, positions in items, (da, db, u, v, sub, coef))."""
+    ctxs = {ctx.uid: ctx for ctx, _ in items}
+    flat = itertools.chain.from_iterable((ctx.uid,) + _row(req) for ctx, req in items)
+    rows = np.fromiter(flat, dtype=np.int64, count=7 * len(items)).reshape(-1, 7)
+    groups = []
+    for uid, ctx in ctxs.items():
+        pos = np.flatnonzero(rows[:, 0] == uid)
+        groups.append((ctx, pos, tuple(rows[pos, 1:].T)))
+    return groups
+
+
 class CostProvider:
-    """Base: batch dedup plus caching of subtree degrees across rounds."""
+    """Base: batch dedup, caching of subtree degrees across rounds, and the
+    one evaluation every provider shares.
+
+    A provider differs from the others only in the rectangle-sum index it
+    hands over for each tree (`_indexes`) and in what its `_eval_unique`
+    meters before calling `_values`.
+    """
 
     def __init__(self):
         self.stats = RunStats()
         self._deg_cache = {}
+        self._trees = {}
 
     def batch_eval(self, items):
         """items: list of (TreeContext, request); returns aligned exact values."""
@@ -116,7 +135,33 @@ class CostProvider:
         return [self._deg_cache.get(k, answers.get(k)) for k in keys]
 
     def _eval_unique(self, items):
+        """Meter the distinct uncached requests, then return self._values(tree_rows(items))."""
         raise NotImplementedError
+
+    def _indexes(self, ctxs):
+        """One rect_weights index over the (min po, max po) edge points of
+        each tree in ctxs; called once per batch with the trees not seen yet."""
+        raise NotImplementedError
+
+    def _values(self, groups):
+        """Exact values of tree_rows groups, in item order.
+
+        A tree's first batch computes all its subtree degrees at once, since
+        Step 1 needs them all anyway and the later steps keep re-reading
+        them; after that each batch costs one subtree_sums call per tree.
+        """
+        new = [ctx for ctx, _, _ in groups if ctx.uid not in self._trees]
+        for ctx, idx in zip(new, self._indexes(new)):
+            self._trees[ctx.uid] = (idx, np.append(tree_degrees(idx, ctx.tree), 0))
+        out = np.empty(sum(len(pos) for _, pos, _ in groups), dtype=np.int64)
+        for ctx, pos, (da, db, u, v, sub, coef) in groups:
+            idx, deg = self._trees[ctx.uid]
+            value = deg[da] + deg[db]
+            cross = np.flatnonzero(coef)
+            if len(cross):  # degree-only batches (Step 1) skip the rectangle call
+                value[cross] += coef[cross] * subtree_sums(idx, ctx.tree, u[cross], v[cross], sub[cross])
+            out[pos] = value
+        return out.tolist()
 
     def proxy_graph(self):
         """Sparsifier handle for candidate filtering; None when values are

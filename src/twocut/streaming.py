@@ -6,7 +6,10 @@ insert/delete pairs). Algorithms see the stream only through registered
 trackers: per-pass counters (one per cut-value request, each a linear
 functional of the updates) and linear sketch cells filled in one pass.
 Passes and registered words are metered; values are exact because every
-tracker is linear and the stream's net multiset is the graph.
+tracker is linear and the stream's net multiset is the graph. A pass
+aggregates the stream into one net PoPrefixGrid per tree it touches first;
+StreamProvider keeps it and answers that tree's counters through the
+providers' shared subtree formula, one pass per batch as before.
 
 The sketch bank is the vectorized form of the L0 cells in sketch.py: per
 weight class and vertex it keeps a few independent copies of level-sampled
@@ -23,8 +26,9 @@ import numpy as np
 
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
-from .provider import CostProvider, request_plan
+from .provider import CostProvider, tree_rows
 from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget, weight_class
+from .rangeindex import edge_points
 from .util import DisjointSets, ceil_log2, rng_for
 
 _FP1 = 1048573
@@ -64,7 +68,6 @@ class StreamHarness:
         self.wdelta = np.asarray([w * op for _, _, w, op in self.updates], dtype=np.int64)
         self.pass_count = 0
         self.tracked_words = 0
-        self._po_cache = {}
 
     def __len__(self):
         return len(self.updates)
@@ -72,41 +75,16 @@ class StreamHarness:
     def register_words(self, count):
         self.tracked_words += int(count)
 
-    def _po_gather(self, key, po):
-        got = self._po_cache.get(key)
-        if got is None:
-            got = (po[self.uu], po[self.vv])
-            self._po_cache[key] = got
-        return got
+    def run_pass(self, orders):
+        """One pass: the net weight grid of the stream under each post-order.
 
-    def run_pass(self, groups):
-        """One pass: evaluate per-tree counter groups against the stream.
-
-        groups: list of (key, po, plans); returns a list of value lists.
-        Each counter is a linear functional of the updates, so the pass may
-        aggregate the stream into a per-tree net grid first; inserts and
-        deletes cancel inside the aggregation exactly as they would in the
-        individual counters.
+        Each counter is a linear functional of the updates, so one pass may
+        aggregate the stream into a per-tree net grid that answers any of
+        that tree's counters; inserts and deletes cancel inside the
+        aggregation exactly as they would in the individual counters.
         """
         self.pass_count += 1
-        out = []
-        for key, po, plans in groups:
-            pu, pv = self._po_gather(key, po)
-            grid = PoPrefixGrid(self.n, pu, pv, self.wdelta)
-            values = []
-            for plan in plans:
-                if plan[0] == "cut":
-                    values.append(grid.cut_union([iv for iv in plan[1] if iv[0] <= iv[1]]))
-                else:
-                    _, ivs_a, ivs_b = plan
-                    values.append(
-                        grid.cross(
-                            [iv for iv in ivs_a if iv[0] <= iv[1]],
-                            [iv for iv in ivs_b if iv[0] <= iv[1]],
-                        )
-                    )
-            out.append(values)
-        return out
+        return [PoPrefixGrid(self.n, *edge_points(po, self.uu, self.vv), self.wdelta) for po in orders]
 
     def fill_bank(self, bank: "SketchBank"):
         """One pass filling every cell of the sketch bank."""
@@ -339,24 +317,14 @@ class StreamProvider(CostProvider):
     def proxy_graph(self):
         return self._proxy
 
+    def _indexes(self, ctxs):
+        return self.harness.run_pass([ctx.tree.po for ctx in ctxs])
+
     def _eval_unique(self, items):
         self.harness.register_words(len(items))
         if self.words_budget is not None and self.harness.tracked_words > self.words_budget:
             raise ResourceBudgetError(f"tracked words exceeded {self.words_budget}")
-        groups = {}
-        for pos, (ctx, req) in enumerate(items):
-            key = ctx.uid
-            if key not in groups:
-                groups[key] = (ctx.tree.po, [], [])
-            po, plans, slots = groups[key]
-            plans.append(request_plan(ctx, req))
-            slots.append(pos)
-        payload = [(key, po, plans) for key, (po, plans, _) in groups.items()]
-        results = self.harness.run_pass(payload)
-        out = [0] * len(items)
-        for (key, (po, plans, slots)), values in zip(groups.items(), results):
-            for slot, value in zip(slots, values):
-                out[slot] = value
+        out = self._values(tree_rows(items))  # the batch's one pass
         self.stats.passes = self.harness.pass_count
         self.stats.tracked_words = self.harness.tracked_words
         return out

@@ -38,3 +38,5 @@ def test_traced_solve_matches_plain(mode):
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == tracer.calls["interesting.candidate_tops"] >= 1
     assert abs(tracer.identity_residual()) < 1e-6
+    if mode == "streaming":
+        assert tracer.calls["streaming.run_pass"] + tracer.calls["streaming.fill_bank"] == traced_stats.passes

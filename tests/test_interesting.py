@@ -6,8 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree
-from twocut.grid import grid_from_graph
+from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cross_weight, cut_of_partition
 from twocut.hld import decompose
 from twocut.interesting import (
     CROSS,
@@ -73,7 +72,7 @@ def deepest_per_path(t, d, vertices):
 
 def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
     """The per-edge loop: sample each class and rectangle, walk parent
-    pointers from every witness, then one grid check per candidate."""
+    pointers from every witness, then one brute-force proxy check per candidate."""
     wc = build_weight_classes(sample_graph, t, seed)
     k = sample_k(t.n, multiplier)
     cross, down = set(), set()
@@ -95,12 +94,11 @@ def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
         for x in deepest_per_path(t, d, inner - {e}):
             down.update((e, f) for f, _ in walk_tops(t, d, e, x) if d.path_of[f] != d.path_of[e])
     if proxy is not None:
-        grid = grid_from_graph(proxy, t.po)
-        deg = {e: grid.cut_union((t.range_of(e),)) for e in t.edge_children()}
-        cross = {(e, f) for e, f in cross if 3 * grid.cross((t.range_of(e),), (t.range_of(f),)) > deg[e]}
+        deg = {e: cut_of_partition(proxy, t.subtree(e)) for e in t.edge_children()}
+        cross = {(e, f) for e, f in cross if 3 * cross_weight(proxy, t.subtree(e), t.subtree(f)) > deg[e]}
         down = {
             (e, f) for e, f in down
-            if 3 * grid.cross((t.range_of(f),), ((0, t.lo[e] - 1), (t.hi[e] + 1, t.n - 1))) > deg[e]
+            if 3 * cross_weight(proxy, t.subtree(f), set(range(t.n)) - set(t.subtree(e))) > deg[e]
         }
     return sorted(cross), sorted(down)
 

@@ -120,6 +120,10 @@ def test_query_provider_costs():
     base = oracle.query_count
     provider.batch_eval([(ctx, CrossNested(2, 1))])
     assert oracle.query_count - base == 3
+    # sides that cover V need no third cut
+    base = oracle.query_count
+    assert provider.batch_eval([(ctx, CrossNested(2, 2))]) == [cut_of_partition(g, t.subtree(2))]
+    assert oracle.query_count - base == 2
     # b pair-cut requests cost exactly b queries
     kids = [TreeEdgePair("single", v) for v in (1, 2, 3, 4)]
     base = oracle.query_count
@@ -176,7 +180,26 @@ def brute_value(g, t, req):
     return pair_cut_value(g, t, req.pair)
 
 
-def test_sequential_batch_interleaves_trees_in_input_order():
+def model_queries(t, req):
+    """The cut-query price of one request, from its vertex sets."""
+    if isinstance(req, CrossSub):
+        a, b = set(t.subtree(req.u)), set(t.subtree(req.v))
+    elif isinstance(req, CrossNested):
+        a, b = set(t.subtree(req.v)), set(range(t.n)) - set(t.subtree(req.u))
+    else:
+        return 1
+    return 2 if len(a | b) == t.n else 3
+
+
+PROVIDERS = {
+    "sequential": SequentialProvider,
+    "cut-query": lambda g: QueryProvider(CutOracle(g), proxy=None),
+    "streaming": lambda g: StreamProvider(StreamHarness(g, seed=5, churn=0.5), proxy=None),
+}
+
+
+@pytest.mark.parametrize("mode", PROVIDERS)
+def test_batch_interleaves_trees_in_input_order(mode):
     rng = np.random.default_rng(37)
     g, t0 = random_instance(rng, 9, 13, wmax=1 << 32)
     trees = [t0] + [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
@@ -186,11 +209,30 @@ def test_sequential_batch_interleaves_trees_in_input_order():
     picks = rng.integers(0, len(pool), size=3 * len(pool))  # shuffled, with repeats
     batch = [pool[int(i)] for i in picks]
     assert len({ctx.uid for ctx, _ in batch[:40]}) > 1
-    provider = SequentialProvider(g)
+    provider = PROVIDERS[mode](g)
+    fresh = {(ctx.uid, req): (ctx, req) for ctx, req in batch}
     for _ in range(2):  # the second round answers degrees from the cache
+        queries, passes, words = (getattr(provider.stats, k) for k in ("queries", "passes", "tracked_words"))
         got = provider.batch_eval(batch)
         assert got == [brute_value(g, ctx.tree, req) for ctx, req in batch]
         assert all(type(x) is int for x in got)
+        if mode == "cut-query":
+            want = sum(model_queries(ctx.tree, req) for ctx, req in fresh.values())
+            assert provider.stats.queries - queries == want
+        if mode == "streaming":
+            assert provider.stats.passes - passes == 1
+            assert provider.stats.tracked_words - words == len(fresh)
+        fresh = {k: v for k, v in fresh.items() if not isinstance(k[1], DegSubtree)}
+
+
+def test_query_provider_refuses_empty_or_full_sides():
+    g, t = make_gstar()
+    provider = QueryProvider(CutOracle(g), proxy=None)
+    ctx = TreeContext(t)
+    with pytest.raises(ValueError):
+        provider.batch_eval([(ctx, DegSubtree(t.root))])
+    with pytest.raises(ValueError):
+        provider.batch_eval([(ctx, CrossNested(1, t.root))])
 
 
 # ---- stream harness ----
@@ -329,21 +371,6 @@ def test_reservoir_marginals():
             hits30[item] += 1
     freq = hits30 / (trials // 10)
     assert np.all(np.abs(freq - 0.1) <= 0.02)
-
-
-def test_subtree_degrees_match_per_vertex_loop():
-    from twocut.grid import grid_from_graph, subtree_degrees
-
-    from conftest import random_instance
-
-    rng = np.random.default_rng(105)
-    for _ in range(40):
-        g, t = random_instance(rng, 2, 20, wmax=1 << 32)
-        grid = grid_from_graph(g, t.po)
-        want = [grid.row_mass(int(t.lo[v]), int(t.hi[v])) - grid.block(int(t.lo[v]), int(t.hi[v]), int(t.lo[v]), int(t.hi[v]))
-                for v in range(g.n)]
-        assert subtree_degrees(grid, t.lo, t.hi).tolist() == want
-        assert want == [cut_of_partition(g, t.subtree(v)) if v != t.root else 0 for v in range(g.n)]
 
 
 def test_bit_lengths_exact_up_to_int64_max():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from twocut.grid import PoPrefixGrid
+from twocut.interesting import ProxyFilter
 from twocut.rangeindex import (
     EdgePointSet,
     SampleRangeIndex,
@@ -11,6 +13,7 @@ from twocut.rangeindex import (
     rect_weight,
     sample_rect,
     subtree_queries,
+    tree_degrees,
 )
 from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.graph import (
@@ -68,24 +71,41 @@ def test_rect_weight_matches_linear_scan():
             checked += 1
 
 
-def test_rect_weights_match_brute_force_mask():
+ENGINES = {
+    "WeightRangeIndex": lambda n, xs, ys, ws: WeightRangeIndex(xs, ys, ws),
+    "PoPrefixGrid": PoPrefixGrid,
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_rect_weights_match_brute_force_mask(engine):
+    build = ENGINES[engine]
     rng = np.random.default_rng(107)
     for m in (0, 1, 2, 4, 8, 64, 256, 3, 37, 300):
         n = int(rng.integers(1, 40))
         xs = rng.integers(0, n, size=m)
         ys = rng.integers(0, n, size=m)
         ws = rng.integers(0, 1 << 32, size=m, endpoint=True)
-        widx = WeightRangeIndex(xs, ys, ws)
+        idx = build(n, xs, ys, ws)
         # bounds from -2 to n+1: empty, inverted and out-of-range rectangles included
         x1, x2, y1, y2 = rng.integers(-2, n + 2, size=(4, 400))
-        got = widx.rect_weights(x1, x2, y1, y2)
+        got = idx.rect_weights(x1, x2, y1, y2)
         assert got.dtype == np.int64 and got.shape == (400,)
         for i in range(400):
             mask = (xs >= x1[i]) & (xs <= x2[i]) & (ys >= y1[i]) & (ys <= y2[i])
             assert int(got[i]) == sum(ws[mask].tolist())
-        assert widx.total == sum(ws.tolist())
-        full = widx.rect_weights([-1], [n], [-1], [n])
-        assert int(full[0]) == widx.total
+        if engine == "WeightRangeIndex":
+            assert idx.total == sum(ws.tolist())
+        full = idx.rect_weights([-1], [n], [-1], [n])
+        assert int(full[0]) == sum(ws.tolist())
+    # every subtree degree, through the shared formula and the proxy filter
+    rng = np.random.default_rng(105)
+    for _ in range(40):
+        g, t = random_instance(rng, 2, 20, wmax=1 << 32)
+        pts = EdgePointSet(g, t)
+        want = [cut_of_partition(g, t.subtree(v)) if v != t.root else 0 for v in range(g.n)]
+        assert tree_degrees(build(g.n, pts.xs, pts.ys, pts.ws), t).tolist() == want
+        assert ProxyFilter(g, t).deg.tolist() == want
 
 
 def test_weight_total_reaching_2_62_is_refused():
