@@ -44,8 +44,7 @@ from .rangeindex import build_indexes, rect_weight, sample_rect, subtree_queries
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 from .reservoir import reservoir_sample
 from .sequential import SequentialProvider
-from .sketch import L0Sketch, l0_recover, l0_subtract, l0_update
-from .streaming import StreamHarness, StreamProvider, read_stream, stream_provider, write_stream
+from .streaming import SketchBank, StreamHarness, StreamProvider, stream_provider
 from .tworespect import min_2respect
 
 __all__ = [name for name in dir() if not name.startswith("_")]

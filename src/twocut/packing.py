@@ -192,9 +192,9 @@ def _providers_for(g, mode, eps, seed, cfg):
         return provider, proxy, oracle
     if mode == "streaming":
         from .streaming import StreamHarness, StreamProvider
-        harness = StreamHarness(g, seed=seed, churn=cfg.churn)
+        harness = StreamHarness(g, seed=seed, churn=cfg.churn, words_budget=_words_budget(g.n, cfg))
         proxy = build_proxy_graph(harness, eps, rng_for(seed, 4), cfg.proxy_forest_factor, cfg.proxy_budget_factor)
-        provider = StreamProvider(harness, proxy, words_budget=_words_budget(g.n, cfg))
+        provider = StreamProvider(harness, proxy)
         return provider, proxy, None
     raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
 

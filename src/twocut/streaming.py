@@ -5,47 +5,51 @@ and deletes whose net effect is exactly the graph (churn adds cancelling
 insert/delete pairs). Algorithms see the stream only through registered
 trackers: per-pass counters (one per cut-value request, each a linear
 functional of the updates) and linear sketch cells filled in one pass.
-Passes and registered words are metered; values are exact because every
-tracker is linear and the stream's net multiset is the graph. A pass
-aggregates the stream into one net PoPrefixGrid per tree it touches first;
-StreamProvider keeps it and answers that tree's counters through the
-providers' shared subtree formula, one pass per batch as before.
+Passes and registered words are metered, and the word budget is checked
+as words are registered; values are exact because every tracker is linear
+and the stream's net multiset is the graph. A pass aggregates the stream
+into one net PoPrefixGrid per tree it touches first; StreamProvider keeps
+it and answers that tree's counters through the providers' shared subtree
+formula, one pass per batch as before.
 
-The sketch bank is the vectorized form of the L0 cells in sketch.py: per
-weight class and vertex it keeps a few independent copies of level-sampled
+The sketch bank holds the linear L0 sketches (Ahn-Guha-McGregor): per
+weight class and vertex, a few independent copies of level-sampled
 one-sparse recovery cells over the signed edge-incidence vector. Summing
-rows over a component exposes one boundary edge, which drives the
-Boruvka-style spanning-forest peeling behind the stream sparsifier;
-recovered forests are subtracted (linearity) and peeling repeats until the
+rows over a component cancels its inner edges and exposes one boundary
+edge; one recover call does so for every component of a Boruvka sweep,
+which drives the spanning-forest peeling behind the stream sparsifier.
+Recovered forests are subtracted (linearity) and peeling repeats until the
 class is exhausted.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
 from .provider import CostProvider, tree_rows
-from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget, weight_class
+from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
 from .rangeindex import edge_points
-from .util import DisjointSets, ceil_log2, rng_for
+from .util import DisjointSets, bit_lengths, ceil_log2, rng_for
 
-_FP1 = 1048573
-_FP2 = 1048583
-_G1 = 5
-_G2 = 7
+# fingerprint moduli and their roots, one row per fingerprint
+_PRIMES = np.array([[1048573], [1048583]])
+_ROOTS = np.array([[5], [7]])
 
 
 class StreamHarness:
     """Seeded dynamic edge stream over a hidden source graph."""
 
-    def __init__(self, g: WeightedGraph, seed=0, churn=0.0):
+    def __init__(self, g: WeightedGraph, seed=0, churn=0.0, words_budget=None):
         if churn < 0:
             raise ValueError("churn must be nonnegative")
         self.n = g.n
         self.seed = seed
         self.churn = churn
+        self.words_budget = words_budget
         rng = rng_for(seed, 11)
         m = g.m
         ops = [(eid, 1) for eid in range(m)]
@@ -73,7 +77,10 @@ class StreamHarness:
         return len(self.updates)
 
     def register_words(self, count):
+        """Meter `count` more tracked words; refuse them past the budget."""
         self.tracked_words += int(count)
+        if self.words_budget is not None and self.tracked_words > self.words_budget:
+            raise ResourceBudgetError(f"tracked words exceeded {self.words_budget}")
 
     def run_pass(self, orders):
         """One pass: the net weight grid of the stream under each post-order.
@@ -87,29 +94,14 @@ class StreamHarness:
         return [PoPrefixGrid(self.n, *edge_points(po, self.uu, self.vv), self.wdelta) for po in orders]
 
     def fill_bank(self, bank: "SketchBank"):
-        """One pass filling every cell of the sketch bank."""
+        """One pass filling every cell of the sketch bank.
+
+        The bank's words are registered first, so a bank over the budget is
+        refused before its cells are allocated.
+        """
+        self.register_words(bank.word_count)
         self.pass_count += 1
         bank.absorb(self.uu, self.vv, self.wdelta)
-
-
-def write_stream(harness: StreamHarness, fh):
-    """Debug dump: one '+ u v w' or '- u v w' line per update."""
-    for u, v, w, op in harness.updates:
-        fh.write(f"{'+' if op > 0 else '-'} {u} {v} {w}\n")
-
-
-def read_stream(text):
-    """Parse the dump format back into (u, v, w, op) tuples."""
-    out = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        sign, u, v, w = ln.split()
-        if sign not in "+-":
-            raise ValueError(f"bad stream line {ln!r}")
-        out.append((int(u), int(v), int(w), 1 if sign == "+" else -1))
-    return out
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -123,12 +115,29 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fingerprints(eids: np.ndarray) -> np.ndarray:
+    """root ** (eid mod (p - 1) + 1) mod p: one row per modulus, one column per edge id."""
+    exp = eids % (_PRIMES - 1) + 1
+    out = np.ones(exp.shape, dtype=np.int64)
+    base = _ROOTS
+    while exp.any():  # square and multiply; products stay below 2**41
+        out = np.where(exp & 1, out * base % _PRIMES, out)
+        base = base * base % _PRIMES
+        exp >>= 1
+    return out
+
+
 class SketchBank:
     """Level-sampled one-sparse cells per (weight class, vertex, copy).
 
-    Cell arrays have shape (n, copies, reps, levels) per class; the payload
-    per cell is (weight sum, index-weighted sum, two modular fingerprints),
-    4 words, giving linear update / merge / subtract by plain addition.
+    Cell arrays have shape (n, copies, reps, levels) per class. A cell is 4
+    int64 words: the signed weight sum w, the signed index sum x (each update
+    adds +-1 times its edge id, so |x| <= updates * n**2 and no weight
+    enters it) and two modular fingerprints, each update adding its signed
+    weight residue times a power of its edge id. Update, merge and subtract
+    are plain addition, so a delete cancels its insert word for word; a cell
+    left with one edge has x = +-eid with the sign of w. The cells are
+    allocated on first use, so `word_count` can be charged first.
     """
 
     def __init__(self, n, classes, seed, copies, reps=2):
@@ -137,135 +146,110 @@ class SketchBank:
         self.levels = max(2, int(self.space).bit_length())
         self.copies = copies
         self.reps = reps
-        self.seed = seed
         self.classes = sorted(classes)
-        shape = (n, copies, reps, self.levels)
-        self.cells = {
-            c: {name: np.zeros(shape, dtype=np.int64) for name in ("w", "wx", "f1", "f2")}
-            for c in self.classes
-        }
-        self._fp_cache = {}
+        # one level-hash salt per (copy, rep), at position copy * reps + rep
+        self.salts = np.array(
+            [(seed * 0x9E3779B97F4A7C15 + copy * 0x100000001B3 + rep * 2654435761) % (1 << 64)
+             for copy in range(copies) for rep in range(reps)], dtype=np.uint64)
 
     @property
     def word_count(self):
         return 4 * len(self.classes) * self.n * self.copies * self.reps * self.levels
 
-    def _levels_for(self, eids, copy, rep):
-        """Top level per edge id: trailing one-bits of a per-(copy, rep) hash."""
-        salt = np.uint64(
-            (self.seed * 0x9E3779B97F4A7C15 + copy * 0x100000001B3 + rep * 2654435761) % (1 << 64)
-        )
+    @cached_property
+    def cells(self):
+        shape = (self.n, self.copies, self.reps, self.levels)
+        return {c: {name: np.zeros(shape, dtype=np.int64) for name in ("w", "x", "f1", "f2")}
+                for c in self.classes}
+
+    def _tops(self, eids, salts):
+        """Top level of each edge id under each salt (broadcast): trailing one-bits of its hash."""
         with np.errstate(over="ignore"):
-            h = _mix64(eids.astype(np.uint64) + salt)
-        top = np.zeros(len(eids), dtype=np.int64)
-        alive = np.ones(len(eids), dtype=bool)
+            h = _mix64(eids.astype(np.uint64) + salts)
+        top = np.zeros(h.shape, dtype=np.int64)
+        alive = np.ones(h.shape, dtype=bool)
         for _ in range(self.levels - 1):
-            bit = (h & np.uint64(1)).astype(bool)
-            alive &= bit
+            alive &= (h & np.uint64(1)).astype(bool)
             if not alive.any():
                 break
             top += alive
             h >>= np.uint64(1)
         return top
 
-    def _fp(self, eid: int):
-        got = self._fp_cache.get(eid)
-        if got is None:
-            got = (pow(_G1, eid % (_FP1 - 1) + 1, _FP1), pow(_G2, eid % (_FP2 - 1) + 1, _FP2))
-            self._fp_cache[eid] = got
-        return got
-
     def absorb(self, uu, vv, wdelta):
-        """Scatter a batch of signed updates into every matching cell."""
-        w_abs = np.abs(wdelta)
-        cls = np.asarray([weight_class(int(w)) for w in w_abs], dtype=np.int64)
-        eids = uu * self.n + vv
-        fp1 = np.asarray([self._fp(int(e))[0] for e in eids], dtype=np.int64)
-        fp2 = np.asarray([self._fp(int(e))[1] for e in eids], dtype=np.int64)
-        for c in self.classes:
-            sel = cls == c
-            if not sel.any():
-                continue
-            e_sel = eids[sel]
-            u_sel = uu[sel]
-            v_sel = vv[sel]
-            d_sel = wdelta[sel]
-            f1_sel = (d_sel % _FP1) * fp1[sel]
-            f2_sel = (d_sel % _FP2) * fp2[sel]
-            arr = self.cells[c]
-            for copy in range(self.copies):
-                for rep in range(self.reps):
-                    top = self._levels_for(e_sel, copy, rep)
-                    for lvl in range(self.levels):
-                        live = top >= lvl
-                        if not live.any():
-                            break
-                        for vertex, sign in ((u_sel, 1), (v_sel, -1)):
-                            vx = vertex[live]
-                            np.add.at(arr["w"], (vx, copy, rep, lvl), sign * d_sel[live])
-                            np.add.at(arr["wx"], (vx, copy, rep, lvl), sign * d_sel[live] * e_sel[live])
-                            np.add.at(arr["f1"], (vx, copy, rep, lvl), sign * f1_sel[live])
-                            np.add.at(arr["f2"], (vx, copy, rep, lvl), sign * f2_sel[live])
+        """Scatter a batch of signed updates into every matching cell.
 
-    def subtract_edges(self, cls, edges):
-        """Remove known (u, v, w) edges from one class (linearity)."""
+        An update's op is the sign of its weight delta. Per class, every
+        (update, copy, rep, level up to the update's top, endpoint) becomes
+        one flat cell index, and each payload array takes one np.add.at
+        (int64, so sums stay exact).
+        """
+        cls = bit_lengths(np.abs(wdelta)) - 1
+        eids = uu * self.n + vv
+        f1, f2 = np.fmod(wdelta, _PRIMES) * _fingerprints(eids)
+        payload = {"w": wdelta, "x": np.sign(wdelta) * eids, "f1": f1, "f2": f2}
+        pairs = len(self.salts)
+        for c in self.classes:
+            sel = np.flatnonzero(cls == c)
+            if not len(sel):
+                continue
+            depth = (self._tops(eids[sel, None], self.salts) + 1).ravel()  # levels per (update, pair)
+            slot = np.repeat(np.arange(depth.size), depth)
+            lvl = np.arange(len(slot)) - np.repeat(np.cumsum(depth) - depth, depth)
+            upd = sel[slot // pairs]
+            within = (slot % pairs) * self.levels + lvl  # offset inside one vertex row
+            idx = np.concatenate([uu[upd], vv[upd]]) * (pairs * self.levels) + np.tile(within, 2)
+            for name, val in payload.items():
+                # u-side rows carry +delta, v-side -delta
+                np.add.at(self.cells[c][name].reshape(-1), idx, np.concatenate([val[upd], -val[upd]]))
+
+    def subtract_edges(self, edges):
+        """Remove known (u, v, w) edges (linearity)."""
         if not edges:
             return
-        assert all(weight_class(w) == cls for _, _, w in edges)
-        uu = np.asarray([u for u, _, _ in edges], dtype=np.int64)
-        vv = np.asarray([v for _, v, _ in edges], dtype=np.int64)
-        ww = np.asarray([-w for _, _, w in edges], dtype=np.int64)
-        self.absorb(uu, vv, ww)
+        uu, vv, ww = (np.asarray(col, dtype=np.int64) for col in zip(*edges))
+        self.absorb(uu, vv, -ww)
 
-    def recover(self, cls, copy, members):
-        """One boundary edge of the vertex set `members` in class `cls`.
+    def recover(self, cls, copy, labels):
+        """One boundary edge per component of a vertex labelling, in class `cls`.
 
-        Sums member rows (sketch merge), then scans cells sparsest level
-        first for a verified one-sparse survivor. Returns (u, v, w) or None.
+        labels[v] in 0..k-1 names v's component, and every label is used.
+        Member rows are summed per component (sketch merge); each component
+        then takes its first cell, sparsest level first and reps in order,
+        that verifies as a single edge leaving it. Returns k entries, each
+        (u, v, w) or None.
         """
-        arr = self.cells[cls]
-        rows = np.asarray(members, dtype=np.int64)
-        w = arr["w"][rows, copy].sum(axis=0)
-        wx = arr["wx"][rows, copy].sum(axis=0)
-        f1 = arr["f1"][rows, copy].sum(axis=0)
-        f2 = arr["f2"][rows, copy].sum(axis=0)
-        inside = set(int(v) for v in members)
-        for lvl in range(self.levels - 1, -1, -1):
-            for rep in range(self.reps):
-                ws = int(w[rep, lvl])
-                if ws == 0:
-                    continue
-                rest = int(wx[rep, lvl])
-                q, r = divmod(rest, ws)
-                if r or not (0 <= q < self.space):
-                    continue
-                eid = q
-                g1, g2 = self._fp(eid)
-                sign = 1 if ws > 0 else -1
-                if (f1[rep, lvl] - ws % _FP1 * g1) % _FP1 or (f2[rep, lvl] - ws % _FP2 * g2) % _FP2:
-                    continue
-                u, v = divmod(eid, self.n)
-                if not (0 <= u < v < self.n):
-                    continue
-                if (u in inside) == (v in inside):
-                    continue
-                # u-side rows carry +w, v-side -w: the sum's sign must match
-                if sign != (1 if u in inside else -1):
-                    continue
-                top = int(self._levels_for(np.asarray([eid]), copy, rep)[0])
-                if top < lvl:
-                    continue
-                return (u, v, abs(ws))
-        return None
+        labels = np.asarray(labels, dtype=np.int64)
+        k = int(labels.max()) + 1
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(k))
+        # component sums, laid out (component, level descending, rep): the scan order
+        w, x, f1, f2 = (np.add.reduceat(arr[order, copy], starts)[:, :, ::-1].transpose(0, 2, 1)
+                        for arr in self.cells[cls].values())
+        sign = np.sign(w)
+        comp, j, rep = np.nonzero((sign != 0) & (x * sign >= 0) & (x * sign < self.space))
+        w, f1, f2, sign = w[comp, j, rep], f1[comp, j, rep], f2[comp, j, rep], sign[comp, j, rep]
+        eid = x[comp, j, rep] * sign
+        u, v = np.divmod(eid, self.n)
+        u_in = labels[u] == comp
+        # u-side rows carry +w, v-side -w: the sum's sign must match
+        ok = (u < v) & (u_in != (labels[v] == comp)) & (sign == np.where(u_in, 1, -1))
+        ok &= self._tops(eid, self.salts[copy * self.reps + rep]) >= self.levels - 1 - j
+        ok &= ((np.stack([f1, f2]) - w % _PRIMES * _fingerprints(eid)) % _PRIMES == 0).all(axis=0)
+        comp, u, v, w = comp[ok], u[ok], v[ok], np.abs(w[ok])
+        first = np.diff(comp, prepend=-1) != 0  # each component's first verified cell
+        out = [None] * k
+        for c, a, b, ww in zip(*(col[first].tolist() for col in (comp, u, v, w))):
+            out[c] = (a, b, ww)
+        return out
 
 
 def build_proxy_via_stream(harness: StreamHarness, eps, rng, c4=1.0, c3=4.0) -> WeightedGraph:
     """Sparsifier from one sketch pass plus local per-class forest peeling."""
     n = harness.n
-    observed = sorted({weight_class(int(abs(w))) for w in harness.wdelta if w != 0})
+    observed = np.unique(bit_lengths(np.abs(harness.wdelta[harness.wdelta != 0])) - 1).tolist()
     copies = ceil_log2(max(n, 2)) + 2
     bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies)
-    harness.register_words(bank.word_count)
     harness.fill_bank(bank)
     budget = proxy_edge_budget(n, eps, c3)
     cap = forests_per_class(n, eps, c4)
@@ -279,15 +263,13 @@ def build_proxy_via_stream(harness: StreamHarness, eps, rng, c4=1.0, c3=4.0) -> 
             while ds.count > 1 and streak < copies:
                 copy = sweep % copies
                 sweep += 1
-                groups = {}
-                for v in range(n):
-                    groups.setdefault(ds.find(v), []).append(v)
+                label = {}  # component root -> label, in order of first vertex
+                labels = [label.setdefault(ds.find(v), len(label)) for v in range(n)]
+                sizes = np.bincount(labels)
                 progress = False
-                for root, members in groups.items():
-                    if ds.find(root) != root or ds.size[root] != len(members) or len(members) == n:
-                        continue
-                    got = bank.recover(cls, copy, members)
-                    if got is None:
+                for root, size, got in zip(label, sizes, bank.recover(cls, copy, labels)):
+                    # skip components already merged this sweep: root or size moved
+                    if got is None or ds.find(root) != root or ds.size[root] != size:
                         continue
                     u, v, w = got
                     if ds.union(u, v):
@@ -296,7 +278,7 @@ def build_proxy_via_stream(harness: StreamHarness, eps, rng, c4=1.0, c3=4.0) -> 
                 streak = 0 if progress else streak + 1
             if not forest:
                 break
-            bank.subtract_edges(cls, forest)
+            bank.subtract_edges(forest)
             kept.extend(forest)
             if len(kept) > budget:
                 raise ResourceBudgetError(f"stream proxy exceeded {budget} edges")
@@ -306,11 +288,10 @@ def build_proxy_via_stream(harness: StreamHarness, eps, rng, c4=1.0, c3=4.0) -> 
 class StreamProvider(CostProvider):
     """One registered counter per request; one pass per batch."""
 
-    def __init__(self, harness: StreamHarness, proxy: WeightedGraph, words_budget=None):
+    def __init__(self, harness: StreamHarness, proxy: WeightedGraph):
         super().__init__()
         self.harness = harness
         self._proxy = proxy
-        self.words_budget = words_budget
         self.stats.passes = harness.pass_count
         self.stats.tracked_words = harness.tracked_words
 
@@ -322,16 +303,13 @@ class StreamProvider(CostProvider):
 
     def _eval_unique(self, items):
         self.harness.register_words(len(items))
-        if self.words_budget is not None and self.harness.tracked_words > self.words_budget:
-            raise ResourceBudgetError(f"tracked words exceeded {self.words_budget}")
         out = self._values(tree_rows(items))  # the batch's one pass
         self.stats.passes = self.harness.pass_count
         self.stats.tracked_words = self.harness.tracked_words
         return out
 
 
-def stream_provider(harness: StreamHarness, eps=0.1, rng=None, c4=1.0, c3=4.0,
-                    words_budget=None) -> StreamProvider:
+def stream_provider(harness: StreamHarness, eps=0.1, rng=None, c4=1.0, c3=4.0) -> StreamProvider:
     """Provider over a dynamic stream, sparsifier filled in a single pass."""
     proxy = build_proxy_via_stream(harness, eps, rng, c4, c3)
-    return StreamProvider(harness, proxy, words_budget)
+    return StreamProvider(harness, proxy)

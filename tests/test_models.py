@@ -1,7 +1,5 @@
 """The three cost models: oracle accounting, stream passes, sketches, sampling."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -18,14 +16,16 @@ from twocut.graph import (
     build_rooted_tree,
     cross_weight,
     cut_of_partition,
+    oracle_min_cut,
     pair_cut_value,
 )
+from twocut.packing import PipelineConfig, min_cut_pipeline
 from twocut.provider import TreeContext
+from twocut.proxy import ResourceBudgetError
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
-from twocut.sketch import L0Sketch
-from twocut.streaming import StreamHarness, StreamProvider, build_proxy_via_stream, write_stream
+from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream
 from twocut.util import ceil_log2
 
 from conftest import make_gstar, random_instance, random_spanning_tree_edges
@@ -263,16 +263,6 @@ def test_counter_value_ignores_churn():
     assert vals == [7, 7, 7]
 
 
-def test_stream_dump_format():
-    g, _ = make_gstar()
-    h = StreamHarness(g, seed=1, churn=0.5)
-    buf = io.StringIO()
-    write_stream(h, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == len(h.updates)
-    assert all(ln.split()[0] in "+-" and len(ln.split()) == 4 for ln in lines)
-
-
 def test_stream_proxy_small_graphs_exact():
     rng = np.random.default_rng(5)
     for i in range(10):
@@ -283,65 +273,143 @@ def test_stream_proxy_small_graphs_exact():
         assert h.pass_count == 1
 
 
+@pytest.mark.parametrize("bridge", [1 << 60, 1 << 61])
+def test_stream_pipeline_exact_with_huge_bridge(bridge):
+    # a weighted index sum w * eid would wrap int64 here and lose the bridge
+    g = WeightedGraph(4, [(0, 1, 3), (1, 2, 5), (0, 2, 4), (2, 3, bridge)])
+    got, _ = min_cut_pipeline(g, "streaming", 0.1, 1)
+    assert got.value == oracle_min_cut(g).value == 7
+
+
+def test_stream_word_budget_refuses_bank_before_allocating(monkeypatch):
+    banks = []
+    init = SketchBank.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        banks.append(self)
+
+    monkeypatch.setattr(SketchBank, "__init__", spy)
+    g, _ = make_gstar()
+    with pytest.raises(ResourceBudgetError):
+        min_cut_pipeline(g, "streaming", rng=1, config=PipelineConfig(tracked_words_factor=0.01))
+    assert len(banks) == 1
+    assert "cells" not in vars(banks[0])  # no cell array was allocated
+
+
 # ---- sketches ----
 
 
+def side_labels(n, side):
+    """Component labels for one vertex set against the rest: 1 inside, 0 outside."""
+    return [int(v in side) for v in range(n)]
+
+
 def test_l0_single_edge_roundtrip():
-    sk = L0Sketch(100, seed=5)
-    sk.update(37, 4)
-    assert sk.recover() == (37, 4)
-    sk.update(37, -4)
-    assert sk.recover() is None
+    bank = SketchBank(10, [2], seed=5, copies=1)
+    bank.absorb(np.array([3]), np.array([7]), np.array([4]))
+    assert bank.recover(2, 0, side_labels(10, {3})) == [(3, 7, 4), (3, 7, 4)]
+    bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
+    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
+    # a net delete leaves -w on u's side, which no real edge does
+    bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
+    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
+
+
+def test_sketch_bank_absorb_matches_per_update_loop():
+    # the flat-index scatter against one cell at a time, on a churned stream
+    rng = np.random.default_rng(23)
+    g, _ = random_instance(rng, 9, 9, wmax=1 << 32)
+    h = StreamHarness(g, seed=4, churn=1.0)
+    classes = sorted({w.bit_length() - 1 for _, _, w in g.edges})
+    bank = SketchBank(g.n, classes, seed=12, copies=3)
+    bank.absorb(h.uu, h.vv, h.wdelta)
+    want = {c: {name: np.zeros_like(arr) for name, arr in bank.cells[c].items()} for c in classes}
+    primes, roots = (1048573, 1048583), (5, 7)
+    for u, v, w, op in h.updates:
+        eid = u * g.n + v
+        fps = [op * (w % p) * pow(r, eid % (p - 1) + 1, p) for p, r in zip(primes, roots)]
+        for copy in range(bank.copies):
+            for rep in range(bank.reps):
+                top = int(bank._tops(np.array([eid]), bank.salts[copy * bank.reps + rep])[0])
+                for lvl in range(top + 1):
+                    for x, side in ((u, 1), (v, -1)):
+                        cell = want[w.bit_length() - 1]
+                        cell["w"][x, copy, rep, lvl] += side * op * w
+                        cell["x"][x, copy, rep, lvl] += side * op * eid
+                        cell["f1"][x, copy, rep, lvl] += side * fps[0]
+                        cell["f2"][x, copy, rep, lvl] += side * fps[1]
+    for c in classes:
+        for name in ("w", "x", "f1", "f2"):
+            assert np.array_equal(bank.cells[c][name], want[c][name]), (c, name)
+
+
+def test_sketch_bank_recovers_crafted_large_edge():
+    n, w = 4096, (1 << 61) - 1
+    bank = SketchBank(n, [60], seed=7, copies=1)
+    bank.absorb(np.array([4094]), np.array([4095]), np.array([w]))
+    edge = (4094, 4095, w)
+    assert bank.recover(60, 0, side_labels(n, {4094})) == [edge, edge]
+    assert bank.recover(60, 0, side_labels(n, set(range(n)) - {4095})) == [edge, edge]
 
 
 def test_l0_linearity():
     # sketch(A) + sketch(B) - sketch(B) leaves cells (hence recovery)
     # identical to sketch(A)
-    a = L0Sketch(64, seed=9)
-    b = L0Sketch(64, seed=9)
-    a.update(3, 2)
-    a.update(17, 5)
-    b.update(40, 1)
-    b.update(3, 4)
-    merged = a.copy()
-    merged.merge(b)
-    merged.subtract([(40, 1), (3, 4)])
-    assert merged.cell_w == a.cell_w
-    assert merged.cell_wx == a.cell_wx
-    assert merged.cell_fp == a.cell_fp
-    assert merged.recover() == a.recover()
-    assert merged.recover() in ((3, 2), (17, 5))
+    a_edges = [(0, 3, 4), (1, 5, 5)]
+    b_edges = [(2, 6, 7), (0, 3, 6)]
+
+    def absorb(bank, edges, sign=1):
+        uu, vv, ww = (np.array(col) for col in zip(*edges))
+        bank.absorb(uu, vv, sign * ww)
+
+    a = SketchBank(8, [2], seed=9, copies=2)
+    merged = SketchBank(8, [2], seed=9, copies=2)
+    absorb(a, a_edges)
+    absorb(merged, a_edges)
+    absorb(merged, b_edges)
+    absorb(merged, b_edges, -1)
+    for name, cells in merged.cells[2].items():
+        assert np.array_equal(cells, a.cells[2][name])
+    labels = side_labels(8, {0, 1})
+    for copy in range(2):
+        assert merged.recover(2, copy, labels) == a.recover(2, copy, labels)
+        assert merged.recover(2, copy, labels)[1] in a_edges
 
 
 def test_l0_random_multiset_recovery_rate():
+    # random weighted edge sets between {0..11} and {12..23}, all crossing
     rng = np.random.default_rng(17)
+    pairs = [(u, v) for u in range(12) for v in range(12, 24)]
+    left = side_labels(24, set(range(12)))
     ok = 0
     for s in range(1000):
-        sk = L0Sketch(512, seed=int(rng.integers(1 << 60)), reps=4)
-        support = rng.choice(512, size=int(rng.integers(1, 60)), replace=False)
-        for idx in support:
-            sk.update(int(idx), int(rng.integers(1, 50)))
-        got = sk.recover()
-        if got is not None and got[0] in set(int(i) for i in support):
+        bank = SketchBank(24, [5], seed=int(rng.integers(1 << 60)), copies=1, reps=4)
+        support = rng.choice(len(pairs), size=int(rng.integers(1, 60)), replace=False)
+        edges = {pairs[i] + (int(rng.integers(32, 64)),) for i in support}
+        uu, vv, ww = (np.array(col) for col in zip(*edges))
+        bank.absorb(uu, vv, ww)
+        if bank.recover(5, 0, left)[1] in edges:
             ok += 1
     assert ok / 1000 >= 0.99
 
 
 def test_l0_recovery_rate_and_uniformity():
+    # a 20-edge star recovered from its center
     rng = np.random.default_rng(11)
     trials = 10_000
-    support = list(range(0, 200, 2))[:20]
+    support = list(range(1, 21))
     counts = {i: 0 for i in support}
     fails = 0
+    center = side_labels(21, {0})
     for s in range(trials):
-        sk = L0Sketch(256, seed=int(rng.integers(1 << 60)), reps=4)
-        for idx in support:
-            sk.update(idx, 3)
-        got = sk.recover()
+        bank = SketchBank(21, [1], seed=int(rng.integers(1 << 60)), copies=1, reps=4)
+        bank.absorb(np.zeros(20, dtype=np.int64), np.array(support), np.full(20, 3))
+        got = bank.recover(1, 0, center)[1]
         if got is None:
             fails += 1
         else:
-            counts[got[0]] += 1
+            counts[got[1]] += 1
     assert fails / trials <= 0.01
     ok = trials - fails
     for idx in support:

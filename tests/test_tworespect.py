@@ -164,14 +164,3 @@ def test_lockstep_round_counts():
     )
     assert sink2.value == 1
     assert rounds2 <= 4
-
-
-def test_stream_dump_roundtrip():
-    from twocut.streaming import StreamHarness, read_stream, write_stream
-    import io
-
-    g, _ = make_gstar()
-    h = StreamHarness(g, seed=2, churn=1.0)
-    buf = io.StringIO()
-    write_stream(h, buf)
-    assert read_stream(buf.getvalue()) == [(u, v, w, op) for u, v, w, op in h.updates]
