@@ -9,32 +9,31 @@ small uniform sample, which is what drives interesting-pair discovery.
 import numpy as np
 
 from twocut.graph import WeightedGraph, build_rooted_tree, cut_of_partition
-from twocut.rangeindex import build_indexes, rect_weight, sample_rect, subtree_queries
-from twocut.requests import CrossSub, DegSubtree
+from twocut.rangeindex import EdgePointSet, SampleRangeIndex, WeightRangeIndex, subtree_sums
 from twocut.reservoir import reservoir_sample
 
 EDGES = [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (2, 4, 4), (1, 3, 2)]
 g = WeightedGraph(5, EDGES)
 t = build_rooted_tree(g, [(0, 1), (1, 2), (0, 3), (3, 4)], root=0)
 
-pts, widx, sidx = build_indexes(g, t, seed=5)
+pts = EdgePointSet(g, t)
+widx = WeightRangeIndex(pts.xs, pts.ys, pts.ws)
 print("edge points:", sorted(zip(pts.xs.tolist(), pts.ys.tolist(), pts.ws.tolist())))
-print("rect [0,1]x[2,3]:", rect_weight(widx, ((0, 1), (2, 3))))
-print("deg(subtree of 1):", subtree_queries(widx, t, DegSubtree(1)),
-      "== cut:", cut_of_partition(g, t.subtree(1)))
-print("crossing of subtrees 1,3:", subtree_queries(widx, t, CrossSub(1, 3)))
+print("rect [0,1]x[2,3]:", widx.rect_weight(0, 1, 2, 3))
+# request rows (u, v, sub): the degree of 1's subtree, then the crossing of subtrees 1 and 3
+deg1, cross13 = subtree_sums(widx, t, [1, 1], [1, 3], [False, True]).tolist()
+print("deg(subtree of 1):", deg1, "== cut:", cut_of_partition(g, t.subtree(1)))
+print("crossing of subtrees 1,3:", cross13)
 
 m = 400
 xs = np.arange(m)
 ys = xs + m
 ids = np.arange(m)
-from twocut.rangeindex import SampleRangeIndex
-
 hits = np.zeros(m)
 trials = 3000
 for s in range(trials):
     idx = SampleRangeIndex(xs, ys, ids, seed=s)
-    got = sample_rect(idx, ((0, m), (0, 2 * m)), k=16, rng=None)
+    got = idx.sample_rect(0, m, 0, 2 * m, 16)
     hits[np.asarray(got)] += 1
 print(f"\nlevel sampling over {m} points, k=16, {trials} rebuilds: "
       f"per-point inclusion {hits.mean() / trials:.3f} +- {hits.std() / trials:.3f}")

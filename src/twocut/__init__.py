@@ -40,7 +40,7 @@ from .packing import (
 )
 from .provider import CostProvider, RunStats, TreeContext, run_lockstep
 from .proxy import ResourceBudgetError, build_proxy_graph
-from .rangeindex import build_indexes, rect_weight, sample_rect, subtree_queries
+from .rangeindex import EdgePointSet, SampleRangeIndex, WeightRangeIndex, subtree_sums
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 from .reservoir import reservoir_sample
 from .sequential import SequentialProvider

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
-from .provider import CostProvider, tree_rows
+from .provider import B_DEG, CROSS_COEF, IS_SUB, CostProvider
 from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
 from .rangeindex import edge_points
 from .util import DisjointSets
@@ -214,7 +214,7 @@ class QueryProvider(CostProvider):
     subtree crossings three (two when the sides cover V)."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
-        super().__init__()
+        super().__init__(oracle.n)
         self.oracle = oracle
         self._proxy = proxy
         self.stats.queries = oracle.query_count
@@ -222,34 +222,36 @@ class QueryProvider(CostProvider):
     def proxy_graph(self):
         return self._proxy
 
-    def _indexes(self, ctxs):
-        return [self.oracle.po_grid(ctx.tree.po) for ctx in ctxs]
+    def _indexes(self, trees):
+        return [self.oracle.po_grid(t.po) for t in trees]
 
-    def _eval_unique(self, items):
-        groups = tree_rows(items)
-        self.oracle.query_count += sum(_query_cost(ctx.tree, *cols) for ctx, _, cols in groups)
+    def _eval_unique(self, rows):
+        self.oracle.query_count += _query_cost(self._size, rows)
         self.stats.queries = self.oracle.query_count
-        return self._values(groups)
+        return self._values(rows)
 
 
-def _query_cost(t, da, db, u, v, sub, coef) -> int:
-    """Cut queries behind one tree's request rows (see provider._row).
+def _query_cost(size, rows) -> int:
+    """Cut queries behind request rows (slot, kind, a, b), given the (slots, n)
+    subtree sizes of their trees (see provider.py for the kinds).
 
-    A subtree or pair cut is one query on its side: sub(da) plus (orthogonal)
-    or minus (nested) sub(db). A crossing of sides A = sub(v) and B = sub(u)
-    (CrossSub) or V - sub(u) (CrossNested) is three, cut(A) + cut(B) -
+    A subtree or pair cut is one query on its side: sub(a) plus (orthogonal)
+    or minus (nested) sub(b). A crossing of sides A = sub(b) and B = sub(a)
+    (CrossSub) or V - sub(a) (CrossNested) is three, cut(A) + cut(B) -
     cut(A + B), or two when A + B is all of V. ValueError when a side is
     empty or all of V, as for CutOracle.cut.
     """
-    size = np.append(t.size, 0)
-    sub = sub.astype(bool)
-    cut = coef != 1
-    side_a = np.where(cut, size[da] + np.where(sub, size[db], -size[db]), size[v])
-    side_b = np.where(sub, size[u], t.n - size[u])
+    n = size.shape[1]
+    slot, kind, a, b = rows.T
+    sa, sb = size[slot, a], size[slot, b]
+    sub = IS_SUB[kind]
+    cut = CROSS_COEF[kind] != 1
+    side_a = np.where(cut, sa + B_DEG[kind] * np.where(sub, sb, -sb), sb)
+    side_b = np.where(sub, sa, n - sa)
     sides = np.concatenate((side_a, side_b[~cut]))
-    if ((sides <= 0) | (sides >= t.n)).any():
+    if ((sides <= 0) | (sides >= n)).any():
         raise ValueError("side must be a proper nonempty subset")
-    return int(np.where(cut, 1, 3 - (side_a + side_b == t.n)).sum())
+    return int(np.where(cut, 1, 3 - (side_a + side_b == n)).sum())
 
 
 def query_provider(oracle: CutOracle, eps=0.1, rng=None, c4=1.0, c3=4.0) -> QueryProvider:

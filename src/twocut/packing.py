@@ -25,7 +25,7 @@ from .provider import TreeContext, run_lockstep
 from .proxy import build_proxy_graph
 from .sequential import SequentialProvider
 from .tworespect import SearchSink, sampling_source, two_respect_plan
-from .util import DisjointSets, ceil_log2, rng_for
+from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
 
@@ -67,14 +67,12 @@ class Skeleton:
     lambda_guess: int
 
 
-def greedy_pack(host: WeightedGraph, k: int, tie_break="id") -> TreePacking:
+def greedy_pack(host: WeightedGraph, k: int) -> TreePacking:
     """k spanning trees, each an MST under current per-unit-weight loads."""
     if host.n < 2:
         raise GraphError("packing needs at least one edge")
     if not host.is_connected():
         raise GraphError("host must be connected")
-    if tie_break != "id":
-        raise ValueError("only the edge-id tie rule is supported")
     packing = TreePacking(host, loads=[0] * host.m)
     edges = [(eid, u, v, w) for eid, (u, v, w) in enumerate(host.edges)]
     for _ in range(k):
@@ -220,7 +218,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     if not (0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 1/10]")
     cfg = config or PipelineConfig()
-    seed = rng if isinstance(rng, int) else (0 if rng is None else int(rng.integers(1 << 62)))
+    seed = as_seed(rng)
     started = time.monotonic()
 
     provider, host, _ = _providers_for(g, mode, eps, seed, cfg)

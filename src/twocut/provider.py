@@ -6,13 +6,15 @@ resource being spent: nothing (in-memory indexes), counted oracle queries,
 or stream passes. Search code is written against this contract only, which
 is what makes the three execution models interchangeable.
 
-All providers turn requests into values the same way: each request becomes
-one row of columns (`_row`), a row is subtree degrees plus at most one
-crossing, and per tree and batch one rangeindex.subtree_sums call over a
-rectangle-sum index answers every crossing. The providers hand over
-different indexes (a merge-sort tree over the graph, or a dense prefix grid
-over the oracle's hidden edges or the stream's net updates) and meter
-differently; the formula is shared.
+All providers turn requests into values the same way. `batch_eval` decodes
+each request once into an int64 row (tree slot, kind, a, b); this module
+holds the only dispatch over request types. Rows are deduplicated with one
+sorted packed key, and a row's value is subtree degrees plus at most one
+crossing, read through small per-kind lookup arrays; per tree and batch one
+rangeindex.subtree_sums call over a rectangle-sum index answers every
+crossing. The providers hand over different indexes (a merge-sort tree over
+the graph, or a dense prefix grid over the oracle's hidden edges or the
+stream's net updates) and meter differently; the formula is shared.
 
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SINGLE, ORTHOGONAL, RootedSpanTree
+from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
 from .rangeindex import subtree_sums, tree_degrees
-from .requests import CrossNested, CrossSub, DegSubtree, PairCut, request_key
+from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 
 
 @dataclass
@@ -69,104 +71,141 @@ class TreeContext:
         self.tree = tree
 
 
-def _row(req):
-    """(degree a, degree b, crossing u, crossing v, CrossSub?, crossing coefficient).
-
-    The value is deg[a] + deg[b] + coefficient * crossing, where index -1 of
-    the degree array reads 0 and coefficient 0 means no crossing; the
-    crossing is the subtree_sums row (u, v, CrossSub?).
-    """
-    if isinstance(req, DegSubtree):
-        return req.v, -1, req.v, req.v, False, 0
-    if isinstance(req, CrossSub):
-        return -1, -1, req.u, req.v, True, 1
-    if isinstance(req, CrossNested):
-        return -1, -1, req.u, req.v, False, 1
-    if isinstance(req, PairCut):
-        p = req.pair
-        if p.kind == SINGLE:
-            return p.a, -1, p.a, p.a, False, 0
-        return p.a, p.b, p.a, p.b, p.kind == ORTHOGONAL, -2
-    raise TypeError(f"unknown request {req!r}")
-
-
-def tree_rows(items):
-    """The _row columns of (ctx, request) items, grouped by tree in first-seen
-    order: a list of (ctx, positions in items, (da, db, u, v, sub, coef))."""
-    ctxs = {ctx.uid: ctx for ctx, _ in items}
-    flat = itertools.chain.from_iterable((ctx.uid,) + _row(req) for ctx, req in items)
-    rows = np.fromiter(flat, dtype=np.int64, count=7 * len(items)).reshape(-1, 7)
-    groups = []
-    for uid, ctx in ctxs.items():
-        pos = np.flatnonzero(rows[:, 0] == uid)
-        groups.append((ctx, pos, tuple(rows[pos, 1:].T)))
-    return groups
+# The kind column of a decoded request row (slot, kind, a, b): subtree degree,
+# crossing of disjoint subtrees (a <= b), crossing of subtree b with the
+# outside of its ancestor a, and the single, orthogonal and nested pair cuts
+# (nested: a is the upper edge). One-vertex kinds repeat a in b.
+DEG, CROSS_SUB, CROSS_NESTED, SINGLE_CUT, ORTHOGONAL_CUT, NESTED_CUT = range(6)
+_PAIR_KINDS = {SINGLE: SINGLE_CUT, ORTHOGONAL: ORTHOGONAL_CUT, NESTED: NESTED_CUT}
+# per kind, value = A_DEG deg[a] + B_DEG deg[b] + CROSS_COEF crossing, where
+# crossing is the subtree_sums row (u = a, v = b, sub = IS_SUB)
+A_DEG = np.array([1, 0, 0, 1, 1, 1])
+B_DEG = np.array([0, 0, 0, 0, 1, 1])
+CROSS_COEF = np.array([0, 1, 1, 0, -2, -2])
+IS_SUB = np.array([False, True, False, False, True, False])
 
 
 class CostProvider:
-    """Base: batch dedup, caching of subtree degrees across rounds, and the
-    one evaluation every provider shares.
+    """Base: batch dedup, the charged-degree mask, and the one evaluation
+    every provider shares.
 
     A provider differs from the others only in the rectangle-sum index it
     hands over for each tree (`_indexes`) and in what its `_eval_unique`
-    meters before calling `_values`.
+    meters before calling `_values`. Every tree it serves spans the same n
+    vertices and gets a slot on first sight, which is its row in three
+    (slots, n) tables: subtree sizes (the cut-query model prices sides by
+    them), subtree degrees, and which DegSubtree requests were already
+    charged (those are answered again for free).
     """
 
-    def __init__(self):
+    def __init__(self, n):
         self.stats = RunStats()
-        self._deg_cache = {}
-        self._trees = {}
+        self.n = n
+        self._slots = {}  # TreeContext uid -> slot
+        self._trees = []
+        self._index = []
+        self._size = np.zeros((0, n), dtype=np.int64)
+        self._deg = np.zeros((0, n), dtype=np.int64)
+        self._charged = np.zeros((0, n), dtype=bool)
+
+    def _rows(self, items):
+        """(slot, kind, a, b) of each (ctx, request): the one request decoder."""
+        last = slot = None
+        for ctx, req in items:
+            if ctx is not last:
+                if ctx.uid not in self._slots:
+                    if ctx.tree.n != self.n:
+                        raise ValueError(f"a tree on {ctx.tree.n} vertices, the provider's graph has {self.n}")
+                    self._slots[ctx.uid] = len(self._trees)
+                    self._trees.append(ctx.tree)
+                last, slot = ctx, self._slots[ctx.uid]
+            if isinstance(req, CrossSub):
+                yield (slot, CROSS_SUB, req.u, req.v) if req.u <= req.v else (slot, CROSS_SUB, req.v, req.u)
+            elif isinstance(req, PairCut):
+                p = req.pair
+                yield slot, _PAIR_KINDS[p.kind], p.a, p.a if p.b is None else p.b
+            elif isinstance(req, DegSubtree):
+                yield slot, DEG, req.v, req.v
+            elif isinstance(req, CrossNested):
+                yield slot, CROSS_NESTED, req.u, req.v
+            else:
+                raise TypeError(f"unknown request {req!r}")
 
     def batch_eval(self, items):
-        """items: list of (TreeContext, request); returns aligned exact values."""
-        keys = [request_key(ctx.uid, req) for ctx, req in items]
-        todo = {}
-        for key, (ctx, req) in zip(keys, items):
-            if key in self._deg_cache or key in todo:
-                continue
-            todo[key] = (ctx, req)
-        answers = {}
-        if todo:
-            fresh = self._eval_unique(list(todo.values()))
-            for key, value in zip(todo.keys(), fresh):
-                answers[key] = value
-                if key[1] == 0:  # DegSubtree: cheap to keep, reused constantly
-                    self._deg_cache[key] = value
-        return [self._deg_cache.get(k, answers.get(k)) for k in keys]
+        """items: list of (TreeContext, request); returns aligned exact values.
 
-    def _eval_unique(self, items):
-        """Meter the distinct uncached requests, then return self._values(tree_rows(items))."""
+        The batch is decoded into one row table and deduplicated by sorting
+        one packed key; the distinct rows come out grouped by tree. Rows
+        other than already-charged DegSubtrees go to `_eval_unique` in one
+        call, so each is metered once.
+        """
+        if not items:
+            return []
+        flat = itertools.chain.from_iterable(self._rows(items))
+        rows = np.fromiter(flat, dtype=np.int64, count=4 * len(items)).reshape(-1, 4)
+        new = self._trees[len(self._index):]
+        if new:
+            self._index += [None] * len(new)
+            self._size = np.vstack([self._size] + [t.size for t in new])
+            self._deg = np.vstack((self._deg, np.zeros((len(new), self.n), dtype=np.int64)))
+            self._charged = np.vstack((self._charged, np.zeros((len(new), self.n), dtype=bool)))
+        n = self.n
+        keys = rows @ np.array([len(A_DEG) * n * n, n * n, n, 1])
+        order = np.argsort(keys)
+        first = _run_starts(keys[order])
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        unique = rows[order[first]]
+        slot, kind, a, _ = unique.T
+        deg = kind == DEG
+        values = self._deg[slot, a]
+        fresh = ~(deg & self._charged[slot, a])
+        if fresh.any():
+            values[fresh] = self._eval_unique(unique[fresh])
+            self._charged[slot[deg], a[deg]] = True
+        return values[inverse].tolist()
+
+    def _eval_unique(self, rows):
+        """Meter the distinct uncached request rows, then return self._values(rows)."""
         raise NotImplementedError
 
-    def _indexes(self, ctxs):
+    def _indexes(self, trees):
         """One rect_weights index over the (min po, max po) edge points of
-        each tree in ctxs; called once per batch with the trees not seen yet."""
+        each tree; called once per batch with the trees not seen yet."""
         raise NotImplementedError
 
-    def _values(self, groups):
-        """Exact values of tree_rows groups, in item order.
+    def _values(self, rows):
+        """Exact values of request rows grouped by tree, as an int64 array.
 
         A tree's first batch computes all its subtree degrees at once, since
         Step 1 needs them all anyway and the later steps keep re-reading
-        them; after that each batch costs one subtree_sums call per tree.
+        them; after that each batch costs one subtree_sums call per tree
+        with crossings.
         """
-        new = [ctx for ctx, _, _ in groups if ctx.uid not in self._trees]
-        for ctx, idx in zip(new, self._indexes(new)):
-            self._trees[ctx.uid] = (idx, np.append(tree_degrees(idx, ctx.tree), 0))
-        out = np.empty(sum(len(pos) for _, pos, _ in groups), dtype=np.int64)
-        for ctx, pos, (da, db, u, v, sub, coef) in groups:
-            idx, deg = self._trees[ctx.uid]
-            value = deg[da] + deg[db]
-            cross = np.flatnonzero(coef)
-            if len(cross):  # degree-only batches (Step 1) skip the rectangle call
-                value[cross] += coef[cross] * subtree_sums(idx, ctx.tree, u[cross], v[cross], sub[cross])
-            out[pos] = value
-        return out.tolist()
+        slot, kind, a, b = rows.T
+        starts = np.flatnonzero(_run_starts(slot))
+        slots = slot[starts].tolist()
+        new = [s for s in slots if self._index[s] is None]
+        for s, idx in zip(new, self._indexes([self._trees[s] for s in new])):
+            self._index[s] = idx
+            self._deg[s] = tree_degrees(idx, self._trees[s])
+        value = A_DEG[kind] * self._deg[slot, a] + B_DEG[kind] * self._deg[slot, b]
+        coef = CROSS_COEF[kind]
+        for s, lo, hi in zip(slots, starts.tolist(), starts[1:].tolist() + [len(slot)]):
+            r = lo + np.flatnonzero(coef[lo:hi])
+            if len(r):  # degree-only batches (Step 1) make no rectangle call
+                value[r] += coef[r] * subtree_sums(self._index[s], self._trees[s], a[r], b[r], IS_SUB[kind[r]])
+        return value
 
     def proxy_graph(self):
         """Sparsifier handle for candidate filtering; None when values are
         already cheap enough to check exactly."""
         return None
+
+
+def _run_starts(sorted_keys):
+    """True where a run of equal keys begins (at least one key)."""
+    return np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
 
 
 def run_lockstep(tasks, provider: CostProvider):

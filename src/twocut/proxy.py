@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .graph import GraphError, WeightedGraph
-from .util import ceil_log2, DisjointSets
+from .util import DisjointSets, bit_lengths, ceil_log2
 
 
 class ResourceBudgetError(GraphError):
@@ -35,14 +37,10 @@ def proxy_edge_budget(n, eps, c3=4.0) -> int:
     return max(1, math.ceil(c3 * n * lg * lg / (eps * eps)))
 
 
-def weight_class(w: int) -> int:
-    return w.bit_length() - 1
-
-
 def peel_class_forests(n, class_edges, rounds):
     """Edge ids of up to `rounds` maximal spanning forests of one class.
 
-    class_edges: list of (eid, u, v); peeling stops early once exhausted.
+    class_edges: (eid, u, v) triples; peeling stops early once exhausted.
     """
     remaining = list(class_edges)
     kept = []
@@ -64,14 +62,11 @@ def peel_class_forests(n, class_edges, rounds):
 
 def build_proxy_direct(g: WeightedGraph, eps, c4=1.0, c3=4.0) -> WeightedGraph:
     rounds = forests_per_class(g.n, eps, c4)
-    by_class = {}
-    for eid, (u, v, w) in enumerate(g.edges):
-        if w <= 0:
-            continue
-        by_class.setdefault(weight_class(w), []).append((eid, u, v))
+    cls = bit_lengths(g.ew) - 1  # -1 for a zero weight, which no forest needs
     kept = []
-    for i in sorted(by_class):
-        kept.extend(peel_class_forests(g.n, by_class[i], rounds))
+    for c in np.unique(cls[cls >= 0]).tolist():
+        eids = np.flatnonzero(cls == c)
+        kept.extend(peel_class_forests(g.n, zip(eids.tolist(), g.eu[eids].tolist(), g.ev[eids].tolist()), rounds))
     if len(kept) > proxy_edge_budget(g.n, eps, c3):
         raise ResourceBudgetError(f"proxy would keep {len(kept)} edges")
     edges = [g.edges[eid] for eid in sorted(kept)]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WEIGHT_SUM_LIMIT, RootedSpanTree, WeightedGraph, WeightOverflowError
-from .requests import CrossNested, CrossSub, DegSubtree
 from .util import ceil_log2, rng_for
 
 
@@ -167,21 +166,6 @@ def sample_rects(indexes, x1, x2, y1, y2, k):
     return np.concatenate(rows), np.concatenate(got)
 
 
-def build_indexes(g: WeightedGraph, t: RootedSpanTree, seed):
-    """Point set plus weight and sampling indexes for one (graph, tree) pair."""
-    pts = EdgePointSet(g, t)
-    widx = WeightRangeIndex(pts.xs, pts.ys, pts.ws)
-    sidx = SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed)
-    return pts, widx, sidx
-
-
-def rect_weight(idx: WeightRangeIndex, rect) -> int:
-    (x1, x2), (y1, y2) = rect
-    if x1 > x2 or y1 > y2:
-        raise ValueError(f"bad rectangle {rect}")
-    return idx.rect_weight(x1, x2, y1, y2)
-
-
 def subtree_rects(t: RootedSpanTree, u, v, sub):
     """The two rectangles per request row whose weight sums answer it.
 
@@ -223,26 +207,3 @@ def tree_degrees(idx, t: RootedSpanTree):
     v = np.arange(t.n)
     return subtree_sums(idx, t, v, v, np.zeros(t.n, dtype=bool))
 
-
-def subtree_queries(idx: WeightRangeIndex, t: RootedSpanTree, q) -> int:
-    """Answer DegSubtree / CrossSub / CrossNested with at most two rectangles."""
-    if isinstance(q, DegSubtree):
-        u, v, sub = q.v, q.v, False
-    elif isinstance(q, CrossSub):
-        u, v, sub = q.u, q.v, True
-    elif isinstance(q, CrossNested):
-        u, v, sub = q.u, q.v, False
-    else:
-        raise TypeError(f"not a subtree query: {q!r}")
-    return int(subtree_sums(idx, t, [u], [v], [sub])[0])
-
-
-def sample_rect(idx: SampleRangeIndex, rect, k, rng=None):
-    """Distinct random points of the rectangle; all of them if it holds <= k.
-
-    The output is fixed by the index's build seed (the generator argument is
-    accepted for call-site symmetry with the other samplers but the level
-    walk itself is deterministic).
-    """
-    (x1, x2), (y1, y2) = rect
-    return idx.sample_rect(x1, x2, y1, y2, k)

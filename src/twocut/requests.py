@@ -8,8 +8,11 @@ A request names a quantity defined by one spanning tree's subtree ranges:
   subtree, for v inside u's subtree.
 - PairCut(pair): value of the cut crossing exactly the pair's tree edges.
 
-The in-memory backend answers these from range indexes, the oracle backend
-from counted cut queries, the stream backend from per-pass counters.
+These objects are what the search yields and what a caller of
+CostProvider.batch_eval passes in; the provider decodes each one once into
+a row of its int64 request table (provider.py), and every backend answers
+the rows from the same rectangle-sum formula, metering them as its model
+prices them: nothing in memory, counted cut queries, or stream passes.
 """
 
 from __future__ import annotations
@@ -40,17 +43,3 @@ class CrossNested:
 class PairCut:
     pair: TreeEdgePair
 
-
-def request_key(ctx_uid, req):
-    """Hashable identity used for batch dedup and caching."""
-    if isinstance(req, DegSubtree):
-        return (ctx_uid, 0, req.v, -1)
-    if isinstance(req, CrossSub):
-        a, b = (req.u, req.v) if req.u <= req.v else (req.v, req.u)
-        return (ctx_uid, 1, a, b)
-    if isinstance(req, CrossNested):
-        return (ctx_uid, 2, req.v, req.u)
-    if isinstance(req, PairCut):
-        p = req.pair
-        return (ctx_uid, 3, p.kind, p.a, p.b)
-    raise TypeError(f"unknown request {req!r}")

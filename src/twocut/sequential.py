@@ -8,21 +8,21 @@ every request of a round into rectangle sums on it. Nothing is metered.
 from __future__ import annotations
 
 from .graph import WeightedGraph
-from .provider import CostProvider, tree_rows
+from .provider import CostProvider
 from .rangeindex import EdgePointSet, WeightRangeIndex
 
 
 class SequentialProvider(CostProvider):
     def __init__(self, g: WeightedGraph):
-        super().__init__()
+        super().__init__(g.n)
         self.g = g
 
-    def _indexes(self, ctxs):
+    def _indexes(self, trees):
         out = []
-        for ctx in ctxs:
-            pts = EdgePointSet(self.g, ctx.tree)
+        for t in trees:
+            pts = EdgePointSet(self.g, t)
             out.append(WeightRangeIndex(pts.xs, pts.ys, pts.ws))
         return out
 
-    def _eval_unique(self, items):
-        return self._values(tree_rows(items))
+    def _eval_unique(self, rows):
+        return self._values(rows)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
-from .provider import CostProvider, tree_rows
+from .provider import CostProvider
 from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
 from .rangeindex import edge_points
 from .util import DisjointSets, bit_lengths, ceil_log2, rng_for
@@ -51,30 +51,23 @@ class StreamHarness:
         self.churn = churn
         self.words_budget = words_budget
         rng = rng_for(seed, 11)
-        m = g.m
-        ops = [(eid, 1) for eid in range(m)]
-        extra = int(churn * m)
-        for eid in rng.integers(0, m, size=extra) if m else []:
-            ops.append((int(eid), 1))
-            ops.append((int(eid), -1))
-        order = rng.permutation(len(ops))
-        seq = [ops[i] for i in order]
-        # reassign signs per edge so no prefix deletes more than was inserted
-        by_edge = {}
-        for pos, (eid, _) in enumerate(seq):
-            by_edge.setdefault(eid, []).append(pos)
-        for eid, positions in by_edge.items():
-            for i, pos in enumerate(sorted(positions)):
-                seq[pos] = (eid, 1 if i % 2 == 0 else -1)
-        self.updates = [(g.edges[eid][0], g.edges[eid][1], g.edges[eid][2], op) for eid, op in seq]
-        self.uu = np.asarray([u for u, _, _, _ in self.updates], dtype=np.int64)
-        self.vv = np.asarray([v for _, v, _, _ in self.updates], dtype=np.int64)
-        self.wdelta = np.asarray([w * op for _, _, w, op in self.updates], dtype=np.int64)
+        # every edge once, plus an insert/delete pair per churned draw, shuffled
+        eids = np.arange(g.m)
+        if g.m:
+            eids = np.concatenate((eids, np.repeat(rng.integers(0, g.m, size=int(churn * g.m)), 2)))
+        eids = eids[rng.permutation(len(eids))]
+        # an edge's updates alternate insert, delete, ... in stream order, so no
+        # prefix deletes more than was inserted and an odd count nets one insert
+        by_edge = np.argsort(eids, kind="stable")
+        rank = np.arange(len(eids)) - np.searchsorted(eids[by_edge], eids[by_edge])
+        op = np.empty(len(eids), dtype=np.int64)
+        op[by_edge] = 1 - 2 * (rank % 2)
+        self.uu, self.vv, self.wdelta = g.eu[eids], g.ev[eids], g.ew[eids] * op
         self.pass_count = 0
         self.tracked_words = 0
 
     def __len__(self):
-        return len(self.updates)
+        return len(self.uu)
 
     def register_words(self, count):
         """Meter `count` more tracked words; refuse them past the budget."""
@@ -289,7 +282,7 @@ class StreamProvider(CostProvider):
     """One registered counter per request; one pass per batch."""
 
     def __init__(self, harness: StreamHarness, proxy: WeightedGraph):
-        super().__init__()
+        super().__init__(harness.n)
         self.harness = harness
         self._proxy = proxy
         self.stats.passes = harness.pass_count
@@ -298,12 +291,12 @@ class StreamProvider(CostProvider):
     def proxy_graph(self):
         return self._proxy
 
-    def _indexes(self, ctxs):
-        return self.harness.run_pass([ctx.tree.po for ctx in ctxs])
+    def _indexes(self, trees):
+        return self.harness.run_pass([t.po for t in trees])
 
-    def _eval_unique(self, items):
-        self.harness.register_words(len(items))
-        out = self._values(tree_rows(items))  # the batch's one pass
+    def _eval_unique(self, rows):
+        self.harness.register_words(len(rows))
+        out = self._values(rows)  # the batch's one pass
         self.stats.passes = self.harness.pass_count
         self.stats.tracked_words = self.harness.tracked_words
         return out

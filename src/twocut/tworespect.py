@@ -46,7 +46,7 @@ from .interesting import (
 from .interval import BipartiteSolver, ProbeLedger, self_pair_solvers
 from .provider import TreeContext, run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
-from .util import rng_for
+from .util import as_seed, rng_for
 
 
 class BestTracker:
@@ -187,14 +187,6 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
     sink.complete(best, ledger)
 
 
-def _as_seed(rng) -> int:
-    if rng is None:
-        return 0
-    if isinstance(rng, int):
-        return rng
-    return int(rng.integers(1 << 62))
-
-
 def sampling_source(provider, g: WeightedGraph):
     """(sample_graph, proxy): discovery runs on the sparsifier when the
     provider carries one, directly on the graph otherwise."""
@@ -212,7 +204,7 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None,
         raise GraphError("no tree edge exists on a single vertex")
     ctx = TreeContext(t)
     sample_graph, proxy = sampling_source(provider, g)
-    seed = _as_seed(rng)
+    seed = as_seed(rng)
     wc_seed = int(rng_for(seed, 7, tree_index).integers(1 << 62))
     sink = SearchSink()
     task = two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink, multiplier)

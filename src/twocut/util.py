@@ -1,4 +1,4 @@
-"""Small shared helpers: integer logs, disjoint sets, seeded generator trees."""
+"""Small shared helpers: integer logs, disjoint sets, run seeds, seeded generator trees."""
 
 from __future__ import annotations
 
@@ -53,6 +53,13 @@ class DisjointSets:
         self.size[ra] += self.size[rb]
         self.count -= 1
         return True
+
+
+def as_seed(rng) -> int:
+    """The run seed from an int (itself), None (0) or a Generator (one draw)."""
+    if isinstance(rng, int):
+        return rng
+    return 0 if rng is None else int(rng.integers(1 << 62))
 
 
 def rng_for(seed, *tags) -> np.random.Generator:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from twocut.packing import MODES, min_cut_pipeline
+from twocut.provider import CostProvider
+from twocut.requests import CrossNested, CrossSub, DegSubtree
 
 from conftest import make_gstar
 
@@ -24,10 +26,37 @@ def ledgers(stats):
     return (stats.queries, stats.passes, stats.tracked_words, stats.probes)
 
 
+def request_identity(uid, req):
+    """Dedup identity of a request: a CrossSub and its mirror are one."""
+    if isinstance(req, CrossSub):
+        return (uid, "cross-sub", min(req.u, req.v), max(req.u, req.v))
+    if isinstance(req, (DegSubtree, CrossNested)):
+        return (uid, req)
+    return (uid, req.pair)
+
+
+def distinct_uncached(batches):
+    """Requests each batch has to evaluate: distinct, and no DegSubtree charged before."""
+    charged, total = set(), 0
+    for items in batches:
+        keys = {request_identity(ctx.uid, req) for ctx, req in items} - charged
+        total += len(keys)
+        charged |= {k for k in keys if isinstance(k[1], DegSubtree)}
+    return total
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_traced_solve_matches_plain(mode):
+def test_traced_solve_matches_plain(mode, monkeypatch):
     g, _ = make_gstar()
     plain, plain_stats = min_cut_pipeline(g, mode, rng=3)
+    batches = []
+    batch_eval = CostProvider.batch_eval
+
+    def spy(self, items):
+        batches.append(list(items))
+        return batch_eval(self, items)
+
+    monkeypatch.setattr(CostProvider, "batch_eval", spy)
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.solve():
         traced, traced_stats = min_cut_pipeline(g, mode, rng=3)
@@ -38,5 +67,6 @@ def test_traced_solve_matches_plain(mode):
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == tracer.calls["interesting.candidate_tops"] >= 1
     assert abs(tracer.identity_residual()) < 1e-6
+    assert tracer.counts["provider.unique"] == distinct_uncached(batches) > 0
     if mode == "streaming":
         assert tracer.calls["streaming.run_pass"] + tracer.calls["streaming.fill_bank"] == traced_stats.passes

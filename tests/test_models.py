@@ -225,6 +225,44 @@ def test_batch_interleaves_trees_in_input_order(mode):
         fresh = {k: v for k, v in fresh.items() if not isinstance(k[1], DegSubtree)}
 
 
+@pytest.mark.parametrize("mode", PROVIDERS)
+def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
+    from twocut.graph import classify_pair
+
+    rng = np.random.default_rng(41)
+    g, t0 = random_instance(rng, 10, 10, wmax=1 << 32)
+    trees = [t0, build_rooted_tree(g, random_spanning_tree_edges(g, rng), 3)]
+    ctxs = [TreeContext(t) for t in trees]
+    per_tree, distinct = [], []
+    for ctx, t in zip(ctxs, trees):
+        kids = t.edge_children()
+        e, f = next((x, y) for x in kids for y in kids if x < y and classify_pair(t, x, y).kind == "orthogonal")
+        v = kids[0]
+        single = PairCut(TreeEdgePair("single", v))
+        per_tree.append([(ctx, r) for r in (CrossSub(e, f), DegSubtree(v), CrossSub(f, e), single,
+                                            CrossSub(e, f), DegSubtree(v), single, CrossSub(f, e))])
+        distinct += [(ctx, CrossSub(e, f)), (ctx, DegSubtree(v)), (ctx, single)]
+    batch = [item for pair in zip(*per_tree) for item in pair]  # the two trees interleaved
+    provider = PROVIDERS[mode](g)
+
+    def deltas(items):
+        before = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
+        got = provider.batch_eval(items)
+        assert got == [brute_value(g, ctx.tree, req) for ctx, req in items]
+        after = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
+        return tuple(b - a for a, b in zip(before, after))
+
+    # a mirror and a repeat are one request; a single PairCut is metered apart from its DegSubtree
+    want = {
+        "sequential": (0, 0, 0),
+        "cut-query": (sum(model_queries(ctx.tree, req) for ctx, req in distinct), 0, 0),
+        "streaming": (0, 1, len(distinct)),
+    }
+    assert deltas(batch) == want[mode]
+    # DegSubtrees already charged cost nothing, not even a pass
+    assert deltas([item for item in batch if isinstance(item[1], DegSubtree)]) == (0, 0, 0)
+
+
 def test_query_provider_refuses_empty_or_full_sides():
     g, t = make_gstar()
     provider = QueryProvider(CutOracle(g), proxy=None)
@@ -241,14 +279,17 @@ def test_query_provider_refuses_empty_or_full_sides():
 def test_stream_net_multiset_matches_graph():
     g, _ = make_gstar()
     h = StreamHarness(g, seed=3, churn=0.7)
+    updates = list(zip(h.uu.tolist(), h.vv.tolist(), h.wdelta.tolist()))
+    assert len(h) == len(updates) > g.m
     net = {}
-    for u, v, w, op in h.updates:
-        net[(u, v)] = net.get((u, v), 0) + w * op
+    for u, v, delta in updates:
+        net[(u, v)] = net.get((u, v), 0) + delta
     assert net == {(u, v): w for u, v, w in g.edges}
-    # prefix weights never go negative
+    # each update inserts or deletes the whole edge; prefix weights never go negative
     run = {}
-    for u, v, w, op in h.updates:
-        run[(u, v)] = run.get((u, v), 0) + w * op
+    for u, v, delta in updates:
+        assert abs(delta) == g.edge_weight(u, v)
+        run[(u, v)] = run.get((u, v), 0) + delta
         assert run[(u, v)] >= 0
 
 
@@ -326,7 +367,8 @@ def test_sketch_bank_absorb_matches_per_update_loop():
     bank.absorb(h.uu, h.vv, h.wdelta)
     want = {c: {name: np.zeros_like(arr) for name, arr in bank.cells[c].items()} for c in classes}
     primes, roots = (1048573, 1048583), (5, 7)
-    for u, v, w, op in h.updates:
+    for u, v, delta in zip(h.uu.tolist(), h.vv.tolist(), h.wdelta.tolist()):
+        w, op = abs(delta), (1 if delta >= 0 else -1)
         eid = u * g.n + v
         fps = [op * (w % p) * pow(r, eid % (p - 1) + 1, p) for p, r in zip(primes, roots)]
         for copy in range(bank.copies):

@@ -9,13 +9,9 @@ from twocut.rangeindex import (
     EdgePointSet,
     SampleRangeIndex,
     WeightRangeIndex,
-    build_indexes,
-    rect_weight,
-    sample_rect,
-    subtree_queries,
+    subtree_sums,
     tree_degrees,
 )
-from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.graph import (
     WeightedGraph,
     WeightOverflowError,
@@ -30,6 +26,16 @@ from conftest import make_gstar, random_instance
 from test_interesting import reference_sample_rect
 
 
+def weight_index(g, t):
+    pts = EdgePointSet(g, t)
+    return WeightRangeIndex(pts.xs, pts.ys, pts.ws)
+
+
+def sample_index(g, t, seed):
+    pts = EdgePointSet(g, t)
+    return SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed)
+
+
 def test_gstar_point_set():
     g, t = make_gstar()
     pts = EdgePointSet(g, t)
@@ -39,20 +45,17 @@ def test_gstar_point_set():
 
 def test_gstar_rect_weights():
     g, t = make_gstar()
-    _, widx, _ = build_indexes(g, t, seed=1)
-    assert rect_weight(widx, ((0, 1), (2, 3))) == 6
-    assert rect_weight(widx, ((0, 1), (2, 4))) == 7
-    assert rect_weight(widx, ((0, 4), (0, 4))) == 10
-    assert rect_weight(widx, ((3, 2), (0, 0)) if False else ((2, 2), (3, 3))) == 1
+    widx = weight_index(g, t)
+    assert widx.rect_weight(0, 1, 2, 3) == 6
+    assert widx.rect_weights([0, 0, 2], [1, 4, 2], [2, 0, 3], [4, 4, 3]).tolist() == [7, 10, 1]
     assert widx.rect_weight(4, 4, 0, 0) == 0  # empty rectangle
 
 
 def test_gstar_subtree_queries():
     g, t = make_gstar()
-    _, widx, _ = build_indexes(g, t, seed=1)
-    assert subtree_queries(widx, t, DegSubtree(1)) == 7
-    assert subtree_queries(widx, t, CrossSub(1, 3)) == 6
-    assert subtree_queries(widx, t, CrossNested(2, 1)) == 4
+    # DegSubtree(1), CrossSub(1, 3), CrossNested(2, 1) as subtree_sums rows (u, v, sub)
+    got = subtree_sums(weight_index(g, t), t, [1, 1, 1], [1, 3, 2], [False, True, False])
+    assert got.tolist() == [7, 6, 4]
 
 
 def test_rect_weight_matches_linear_scan():
@@ -112,14 +115,14 @@ def test_weight_total_reaching_2_62_is_refused():
     g = WeightedGraph(3, [(0, 1, 1 << 61), (1, 2, 1 << 61)])
     t = build_rooted_tree(g, [(0, 1), (1, 2)], root=0)
     with pytest.raises(WeightOverflowError):
-        build_indexes(g, t, seed=1)
+        weight_index(g, t)
     with pytest.raises(WeightOverflowError):
         min_cut_pipeline(g, "sequential", rng=1)
     g = WeightedGraph(3, [(0, 1, 1 << 61), (1, 2, (1 << 61) - 1)])
     t = build_rooted_tree(g, [(0, 1), (1, 2)], root=0)
-    _, widx, _ = build_indexes(g, t, seed=1)
+    widx = weight_index(g, t)
     assert widx.rect_weight(0, 2, 0, 2) == (1 << 62) - 1
-    assert subtree_queries(widx, t, DegSubtree(2)) == (1 << 61) - 1
+    assert tree_degrees(widx, t)[2] == (1 << 61) - 1
 
 
 def test_merged_parallel_edges_near_2_32_stay_exact():
@@ -131,11 +134,10 @@ def test_merged_parallel_edges_near_2_32_stay_exact():
     g = load_graph("\n".join(lines))
     assert g.edge_weight(0, 1) == 2 * cap - 1
     t = build_rooted_tree(g, [(0, 1), (1, 2), (2, 3)], root=0)
-    _, widx, _ = build_indexes(g, t, seed=3)
-    for v in (1, 2, 3):
-        assert subtree_queries(widx, t, DegSubtree(v)) == cut_of_partition(g, t.subtree(v))
-    assert subtree_queries(widx, t, CrossNested(3, 1)) == 2 * cap - 1
-    assert subtree_queries(widx, t, CrossNested(2, 1)) == 3 * cap - 1
+    widx = weight_index(g, t)
+    assert tree_degrees(widx, t).tolist()[1:] == [cut_of_partition(g, t.subtree(v)) for v in (1, 2, 3)]
+    # CrossNested(3, 1) and CrossNested(2, 1)
+    assert subtree_sums(widx, t, [1, 1], [3, 2], [False, False]).tolist() == [2 * cap - 1, 3 * cap - 1]
     assert min_cut_pipeline(g, "sequential", rng=3)[0].value == oracle_min_cut(g).value == 4 * cap - 2
 
 
@@ -143,23 +145,22 @@ def test_deg_subtree_equals_partition_cut():
     rng = np.random.default_rng(103)
     for _ in range(30):
         g, t = random_instance(rng, 2, 12)
-        _, widx, _ = build_indexes(g, t, seed=5)
+        widx = weight_index(g, t)
         for v in range(g.n):
             if v == t.root:
                 continue
-            assert subtree_queries(widx, t, DegSubtree(v)) == cut_of_partition(g, t.subtree(v))
+            assert int(subtree_sums(widx, t, [v], [v], [False])[0]) == cut_of_partition(g, t.subtree(v))
 
 
 def test_sample_rect_exhausts_small_rectangles():
     g, t = make_gstar()
-    _, _, sidx = build_indexes(g, t, seed=9)
-    rng = np.random.default_rng(0)
-    got = sample_rect(sidx, ((0, 1), (2, 4)), k=8, rng=rng)
+    sidx = sample_index(g, t, seed=9)
+    got = sidx.sample_rect(0, 1, 2, 4, 8)
     assert sorted(int(i) for i in got) == sorted(
         i for i, (x, y) in enumerate(zip(EdgePointSet(g, t).xs, EdgePointSet(g, t).ys))
         if 0 <= x <= 1 and 2 <= y <= 4
     )
-    one = sample_rect(sidx, ((0, 0), (2, 2)), k=1, rng=rng)
+    one = sidx.sample_rect(0, 0, 2, 2, 1)
     assert len(one) == 1
 
 
@@ -194,7 +195,7 @@ def test_sample_rect_size_band_quick():
 
 def test_sample_rect_rejects_bad_k():
     g, t = make_gstar()
-    _, _, sidx = build_indexes(g, t, seed=2)
+    sidx = sample_index(g, t, seed=2)
     with pytest.raises(ValueError):
         sidx.sample_rect(0, 4, 0, 4, 0)
 
