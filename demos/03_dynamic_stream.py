@@ -29,7 +29,7 @@ g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 harness = StreamHarness(g, seed=11, churn=0.5)
 print(f"stream: {len(harness)} updates over {g.m} edges (churn pairs cancel)")
 
-proxy = build_proxy_via_stream(harness, eps=0.1, rng=None)
+proxy = build_proxy_via_stream(harness, eps=0.1)
 print(f"sketch pass -> sparsifier with {proxy.m} edges "
       f"({harness.pass_count} pass, {harness.tracked_words} words registered)")
 

@@ -7,6 +7,10 @@ recovering one edge leaving a set costs O(log n) by interval bisection, and
 the search's requests cost one query each because the requesting side knows
 its partition already.
 
+The sparsifier is peeled out of the oracle by proxy.peel_forests: one
+bisection per component still unmerged in its Boruvka sweep, with the
+forests already found subtracted locally (PeeledEdges), at no query.
+
 The values of the search's requests come from the providers' shared subtree
 formula over a PoPrefixGrid the oracle builds from its hidden edges, one
 per tree; that is a simulator speed path, and QueryProvider still charges
@@ -20,9 +24,8 @@ import numpy as np
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
 from .provider import B_DEG, CROSS_COEF, IS_SUB, CostProvider
-from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
+from .proxy import forests_per_class, peel_forests, proxy_edge_budget
 from .rangeindex import edge_points
-from .util import DisjointSets
 
 
 class CutOracle:
@@ -83,34 +86,27 @@ class PeeledEdges:
     """Edges already carved out of the oracle's graph, for local subtraction."""
 
     def __init__(self):
-        self.u = []
-        self.v = []
-        self.w = []
+        self.edges = []
         self._cache = None
 
-    def add(self, u, v, w):
-        self.u.append(u)
-        self.v.append(v)
-        self.w.append(w)
+    def extend(self, edges):
+        """Subtract (u, v, w) edges from every later residual value."""
+        self.edges.extend(edges)
         self._cache = None
 
     def _arrays(self):
         if self._cache is None:
-            self._cache = (
-                np.asarray(self.u, dtype=np.int64),
-                np.asarray(self.v, dtype=np.int64),
-                np.asarray(self.w, dtype=np.int64),
-            )
+            self._cache = [np.asarray(col, dtype=np.int64) for col in zip(*self.edges)]
         return self._cache
 
     def cut(self, mask) -> int:
-        if not self.u:
+        if not self.edges:
             return 0
         u, v, w = self._arrays()
         return int(w[mask[u] != mask[v]].sum())
 
     def cross(self, ma, mb) -> int:
-        if not self.u:
+        if not self.edges:
             return 0
         u, v, w = self._arrays()
         hit = (ma[u] & mb[v]) | (ma[v] & mb[u])
@@ -164,48 +160,26 @@ def recover_crossing_edge(oracle: CutOracle, side, rng=None, mode="any", peeled=
     return near, far, weight
 
 
-def build_proxy_via_oracle(oracle: CutOracle, eps, rng, c4=1.0, c3=4.0) -> WeightedGraph:
+def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     """Forest peeling against the oracle: recover a spanning forest of the
     residual graph, subtract it, repeat until exhaustion or the forest cap.
 
     A class-restricted peel is not observable through whole-graph cut
     queries, so the forests are peeled from the full residual graph; at the
     scales the budgets are asserted on, peeling exhausts the graph and the
-    proxy is exact.
+    proxy is exact. Recovery is lazy, one component at a time, so a
+    component merged earlier in its sweep costs no query.
     """
     n = oracle.n
-    budget = proxy_edge_budget(n, eps, c3)
-    cap = 40 * forests_per_class(n, eps, c4)
     peeled = PeeledEdges()
-    kept = []
-    for _ in range(cap):
-        ds = DisjointSets(n)
-        forest = []
-        progress = True
-        while ds.count > 1 and progress:
-            progress = False
-            groups = {}
-            for v in range(n):
-                groups.setdefault(ds.find(v), []).append(v)
-            for r, members in groups.items():
-                # skip components touched earlier in this sweep; they get a
-                # fresh member list next sweep
-                if ds.find(r) != r or ds.size[r] != len(members) or len(members) == n:
-                    continue
-                got = recover_crossing_edge(oracle, members, rng, "any", peeled)
-                if got is None:
-                    continue
-                u, v, w = got
-                if ds.union(u, v):
-                    forest.append((u, v, w))
-                    progress = True
-        if not forest:
-            break
-        for u, v, w in forest:
-            peeled.add(u, v, w)
-            kept.append((u, v, w))
-        if len(kept) > budget:
-            raise ResourceBudgetError(f"oracle proxy exceeded {budget} edges")
+
+    def recover(sweep, labels, live):
+        labels = np.asarray(labels)
+        for c in range(int(labels.max()) + 1):
+            yield recover_crossing_edge(oracle, labels == c, peeled=peeled) if live(c) else None
+
+    kept = peel_forests(n, recover, peeled.extend, 40 * forests_per_class(n, eps), 1,
+                        proxy_edge_budget(n, eps), [])
     return WeightedGraph(n, kept, require_connected=True)
 
 
@@ -254,7 +228,10 @@ def _query_cost(size, rows) -> int:
     return int(np.where(cut, 1, 3 - (side_a + side_b == n)).sum())
 
 
-def query_provider(oracle: CutOracle, eps=0.1, rng=None, c4=1.0, c3=4.0) -> QueryProvider:
-    """Provider over the oracle, with its sparsifier built the same way."""
-    proxy = build_proxy_via_oracle(oracle, eps, rng, c4, c3)
+def query_provider(oracle: CutOracle, eps=0.1, rng=None) -> QueryProvider:
+    """Provider over the oracle, with its sparsifier built the same way.
+
+    `rng` is accepted and unused: the oracle's forest peeling draws nothing.
+    """
+    proxy = build_proxy_via_oracle(oracle, eps)
     return QueryProvider(oracle, proxy)

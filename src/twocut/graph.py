@@ -213,7 +213,6 @@ class RootedSpanTree:
         self._lo = lo.tolist()
         self._hi = self._po
         self._depth = depth.tolist()
-        self._parent = self.parent.tolist()
 
     def tree_edges(self):
         """Tree edges as (parent, child) pairs, one per non-root vertex."""

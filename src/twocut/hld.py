@@ -32,7 +32,6 @@ class PathDecomposition:
                     best = c
                     best_size = s
             heavy[v] = best
-        self.heavy = heavy
         path_of = np.full(n, -1, dtype=np.int64)
         paths = []
         for v in range(n):

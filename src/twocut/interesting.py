@@ -44,7 +44,6 @@ class WeightClassIndex:
     """
 
     def __init__(self, g: WeightedGraph, t, seed):
-        self.g = g
         self.n = t.n
         xs, ys = edge_points(t.po, g.eu, g.ev)
         ids = np.arange(g.m)

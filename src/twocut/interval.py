@@ -23,10 +23,9 @@ from typing import Callable, Sequence
 
 @dataclass
 class ProbeLedger:
-    """Monotone counters: matrix entries materialized and rounds consumed."""
+    """Monotone counter of matrix entries materialized."""
 
     probes: int = 0
-    levels: int = 0
 
 
 @dataclass
@@ -75,7 +74,6 @@ class BipartiteSolver:
             self._pending.append((node, cells))
             out.extend(cells)
         self.ledger.probes += len(out)
-        self.ledger.levels += 1
         return [(self.rows[r], self.cols[c]) for r, c in out]
 
     def advance(self, values):

@@ -29,18 +29,18 @@ from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
 
+SKELETON_RATE_FACTOR = 12.0  # c1 in p = min(1, c1 ln n / (eps^2 guess))
+TREES_FACTOR = 6.0           # c2 in k = ceil(c2 ln n)
+SPARSIFY_FACTOR = 4.0        # sparsify in memory when m > factor * n * log2(n)^2
+TRACKED_WORDS_FACTOR = 50.0  # c5 in the stream space budget
+
 
 @dataclass
 class PipelineConfig:
-    """Constants of the reduction, exposed for calibration."""
+    """Run settings: the stream's churn (extra insert/delete pairs per edge,
+    streaming mode only) and, when set, a fixed packed-tree count per guess
+    in place of ceil(c2 ln n)."""
 
-    skeleton_rate_factor: float = 12.0      # c1 in p = min(1, c1 ln n / (eps^2 guess))
-    trees_factor: float = 6.0               # c2 in k = ceil(c2 ln n)
-    proxy_budget_factor: float = 4.0        # c3 in the proxy edge budget
-    proxy_forest_factor: float = 1.0        # c4 in forests per weight class
-    sample_multiplier: int = 4
-    sparsify_threshold_factor: float = 4.0  # sparsify when m > factor * n * log2(n)^2
-    tracked_words_factor: float = 50.0      # c5 in the stream space budget
     churn: float = 0.0
     trees_override: Optional[int] = None
 
@@ -111,8 +111,8 @@ def lambda_schedule(host: WeightedGraph):
     return out
 
 
-def skeleton_rate(n, eps, lambda_guess, factor=12.0) -> float:
-    return min(1.0, factor * math.log(max(n, 2)) / (eps * eps * lambda_guess))
+def skeleton_rate(n, eps, lambda_guess) -> float:
+    return min(1.0, SKELETON_RATE_FACTOR * math.log(max(n, 2)) / (eps * eps * lambda_guess))
 
 
 def build_skeleton(host: WeightedGraph, eps, lambda_guess, rng) -> Skeleton:
@@ -149,13 +149,13 @@ def trees_to_run(host: WeightedGraph, eps, seed, cfg: PipelineConfig):
     identical trees are solved once; every distinct packed tree is run.
     """
     schedule = lambda_schedule(host)
-    k = cfg.trees_override or max(1, math.ceil(cfg.trees_factor * math.log(max(host.n, 2))))
+    k = cfg.trees_override or max(1, math.ceil(TREES_FACTOR * math.log(max(host.n, 2))))
     unique = []
     seen = set()
     packed_total = 0
     exact_done = False
     for j, guess in enumerate(schedule):
-        p = skeleton_rate(host.n, eps, guess, cfg.skeleton_rate_factor)
+        p = skeleton_rate(host.n, eps, guess)
         if p >= 1:
             if exact_done:
                 continue
@@ -176,33 +176,28 @@ def trees_to_run(host: WeightedGraph, eps, seed, cfg: PipelineConfig):
 def _providers_for(g, mode, eps, seed, cfg):
     if mode == "sequential":
         provider = SequentialProvider(g)
-        threshold = cfg.sparsify_threshold_factor * g.n * max(1, ceil_log2(max(g.n, 2))) ** 2
-        if g.m > threshold:
-            host = build_proxy_graph(g, eps, rng_for(seed, 4), cfg.proxy_forest_factor, cfg.proxy_budget_factor)
-        else:
-            host = g
-        return provider, host, None
+        threshold = SPARSIFY_FACTOR * g.n * max(1, ceil_log2(max(g.n, 2))) ** 2
+        host = build_proxy_graph(g, eps) if g.m > threshold else g
+        return provider, host
     if mode == "cut-query":
         from .cutquery import CutOracle, QueryProvider
         oracle = CutOracle(g)
-        proxy = build_proxy_graph(oracle, eps, rng_for(seed, 4), cfg.proxy_forest_factor, cfg.proxy_budget_factor)
-        provider = QueryProvider(oracle, proxy)
-        return provider, proxy, oracle
+        proxy = build_proxy_graph(oracle, eps)
+        return QueryProvider(oracle, proxy), proxy
     if mode == "streaming":
         from .streaming import StreamHarness, StreamProvider
-        harness = StreamHarness(g, seed=seed, churn=cfg.churn, words_budget=_words_budget(g.n, cfg))
-        proxy = build_proxy_graph(harness, eps, rng_for(seed, 4), cfg.proxy_forest_factor, cfg.proxy_budget_factor)
-        provider = StreamProvider(harness, proxy)
-        return provider, proxy, None
+        harness = StreamHarness(g, seed=seed, churn=cfg.churn, words_budget=_words_budget(g.n))
+        proxy = build_proxy_graph(harness, eps)
+        return StreamProvider(harness, proxy), proxy
     raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
 
 
-def _words_budget(n, cfg):
+def _words_budget(n):
     # asymptotic budget; tiny instances are floored because fixed sketch
     # overhead dominates them
     n_eff = max(n, 32)
     lg = max(1, ceil_log2(n_eff))
-    return int(cfg.tracked_words_factor * n_eff * lg**3)
+    return int(TRACKED_WORDS_FACTOR * n_eff * lg**3)
 
 
 def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
@@ -221,7 +216,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     seed = as_seed(rng)
     started = time.monotonic()
 
-    provider, host, _ = _providers_for(g, mode, eps, seed, cfg)
+    provider, host = _providers_for(g, mode, eps, seed, cfg)
     trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg)
 
     sample_graph, proxy = sampling_source(provider, g)
@@ -233,7 +228,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         ctx = TreeContext(t)
         sink = SearchSink()
         wc_seed = int(rng_for(seed, 7, ti).integers(1 << 62))
-        tasks.append(two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink, cfg.sample_multiplier))
+        tasks.append(two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink))
         sinks.append(sink)
         ctxs.append(ctx)
     run_lockstep(tasks, provider)

@@ -30,12 +30,7 @@ class EdgePointSet:
     def __init__(self, g: WeightedGraph, t: RootedSpanTree):
         self.xs, self.ys = edge_points(t.po, g.eu, g.ev)
         self.ws = g.ew.copy()
-        self.ids = np.arange(g.m, dtype=np.int64)
-        self.n = t.n
         assert (self.xs < self.ys).all(), "self-loops cannot appear as points"
-
-    def __len__(self):
-        return len(self.xs)
 
 
 class WeightRangeIndex:

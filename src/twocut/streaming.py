@@ -16,10 +16,10 @@ The sketch bank holds the linear L0 sketches (Ahn-Guha-McGregor): per
 weight class and vertex, a few independent copies of level-sampled
 one-sparse recovery cells over the signed edge-incidence vector. Summing
 rows over a component cancels its inner edges and exposes one boundary
-edge; one recover call does so for every component of a Boruvka sweep,
-which drives the spanning-forest peeling behind the stream sparsifier.
-Recovered forests are subtracted (linearity) and peeling repeats until the
-class is exhausted.
+edge; one recover call does so for every component of a Boruvka sweep.
+The stream sparsifier runs proxy.peel_forests once per weight class with
+that call as its edge source: each finished forest is subtracted from the
+cells (linearity) and peeling repeats until the class is exhausted.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import numpy as np
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
 from .provider import CostProvider
-from .proxy import ResourceBudgetError, forests_per_class, proxy_edge_budget
+from .proxy import ResourceBudgetError, forests_per_class, peel_forests, proxy_edge_budget
 from .rangeindex import edge_points
-from .util import DisjointSets, bit_lengths, ceil_log2, rng_for
+from .util import bit_lengths, ceil_log2, rng_for
 
 # fingerprint moduli and their roots, one row per fingerprint
 _PRIMES = np.array([[1048573], [1048583]])
@@ -48,7 +48,6 @@ class StreamHarness:
             raise ValueError("churn must be nonnegative")
         self.n = g.n
         self.seed = seed
-        self.churn = churn
         self.words_budget = words_budget
         rng = rng_for(seed, 11)
         # every edge once, plus an insert/delete pair per churned draw, shuffled
@@ -237,44 +236,23 @@ class SketchBank:
         return out
 
 
-def build_proxy_via_stream(harness: StreamHarness, eps, rng, c4=1.0, c3=4.0) -> WeightedGraph:
-    """Sparsifier from one sketch pass plus local per-class forest peeling."""
+def build_proxy_via_stream(harness: StreamHarness, eps) -> WeightedGraph:
+    """Sparsifier from one sketch pass plus local per-class forest peeling.
+
+    Sweep i of a forest reads sketch copy i mod copies, so a forest ends
+    once every copy in turn has failed to add an edge.
+    """
     n = harness.n
     observed = np.unique(bit_lengths(np.abs(harness.wdelta[harness.wdelta != 0])) - 1).tolist()
     copies = ceil_log2(max(n, 2)) + 2
     bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies)
     harness.fill_bank(bank)
-    budget = proxy_edge_budget(n, eps, c3)
-    cap = forests_per_class(n, eps, c4)
+    budget = proxy_edge_budget(n, eps)
+    rounds = forests_per_class(n, eps)
     kept = []
     for cls in observed:
-        for _ in range(cap):
-            ds = DisjointSets(n)
-            forest = []
-            streak = 0
-            sweep = 0
-            while ds.count > 1 and streak < copies:
-                copy = sweep % copies
-                sweep += 1
-                label = {}  # component root -> label, in order of first vertex
-                labels = [label.setdefault(ds.find(v), len(label)) for v in range(n)]
-                sizes = np.bincount(labels)
-                progress = False
-                for root, size, got in zip(label, sizes, bank.recover(cls, copy, labels)):
-                    # skip components already merged this sweep: root or size moved
-                    if got is None or ds.find(root) != root or ds.size[root] != size:
-                        continue
-                    u, v, w = got
-                    if ds.union(u, v):
-                        forest.append((u, v, w))
-                        progress = True
-                streak = 0 if progress else streak + 1
-            if not forest:
-                break
-            bank.subtract_edges(forest)
-            kept.extend(forest)
-            if len(kept) > budget:
-                raise ResourceBudgetError(f"stream proxy exceeded {budget} edges")
+        peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels),
+                     bank.subtract_edges, rounds, copies, budget, kept)
     return WeightedGraph(n, kept, require_connected=True)
 
 
@@ -302,7 +280,10 @@ class StreamProvider(CostProvider):
         return out
 
 
-def stream_provider(harness: StreamHarness, eps=0.1, rng=None, c4=1.0, c3=4.0) -> StreamProvider:
-    """Provider over a dynamic stream, sparsifier filled in a single pass."""
-    proxy = build_proxy_via_stream(harness, eps, rng, c4, c3)
+def stream_provider(harness: StreamHarness, eps=0.1, rng=None) -> StreamProvider:
+    """Provider over a dynamic stream, sparsifier filled in a single pass.
+
+    `rng` is accepted and unused: the sketches draw from the harness seed.
+    """
+    proxy = build_proxy_via_stream(harness, eps)
     return StreamProvider(harness, proxy)

@@ -73,13 +73,11 @@ class SearchSink:
     value: Optional[int] = None
     pair: Optional[TreeEdgePair] = None
     probes: int = 0
-    rounds: int = 0
 
     def complete(self, best: BestTracker, ledger: ProbeLedger):
         self.value = best.value
         self.pair = best.pair
         self.probes = ledger.probes
-        self.rounds = ledger.levels
 
 
 def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
@@ -128,8 +126,7 @@ def interest_checks(d, sample_graph: WeightedGraph, proxy, seed, multiplier=DEFA
     return cross, down
 
 
-def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed, sink: SearchSink,
-                     multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
     sample_graph backs candidate sampling (the sparsifier when values are
@@ -156,7 +153,7 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
         if path_solvers:
             yield from _drive_solvers(ctx, path_solvers, best)
 
-        cross, down = interest_checks(d, sample_graph, proxy, seed, multiplier)
+        cross, down = interest_checks(d, sample_graph, proxy, seed)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -196,8 +193,7 @@ def sampling_source(provider, g: WeightedGraph):
     return g, None
 
 
-def min_2respect(g: WeightedGraph, t, provider, rng=None,
-                 multiplier=DEFAULT_SAMPLE_MULTIPLIER, tree_index=0) -> CutResult:
+def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     """Exact minimum 2-respecting cut of (g, t) through the given provider,
     with high probability; all returned values are exact in g."""
     if g.n < 2:
@@ -205,9 +201,9 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None,
     ctx = TreeContext(t)
     sample_graph, proxy = sampling_source(provider, g)
     seed = as_seed(rng)
-    wc_seed = int(rng_for(seed, 7, tree_index).integers(1 << 62))
+    wc_seed = int(rng_for(seed, 7, 0).integers(1 << 62))  # the pipeline's stream for tree 0
     sink = SearchSink()
-    task = two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink, multiplier)
+    task = two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink)
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

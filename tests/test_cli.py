@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from twocut.cli import EXIT_DISCONNECTED, EXIT_OK, EXIT_PARSE, main
+from twocut import packing
+from twocut.cli import EXIT_BUDGET, EXIT_DISCONNECTED, EXIT_OK, EXIT_PARSE, main
+from twocut.graph import load_graph
+from twocut.packing import PipelineConfig, min_cut_pipeline
 
 GSTAR_TEXT = "p 5 6\n0 1 1\n1 2 1\n0 3 1\n3 4 1\n2 4 4\n1 3 2\n"
 
@@ -44,6 +47,21 @@ def test_report_partition(gstar_file, capsys):
     assert code == EXIT_OK
     side = [int(tok) for tok in out.splitlines()[1].split(":")[1].split()]
     assert 0 < len(side) < 5
+
+
+def test_trees_override(gstar_file, capsys):
+    code = main(["--input", str(gstar_file), "--trees", "2", "--verify", "oracle"])
+    assert code == EXIT_OK
+    assert "min cut value: 2" in capsys.readouterr().out
+    g = load_graph(GSTAR_TEXT)
+    assert min_cut_pipeline(g, rng=7)[1].trees_packed == 10
+    assert min_cut_pipeline(g, rng=7, config=PipelineConfig(trees_override=2))[1].trees_packed == 2
+
+
+def test_budget_exit_code(gstar_file, capsys, monkeypatch):
+    monkeypatch.setattr(packing, "TRACKED_WORDS_FACTOR", 0.01)
+    assert main(["--mode", "streaming", "--input", str(gstar_file)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""The three cost models: oracle accounting, stream passes, sketches, sampling."""
+"""The three cost models: oracle accounting, stream passes, forest peeling, sketches, sampling."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from twocut import cutquery, packing
 from twocut.cutquery import (
     CutOracle,
     QueryProvider,
@@ -19,16 +22,16 @@ from twocut.graph import (
     oracle_min_cut,
     pair_cut_value,
 )
-from twocut.packing import PipelineConfig, min_cut_pipeline
+from twocut.packing import min_cut_pipeline
 from twocut.provider import TreeContext
-from twocut.proxy import ResourceBudgetError
+from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
 from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream
 from twocut.util import ceil_log2
 
-from conftest import make_gstar, random_instance, random_spanning_tree_edges
+from conftest import make_gstar, random_connected_graph, random_instance, random_spanning_tree_edges
 
 
 # ---- cut-query oracle ----
@@ -88,8 +91,7 @@ def test_recover_none_when_isolated():
     from twocut.cutquery import PeeledEdges
 
     peeled = PeeledEdges()
-    for u, v, w in g.edges:
-        peeled.add(u, v, w)
+    peeled.extend(g.edges)
     assert recover_crossing_edge(oracle, {0, 1}, peeled=peeled) is None
 
 
@@ -98,7 +100,7 @@ def test_oracle_proxy_small_graphs_exact():
     for i in range(15):
         g, _ = random_instance(rng, 4, 12)
         oracle = CutOracle(g)
-        h = build_proxy_via_oracle(oracle, eps=0.1, rng=np.random.default_rng(i))
+        h = build_proxy_via_oracle(oracle, eps=0.1)
         assert h.edges == g.edges
 
 
@@ -309,7 +311,7 @@ def test_stream_proxy_small_graphs_exact():
     for i in range(10):
         g, _ = random_instance(rng, 4, 12)
         h = StreamHarness(g, seed=100 + i, churn=0.5)
-        proxy = build_proxy_via_stream(h, eps=0.1, rng=None)
+        proxy = build_proxy_via_stream(h, eps=0.1)
         assert proxy.edges == g.edges
         assert h.pass_count == 1
 
@@ -331,11 +333,134 @@ def test_stream_word_budget_refuses_bank_before_allocating(monkeypatch):
         banks.append(self)
 
     monkeypatch.setattr(SketchBank, "__init__", spy)
+    monkeypatch.setattr(packing, "TRACKED_WORDS_FACTOR", 0.01)
     g, _ = make_gstar()
     with pytest.raises(ResourceBudgetError):
-        min_cut_pipeline(g, "streaming", rng=1, config=PipelineConfig(tracked_words_factor=0.01))
+        min_cut_pipeline(g, "streaming", rng=1)
     assert len(banks) == 1
     assert "cells" not in vars(banks[0])  # no cell array was allocated
+
+
+# ---- forest peeling ----
+
+
+def leaving(residual, labels, c):
+    """The first residual edge with exactly one end labelled c, or None."""
+    return next(((u, v, w) for u, v, w in residual if (labels[u] == c) != (labels[v] == c)), None)
+
+
+def subtracting(residual):
+    def subtract(forest):
+        for e in forest:
+            residual.remove(e)
+    return subtract
+
+
+def test_peel_forests_skips_components_merged_this_sweep():
+    # {1} and {3} merge into earlier components during sweep 0, so their
+    # edges (both (1, 3, 2)) are not asked for lazily and are skipped eagerly
+    edges = [(1, 3, 2), (0, 1, 1), (2, 3, 3), (3, 4, 4)]
+    asked = []
+
+    def lazy(sweep, labels, live):
+        for c in range(max(labels) + 1):
+            if live(c):
+                asked.append((sweep, c))
+                yield leaving(residual, labels, c)
+            else:
+                yield None
+
+    def eager(sweep, labels, live):
+        return [leaving(residual, labels, c) for c in range(max(labels) + 1)]
+
+    for recover in (lazy, eager):
+        residual = list(edges)
+        kept = peel_forests(5, recover, subtracting(residual), 10, 1, 100, [])
+        assert kept == [(0, 1, 1), (2, 3, 3), (3, 4, 4), (1, 3, 2)]
+        assert residual == []
+    # forest 1: sweep 0 and one sweep over {0, 1} | {2, 3, 4}; forest 2 finds nothing
+    assert asked == [(0, 0), (0, 2), (0, 4), (1, 0)] + [(0, c) for c in range(5)]
+
+
+def test_peel_forests_ends_a_forest_after_patience_idle_sweeps():
+    residual = [(0, 1, 1), (1, 2, 2)]
+    sweeps = []
+
+    def recover(sweep, labels, live):
+        # only sweep 2 of a forest finds anything, and only for label 0
+        sweeps.append(sweep)
+        return [leaving(residual, labels, 0) if sweep == 2 else None] + [None] * max(labels)
+
+    kept = peel_forests(3, recover, subtracting(residual), 10, 3, 100, [])
+    assert kept == [(0, 1, 1)]
+    # forest 1: idle, idle, union, then three idle sweeps; forest 2: three idle
+    # sweeps (sweep 2 has no edge leaving {0} left), empty, so peeling stops
+    assert sweeps == [0, 1, 2, 3, 4, 5, 0, 1, 2]
+
+
+def test_peel_forests_raises_after_keeping_the_forest_past_budget():
+    residual = [(0, 1, 1), (1, 2, 2), (0, 2, 3)]
+    subtracted = []
+
+    def subtract(forest):
+        subtracted.append(list(forest))
+        subtracting(residual)(forest)
+
+    def recover(sweep, labels, live):
+        return [leaving(residual, labels, c) for c in range(max(labels) + 1)]
+
+    kept = []
+    with pytest.raises(ResourceBudgetError):
+        peel_forests(3, recover, subtract, 10, 1, 2, kept)
+    # the first forest meets the budget exactly; the second passes it
+    assert subtracted == [[(0, 1, 1), (1, 2, 2)], [(0, 2, 3)]]
+    assert kept == [(0, 1, 1), (1, 2, 2), (0, 2, 3)]
+
+
+# (n, extra, wmax, churn, seed, zero every third weight) ->
+#   (oracle query_count, recover_crossing_edge calls,
+#    stream pass_count, tracked_words, SketchBank.recover calls, subtract_edges calls)
+# The last two graphs are the query-heavy and stream-dense-churn bench instances.
+PINNED_PROXIES = [
+    ((4, 2.0, 10, 0.0, 1, False), (45, 18, 1, 2560, 32, 4)),
+    ((9, 2.0, 1 << 32, 0.5, 2, False), (218, 47, 1, 9072, 41, 4)),
+    ((17, 3.0, 10, 1.0, 3, False), (791, 137, 1, 34272, 82, 6)),
+    ((25, 2.0, 1 << 32, 0.0, 4, False), (914, 191, 1, 56000, 80, 6)),
+    ((30, 4.0, 10, 0.5, 5, True), (1475, 221, 1, 67200, 83, 6)),
+    ((60, 3.0, 1 << 32, 0.5, 6, False), (3951, 552, 1, 368640, 171, 11)),
+    ((48, 8.0, 1 << 32, 0.0, 3000, False), (8081, 1244, 1, 294912, 193, 15)),
+    ((128, 24.0, 10, 0.5, 3000, False), (79147, 11737, 1, 552960, 305, 30)),
+]
+
+
+@pytest.mark.parametrize("spec, want", PINNED_PROXIES, ids=[str(spec[:5]) for spec, _ in PINNED_PROXIES])
+def test_model_proxies_pinned(spec, want, monkeypatch):
+    n, extra, wmax, churn, seed, zeros = spec
+    g = random_connected_graph(np.random.default_rng(seed), n, extra, wmax)
+    if zeros:
+        g = WeightedGraph(n, [(u, v, w if k % 3 else 0) for k, (u, v, w) in enumerate(g.edges)])
+    calls = Counter()
+
+    def count(obj, name):
+        fn = getattr(obj, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, spy)
+
+    for obj, name in ((cutquery, "recover_crossing_edge"), (SketchBank, "recover"), (SketchBank, "subtract_edges")):
+        count(obj, name)
+    oracle = CutOracle(g)
+    oracle_proxy = build_proxy_via_oracle(oracle, eps=0.1)
+    harness = StreamHarness(g, seed=seed, churn=churn)
+    stream_proxy = build_proxy_via_stream(harness, eps=0.1)
+    # peeling exhausts these graphs; no forest can hold a zero-weight edge
+    assert oracle_proxy.edges == stream_proxy.edges == [e for e in g.edges if e[2]]
+    got = (oracle.query_count, calls["recover_crossing_edge"], harness.pass_count, harness.tracked_words,
+           calls["recover"], calls["subtract_edges"])
+    assert got == want
 
 
 # ---- sketches ----

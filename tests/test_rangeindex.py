@@ -33,7 +33,7 @@ def weight_index(g, t):
 
 def sample_index(g, t, seed):
     pts = EdgePointSet(g, t)
-    return SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed)
+    return SampleRangeIndex(pts.xs, pts.ys, np.arange(g.m), seed)
 
 
 def test_gstar_point_set():
@@ -168,9 +168,9 @@ def test_sample_rect_determinism_per_seed():
     rng = np.random.default_rng(11)
     g, t = random_instance(rng, 10, 14, extra=3.0)
     pts = EdgePointSet(g, t)
-    a = SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed=42)
-    b = SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed=42)
-    c = SampleRangeIndex(pts.xs, pts.ys, pts.ids, seed=43)
+    a = SampleRangeIndex(pts.xs, pts.ys, np.arange(g.m), seed=42)
+    b = SampleRangeIndex(pts.xs, pts.ys, np.arange(g.m), seed=42)
+    c = SampleRangeIndex(pts.xs, pts.ys, np.arange(g.m), seed=43)
     assert (a.point_level == b.point_level).all()
     ra = a.sample_rect(0, g.n - 1, 0, g.n - 1, 3)
     rb = b.sample_rect(0, g.n - 1, 0, g.n - 1, 3)
