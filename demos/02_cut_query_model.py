@@ -33,7 +33,7 @@ print("one cut query:", oracle.cut({0, 1, 2}), f"({oracle.query_count} queries s
 print("a crossing, 3 queries:", oracle_cross_weight(oracle, {0, 1}, {2, 3}),
       f"({oracle.query_count} total)")
 before = oracle.query_count
-edge = recover_crossing_edge(oracle, set(range(10)), rng, mode="uniform")
+edge = recover_crossing_edge(oracle, set(range(10)))
 print(f"recovered boundary edge {edge} in {oracle.query_count - before} queries "
       f"(budget {6 * ceil_log2(n)})")
 

@@ -34,8 +34,7 @@ def build_parser():
         description="Exact weighted min cut via 2-respecting tree cuts.",
     )
     p.add_argument("--mode", choices=("sequential", "cut-query", "streaming"), default="sequential")
-    p.add_argument("--input", required=True, help="edge-list file: 'p n m' header then 'u v w' lines")
-    p.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
+    p.add_argument("--input", required=True, help="edge-list file: 'p n m' header then 'u v w' (or DIMACS 'a u v w') lines")
     p.add_argument("--epsilon", type=float, default=0.1, help="sparsifier accuracy, in (0, 1/10]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--churn", type=float, default=0.0, help="extra insert/delete pairs per edge (streaming)")

@@ -113,15 +113,13 @@ class PeeledEdges:
         return int(w[hit].sum())
 
 
-def recover_crossing_edge(oracle: CutOracle, side, rng=None, mode="any", peeled=None):
+def recover_crossing_edge(oracle: CutOracle, side, peeled=None):
     """One edge leaving `side`, or None, in at most 6 ceil(log2 n) queries.
 
     Bisects a fixed vertex ordering of the outside to pin the far endpoint,
-    then bisects inside to pin the near one. mode "any" follows nonzero
-    halves; mode "uniform" picks halves with probability proportional to
-    their crossing weight, which makes the returned edge weighted-uniform
-    among all crossing edges. Known peeled edges are subtracted locally, so
-    the recovery works on the residual graph.
+    then bisects inside to pin the near one, each time following the first
+    half with nonzero crossing weight. Known peeled edges are subtracted
+    locally, so the recovery works on the residual graph.
     """
     if peeled is None:
         peeled = PeeledEdges()
@@ -139,16 +137,10 @@ def recover_crossing_edge(oracle: CutOracle, side, rng=None, mode="any", peeled=
             mh = np.zeros(n, dtype=bool)
             mh[half] = True
             c1 = _residual_cross(oracle, peeled, against, mh)
-            if mode == "uniform":
-                take_first = rng.random() < (c1 / current if current else 0.0)
-            else:
-                take_first = c1 > 0
-            if take_first:
-                cand = half
-                current = c1
-            else:
+            if c1 > 0:
+                cand, current = half, c1
+            else:  # the other half carries all of current
                 cand = cand[len(cand) // 2 :]
-                current = current - c1
         return cand[0], current
 
     outside = [v for v in range(n) if not mask[v]]

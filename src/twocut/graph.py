@@ -212,7 +212,6 @@ class RootedSpanTree:
         self._po = po.tolist()
         self._lo = lo.tolist()
         self._hi = self._po
-        self._depth = depth.tolist()
 
     def tree_edges(self):
         """Tree edges as (parent, child) pairs, one per non-root vertex."""

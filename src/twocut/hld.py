@@ -51,7 +51,6 @@ class PathDecomposition:
         self.paths = paths
         self.path_of = path_of
         self.top_edge = np.asarray([p[0] for p in paths], dtype=np.int64) if paths else np.zeros(0, np.int64)
-        self._path_of = path_of.tolist()
         # array forms for the batched walks: all paths back to back (so an
         # edge's position there orders by path, then depth), each edge's
         # position, and per path its offset and the depth of its top edge

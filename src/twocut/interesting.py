@@ -19,6 +19,10 @@ over the two boundary rectangles of every subtree in every weight class, one
 walk of the decomposition's per-vertex path tables for all sampled
 endpoints, and one sparsifier filter call per interest kind. Candidates travel as (e, f)
 rows of tree-edge children; f's decomposition path is path_of[f].
+
+Once the exact checks have run, pair_solver_inputs groups the verified rows
+by path pair with one sort of packed (path pair, position of e) keys and
+returns the row and column lists of every Step 5 bipartite instance.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .rangeindex import SampleRangeIndex, edge_points, sample_rects, subtree_sum
 from .util import bit_lengths, ceil_log2
 
 DEFAULT_SAMPLE_MULTIPLIER = 4
-
-CROSS = "cross"
-DOWN = "down"
 
 
 class WeightClassIndex:
@@ -154,44 +155,42 @@ def _distinct_rows(e, f, keep, n):
     return np.stack((keys // n, keys % n), axis=1)
 
 
-class PairAccumulator:
-    """Ordered map from unordered path pairs to marked edges per side.
+def pair_solver_inputs(d: PathDecomposition, cross, down, ok):
+    """Step 5 instances from the verified Step 4 rows, as (rows, cols) lists.
 
-    Cross keys are canonicalized smaller path id first; down keys keep their
-    (upper, lower) roles. Insertions are idempotent; drain yields each pair
-    once, in key order, with side sets sorted top-to-bottom along the path.
-    For down pairs only the upper side carries explicit marks (the lower
-    path's relevant segment is materialized by the pairing step).
+    cross, down: the (e, f) rows of interest_checks; ok: one bool per row,
+    cross rows first, true where the exact check passed. A verified row
+    marks e on its own path. A cross instance pairs two paths that both
+    carry marks, each side top to bottom, the smaller path id's as rows. A
+    down instance takes the upper path's marks bottom to top as rows and the
+    whole lower path as columns: a path holding an edge below e, but not e,
+    lies inside e's subtree. Cross instances come first, each kind ordered
+    by its (path, path) key.
     """
+    n, paths = d.tree.n, len(d.paths)
+    out = []
+    e, f = cross[ok[: len(cross)]].T
+    p, q = d.path_of[e], d.path_of[f]
+    keys, marks, first, last = _marks_by_pair(d, np.minimum(p, q) * paths + np.maximum(p, q), e)
+    # a pair's marks on its smaller path come first; the larger path's start there
+    pair = keys[first] // n
+    split = np.searchsorted(keys, pair * n + d.start[pair % paths])
+    for a, s, b in zip(first.tolist(), split.tolist(), last.tolist()):
+        if a < s < b:
+            out.append((marks[a:s], marks[s:b]))
+    e, f = down[ok[len(cross) :]].T
+    keys, marks, first, last = _marks_by_pair(d, d.path_of[e] * paths + d.path_of[f], e)
+    for a, b, q in zip(first.tolist(), last.tolist(), (keys[first] // n % paths).tolist()):
+        out.append((marks[a:b][::-1], d.paths[q]))
+    return out
 
-    def __init__(self, d: PathDecomposition):
-        self.d = d
-        self._entries = {}
 
-    def accumulate(self, p, q, e, kind):
-        if kind == CROSS:
-            if p == q:
-                raise ValueError("cross pair needs two distinct paths")
-            a, b = (p, q) if p < q else (q, p)
-            key = (0, a, b)
-            entry = self._entries.setdefault(key, (set(), set()))
-            entry[0 if p == a else 1].add(e)
-        elif kind == DOWN:
-            key = (1, p, q)
-            entry = self._entries.setdefault(key, (set(), set()))
-            entry[0].add(e)
-        else:
-            raise ValueError(f"unknown kind {kind}")
-
-    def drain(self):
-        depth = self.d.tree._depth
-        for key in sorted(self._entries):
-            tag, p, q = key
-            first, second = self._entries[key]
-            yield (
-                p,
-                sorted(first, key=depth.__getitem__),
-                q,
-                sorted(second, key=depth.__getitem__),
-                CROSS if tag == 0 else DOWN,
-            )
+def _marks_by_pair(d, pair, e):
+    """Distinct keys pair * n + pos[e] in ascending order, the mark e of each
+    key, and the [first, last) bounds of each pair's run of keys. d.pos
+    orders edges by path, then depth, so a run lists its marks path by
+    path, top down."""
+    n = d.tree.n
+    keys = np.unique(pair * n + d.pos[e])
+    first = np.flatnonzero(np.diff(keys // n, prepend=-1))
+    return keys, d.flat[keys % n].tolist(), first, np.append(first[1:], len(keys))

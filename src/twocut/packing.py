@@ -142,14 +142,17 @@ def build_skeleton(host: WeightedGraph, eps, lambda_guess, rng) -> Skeleton:
     raise GraphError("skeleton stayed disconnected after rate doubling")
 
 
-def trees_to_run(host: WeightedGraph, eps, seed, cfg: PipelineConfig):
+def trees_to_run(host: WeightedGraph, eps, seed, trees_override=None):
     """Packed trees across the guess schedule, deduplicated.
 
+    Each guess packs trees_override trees, or ceil(c2 ln n) when it is None.
     Guesses whose skeleton rate saturates at 1 share one exact packing, and
     identical trees are solved once; every distinct packed tree is run.
     """
     schedule = lambda_schedule(host)
-    k = cfg.trees_override or max(1, math.ceil(TREES_FACTOR * math.log(max(host.n, 2))))
+    k = trees_override
+    if k is None:
+        k = max(1, math.ceil(TREES_FACTOR * math.log(max(host.n, 2))))
     unique = []
     seen = set()
     packed_total = 0
@@ -213,11 +216,13 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     if not (0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 1/10]")
     cfg = config or PipelineConfig()
+    if cfg.trees_override is not None and cfg.trees_override < 1:
+        raise ValueError(f"the packed tree count must be at least 1, got {cfg.trees_override}")
     seed = as_seed(rng)
     started = time.monotonic()
 
     provider, host = _providers_for(g, mode, eps, seed, cfg)
-    trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg)
+    trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg.trees_override)
 
     sample_graph, proxy = sampling_source(provider, g)
     tasks = []

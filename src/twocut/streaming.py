@@ -24,6 +24,7 @@ cells (linearity) and peeling repeats until the class is exhausted.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -44,8 +45,8 @@ class StreamHarness:
     """Seeded dynamic edge stream over a hidden source graph."""
 
     def __init__(self, g: WeightedGraph, seed=0, churn=0.0, words_budget=None):
-        if churn < 0:
-            raise ValueError("churn must be nonnegative")
+        if not (math.isfinite(churn) and churn >= 0):
+            raise ValueError(f"churn must be finite and nonnegative, got {churn}")
         self.n = g.n
         self.seed = seed
         self.words_budget = words_budget

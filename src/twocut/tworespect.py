@@ -5,7 +5,9 @@ into heavy paths. Step 3 runs the pair solver inside each path. Step 4
 samples subtree boundaries to discover cross-/down-interesting partner
 paths and verifies them exactly (through a sparsifier 1/3-filter first when
 the provider carries one). Step 5 solves a bipartite instance per verified
-path pair over the marked edges. The minimum over everything probed is the
+path pair over the marked edges; the verified rows stay int64 arrays from
+the Step 4 values to interesting.pair_solver_inputs, which hands back each
+instance's row and column lists. The minimum over everything probed is the
 answer, with high probability equal to the true 2-respecting minimum.
 
 The search is a generator yielding (context, request) batches. Each yield is
@@ -34,13 +36,11 @@ from .graph import (
 )
 from .hld import decompose
 from .interesting import (
-    CROSS,
-    DOWN,
     DEFAULT_SAMPLE_MULTIPLIER,
-    PairAccumulator,
     ProxyFilter,
     build_weight_classes,
     candidate_tops,
+    pair_solver_inputs,
     sample_cross_candidates,
 )
 from .interval import BipartiteSolver, ProbeLedger, self_pair_solvers
@@ -139,8 +139,9 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
     kids = t.edge_children()
 
     singles = yield [(ctx, DegSubtree(v)) for v in kids]
-    deg = dict(zip(kids, singles))
-    for v, val in deg.items():
+    deg = np.zeros(t.n, dtype=np.int64)
+    deg[kids] = singles
+    for v, val in zip(kids, singles):
         best.offer(val, TreeEdgePair(SINGLE, v))
 
     if len(kids) >= 2:
@@ -159,25 +160,9 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
         reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
         values = yield reqs
 
-        acc = PairAccumulator(d)
-        path_of = d._path_of
-        for e, f, v in zip(ce, cf, values[: len(ce)]):
-            if 2 * v > deg[e]:
-                acc.accumulate(path_of[e], path_of[f], e, CROSS)
-        for e, f, v in zip(de, df, values[len(ce) :]):
-            if 2 * v > deg[e]:
-                acc.accumulate(path_of[e], path_of[f], e, DOWN)
-
-        pair_solvers = []
-        for p, marks_p, q, marks_q, kind in acc.drain():
-            if kind == CROSS:
-                if marks_p and marks_q:
-                    pair_solvers.append(BipartiteSolver(marks_p, marks_q, ledger))
-            else:
-                top = marks_p[0]
-                cols = [f for f in d.paths[q] if t._lo[top] <= t._lo[f] and t._hi[f] <= t._hi[top]]
-                if cols:
-                    pair_solvers.append(BipartiteSolver(list(reversed(marks_p)), cols, ledger))
+        # 2 v > deg exactly, without doubling v in int64
+        ok = np.asarray(values, dtype=np.int64) > deg[np.concatenate((cross[:, 0], down[:, 0]))] // 2
+        pair_solvers = [BipartiteSolver(rows, cols, ledger) for rows, cols in pair_solver_inputs(d, cross, down, ok)]
         if pair_solvers:
             yield from _drive_solvers(ctx, pair_solvers, best)
 

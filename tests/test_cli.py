@@ -58,6 +58,20 @@ def test_trees_override(gstar_file, capsys):
     assert min_cut_pipeline(g, rng=7, config=PipelineConfig(trees_override=2))[1].trees_packed == 2
 
 
+@pytest.mark.parametrize("trees", [-1, 0])
+def test_trees_below_one_refused(gstar_file, capsys, trees):
+    assert main(["--input", str(gstar_file), "--trees", str(trees)]) == EXIT_PARSE
+    assert "tree count must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="at least 1"):
+        min_cut_pipeline(load_graph(GSTAR_TEXT), rng=7, config=PipelineConfig(trees_override=trees))
+
+
+@pytest.mark.parametrize("churn", ["inf", "nan"])
+def test_non_finite_churn_refused(gstar_file, capsys, churn):
+    assert main(["--mode", "streaming", "--churn", churn, "--input", str(gstar_file)]) == EXIT_PARSE
+    assert "error: churn must be finite" in capsys.readouterr().err
+
+
 def test_budget_exit_code(gstar_file, capsys, monkeypatch):
     monkeypatch.setattr(packing, "TRACKED_WORDS_FACTOR", 0.01)
     assert main(["--mode", "streaming", "--input", str(gstar_file)]) == EXIT_BUDGET

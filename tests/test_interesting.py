@@ -1,5 +1,6 @@
-"""Interest discovery: thresholds, structure laws, sampling coverage, and the
-per-tree batch against a scalar per-edge reference."""
+"""Interest discovery: thresholds, structure laws, sampling coverage, the
+per-tree batch against a scalar per-edge reference, and the Step 5 pairing
+against a scalar per-row reference."""
 
 import itertools
 
@@ -9,11 +10,9 @@ import pytest
 from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cross_weight, cut_of_partition
 from twocut.hld import decompose
 from twocut.interesting import (
-    CROSS,
-    DOWN,
-    PairAccumulator,
     ProxyFilter,
     build_weight_classes,
+    pair_solver_inputs,
     sample_cross_candidates,
     sample_k,
 )
@@ -26,6 +25,9 @@ from twocut.tworespect import interest_checks
 
 from conftest import make_gstar, random_connected_graph, random_instance
 from test_hld import brute_lca, walk_tops
+
+CROSS = "cross"
+DOWN = "down"
 
 
 def exhaustive_interest(g, t):
@@ -103,22 +105,62 @@ def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
     return sorted(cross), sorted(down)
 
 
-def verified_partners(g, t, d, seed):
+def verified_rows(g, t, d, seed, multiplier=4):
     """Step 4 end to end on one tree: the batch, then the exact strict-half
     check of every row through a SequentialProvider, as the pipeline does.
-    Returns {e: (cross path ids, down path ids)}."""
+    Returns (cross, down, ok), ok aligned with the cross rows, then down."""
     provider = SequentialProvider(g)
     ctx = TreeContext(t)
-    cross, down = (rows.tolist() for rows in interest_checks(d, g, None, seed))
+    cross, down = interest_checks(d, g, None, seed, multiplier)
     kids = t.edge_children()
     reqs = [(ctx, DegSubtree(e)) for e in kids]
-    reqs += [(ctx, CrossSub(e, f)) for e, f in cross] + [(ctx, CrossNested(f, e)) for e, f in down]
+    reqs += [(ctx, CrossSub(e, f)) for e, f in cross.tolist()]
+    reqs += [(ctx, CrossNested(f, e)) for e, f in down.tolist()]
     values = provider.batch_eval(reqs)
     deg = dict(zip(kids, values))
-    out = {e: (set(), set()) for e in kids}
-    for i, ((e, f), v) in enumerate(zip(cross + down, values[len(kids):])):
-        if 2 * v > deg[e]:
+    rows = cross.tolist() + down.tolist()
+    ok = np.array([2 * v > deg[e] for (e, _), v in zip(rows, values[len(kids):])], dtype=bool)
+    return cross, down, ok
+
+
+def verified_partners(g, t, d, seed):
+    """verified_rows as {e: (cross path ids, down path ids)}."""
+    cross, down, ok = verified_rows(g, t, d, seed)
+    out = {e: (set(), set()) for e in t.edge_children()}
+    for i, ((e, f), keep) in enumerate(zip(cross.tolist() + down.tolist(), ok.tolist())):
+        if keep:
             out[e][i >= len(cross)].add(int(d.path_of[f]))
+    return out
+
+
+# -- scalar per-row reference of the Step 5 pairing --
+
+
+def reference_solver_inputs(d, cross, down, ok):
+    """The per-row loop: accumulate marks per path pair in a dict of sets,
+    then drain the pairs in key order into (rows, cols) lists."""
+    t = d.tree
+    entries = {}
+    for i, ((e, f), keep) in enumerate(zip(cross.tolist() + down.tolist(), ok.tolist())):
+        if not keep:
+            continue
+        p, q = int(d.path_of[e]), int(d.path_of[f])
+        if i < len(cross):  # cross keys put the smaller path id first
+            a, b = min(p, q), max(p, q)
+            entries.setdefault((0, a, b), (set(), set()))[0 if p == a else 1].add(e)
+        else:  # down keys keep (upper, lower); only the upper side is marked
+            entries.setdefault((1, p, q), (set(), set()))[0].add(e)
+    out = []
+    for tag, p, q in sorted(entries):
+        first, second = (sorted(side, key=lambda x: int(t.depth[x])) for side in entries[tag, p, q])
+        if tag == 0:
+            if first and second:
+                out.append((first, second))
+        else:
+            top = first[0]
+            cols = [f for f in d.paths[q] if t.lo[top] <= t.lo[f] and t.hi[f] <= t.hi[top]]
+            if cols:
+                out.append((first[::-1], cols))
     return out
 
 
@@ -288,32 +330,30 @@ def test_proxy_filter_soundness_and_breadth():
 def test_accumulator_canonicalization_and_drain():
     g, t = make_gstar()
     d = decompose(t)
-    acc = PairAccumulator(d)
     p1 = int(d.path_of[1])
     p2 = int(d.path_of[3])
-    acc.accumulate(p1, p2, 1, CROSS)
-    acc.accumulate(p2, p1, 3, CROSS)
-    acc.accumulate(p1, p2, 1, CROSS)  # idempotent
-    acc.accumulate(p1, p2, 2, CROSS)
-    acc.accumulate(p2, p1, 4, CROSS)
-    drained = list(acc.drain())
+    # (e, f) rows mark e on its own path; f only names the partner path
+    cross = np.array([[1, 3], [3, 1], [1, 3], [2, 3], [4, 1], [2, 4]])
+    ok = np.array([True, True, True, True, True, False])  # repeats are idempotent
+    drained = pair_solver_inputs(d, cross, cross[:0], ok)
+    assert drained == reference_solver_inputs(d, cross, cross[:0], ok)
     assert len(drained) == 1
-    p, mp, q, mq, kind = drained[0]
-    assert kind == CROSS and (p, q) == (min(p1, p2), max(p1, p2))
+    mp, mq = drained[0]
+    p, q = min(p1, p2), max(p1, p2)
+    assert {int(d.path_of[e]) for e in mp} == {p} and {int(d.path_of[e]) for e in mq} == {q}
     low, high = (mp, mq) if p == p1 else (mq, mp)
     assert low == [1, 2] and high == [3, 4]
+    # marks on one side only make no instance
+    assert pair_solver_inputs(d, cross, cross[:0], ~ok) == []
 
 
 def test_gstar_full_cross_marks():
     g, t = make_gstar()
     d = decompose(t)
-    acc = PairAccumulator(d)
-    for e, (crossed, _) in verified_partners(g, t, d, seed=9).items():
-        for pid in crossed:
-            acc.accumulate(int(d.path_of[e]), pid, e, CROSS)
-    drained = list(acc.drain())
+    cross, down, ok = verified_rows(g, t, d, seed=9)
+    drained = pair_solver_inputs(d, cross, down[:0], ok[: len(cross)])
     assert len(drained) == 1
-    _, mp, _, mq, _ = drained[0]
+    mp, mq = drained[0]
     assert sorted(mp + mq) == [1, 2, 3, 4]
 
 
@@ -342,6 +382,16 @@ def test_batch_rows_equal_per_edge_reference():
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
             got = interest_checks(d, sample_graph, proxy, 77 + i, multiplier)
             assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"
+
+
+def test_pair_solver_inputs_equal_per_row_reference():
+    for i, (g, t, multiplier) in enumerate(equivalence_instances()):
+        d = decompose(t)
+        cross, down, ok = verified_rows(g, t, d, 77 + i, multiplier)
+        # every candidate marked as well, so that many pairs form on small trees
+        for keep in (ok, np.ones_like(ok)):
+            got = pair_solver_inputs(d, cross, down, keep)
+            assert got == reference_solver_inputs(d, cross, down, keep), f"instance {i}"
 
 
 @pytest.mark.parametrize(

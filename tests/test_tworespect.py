@@ -1,5 +1,7 @@
 """Orchestrated search vs the exhaustive 2-respecting oracle (in-memory)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -75,46 +77,31 @@ def test_output_bounded_by_all_singles():
 def test_step5_work_bound():
     # total marked-list mass across drained pairs stays within the
     # 4 (n-1) (floor(log2 n) + 1) budget
+    from twocut.graph import cross_weight
     from twocut.hld import decompose
-    from twocut.interesting import PairAccumulator
-    from twocut.provider import TreeContext
-    from twocut.tworespect import sampling_source, two_respect_plan, SearchSink
-    from twocut.provider import run_lockstep
+    from twocut.interesting import pair_solver_inputs
+    from twocut.tworespect import interest_checks
 
     rng = np.random.default_rng(40)
     for i in range(40):
         g, t = random_instance(rng, 5, 14)
         provider = SequentialProvider(g)
-        # re-run the plan but intercept the accumulator mass via solver sizes
-        res = min_2respect(g, t, provider, rng=i)
+        min_2respect(g, t, provider, rng=i)
         n = g.n
         assert provider.stats.probes >= 0
-        # direct bound check on the accumulator contents
-        from twocut.interesting import CROSS, DOWN
-        from twocut.graph import cross_weight
-        from twocut.tworespect import interest_checks
+        # direct bound check on the Step 5 instances, rows verified by brute force
         d = decompose(t)
-        acc = PairAccumulator(d)
         deg = {v: cut_of_partition(g, t.subtree(v)) for v in t.edge_children()}
-        cc, dc = (rows.tolist() for rows in interest_checks(d, g, None, i))
-        for e, f in cc:
-            if 2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]:
-                acc.accumulate(int(d.path_of[e]), int(d.path_of[f]), e, CROSS)
-        for e, f in dc:
-            rest = set(range(n)) - set(t.subtree(e))
-            if 2 * cross_weight(g, t.subtree(f), rest) > deg[e]:
-                acc.accumulate(int(d.path_of[e]), int(d.path_of[f]), e, DOWN)
-        total = 0
-        appearances = {}
-        for p, mp, q, mq, kind in acc.drain():
-            if kind == CROSS:
-                total += len(mp) + len(mq)
-            else:
-                top = mp[0]
-                cols = [f for f in d.paths[q] if t.lo[top] <= t.lo[f] and t.hi[f] <= t.hi[top]]
-                total += len(mp) + len(cols)
-            for e in mp + mq:
-                appearances[e] = appearances.get(e, 0) + 1
+        cross, down = interest_checks(d, g, None, i)
+        okc = np.array([2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]
+                        for e, f in cross.tolist()], dtype=bool)
+        okd = np.array([2 * cross_weight(g, t.subtree(f), set(range(n)) - set(t.subtree(e))) > deg[e]
+                        for e, f in down.tolist()], dtype=bool)
+        cross_pairs = pair_solver_inputs(d, cross, down[:0], okc)
+        down_pairs = pair_solver_inputs(d, cross[:0], down, okd)
+        total = sum(len(mp) + len(mq) for mp, mq in cross_pairs + down_pairs)
+        # cross instances mark both sides, down instances only their rows
+        appearances = Counter([e for mp, mq in cross_pairs for e in mp + mq] + [e for mp, _ in down_pairs for e in mp])
         cap = floor_log2(n) + 1
         assert total <= 4 * (n - 1) * cap
         for e, c in appearances.items():
