@@ -166,13 +166,12 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     peeled = PeeledEdges()
 
     def recover(sweep, labels, live):
-        labels = np.asarray(labels)
         for c in range(int(labels.max()) + 1):
             yield recover_crossing_edge(oracle, labels == c, peeled=peeled) if live(c) else None
 
     kept = peel_forests(n, recover, peeled.extend, 40 * forests_per_class(n, eps), 1,
                         proxy_edge_budget(n, eps), [])
-    return WeightedGraph(n, kept, require_connected=True)
+    return WeightedGraph(n, kept, require_connected=False)
 
 
 class QueryProvider(CostProvider):

@@ -20,12 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CutResult, GraphError, WeightedGraph, build_rooted_tree, reconstruct_partition
+from .graph import (CutResult, DisconnectedError, GraphError, RootedSpanTree, WeightedGraph, build_rooted_tree,
+                    reconstruct_partition)
 from .provider import TreeContext, run_lockstep
-from .proxy import build_proxy_graph
+from .proxy import build_proxy_graph, first_leaving, peel_forests
+from .requests import DegSubtree
 from .sequential import SequentialProvider
 from .tworespect import SearchSink, sampling_source, two_respect_plan
-from .util import DisjointSets, as_seed, ceil_log2, rng_for
+from .util import as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
 
@@ -68,31 +70,28 @@ class Skeleton:
 
 
 def greedy_pack(host: WeightedGraph, k: int) -> TreePacking:
-    """k spanning trees, each an MST under current per-unit-weight loads."""
+    """k spanning trees, each an MST under current per-unit-weight loads.
+
+    Each tree is one peel_forests forest, over the host's edges ordered by
+    (load / weight, edge id); zero-weight edges absorb nothing and go last.
+    """
     if host.n < 2:
         raise GraphError("packing needs at least one edge")
     if not host.is_connected():
         raise GraphError("host must be connected")
-    packing = TreePacking(host, loads=[0] * host.m)
-    edges = [(eid, u, v, w) for eid, (u, v, w) in enumerate(host.edges)]
+    w, loads, trees = host.ew, np.zeros(host.m, dtype=np.int64), []
+    heavy = np.flatnonzero(w >= 1 << 53)  # float64(w) rounds: these take Python's exact int / int
     for _ in range(k):
-        # load per unit of weight; zero-weight edges absorb nothing, go last
-        order = sorted(
-            edges,
-            key=lambda e: (packing.loads[e[0]] / e[3] if e[3] else math.inf, e[0]),
-        )
-        ds = DisjointSets(host.n)
-        tree = []
-        for eid, u, v, _ in order:
-            if ds.union(u, v):
-                tree.append(eid)
-                if len(tree) == host.n - 1:
-                    break
-        tree.sort()
-        packing.trees.append(tree)
-        for eid in tree:
-            packing.loads[eid] += 1
-    return packing
+        keys = np.divide(loads, w, out=np.full(host.m, math.inf), where=w > 0)
+        keys[heavy] = [a / b for a, b in zip(loads[heavy].tolist(), w[heavy].tolist())]
+        order = np.argsort(keys, kind="stable")  # ties by edge id
+        u, v = host.eu[order], host.ev[order]
+        forest = peel_forests(host.n, lambda sweep, labels, live: first_leaving(u, v, True, labels),
+                              lambda forest: None, 1, 1, host.n, [])
+        tree = np.sort(order[[i for _, _, i in forest]])
+        loads[tree] += 1
+        trees.append(tree.tolist())
+    return TreePacking(host, trees, loads.tolist())
 
 
 def lambda_schedule(host: WeightedGraph):
@@ -176,7 +175,7 @@ def trees_to_run(host: WeightedGraph, eps, seed, trees_override=None):
     return unique, schedule, packed_total
 
 
-def _providers_for(g, mode, eps, seed, cfg):
+def _providers_for(g, mode, eps, seed, churn):
     if mode == "sequential":
         provider = SequentialProvider(g)
         threshold = SPARSIFY_FACTOR * g.n * max(1, ceil_log2(max(g.n, 2))) ** 2
@@ -189,7 +188,7 @@ def _providers_for(g, mode, eps, seed, cfg):
         return QueryProvider(oracle, proxy), proxy
     if mode == "streaming":
         from .streaming import StreamHarness, StreamProvider
-        harness = StreamHarness(g, seed=seed, churn=cfg.churn, words_budget=_words_budget(g.n))
+        harness = StreamHarness(g, seed=seed, churn=churn, words_budget=_words_budget(g.n))
         proxy = build_proxy_graph(harness, eps)
         return StreamProvider(harness, proxy), proxy
     raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
@@ -221,7 +220,22 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     seed = as_seed(rng)
     started = time.monotonic()
 
-    provider, host = _providers_for(g, mode, eps, seed, cfg)
+    provider, host = _providers_for(g, mode, eps, seed, cfg.churn)
+    if not host.is_connected():
+        # sparsifiers keep no zero-weight edge, so they may come out disconnected:
+        # the cut of the component of vertex 0, hung below 0, is one DegSubtree
+        side, stack = {0}, [0]
+        while stack:
+            new = {x for x, _ in host.adj[stack.pop()]} - side
+            side |= new
+            stack += new
+        root = min(set(range(g.n)) - side)
+        parent = [0 if v in side else root for v in range(g.n)]
+        parent[0], parent[root] = root, -1
+        if provider.batch_eval([(TreeContext(RootedSpanTree(g.n, root, parent)), DegSubtree(0))]) != [0]:
+            raise DisconnectedError("sparsifier is not connected")
+        provider.stats.wall_ms = int((time.monotonic() - started) * 1000)
+        return CutResult(0, None, frozenset(side)), provider.stats
     trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg.trees_override)
 
     sample_graph, proxy = sampling_source(provider, g)
@@ -238,16 +252,10 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         ctxs.append(ctx)
     run_lockstep(tasks, provider)
 
-    best = None
-    for sink, ctx in zip(sinks, ctxs):
-        cand = (sink.value, sink, ctx)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        provider.stats.probes += sink.probes
-    value, sink, ctx = best
+    sink, ctx = min(zip(sinks, ctxs), key=lambda sink_ctx: sink_ctx[0].value)  # the first least value
     stats = provider.stats
+    stats.probes += sum(s.probes for s in sinks)
     stats.trees_packed = packed_total
     stats.lambda_guesses = len(schedule)
     stats.wall_ms = int((time.monotonic() - started) * 1000)
-    result = CutResult(value, sink.pair, reconstruct_partition(ctx.tree, sink.pair))
-    return result, stats
+    return CutResult(sink.value, sink.pair, reconstruct_partition(ctx.tree, sink.pair)), stats

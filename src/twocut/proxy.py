@@ -6,13 +6,15 @@ original weights. Enough forests per class make every proxy cut close
 enough to the real one for the strict-third interest filter; at desk scale
 the peeling usually exhausts the graph and the proxy is exact.
 
-Three sources are supported. An in-memory graph is peeled directly, class
-by class. A counted cut-query oracle and a dynamic stream hide their edges,
-so their forests are grown by Boruvka sweeps in `peel_forests`, the one
-sweep loop both share: the oracle recovers a component's boundary edge by
-interval bisection (cutquery.py), the stream from linear sketches of one
-weight class (streaming.py), and each subtracts a finished forest its own
-way. This module owns the direct route, the sweep loop and the budgets.
+Every forest is grown by Boruvka sweeps in `peel_forests`, the one sweep
+loop all three sources share; each source passes its own boundary-edge
+recovery and forest subtraction. An in-memory graph is peeled class by
+class from its known edges (`first_leaving`, which also grows the packed
+trees of packing.py). A counted cut-query oracle and a dynamic stream hide
+their edges: the oracle recovers a component's boundary edge by interval
+bisection (cutquery.py), the stream from linear sketches of one weight
+class (streaming.py). This module owns the sweep loop, the known-edge
+recovery, the direct route and the budgets.
 """
 
 from __future__ import annotations
@@ -41,60 +43,38 @@ def proxy_edge_budget(n, eps) -> int:
     return max(1, math.ceil(PROXY_BUDGET_FACTOR * n * lg * lg / (eps * eps)))
 
 
-def peel_class_forests(n, class_edges, rounds):
-    """Edge ids of up to `rounds` maximal spanning forests of one class.
-
-    class_edges: (eid, u, v) triples; peeling stops early once exhausted.
-    """
-    remaining = list(class_edges)
-    kept = []
-    for _ in range(rounds):
-        if not remaining:
-            break
-        ds = DisjointSets(n)
-        forest = []
-        rest = []
-        for eid, u, v in remaining:
-            if ds.union(u, v):
-                forest.append(eid)
-            else:
-                rest.append((eid, u, v))
-        kept.extend(forest)
-        remaining = rest
-    return kept
-
-
 def peel_forests(n, recover, subtract, rounds, patience, budget, kept):
     """Peel up to `rounds` spanning forests by Boruvka sweeps, appending to `kept`.
 
-    Each sweep labels the components in order of their first vertex and
-    asks recover(sweep, labels, live) for one (u, v, w) or None per label
-    (a sequence or a lazy iterator). The unions apply in label order; a
-    component merged earlier in the same sweep (its root or size moved, so
-    live(label) is False) is skipped: its edge was found for a smaller
-    vertex set, and the merged component is asked again next sweep.
+    Each sweep labels the k components 0..k-1 in order of their first
+    vertex, as one int64 array over the vertices, and asks
+    recover(sweep, labels, live) for one (u, v, ...) or None per label (a
+    sequence or a lazy iterator). The unions apply in label order, on
+    disjoint sets over the k labels; a component some union already touched
+    this sweep (live(label) is False) is skipped: its edge was found for a
+    smaller vertex set, and the merged component is asked again next sweep.
     A forest ends after `patience` sweeps in a row add no edge; it is then
     passed to subtract(forest) and appended to `kept`. Peeling stops at
     the first empty forest; ResourceBudgetError once `kept` holds more
     than `budget` edges.
     """
     for _ in range(rounds):
-        ds = DisjointSets(n)
+        labels, k = np.arange(n), n
         forest = []
         sweep = idle = 0
-        while ds.count > 1 and idle < patience:
-            label = {}  # component root -> label, in order of first vertex
-            labels = [label.setdefault(ds.find(v), len(label)) for v in range(n)]
-            roots = list(label)
-            sizes = np.bincount(labels).tolist()
+        while k > 1 and idle < patience:
+            ds = DisjointSets(k)
 
             def live(c):
-                return ds.find(roots[c]) == roots[c] and ds.size[roots[c]] == sizes[c]
+                return ds.size[ds.find(c)] == 1
 
             grown = len(forest)
             for c, got in enumerate(recover(sweep, labels, live)):
-                if got is not None and live(c) and ds.union(got[0], got[1]):
+                if got is not None and live(c) and ds.union(int(labels[got[0]]), int(labels[got[1]])):
                     forest.append(got)
+            ids = {}  # merged set -> next label, in order of its least label, so of its first vertex
+            labels = np.array([ids.setdefault(ds.find(c), len(ids)) for c in range(k)])[labels]
+            k = len(ids)
             sweep += 1
             idle = 0 if len(forest) > grown else idle + 1
         if not forest:
@@ -106,17 +86,29 @@ def peel_forests(n, recover, subtract, rounds, patience, budget, kept):
     return kept
 
 
+def first_leaving(u, v, alive, labels):
+    """recover() over known edges (u[i], v[i]), most preferred first: for each
+    component of `labels`, its first edge leaving it with alive[i] (a mask, or
+    True), as (u, v, i), or None."""
+    lu, lv = labels[u], labels[v]
+    pos = np.flatnonzero(alive & (lu != lv))
+    first = np.full(int(labels.max()) + 1, len(u))
+    np.minimum.at(first, lu[pos], pos)
+    np.minimum.at(first, lv[pos], pos)
+    return [None if i == len(u) else (int(u[i]), int(v[i]), i) for i in first.tolist()]
+
+
 def build_proxy_direct(g: WeightedGraph, eps) -> WeightedGraph:
     rounds = forests_per_class(g.n, eps)
+    budget = proxy_edge_budget(g.n, eps)
     cls = bit_lengths(g.ew) - 1  # -1 for a zero weight, which no forest needs
     kept = []
     for c in np.unique(cls[cls >= 0]).tolist():
         eids = np.flatnonzero(cls == c)
-        kept.extend(peel_class_forests(g.n, zip(eids.tolist(), g.eu[eids].tolist(), g.ev[eids].tolist()), rounds))
-    if len(kept) > proxy_edge_budget(g.n, eps):
-        raise ResourceBudgetError(f"proxy would keep {len(kept)} edges")
-    edges = [g.edges[eid] for eid in sorted(kept)]
-    return WeightedGraph(g.n, edges)
+        u, v, alive = g.eu[eids], g.ev[eids], np.ones(len(eids), dtype=bool)
+        peel_forests(g.n, lambda sweep, labels, live: first_leaving(u, v, alive, labels),
+                     lambda forest: alive.put([i for _, _, i in forest], False), rounds, 1, budget, kept)
+    return WeightedGraph(g.n, [(a, b, g.weight_of[a, b]) for a, b, _ in kept], require_connected=False)
 
 
 def build_proxy_graph(source, eps) -> WeightedGraph:

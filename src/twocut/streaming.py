@@ -206,13 +206,12 @@ class SketchBank:
     def recover(self, cls, copy, labels):
         """One boundary edge per component of a vertex labelling, in class `cls`.
 
-        labels[v] in 0..k-1 names v's component, and every label is used.
-        Member rows are summed per component (sketch merge); each component
-        then takes its first cell, sparsest level first and reps in order,
-        that verifies as a single edge leaving it. Returns k entries, each
-        (u, v, w) or None.
+        labels is an int64 array: labels[v] in 0..k-1 names v's component,
+        and every label is used. Member rows are summed per component
+        (sketch merge); each component then takes its first cell, sparsest
+        level first and reps in order, that verifies as a single edge
+        leaving it. Returns k entries, each (u, v, w) or None.
         """
-        labels = np.asarray(labels, dtype=np.int64)
         k = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
         starts = np.searchsorted(labels[order], np.arange(k))
@@ -254,7 +253,7 @@ def build_proxy_via_stream(harness: StreamHarness, eps) -> WeightedGraph:
     for cls in observed:
         peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels),
                      bank.subtract_edges, rounds, copies, budget, kept)
-    return WeightedGraph(n, kept, require_connected=True)
+    return WeightedGraph(n, kept, require_connected=False)
 
 
 class StreamProvider(CostProvider):

@@ -91,6 +91,17 @@ def test_disconnected_exit_code(tmp_path, capsys):
     assert main(["--input", str(disc)]) == EXIT_DISCONNECTED
 
 
+@pytest.mark.parametrize("mode", packing.MODES)
+def test_min_cut_zero_through_zero_weight_edge(mode, tmp_path, capsys):
+    # connected only through the zero-weight edge (3, 4), which no sparsifier keeps
+    path = tmp_path / "zero.txt"
+    path.write_text("p 5 5\n0 1 3\n1 2 3\n2 0 3\n2 3 2\n3 4 0\n")
+    assert main(["--mode", mode, "--input", str(path), "--verify", "oracle"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "min cut value: 0" in out
+    assert "verified" in out
+
+
 def test_stats_json_deterministic(gstar_file, tmp_path):
     texts = []
     for run in range(2):

@@ -377,19 +377,25 @@ def test_peel_forests_skips_components_merged_this_sweep():
 
 
 def test_peel_forests_ends_a_forest_after_patience_idle_sweeps():
-    residual = [(0, 1, 1), (1, 2, 2)]
+    residual = [(2, 0, 1), (1, 2, 2)]
     sweeps = []
+    seen = []
 
     def recover(sweep, labels, live):
         # only sweep 2 of a forest finds anything, and only for label 0
         sweeps.append(sweep)
+        seen.append(labels.copy())
         return [leaving(residual, labels, 0) if sweep == 2 else None] + [None] * max(labels)
 
     kept = peel_forests(3, recover, subtracting(residual), 10, 3, 100, [])
-    assert kept == [(0, 1, 1)]
+    assert kept == [(2, 0, 1)]
     # forest 1: idle, idle, union, then three idle sweeps; forest 2: three idle
     # sweeps (sweep 2 has no edge leaving {0} left), empty, so peeling stops
     assert sweeps == [0, 1, 2, 3, 4, 5, 0, 1, 2]
+    # labels are int64 and follow each component's first vertex: the union
+    # roots {0, 2} at label 2, yet that set is labelled before {1}
+    assert all(labels.dtype == np.int64 for labels in seen)
+    assert [labels.tolist() for labels in seen] == [[0, 1, 2]] * 3 + [[0, 1, 0]] * 3 + [[0, 1, 2]] * 3
 
 
 def test_peel_forests_raises_after_keeping_the_forest_past_budget():
@@ -462,7 +468,7 @@ def test_model_proxies_pinned(spec, want, monkeypatch):
 
 def side_labels(n, side):
     """Component labels for one vertex set against the rest: 1 inside, 0 outside."""
-    return [int(v in side) for v in range(n)]
+    return np.array([int(v in side) for v in range(n)])
 
 
 def test_l0_single_edge_roundtrip():

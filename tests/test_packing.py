@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from twocut.graph import GraphError, WeightedGraph, cut_of_partition, oracle_min_cut
+from twocut import proxy
 from twocut.packing import (
+    MODES,
     build_skeleton,
     greedy_pack,
     lambda_schedule,
     min_cut_pipeline,
 )
-from twocut.proxy import build_proxy_direct
+from twocut.proxy import ResourceBudgetError, build_proxy_direct, forests_per_class
+from twocut.util import DisjointSets
 
 from conftest import make_gstar, random_connected_graph, random_instance
 
@@ -158,9 +161,86 @@ def test_direct_proxy_small_graph_is_exact():
     assert ht.edges == tree.edges
 
 
-def test_zero_weight_edges_pack_and_solve():
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_weight_edges_pack_and_solve(mode):
     g = WeightedGraph(5, [(0, 1, 3), (1, 2, 4), (0, 2, 2), (2, 3, 0), (3, 4, 5)])
     packing = greedy_pack(g, 4)
     assert all(len(tr) == 4 for tr in packing.trees)
-    res, _ = min_cut_pipeline(g, "sequential", rng=3)
+    res, _ = min_cut_pipeline(g, mode, rng=3)
     assert res.value == 0 == oracle_min_cut(g).value
+    assert cut_of_partition(g, res.partition) == 0
+
+
+# ---- scalar references for the forests peel_forests grows ----
+
+
+def kruskal_pack(host, k):
+    """Greedy packing as one Python sort and Kruskal loop per tree."""
+    loads = [0] * host.m
+    trees = []
+    for _ in range(k):
+        order = sorted(range(host.m), key=lambda e: (loads[e] / host.edges[e][2] if host.edges[e][2] else math.inf, e))
+        ds = DisjointSets(host.n)
+        tree = sorted(e for e in order if ds.union(host.edges[e][0], host.edges[e][1]))
+        for e in tree:
+            loads[e] += 1
+        trees.append(tree)
+    return trees, loads
+
+
+def kruskal_proxy(g, eps):
+    """Direct proxy edges: per weight class, Kruskal forests over the class's edges in id order."""
+    kept = []
+    for c in sorted({w.bit_length() for _, _, w in g.edges} - {0}):
+        remaining = [e for e, (_, _, w) in enumerate(g.edges) if w.bit_length() == c]
+        for _ in range(forests_per_class(g.n, eps)):
+            ds = DisjointSets(g.n)
+            forest = [e for e in remaining if ds.union(g.edges[e][0], g.edges[e][1])]
+            if not forest:
+                break
+            kept += forest
+            remaining = [e for e in remaining if e not in forest]
+    return [g.edges[e] for e in sorted(kept)]
+
+
+# per-unit loads float64 division would misorder: 1 / (2**54 + 2) < 1 / 2**54 exactly
+HEAVY_TRIANGLE = [(0, 1, 2**54), (0, 2, 2**54 + 2), (1, 2, 1)]
+
+
+def forest_corpus():
+    """Random graphs at several weight ranges, some with zero weights, and the heavy triangle."""
+    rng = np.random.default_rng(909)
+    for i in range(50):
+        wmax = (1, 3, 10, 1 << 32, 1 << 56)[i % 5]
+        g = random_connected_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(1, 4)), wmax)
+        if i % 3 == 0:
+            g = WeightedGraph(g.n, [(u, v, w if j % 3 else 0) for j, (u, v, w) in enumerate(g.edges)])
+        yield g
+    yield WeightedGraph(3, HEAVY_TRIANGLE)
+
+
+def test_greedy_pack_equals_kruskal_reference():
+    for g in forest_corpus():
+        for k in (1, 3, 7):
+            packing = greedy_pack(g, k)
+            assert (packing.trees, packing.loads) == kruskal_pack(g, k)
+    assert greedy_pack(WeightedGraph(3, HEAVY_TRIANGLE), 2).trees == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("forest_factor", [proxy.FOREST_FACTOR, 0.002])
+def test_direct_proxy_equals_kruskal_reference(forest_factor, monkeypatch):
+    # the small factor leaves one forest per class at eps 0.1 and up to three
+    # at eps 0.05, so the forest cap, not exhaustion, ends the peeling
+    monkeypatch.setattr(proxy, "FOREST_FACTOR", forest_factor)
+    for g in forest_corpus():
+        for eps in (0.1, 0.05):
+            assert build_proxy_direct(g, eps).edges == kruskal_proxy(g, eps)
+
+
+def test_direct_proxy_raises_once_past_budget(monkeypatch):
+    # one weight class, so each forest is a spanning tree of 7 edges
+    g = random_connected_graph(np.random.default_rng(4), 8, extra=3.0, wmax=1)
+    monkeypatch.setattr(proxy, "PROXY_BUDGET_FACTOR", 0.001)
+    assert proxy.proxy_edge_budget(g.n, 0.1) == 8
+    with pytest.raises(ResourceBudgetError, match="proxy exceeded 8 edges"):
+        build_proxy_direct(g, 0.1)
