@@ -1,7 +1,8 @@
 """Batch front-end: load a graph, run the pipeline, emit value and stats.
 
-Exit codes: 0 ok, 2 unreadable or malformed input, 3 disconnected graph,
-4 verification mismatch, 5 resource budget exceeded.
+Exit codes: 0 ok, 2 unreadable or malformed input or unwritable --stats file,
+3 disconnected graph, 4 verification mismatch, 5 resource budget (or memory)
+exceeded. Every failure ends in one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(churn=args.churn, trees_override=args.trees)
     try:
         result, stats = min_cut_pipeline(g, args.mode, eps=args.epsilon, rng=args.seed, config=cfg)
-    except ResourceBudgetError as exc:
+    except (ResourceBudgetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, ValueError) as exc:
@@ -77,9 +78,13 @@ def main(argv=None) -> int:
         side = sorted(result.partition)
         print("partition side:", " ".join(str(v) for v in side))
     if args.stats:
-        with open(args.stats, "w") as fh:
-            fh.write(stats.to_json(result.value, args.seed))
-            fh.write("\n")
+        try:
+            with open(args.stats, "w") as fh:
+                fh.write(stats.to_json(result.value, args.seed))
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     if args.verify == "oracle":
         want = oracle_min_cut(g).value
         if want != result.value:

@@ -179,13 +179,10 @@ class QueryProvider(CostProvider):
     subtree crossings three (two when the sides cover V)."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
-        super().__init__(oracle.n)
+        super().__init__(oracle.n, proxy)
         self.oracle = oracle
-        self._proxy = proxy
         self.stats.queries = oracle.query_count
 
-    def proxy_graph(self):
-        return self._proxy
 
     def _indexes(self, trees):
         return [self.oracle.po_grid(t.po) for t in trees]

@@ -7,6 +7,8 @@ arithmetic here is carried in Python ints (input edge weights are capped at
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -61,10 +63,16 @@ class WeightedGraph:
                 raise MalformedInputError(f"endpoint out of range in edge ({u}, {v})")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
+            try:
+                w = operator.index(w)  # a Python int, so merged sums cannot wrap
+            except TypeError:
+                raise MalformedInputError(f"weight {w!r} on edge ({u}, {v}) is not an integer") from None
             if w < 0:
                 raise MalformedInputError(f"negative weight {w} on edge ({u}, {v})")
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + w
+        if merged and max(merged.values()) >= 1 << 63:
+            raise WeightOverflowError(f"merged edge weight {max(merged.values())} does not fit in int64")
         self.n = n
         self.edges = [(u, v, w) for (u, v), w in sorted(merged.items())]
         self.m = len(self.edges)
@@ -126,7 +134,7 @@ def load_graph(text) -> WeightedGraph:
         raise MalformedInputError("missing 'p <n> <m>' header line")
     head = body[0].split()
     # Accept both "p n m" and the DIMACS-ish "p <name> n m".
-    nums = [tok for tok in head[1:] if tok.lstrip("-").isdigit()]
+    nums = [tok for tok in head[1:] if re.fullmatch(r"-?[0-9]+", tok)]
     if len(nums) != 2:
         raise MalformedInputError(f"bad header {body[0]!r}")
     n, m = int(nums[0]), int(nums[1])

@@ -17,8 +17,8 @@ solver already covers them.
 Every stage handles all tree edges of a tree in one batch: one sampling pass
 over the two boundary rectangles of every subtree in every weight class, one
 walk of the decomposition's per-vertex path tables for all sampled
-endpoints, and one sparsifier filter call per interest kind. Candidates travel as (e, f)
-rows of tree-edge children; f's decomposition path is path_of[f].
+endpoints, and one proxy filter call per interest kind. Candidates travel
+as (e, f) rows of tree-edge children; f's decomposition path is path_of[f].
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -82,13 +82,15 @@ def sample_cross_candidates(wc: WeightClassIndex, t, us, multiplier=DEFAULT_SAMP
 
 
 class ProxyFilter:
-    """1/3-threshold interest checks evaluated locally on a sparsifier.
+    """1/3-threshold interest checks evaluated locally on a provider's proxy.
 
     A (1 +- eps) sparsifier turns the exact strict-half tests into strict
     third tests that never reject a true partner; survivors still get the
-    exact check in the real graph. Both checks take aligned (or scalar) edge
-    arrays us, fs and return one boolean per row; the values come from the
-    providers' subtree formula over a grid of the sparsifier's edges.
+    exact check in the real graph. On the graph itself (the in-memory proxy)
+    it drops only rows the exact 2C > deg would fail. Both checks take
+    aligned (or scalar) edge arrays us, fs and return one boolean per row;
+    the values come from the providers' subtree formula over a grid of the
+    proxy's edges.
     """
 
     def __init__(self, h: WeightedGraph, tree):

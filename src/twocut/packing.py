@@ -26,7 +26,7 @@ from .provider import TreeContext, run_lockstep
 from .proxy import build_proxy_graph, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
-from .tworespect import SearchSink, sampling_source, two_respect_plan
+from .tworespect import SearchSink, two_respect_plan
 from .util import as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
@@ -238,7 +238,6 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         return CutResult(0, None, frozenset(side)), provider.stats
     trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg.trees_override)
 
-    sample_graph, proxy = sampling_source(provider, g)
     tasks = []
     sinks = []
     ctxs = []
@@ -247,7 +246,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         ctx = TreeContext(t)
         sink = SearchSink()
         wc_seed = int(rng_for(seed, 7, ti).integers(1 << 62))
-        tasks.append(two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink))
+        tasks.append(two_respect_plan(ctx, provider.proxy, wc_seed, sink))
         sinks.append(sink)
         ctxs.append(ctx)
     run_lockstep(tasks, provider)

@@ -16,6 +16,9 @@ crossing. The providers hand over different indexes (a merge-sort tree over
 the graph, or a dense prefix grid over the oracle's hidden edges or the
 stream's net updates) and meter differently; the formula is shared.
 
+Each provider also carries `proxy`, the graph Step 4 samples and filters
+candidates on: the in-memory provider's own graph, or the sparsifier.
+
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
 rounds: all solver instances advance one recursion depth per provider batch,
@@ -89,18 +92,19 @@ class CostProvider:
     """Base: batch dedup, the charged-degree mask, and the one evaluation
     every provider shares.
 
-    A provider differs from the others only in the rectangle-sum index it
-    hands over for each tree (`_indexes`) and in what its `_eval_unique`
-    meters before calling `_values`. Every tree it serves spans the same n
-    vertices and gets a slot on first sight, which is its row in three
-    (slots, n) tables: subtree sizes (the cut-query model prices sides by
-    them), subtree degrees, and which DegSubtree requests were already
-    charged (those are answered again for free).
+    A provider differs from the others only in its proxy, in the
+    rectangle-sum index it hands over for each tree (`_indexes`) and in what
+    its `_eval_unique` meters before calling `_values`. Every tree it serves
+    spans the same n vertices and gets a slot on first sight, which is its
+    row in three (slots, n) tables: subtree sizes (the cut-query model prices
+    sides by them), subtree degrees, and which DegSubtree requests were
+    already charged (those are answered again for free).
     """
 
-    def __init__(self, n):
+    def __init__(self, n, proxy):
         self.stats = RunStats()
         self.n = n
+        self.proxy = proxy
         self._slots = {}  # TreeContext uid -> slot
         self._trees = []
         self._index = []
@@ -196,11 +200,6 @@ class CostProvider:
             if len(r):  # degree-only batches (Step 1) make no rectangle call
                 value[r] += coef[r] * subtree_sums(self._index[s], self._trees[s], a[r], b[r], IS_SUB[kind[r]])
         return value
-
-    def proxy_graph(self):
-        """Sparsifier handle for candidate filtering; None when values are
-        already cheap enough to check exactly."""
-        return None
 
 
 def _run_starts(sorted_keys):

@@ -3,6 +3,7 @@
 Each spanning tree gets its own edge-point set and WeightRangeIndex
 (post-order changes with the tree); CostProvider's shared evaluation turns
 every request of a round into rectangle sums on it. Nothing is metered.
+The graph is also the proxy that Step 4 samples and filters on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .rangeindex import EdgePointSet, WeightRangeIndex
 
 class SequentialProvider(CostProvider):
     def __init__(self, g: WeightedGraph):
-        super().__init__(g.n)
+        super().__init__(g.n, g)
         self.g = g
 
     def _indexes(self, trees):

@@ -260,14 +260,11 @@ class StreamProvider(CostProvider):
     """One registered counter per request; one pass per batch."""
 
     def __init__(self, harness: StreamHarness, proxy: WeightedGraph):
-        super().__init__(harness.n)
+        super().__init__(harness.n, proxy)
         self.harness = harness
-        self._proxy = proxy
         self.stats.passes = harness.pass_count
         self.stats.tracked_words = harness.tracked_words
 
-    def proxy_graph(self):
-        return self._proxy
 
     def _indexes(self, trees):
         return self.harness.run_pass([t.po for t in trees])

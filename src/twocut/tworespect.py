@@ -2,13 +2,14 @@
 
 Step 1 reads every single-edge cut in one batch. Step 2 decomposes the tree
 into heavy paths. Step 3 runs the pair solver inside each path. Step 4
-samples subtree boundaries to discover cross-/down-interesting partner
-paths and verifies them exactly (through a sparsifier 1/3-filter first when
-the provider carries one). Step 5 solves a bipartite instance per verified
-path pair over the marked edges; the verified rows stay int64 arrays from
-the Step 4 values to interesting.pair_solver_inputs, which hands back each
-instance's row and column lists. The minimum over everything probed is the
-answer, with high probability equal to the true 2-respecting minimum.
+samples subtree boundaries of the provider's proxy graph to discover
+cross-/down-interesting partner paths, screens them with the proxy's
+1/3-filter and verifies the survivors exactly, in every model. Step 5
+solves a bipartite instance per verified path pair over the marked edges;
+the verified rows stay int64 arrays from the Step 4 values to
+interesting.pair_solver_inputs, which hands back each instance's row and
+column lists. The minimum over everything probed is the answer, with high
+probability equal to the true 2-respecting minimum.
 
 The search is a generator yielding (context, request) batches. Each yield is
 one synchronous round: under the stream provider one pass, under the query
@@ -109,29 +110,27 @@ def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
         live = survivors
 
 
-def interest_checks(d, sample_graph: WeightedGraph, proxy, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+def interest_checks(d, proxy: WeightedGraph, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
-    Returns (cross, down) int64 arrays of (e, f) rows left for exact
-    verification: CrossSub(e, f) and CrossNested(f, e) respectively.
+    Samples and filters on proxy. Returns (cross, down) int64 arrays of (e, f)
+    rows left for exact verification: CrossSub(e, f) and CrossNested(f, e).
     """
     t = d.tree
-    wc = build_weight_classes(sample_graph, t, seed)
+    wc = build_weight_classes(proxy, t, seed)
     es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
-    cross, down = candidate_tops(d, es, eids, sample_graph)
-    if proxy is not None:
-        filt = ProxyFilter(proxy, t)
-        cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
-        down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
+    cross, down = candidate_tops(d, es, eids, proxy)
+    filt = ProxyFilter(proxy, t)
+    cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
+    down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
     return cross, down
 
 
-def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed, sink: SearchSink):
+def two_respect_plan(ctx: TreeContext, proxy: WeightedGraph, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
-    sample_graph backs candidate sampling (the sparsifier when values are
-    expensive, the graph itself in-memory); proxy, when not None, activates
-    the local 1/3 pre-filter before exact verification.
+    proxy is the provider's graph that Step 4 samples and 1/3-filters on:
+    the sparsifier when values are expensive, the graph itself in memory.
     """
     t = ctx.tree
     best = BestTracker(t)
@@ -154,7 +153,7 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
         if path_solvers:
             yield from _drive_solvers(ctx, path_solvers, best)
 
-        cross, down = interest_checks(d, sample_graph, proxy, seed)
+        cross, down = interest_checks(d, proxy, seed)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -169,26 +168,16 @@ def two_respect_plan(ctx: TreeContext, sample_graph: WeightedGraph, proxy, seed,
     sink.complete(best, ledger)
 
 
-def sampling_source(provider, g: WeightedGraph):
-    """(sample_graph, proxy): discovery runs on the sparsifier when the
-    provider carries one, directly on the graph otherwise."""
-    proxy = provider.proxy_graph()
-    if proxy is not None:
-        return proxy, proxy
-    return g, None
-
-
 def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     """Exact minimum 2-respecting cut of (g, t) through the given provider,
     with high probability; all returned values are exact in g."""
     if g.n < 2:
         raise GraphError("no tree edge exists on a single vertex")
     ctx = TreeContext(t)
-    sample_graph, proxy = sampling_source(provider, g)
     seed = as_seed(rng)
     wc_seed = int(rng_for(seed, 7, 0).integers(1 << 62))  # the pipeline's stream for tree 0
     sink = SearchSink()
-    task = two_respect_plan(ctx, sample_graph, proxy, wc_seed, sink)
+    task = two_respect_plan(ctx, provider.proxy, wc_seed, sink)
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

@@ -1,8 +1,10 @@
 """Shared builders: the worked 5-vertex example and seeded random instances."""
 
+import numpy as np
 import pytest
 
 from twocut.graph import WeightedGraph, build_rooted_tree
+from twocut.interesting import DEFAULT_SAMPLE_MULTIPLIER, build_weight_classes, candidate_tops, sample_cross_candidates
 from twocut.util import DisjointSets
 
 GSTAR_EDGES = [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (2, 4, 4), (1, 3, 2)]
@@ -61,3 +63,12 @@ def random_instance(rng, n_lo=4, n_hi=14, wmax=10, extra=2.0):
     root = int(rng.integers(0, n))
     t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), root)
     return g, t
+
+
+def candidate_rows(g, d, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+    """Step 4's (cross, down) candidate rows sampled on g before any filter:
+    interest_checks without its proxy filter."""
+    t = d.tree
+    wc = build_weight_classes(g, t, seed)
+    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
+    return candidate_tops(d, es, eids, g)

@@ -66,6 +66,7 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     assert metrics["tworespect.trees"] >= 1
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == tracer.calls["interesting.candidate_tops"] >= 1
+    assert tracer.calls["interesting.filter"] >= 1  # every mode filters Step 4's candidates
     assert abs(tracer.identity_residual()) < 1e-6
     assert tracer.counts["provider.unique"] == distinct_uncached(batches) > 0
     if mode == "streaming":

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twocut import packing
+from twocut import cli, packing
 from twocut.cli import EXIT_BUDGET, EXIT_DISCONNECTED, EXIT_OK, EXIT_PARSE, main
 from twocut.graph import load_graph
 from twocut.packing import PipelineConfig, min_cut_pipeline
@@ -114,3 +114,27 @@ def test_stats_json_deterministic(gstar_file, tmp_path):
         payload["wall_ms"] = 0  # the one physically nondeterministic field
         texts.append(json.dumps(payload, sort_keys=False))
     assert texts[0] == texts[1]
+
+
+def test_malformed_header_exit_code(tmp_path, capsys):
+    for header in ("p --3 2", "p ² 1"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{header}\n0 1 1\n1 2 1\n")
+        assert main(["--input", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: bad header")
+
+
+def test_unwritable_stats_exit_code(gstar_file, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "s.json"
+    assert main(["--input", str(gstar_file), "--stats", str(target)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_memory_error_exit_code(gstar_file, capsys, monkeypatch):
+    # a run that outgrows memory (say a huge --churn stream) ends as a budget overrun
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "min_cut_pipeline", out_of_memory)
+    assert main(["--mode", "streaming", "--churn", "1e12", "--input", str(gstar_file)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")

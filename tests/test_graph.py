@@ -63,6 +63,26 @@ def test_load_distinct_errors():
         load_graph("p 2 1\n0 1 1\n0 1 1\n")
 
 
+@pytest.mark.parametrize("header", ["p --3 2", "p \u00b2 2", "p 3 -"])
+def test_load_malformed_header_refused(header):
+    with pytest.raises(MalformedInputError, match="bad header"):
+        load_graph(f"{header}\n0 1 1\n1 2 1\n")
+
+
+def test_non_integer_weight_refused():
+    for w, msg in ((1.5, "not an integer"), (2.0, "not an integer"), (-1, "negative weight")):
+        with pytest.raises(MalformedInputError, match=msg):
+            WeightedGraph(2, [(0, 1, w)])
+    assert WeightedGraph(2, [(0, 1, np.int64(3))]).edges == [(0, 1, 3)]
+
+
+def test_merged_weight_past_int64_refused():
+    with pytest.raises(WeightOverflowError, match="int64"):
+        WeightedGraph(2, [(0, 1, 1 << 62), (0, 1, 1 << 62)])
+    g = WeightedGraph(2, [(0, 1, 1 << 62), (0, 1, (1 << 62) - 1)])
+    assert g.edges == [(0, 1, (1 << 63) - 1)] and int(g.ew[0]) == (1 << 63) - 1
+
+
 def test_gstar_postorder_and_ranges():
     _, t = make_gstar()
     assert {v: int(t.po[v]) for v in range(5)} == {2: 0, 1: 1, 4: 2, 3: 3, 0: 4}

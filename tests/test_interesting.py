@@ -23,7 +23,7 @@ from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import interest_checks
 
-from conftest import make_gstar, random_connected_graph, random_instance
+from conftest import candidate_rows, make_gstar, random_connected_graph, random_instance
 from test_hld import brute_lca, walk_tops
 
 CROSS = "cross"
@@ -106,12 +106,13 @@ def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
 
 
 def verified_rows(g, t, d, seed, multiplier=4):
-    """Step 4 end to end on one tree: the batch, then the exact strict-half
-    check of every row through a SequentialProvider, as the pipeline does.
-    Returns (cross, down, ok), ok aligned with the cross rows, then down."""
+    """Step 4 on one tree without the proxy filter: the unfiltered candidate
+    rows, then the exact strict-half check of every row through a
+    SequentialProvider, as the pipeline does. Returns (cross, down, ok), ok
+    aligned with the cross rows, then down."""
     provider = SequentialProvider(g)
     ctx = TreeContext(t)
-    cross, down = interest_checks(d, g, None, seed, multiplier)
+    cross, down = candidate_rows(g, d, seed, multiplier)
     kids = t.edge_children()
     reqs = [(ctx, DegSubtree(e)) for e in kids]
     reqs += [(ctx, CrossSub(e, f)) for e, f in cross.tolist()]
@@ -378,9 +379,12 @@ def test_batch_rows_equal_per_edge_reference():
             continue
         d = decompose(t)
         h = build_proxy_direct(g, eps=0.1)
-        for sample_graph, proxy in ((g, None), (h, h)):
+        # unfiltered candidates, then the filtered route on the graph itself
+        # (the in-memory provider's proxy) and on a sparsifier
+        runs = [(g, None, candidate_rows(g, d, 77 + i, multiplier))]
+        runs += [(p, p, interest_checks(d, p, 77 + i, multiplier)) for p in (g, h)]
+        for sample_graph, proxy, got in runs:
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
-            got = interest_checks(d, sample_graph, proxy, 77 + i, multiplier)
             assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"
 
 
@@ -407,3 +411,31 @@ def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):
     g = random_connected_graph(np.random.default_rng(graph_seed), 24, extra=3, wmax=wmax)
     _, stats = min_cut_pipeline(g, mode, rng=seed)
     assert (stats.queries, stats.passes, stats.tracked_words, stats.probes) == ledgers
+
+
+@pytest.mark.parametrize("graph", ["gstar", "n40"])
+def test_sequential_filter_drops_only_failing_rows(graph, monkeypatch):
+    # on the graph itself the 1/3 filter (3 C > deg) is implied by the exact
+    # 2 C > deg, so it only spares exact checks of rows that would fail
+    if graph == "gstar":
+        g, _ = make_gstar()
+    else:
+        g = random_connected_graph(np.random.default_rng(40), 40, extra=3, wmax=10)
+    crossings = []
+    batch_eval = SequentialProvider.batch_eval
+
+    def spy(self, items):
+        crossings[-1] += sum(isinstance(req, (CrossSub, CrossNested)) for _, req in items)
+        return batch_eval(self, items)
+
+    monkeypatch.setattr(SequentialProvider, "batch_eval", spy)
+    runs = []
+    for keep_all in (False, True):
+        if keep_all:
+            for name in ("cross_ok_many", "down_ok_many"):
+                monkeypatch.setattr(ProxyFilter, name, lambda self, us, fs: np.ones(len(us), dtype=bool))
+        crossings.append(0)
+        res, stats = min_cut_pipeline(g, "sequential", rng=3)
+        runs.append((res.value, res.certificate, res.partition, stats.probes))
+    assert runs[0] == runs[1]
+    assert 0 < crossings[0] < crossings[1]

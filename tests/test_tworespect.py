@@ -16,7 +16,7 @@ from twocut.sequential import SequentialProvider
 from twocut.tworespect import min_2respect
 from twocut.util import floor_log2
 
-from conftest import make_gstar, random_instance
+from conftest import candidate_rows, make_gstar, random_instance
 
 
 def test_gstar_value_and_partition():
@@ -80,7 +80,6 @@ def test_step5_work_bound():
     from twocut.graph import cross_weight
     from twocut.hld import decompose
     from twocut.interesting import pair_solver_inputs
-    from twocut.tworespect import interest_checks
 
     rng = np.random.default_rng(40)
     for i in range(40):
@@ -92,7 +91,7 @@ def test_step5_work_bound():
         # direct bound check on the Step 5 instances, rows verified by brute force
         d = decompose(t)
         deg = {v: cut_of_partition(g, t.subtree(v)) for v in t.edge_children()}
-        cross, down = interest_checks(d, g, None, i)
+        cross, down = candidate_rows(g, d, i)
         okc = np.array([2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]
                         for e, f in cross.tolist()], dtype=bool)
         okd = np.array([2 * cross_weight(g, t.subtree(f), set(range(n)) - set(t.subtree(e))) > deg[e]
@@ -129,12 +128,11 @@ def test_lockstep_round_counts():
     g, t = make_gstar()
     provider = SequentialProvider(g)
     from twocut.provider import TreeContext
-    from twocut.tworespect import SearchSink, sampling_source, two_respect_plan
+    from twocut.tworespect import SearchSink, two_respect_plan
 
     ctx = TreeContext(t)
-    sample_graph, proxy = sampling_source(provider, g)
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(ctx, sample_graph, proxy, 5, sink)], provider)
+    rounds = run_lockstep([two_respect_plan(ctx, provider.proxy, 5, sink)], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -147,7 +145,7 @@ def test_lockstep_round_counts():
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep(
-        [two_respect_plan(ctx2, path, None, 5, sink2)], provider2
+        [two_respect_plan(ctx2, path, 5, sink2)], provider2
     )
     assert sink2.value == 1
     assert rounds2 <= 4
