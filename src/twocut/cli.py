@@ -10,15 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .graph import (
-    DisconnectedError,
-    GraphError,
-    MalformedInputError,
-    SelfLoopError,
-    WeightOverflowError,
-    load_graph,
-    oracle_min_cut,
-)
+from .graph import DisconnectedError, GraphError, load_graph, oracle_min_cut
 from .packing import PipelineConfig, min_cut_pipeline
 from .proxy import ResourceBudgetError
 
@@ -46,32 +38,28 @@ def build_parser():
     return p
 
 
+def _fail(message, code) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.input) as fh:
-            text = fh.read()
+            g = load_graph(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        g = load_graph(text)
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except (MalformedInputError, SelfLoopError, WeightOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"cannot read {args.input}: {exc}", EXIT_PARSE)
+    except GraphError as exc:
+        return _fail(exc, EXIT_DISCONNECTED if isinstance(exc, DisconnectedError) else EXIT_PARSE)
 
     cfg = PipelineConfig(churn=args.churn, trees_override=args.trees)
     try:
         result, stats = min_cut_pipeline(g, args.mode, eps=args.epsilon, rng=args.seed, config=cfg)
     except (ResourceBudgetError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(exc, EXIT_BUDGET)
     except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
 
     print(f"min cut value: {result.value}")
     if args.report_partition:
@@ -80,11 +68,9 @@ def main(argv=None) -> int:
     if args.stats:
         try:
             with open(args.stats, "w") as fh:
-                fh.write(stats.to_json(result.value, args.seed))
-                fh.write("\n")
+                fh.write(stats.to_json(result.value, args.seed) + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(f"cannot write {args.stats}: {exc}", EXIT_PARSE)
     if args.verify == "oracle":
         want = oracle_min_cut(g).value
         if want != result.value:

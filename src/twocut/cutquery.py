@@ -183,7 +183,6 @@ class QueryProvider(CostProvider):
         self.oracle = oracle
         self.stats.queries = oracle.query_count
 
-
     def _indexes(self, trees):
         return [self.oracle.po_grid(t.po) for t in trees]
 

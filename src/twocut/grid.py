@@ -20,11 +20,12 @@ class PoPrefixGrid:
     def __init__(self, n, xs, ys, ws):
         """xs, ys: point coordinates in [0, n); ws may be signed (stream
         deltas cancel inside the accumulation)."""
-        a = np.zeros((n, n), dtype=np.int64)
-        np.add.at(a, (xs, ys), ws)
+        pref = np.zeros((n + 1, n + 1), dtype=np.int64)  # built in place: one table at peak
+        np.add.at(pref, (np.asarray(xs) + 1, np.asarray(ys) + 1), ws)
+        np.cumsum(pref, axis=0, out=pref)
+        np.cumsum(pref, axis=1, out=pref)
         self.n = n
-        self._pref = np.zeros((n + 1, n + 1), dtype=np.int64)
-        self._pref[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+        self._pref = pref
 
     def rect_weights(self, x1, x2, y1, y2):
         """Weight sums of the rectangles [x1, x2] x [y1, y2] (aligned int64 arrays).

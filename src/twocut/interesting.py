@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph
-from .grid import PoPrefixGrid
 from .hld import PathDecomposition
 from .rangeindex import SampleRangeIndex, edge_points, sample_rects, subtree_sums, tree_degrees
 from .util import bit_lengths, ceil_log2
@@ -87,16 +86,17 @@ class ProxyFilter:
     A (1 +- eps) sparsifier turns the exact strict-half tests into strict
     third tests that never reject a true partner; survivors still get the
     exact check in the real graph. On the graph itself (the in-memory proxy)
-    it drops only rows the exact 2C > deg would fail. Both checks take
-    aligned (or scalar) edge arrays us, fs and return one boolean per row;
-    the values come from the providers' subtree formula over a grid of the
-    proxy's edges.
+    it drops only rows the exact 2C > deg would fail. idx is any
+    rect_weights index over the proxy's edge points under tree (see
+    rangeindex.subtree_sums), as a provider's proxy_index hands it over.
+    Both checks take aligned (or scalar) edge arrays us, fs and return one
+    boolean per row.
     """
 
-    def __init__(self, h: WeightedGraph, tree):
+    def __init__(self, idx, tree):
         self.tree = tree
-        self.grid = PoPrefixGrid(tree.n, *edge_points(tree.po, h.eu, h.ev), h.ew)
-        self.deg = tree_degrees(self.grid, tree)
+        self.idx = idx
+        self.deg = tree_degrees(idx, tree)
 
     def cross_ok_many(self, us, fs):
         """3 C(u_sub, f_sub) > deg(u_sub) per row, for disjoint subtrees."""
@@ -108,7 +108,8 @@ class ProxyFilter:
 
     def _ok(self, us, fs, sub):
         us, fs = np.broadcast_arrays(np.atleast_1d(us), np.atleast_1d(fs))
-        return 3 * subtree_sums(self.grid, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us]
+        # 3 C > deg exactly, without tripling C in int64
+        return subtree_sums(self.idx, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us] // 3
 
 
 def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):

@@ -246,7 +246,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         ctx = TreeContext(t)
         sink = SearchSink()
         wc_seed = int(rng_for(seed, 7, ti).integers(1 << 62))
-        tasks.append(two_respect_plan(ctx, provider.proxy, wc_seed, sink))
+        tasks.append(two_respect_plan(ctx, provider, wc_seed, sink))
         sinks.append(sink)
         ctxs.append(ctx)
     run_lockstep(tasks, provider)

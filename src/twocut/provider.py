@@ -16,8 +16,8 @@ crossing. The providers hand over different indexes (a merge-sort tree over
 the graph, or a dense prefix grid over the oracle's hidden edges or the
 stream's net updates) and meter differently; the formula is shared.
 
-Each provider also carries `proxy`, the graph Step 4 samples and filters
-candidates on: the in-memory provider's own graph, or the sparsifier.
+Each provider also carries `proxy`, the graph Step 4 samples on (its own
+graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter.
 
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
-from .rangeindex import subtree_sums, tree_degrees
+from .grid import PoPrefixGrid
+from .rangeindex import edge_points, subtree_sums, tree_degrees
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 
 
@@ -172,6 +173,11 @@ class CostProvider:
     def _eval_unique(self, rows):
         """Meter the distinct uncached request rows, then return self._values(rows)."""
         raise NotImplementedError
+
+    def proxy_index(self, ctx):
+        """Step 4's unmetered rect_weights index over the proxy under ctx's tree."""
+        h = self.proxy
+        return PoPrefixGrid(self.n, *edge_points(ctx.tree.po, h.eu, h.ev), h.ew)
 
     def _indexes(self, trees):
         """One rect_weights index over the (min po, max po) edge points of

@@ -265,7 +265,6 @@ class StreamProvider(CostProvider):
         self.stats.passes = harness.pass_count
         self.stats.tracked_words = harness.tracked_words
 
-
     def _indexes(self, trees):
         return self.harness.run_pass([t.po for t in trees])
 

@@ -110,27 +110,27 @@ def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
         live = survivors
 
 
-def interest_checks(d, proxy: WeightedGraph, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+def interest_checks(d, proxy: WeightedGraph, idx, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
-    Samples and filters on proxy. Returns (cross, down) int64 arrays of (e, f)
-    rows left for exact verification: CrossSub(e, f) and CrossNested(f, e).
+    Samples on proxy and 1/3-filters on idx, a rect_weights index over it
+    under d's tree. Returns (cross, down) int64 arrays of (e, f) rows left
+    for exact verification: CrossSub(e, f) and CrossNested(f, e).
     """
     t = d.tree
     wc = build_weight_classes(proxy, t, seed)
     es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
     cross, down = candidate_tops(d, es, eids, proxy)
-    filt = ProxyFilter(proxy, t)
+    filt = ProxyFilter(idx, t)
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
     down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
     return cross, down
 
 
-def two_respect_plan(ctx: TreeContext, proxy: WeightedGraph, seed, sink: SearchSink):
+def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
-    proxy is the provider's graph that Step 4 samples and 1/3-filters on:
-    the sparsifier when values are expensive, the graph itself in memory.
+    Step 4 samples on provider.proxy and 1/3-filters on provider.proxy_index(ctx).
     """
     t = ctx.tree
     best = BestTracker(t)
@@ -153,7 +153,7 @@ def two_respect_plan(ctx: TreeContext, proxy: WeightedGraph, seed, sink: SearchS
         if path_solvers:
             yield from _drive_solvers(ctx, path_solvers, best)
 
-        cross, down = interest_checks(d, proxy, seed)
+        cross, down = interest_checks(d, provider.proxy, provider.proxy_index(ctx), seed)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -177,7 +177,7 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     seed = as_seed(rng)
     wc_seed = int(rng_for(seed, 7, 0).integers(1 << 62))  # the pipeline's stream for tree 0
     sink = SearchSink()
-    task = two_respect_plan(ctx, provider.proxy, wc_seed, sink)
+    task = two_respect_plan(ctx, provider, wc_seed, sink)
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twocut.graph import WeightedGraph, build_rooted_tree
+from twocut.grid import PoPrefixGrid
 from twocut.interesting import DEFAULT_SAMPLE_MULTIPLIER, build_weight_classes, candidate_tops, sample_cross_candidates
+from twocut.rangeindex import EdgePointSet, WeightRangeIndex, edge_points
 from twocut.util import DisjointSets
 
 GSTAR_EDGES = [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (2, 4, 4), (1, 3, 2)]
@@ -72,3 +74,16 @@ def candidate_rows(g, d, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     wc = build_weight_classes(g, t, seed)
     es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
     return candidate_tops(d, es, eids, g)
+
+
+def weight_index(g, t):
+    """The merge-sort tree over g's edge points under t, as the in-memory
+    provider builds it per tree."""
+    pts = EdgePointSet(g, t)
+    return WeightRangeIndex(pts.xs, pts.ys, pts.ws)
+
+
+def grid_index(g, t):
+    """The dense grid over g's edge points under t, as the simulated
+    providers hand it to the proxy filter."""
+    return PoPrefixGrid(t.n, *edge_points(t.po, g.eu, g.ev), g.ew)

@@ -23,7 +23,15 @@ from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import interest_checks
 
-from conftest import candidate_rows, make_gstar, random_connected_graph, random_instance
+from conftest import (
+    candidate_rows,
+    grid_index,
+    make_gstar,
+    random_connected_graph,
+    random_instance,
+    random_spanning_tree_edges,
+    weight_index,
+)
 from test_hld import brute_lca, walk_tops
 
 CROSS = "cross"
@@ -313,7 +321,7 @@ def test_proxy_filter_soundness_and_breadth():
     for i in range(40):
         g, t = random_instance(rng, 4, 12)
         h = build_proxy_direct(g, eps=0.01)
-        filt = ProxyFilter(h, t)
+        filt = ProxyFilter(grid_index(h, t), t)
         cross_int, down_int = exhaustive_interest(g, t)
         kids = t.edge_children()
         for e in kids:
@@ -380,9 +388,11 @@ def test_batch_rows_equal_per_edge_reference():
         d = decompose(t)
         h = build_proxy_direct(g, eps=0.1)
         # unfiltered candidates, then the filtered route on the graph itself
-        # (the in-memory provider's proxy) and on a sparsifier
+        # (the in-memory provider's proxy) through its merge-sort tree, and
+        # on a sparsifier through its grid
         runs = [(g, None, candidate_rows(g, d, 77 + i, multiplier))]
-        runs += [(p, p, interest_checks(d, p, 77 + i, multiplier)) for p in (g, h)]
+        runs += [(p, p, interest_checks(d, p, index(p, t), 77 + i, multiplier))
+                 for p, index in ((g, weight_index), (h, grid_index))]
         for sample_graph, proxy, got in runs:
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
             assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"
@@ -439,3 +449,43 @@ def test_sequential_filter_drops_only_failing_rows(graph, monkeypatch):
         runs.append((res.value, res.certificate, res.partition, stats.probes))
     assert runs[0] == runs[1]
     assert 0 < crossings[0] < crossings[1]
+
+
+def heavy_graphs():
+    # totals between 2**61.5 and the 2**62 cap, where 3 C can pass 2**63
+    heavy = (1 << 62) - 8
+    yield WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, heavy), (1, 3, 1), (2, 3, 1)])
+    light = random_connected_graph(np.random.default_rng(62), 12, extra=3, wmax=10)
+    scale = int(2 ** 61.8) // light.total_weight
+    yield WeightedGraph(light.n, [(u, v, w * scale) for u, v, w in light.edges])
+
+
+def test_filter_keeps_every_interesting_row_near_the_weight_cap():
+    g = next(heavy_graphs())
+    t = build_rooted_tree(g, [(0, 1), (0, 2), (1, 3)], root=0)
+    # C(sub 1, sub 2) = heavy + 1 and deg(sub 1) = heavy + 2: the exact check
+    # passes, and 3 C wraps in int64
+    assert ProxyFilter(weight_index(g, t), t).cross_ok_many(1, 2).all()
+    rng = np.random.default_rng(63)
+    for g in heavy_graphs():
+        assert (1 << 61) < g.total_weight < (1 << 62)
+        for _ in range(5):
+            root = int(rng.integers(g.n))
+            t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), root)
+            filt = ProxyFilter(weight_index(g, t), t)
+            cross_int, down_int = exhaustive_interest(g, t)
+            for e in t.edge_children():
+                assert filt.cross_ok_many(e, sorted(cross_int[e])).all()
+                assert filt.down_ok_many(e, sorted(down_int[e])).all()
+
+
+def test_sequential_filter_changes_nothing_near_the_weight_cap(monkeypatch):
+    runs = {False: [], True: []}
+    for keep_all in (False, True):
+        if keep_all:
+            for name in ("cross_ok_many", "down_ok_many"):
+                monkeypatch.setattr(ProxyFilter, name, lambda self, us, fs: np.ones(len(us), dtype=bool))
+        for g in heavy_graphs():
+            res, stats = min_cut_pipeline(g, "sequential", rng=3)
+            runs[keep_all].append((res.value, res.certificate, res.partition, stats.probes))
+    assert runs[False] == runs[True]

@@ -22,13 +22,8 @@ from twocut.graph import (
 )
 from twocut.packing import min_cut_pipeline
 
-from conftest import make_gstar, random_instance
+from conftest import make_gstar, random_instance, weight_index
 from test_interesting import reference_sample_rect
-
-
-def weight_index(g, t):
-    pts = EdgePointSet(g, t)
-    return WeightRangeIndex(pts.xs, pts.ys, pts.ws)
 
 
 def sample_index(g, t, seed):
@@ -107,8 +102,9 @@ def test_rect_weights_match_brute_force_mask(engine):
         g, t = random_instance(rng, 2, 20, wmax=1 << 32)
         pts = EdgePointSet(g, t)
         want = [cut_of_partition(g, t.subtree(v)) if v != t.root else 0 for v in range(g.n)]
-        assert tree_degrees(build(g.n, pts.xs, pts.ys, pts.ws), t).tolist() == want
-        assert ProxyFilter(g, t).deg.tolist() == want
+        idx = build(g.n, pts.xs, pts.ys, pts.ws)
+        assert tree_degrees(idx, t).tolist() == want
+        assert ProxyFilter(idx, t).deg.tolist() == want
 
 
 def test_weight_total_reaching_2_62_is_refused():

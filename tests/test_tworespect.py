@@ -12,11 +12,20 @@ from twocut.graph import (
     cut_of_partition,
     oracle_2respect_min,
 )
+from twocut.grid import PoPrefixGrid
+from twocut.interesting import ProxyFilter
+from twocut.rangeindex import WeightRangeIndex
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import min_2respect
 from twocut.util import floor_log2
 
-from conftest import candidate_rows, make_gstar, random_instance
+from conftest import (
+    candidate_rows,
+    make_gstar,
+    random_connected_graph,
+    random_instance,
+    random_spanning_tree_edges,
+)
 
 
 def test_gstar_value_and_partition():
@@ -132,7 +141,7 @@ def test_lockstep_round_counts():
 
     ctx = TreeContext(t)
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(ctx, provider.proxy, 5, sink)], provider)
+    rounds = run_lockstep([two_respect_plan(ctx, provider, 5, sink)], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -145,7 +154,35 @@ def test_lockstep_round_counts():
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep(
-        [two_respect_plan(ctx2, path, 5, sink2)], provider2
+        [two_respect_plan(ctx2, provider2, 5, sink2)], provider2
     )
     assert sink2.value == 1
     assert rounds2 <= 4
+
+
+@pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
+def test_sequential_filter_index_by_size(n, extra, index, monkeypatch):
+    # the 1/3 filter reads a grid of g while it is no larger than the tree
+    # indexes held (dense g), else the tree's own merge-sort index (sparse g
+    # on one tree); either way it spares only exact checks that would fail
+    rng = np.random.default_rng(n)
+    g = random_connected_graph(rng, n, extra=extra, wmax=10)
+    t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0)
+    seen = []
+    proxy_index = SequentialProvider.proxy_index
+
+    def spy(self, ctx):
+        seen.append(proxy_index(self, ctx))
+        return seen[-1]
+
+    monkeypatch.setattr(SequentialProvider, "proxy_index", spy)
+    provider = SequentialProvider(g)
+    res = min_2respect(g, t, provider, rng=5)
+    assert len(seen) == 1 and type(seen[0]) is index
+    if index is WeightRangeIndex:
+        assert seen[0] is provider._index[0]
+    for name in ("cross_ok_many", "down_ok_many"):
+        monkeypatch.setattr(ProxyFilter, name, lambda self, us, fs: np.ones(len(us), dtype=bool))
+    keep_all = min_2respect(g, t, SequentialProvider(g), rng=5)
+    assert (res.value, res.certificate, res.partition) == (keep_all.value, keep_all.certificate, keep_all.partition)
+    assert res.value == oracle_2respect_min(g, t).value
