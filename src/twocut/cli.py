@@ -46,9 +46,9 @@ def _fail(message, code) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             g = load_graph(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.input}: {exc}", EXIT_PARSE)
     except GraphError as exc:
         return _fail(exc, EXIT_DISCONNECTED if isinstance(exc, DisconnectedError) else EXIT_PARSE)

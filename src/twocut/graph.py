@@ -50,8 +50,10 @@ class TreeStructureError(GraphError):
 class WeightedGraph:
     """Undirected graph on vertices 0..n-1 with merged parallel edges.
 
-    Edges are stored once per unordered pair, sorted by (u, v) with u < v;
-    the position in that list is the edge id used by indexes and sketches.
+    Edges are held in two forms, both sorted by (u, v) with u < v: `edges`,
+    the (u, v, w) tuples of Python ints the oracles read, and the int64
+    columns `eu`, `ev`, `ew` the pipeline reads. The position in that order
+    is the edge id used by indexes and sketches.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], require_connected: bool = True):
@@ -59,6 +61,10 @@ class WeightedGraph:
             raise MalformedInputError(f"vertex count must be positive, got {n}")
         merged: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise MalformedInputError(f"endpoint in edge ({u!r}, {v!r}) is not an integer") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise MalformedInputError(f"endpoint out of range in edge ({u}, {v})")
             if u == v:
@@ -73,18 +79,12 @@ class WeightedGraph:
             merged[key] = merged.get(key, 0) + w
         if merged and max(merged.values()) >= 1 << 63:
             raise WeightOverflowError(f"merged edge weight {max(merged.values())} does not fit in int64")
+        if require_connected and len(merged) < n - 1:
+            raise DisconnectedError(f"graph is not connected: {len(merged)} edges on {n} vertices")
         self.n = n
         self.edges = [(u, v, w) for (u, v), w in sorted(merged.items())]
         self.m = len(self.edges)
-        self.weight_of = {(u, v): w for u, v, w in self.edges}
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(self.edges):
-            self.adj[u].append((v, eid))
-            self.adj[v].append((u, eid))
-        if self.m:
-            eu, ev, ew = zip(*self.edges)
-        else:
-            eu = ev = ew = ()
+        eu, ev, ew = zip(*self.edges) if self.m else ((), (), ())
         self.eu = np.asarray(eu, dtype=np.int64)
         self.ev = np.asarray(ev, dtype=np.int64)
         self.ew = np.asarray(ew, dtype=np.int64)
@@ -105,14 +105,12 @@ class WeightedGraph:
             ds.union(u, v)
         return ds.count == 1
 
-    def weighted_degree(self, v: int) -> int:
-        return sum(self.weight_of[(min(v, x), max(v, x))] for x, _ in self.adj[v])
-
     def min_weighted_degree(self) -> int:
-        return min(self.weighted_degree(v) for v in range(self.n))
-
-    def edge_weight(self, u: int, v: int) -> int:
-        return self.weight_of.get((u, v) if u < v else (v, u), 0)
+        deg = [0] * self.n  # Python ints: one vertex's degree may pass int64
+        for u, v, w in self.edges:
+            deg[u] += w
+            deg[v] += w
+        return min(deg)
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m}, total_weight={self.total_weight})"
@@ -245,43 +243,49 @@ class RootedSpanTree:
 
 
 def build_rooted_tree(g: WeightedGraph, tree_edges, root: int) -> RootedSpanTree:
-    """Root the given spanning-tree edges of g at `root`."""
-    if not (0 <= root < g.n):
+    """Root the given spanning-tree edges of g at `root`.
+
+    Each edge is a (u, v) pair or a (u, v, w) triple, in either orientation.
+    n-1 edges of g whose walk from the root reaches every vertex form a
+    spanning tree; a cycle, a repeated edge or an unreached vertex leaves
+    some vertex out and raises TreeStructureError.
+    """
+    n = g.n
+    if not (0 <= root < n):
         raise TreeStructureError(f"root {root} out of range")
-    if g.n == 1:
-        if list(tree_edges):
-            raise TreeStructureError("single-vertex tree takes no edges")
+    ends = np.array(list(tree_edges))
+    if len(ends) != n - 1:
+        raise TreeStructureError(f"need {n - 1} edges, got {len(ends)}")
+    if n == 1:
         return RootedSpanTree(1, root, [-1])
-    edges = []
-    for e in tree_edges:
-        u, v = e[0], e[1]
-        key = (u, v) if u < v else (v, u)
-        if key not in g.weight_of:
-            raise TreeStructureError(f"edge {key} is not in the graph")
-        edges.append(key)
-    if len(edges) != g.n - 1:
-        raise TreeStructureError(f"need {g.n - 1} edges, got {len(edges)}")
-    ds = DisjointSets(g.n)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in edges:
-        if not ds.union(u, v):
-            raise TreeStructureError(f"edges contain a cycle through ({u}, {v})")
-        adj[u].append(v)
-        adj[v].append(u)
-    if ds.count != 1:
-        raise TreeStructureError("edges do not span all vertices")
-    parent = [-1] * g.n
-    stack = [root]
-    seen = [False] * g.n
+    ends = ends[:, :2]
+    # range-checked before packing, so that no (u, v) aliases another key u * n + v
+    if ends.dtype.kind not in "iu" or not ((ends >= 0) & (ends < n)).all():
+        raise TreeStructureError("a tree edge endpoint is not a vertex of the graph")
+    ends = np.sort(ends.astype(np.int64), axis=1)
+    want = ends[:, 0] * n + ends[:, 1]
+    keys = np.append(g.eu * n + g.ev, n * n)  # ascending, as edges are sorted by (u, v); n * n ends it
+    missing = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
+    if len(missing):
+        raise TreeStructureError(f"edge {tuple(ends[missing[0]].tolist())} is not in the graph")
+    a, b = np.concatenate((ends, ends[:, ::-1])).T  # both directions of every edge
+    order = np.argsort(a)
+    nbr = b[order].tolist()
+    start = np.searchsorted(a[order], np.arange(n + 1)).tolist()
+    parent = [-1] * n
+    seen = [False] * n
     seen[root] = True
+    stack = [root]
     while stack:
         v = stack.pop()
-        for w in adj[v]:
+        for w in nbr[start[v] : start[v + 1]]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
                 stack.append(w)
-    return RootedSpanTree(g.n, root, parent)
+    if not all(seen):
+        raise TreeStructureError("edges do not span all vertices: they hold a cycle or a repeated edge")
+    return RootedSpanTree(n, root, parent)
 
 
 SINGLE = "single"

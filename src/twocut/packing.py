@@ -27,7 +27,7 @@ from .proxy import build_proxy_graph, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
 from .tworespect import SearchSink, two_respect_plan
-from .util import as_seed, ceil_log2, rng_for
+from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
 
@@ -59,7 +59,8 @@ class TreePacking:
     loads: list = field(default_factory=list)
 
     def tree_edges(self, i):
-        return [(self.host.edges[eid][0], self.host.edges[eid][1]) for eid in self.trees[i]]
+        eids = self.trees[i]
+        return list(zip(self.host.eu[eids].tolist(), self.host.ev[eids].tolist()))
 
 
 @dataclass
@@ -127,14 +128,10 @@ def build_skeleton(host: WeightedGraph, eps, lambda_guess, rng) -> Skeleton:
     for _ in range(retries):
         if p >= 1:
             return Skeleton(host, 1.0, lambda_guess)
-        weights = rng.binomial(np.asarray([w for _, _, w in host.edges], dtype=np.int64), p)
-        edges = [
-            (u, v, int(nw))
-            for (u, v, _), nw in zip(host.edges, weights)
-            if nw > 0
-        ]
+        weights = rng.binomial(host.ew, p)
+        keep = weights > 0
         try:
-            skel = WeightedGraph(host.n, edges)
+            skel = WeightedGraph(host.n, zip(host.eu[keep].tolist(), host.ev[keep].tolist(), weights[keep].tolist()))
             return Skeleton(skel, p, lambda_guess)
         except GraphError:
             p = min(1.0, 2 * p)
@@ -224,11 +221,10 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     if not host.is_connected():
         # sparsifiers keep no zero-weight edge, so they may come out disconnected:
         # the cut of the component of vertex 0, hung below 0, is one DegSubtree
-        side, stack = {0}, [0]
-        while stack:
-            new = {x for x, _ in host.adj[stack.pop()]} - side
-            side |= new
-            stack += new
+        ds = DisjointSets(g.n)
+        for u, v, _ in host.edges:
+            ds.union(u, v)
+        side = {v for v in range(g.n) if ds.find(v) == ds.find(0)}
         root = min(set(range(g.n)) - side)
         parent = [0 if v in side else root for v in range(g.n)]
         parent[0], parent[root] = root, -1

@@ -102,13 +102,15 @@ def build_proxy_direct(g: WeightedGraph, eps) -> WeightedGraph:
     rounds = forests_per_class(g.n, eps)
     budget = proxy_edge_budget(g.n, eps)
     cls = bit_lengths(g.ew) - 1  # -1 for a zero weight, which no forest needs
-    kept = []
+    kept, taken = [], np.zeros(g.m, dtype=bool)
     for c in np.unique(cls[cls >= 0]).tolist():
         eids = np.flatnonzero(cls == c)
         u, v, alive = g.eu[eids], g.ev[eids], np.ones(len(eids), dtype=bool)
         peel_forests(g.n, lambda sweep, labels, live: first_leaving(u, v, alive, labels),
                      lambda forest: alive.put([i for _, _, i in forest], False), rounds, 1, budget, kept)
-    return WeightedGraph(g.n, [(a, b, g.weight_of[a, b]) for a, b, _ in kept], require_connected=False)
+        taken[eids[~alive]] = True  # every kept forest was subtracted
+    return WeightedGraph(g.n, zip(g.eu[taken].tolist(), g.ev[taken].tolist(), g.ew[taken].tolist()),
+                         require_connected=False)
 
 
 def build_proxy_graph(source, eps) -> WeightedGraph:

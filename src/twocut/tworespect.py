@@ -36,14 +36,7 @@ from .graph import (
     reconstruct_partition,
 )
 from .hld import decompose
-from .interesting import (
-    DEFAULT_SAMPLE_MULTIPLIER,
-    ProxyFilter,
-    build_weight_classes,
-    candidate_tops,
-    pair_solver_inputs,
-    sample_cross_candidates,
-)
+from .interesting import ProxyFilter, build_weight_classes, candidate_tops, pair_solver_inputs, sample_cross_candidates
 from .interval import BipartiteSolver, ProbeLedger, self_pair_solvers
 from .provider import TreeContext, run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
@@ -110,7 +103,7 @@ def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
         live = survivors
 
 
-def interest_checks(d, proxy: WeightedGraph, idx, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+def interest_checks(d, proxy: WeightedGraph, idx, seed):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
     Samples on proxy and 1/3-filters on idx, a rect_weights index over it
@@ -119,7 +112,7 @@ def interest_checks(d, proxy: WeightedGraph, idx, seed, multiplier=DEFAULT_SAMPL
     """
     t = d.tree
     wc = build_weight_classes(proxy, t, seed)
-    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
+    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root))
     cross, down = candidate_tops(d, es, eids, proxy)
     filt = ProxyFilter(idx, t)
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]

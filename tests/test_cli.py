@@ -85,6 +85,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["--input", str(tmp_path / "missing.txt")]) == EXIT_PARSE
 
 
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p 3 2\n0 1 1\n1 2 \xff\n")
+    assert main(["--input", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_disconnected_exit_code(tmp_path, capsys):
     disc = tmp_path / "disc.txt"
     disc.write_text("p 4 1\n0 1 1\n")

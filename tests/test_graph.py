@@ -1,6 +1,7 @@
 """Graph core: loading, tree numbering, cut formulas, and the two oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from twocut.graph import (
     reconstruct_partition,
 )
 
-from conftest import make_gstar, random_instance
+from conftest import GSTAR_TREE, make_gstar, random_instance
 
 
 def test_load_triangle():
@@ -76,6 +77,30 @@ def test_non_integer_weight_refused():
     assert WeightedGraph(2, [(0, 1, np.int64(3))]).edges == [(0, 1, 3)]
 
 
+def test_non_integer_endpoint_refused():
+    with pytest.raises(MalformedInputError, match="not an integer"):
+        WeightedGraph(3, [(0.5, 1, 1), (1, 2, 1), (0, 2, 1)])
+    g = WeightedGraph(3, [(np.int64(2), np.int64(0), 1), (1, 2, 1)])
+    assert g.edges == [(0, 2, 1), (1, 2, 1)] and all(type(x) is int for e in g.edges for x in e)
+
+
+def test_too_few_edges_disconnected_before_vertex_arrays():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedError):
+            load_graph("p 2000000 1\n0 1 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+
+
+def test_min_weighted_degree_exact_past_int64():
+    big = 1 << 62
+    g = WeightedGraph(3, [(0, 1, big + 5), (1, 2, big + 7), (0, 2, big + 9)])
+    assert g.min_weighted_degree() == 2 * big + 12  # every degree passes 2**63
+
+
 def test_merged_weight_past_int64_refused():
     with pytest.raises(WeightOverflowError, match="int64"):
         WeightedGraph(2, [(0, 1, 1 << 62), (0, 1, 1 << 62)])
@@ -105,6 +130,24 @@ def test_build_tree_rejects_bad_inputs(gstar):
         build_rooted_tree(g, [(0, 1), (1, 3), (0, 3), (3, 4)], 0)  # cycle, misses vertex 2
     with pytest.raises(TreeStructureError):
         build_rooted_tree(g, [(0, 1), (1, 2), (0, 2), (3, 4)], 0)  # (0, 2) absent from g
+    with pytest.raises(TreeStructureError):
+        build_rooted_tree(g, [(0, 1), (1, 2), (2, 1), (0, 3)], 0)  # repeated edge, misses vertex 4
+    with pytest.raises(TreeStructureError, match="not a vertex"):
+        build_rooted_tree(g, [(0, 1), (1, 2), (0, g.n + 3), (3, 4)], 0)  # packs like (1, 3), an edge of g
+    with pytest.raises(TreeStructureError, match="not a vertex"):
+        build_rooted_tree(g, [(0, 1), (1, 2), (-1, 3), (3, 4)], 0)
+    with pytest.raises(TreeStructureError, match="not a vertex"):
+        build_rooted_tree(g, [(0, 1), (1, 2), (0.0, 3), (3, 4)], 0)
+
+
+def test_build_tree_accepts_any_orientation_and_iterable(gstar):
+    g, t = gstar
+    weight = {(u, v): w for u, v, w in g.edges}
+    flipped = [(v, u) for u, v in GSTAR_TREE]
+    triples = [(u, v, weight[u, v]) for u, v in GSTAR_TREE]
+    for edges in (flipped, triples, (e for e in reversed(GSTAR_TREE))):
+        got = build_rooted_tree(g, edges, 0)
+        assert got.parent.tolist() == t.parent.tolist() and got.po.tolist() == t.po.tolist()
 
 
 def test_cut_of_partition_examples(gstar):

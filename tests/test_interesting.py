@@ -10,6 +10,7 @@ import pytest
 from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cross_weight, cut_of_partition
 from twocut.hld import decompose
 from twocut.interesting import (
+    DEFAULT_SAMPLE_MULTIPLIER,
     ProxyFilter,
     build_weight_classes,
     pair_solver_inputs,
@@ -381,6 +382,14 @@ def equivalence_instances():
     return out
 
 
+def filtered_rows(proxy, d, idx, seed, multiplier):
+    """interest_checks at any sample multiplier: the candidate rows sampled
+    on proxy, then the 1/3 filter on idx."""
+    cross, down = candidate_rows(proxy, d, seed, multiplier)
+    filt = ProxyFilter(idx, d.tree)
+    return cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])], down[filt.down_ok_many(down[:, 0], down[:, 1])]
+
+
 def test_batch_rows_equal_per_edge_reference():
     for i, (g, t, multiplier) in enumerate(equivalence_instances()):
         if t.n < 3:
@@ -391,8 +400,11 @@ def test_batch_rows_equal_per_edge_reference():
         # (the in-memory provider's proxy) through its merge-sort tree, and
         # on a sparsifier through its grid
         runs = [(g, None, candidate_rows(g, d, 77 + i, multiplier))]
-        runs += [(p, p, interest_checks(d, p, index(p, t), 77 + i, multiplier))
-                 for p, index in ((g, weight_index), (h, grid_index))]
+        for p, index in ((g, weight_index), (h, grid_index)):
+            runs.append((p, p, filtered_rows(p, d, index(p, t), 77 + i, multiplier)))
+            if multiplier == DEFAULT_SAMPLE_MULTIPLIER:  # the pipeline's Step 4 is that route
+                got = interest_checks(d, p, index(p, t), 77 + i)
+                assert all(np.array_equal(a, b) for a, b in zip(got, runs[-1][2])), f"instance {i}"
         for sample_graph, proxy, got in runs:
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
             assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"

@@ -128,7 +128,7 @@ def test_merged_parallel_edges_near_2_32_stay_exact():
         lines += [f"{u} {v} {cap}", f"{u} {v} {cap - 1}"]
     lines.append(f"0 2 {cap}")
     g = load_graph("\n".join(lines))
-    assert g.edge_weight(0, 1) == 2 * cap - 1
+    assert g.edges[0] == (0, 1, 2 * cap - 1)
     t = build_rooted_tree(g, [(0, 1), (1, 2), (2, 3)], root=0)
     widx = weight_index(g, t)
     assert tree_degrees(widx, t).tolist()[1:] == [cut_of_partition(g, t.subtree(v)) for v in (1, 2, 3)]
