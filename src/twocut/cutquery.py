@@ -24,7 +24,7 @@ import numpy as np
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
 from .provider import B_DEG, CROSS_COEF, IS_SUB, CostProvider
-from .proxy import forests_per_class, peel_forests, proxy_edge_budget
+from .proxy import build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
 from .rangeindex import edge_points
 
 
@@ -48,10 +48,16 @@ class CutOracle:
         return int(self._ew[crossing].sum())
 
     def _mask(self, side):
+        """`side` as a length-n bool mask; ValueError for another length or a vertex outside 0..n-1."""
         if isinstance(side, np.ndarray) and side.dtype == bool:
+            if side.shape != (self.n,):
+                raise ValueError(f"a side mask must have length {self.n}, got shape {side.shape}")
             return side
+        verts = list(side)
+        if not all(0 <= v < self.n for v in verts):
+            raise ValueError(f"side vertices must lie in 0..{self.n - 1}")
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(side)] = True
+        mask[verts] = True
         return mask
 
     def po_grid(self, po) -> PoPrefixGrid:
@@ -220,5 +226,4 @@ def query_provider(oracle: CutOracle, eps=0.1, rng=None) -> QueryProvider:
 
     `rng` is accepted and unused: the oracle's forest peeling draws nothing.
     """
-    proxy = build_proxy_via_oracle(oracle, eps)
-    return QueryProvider(oracle, proxy)
+    return QueryProvider(oracle, build_proxy_graph(oracle, eps))

@@ -6,17 +6,19 @@ column with the prefix rows and right of it with the suffix rows. Row order
 matters: the first row must be the item nearest the split between the two
 sides, which is the orientation that makes column minima monotone.
 
-The whole-path search splits the point list in halves, solves the bipartite
-problem across the split, and recurses into each half; every unordered pair
-is covered exactly once, at the level where the two items first separate.
+The whole-path search splits the point list in halves, recursively, and
+solves one bipartite instance across each split; every unordered pair is
+covered exactly once, at the level where the two items first separate.
 
-Solvers expose their probes one recursion depth at a time, so a scheduler
-can merge the frontiers of many instances into one batch per round. That is
-what keeps the stream implementation at one pass per depth.
+One solver holds many instances on a single frontier of (instance, rl, rh,
+cl, ch) nodes and exposes the probes of all of them one recursion depth at
+a time, so each depth is one batch. That is what keeps the stream
+implementation at one pass per depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,17 +45,17 @@ class CostMatrixHandle:
 
 
 class BipartiteSolver:
-    """One divide-and-conquer run; probes are pulled per depth via requests()."""
+    """Divide and conquer over (rows, cols) instances on one frontier of
+    (instance, rl, rh, cl, ch) nodes; probes are pulled per depth via requests()."""
 
-    def __init__(self, rows, cols, ledger=None):
-        if not rows or not cols:
-            raise ValueError("empty row or column list")
-        self.rows = list(rows)
-        self.cols = list(cols)
+    def __init__(self, instances, ledger=None):
+        self.instances = [(list(rows), list(cols)) for rows, cols in instances]
+        if not self.instances or not all(rows and cols for rows, cols in self.instances):
+            raise ValueError("no instance, or an empty row or column list")
         self.ledger = ledger if ledger is not None else ProbeLedger()
-        self._frontier = [(0, len(self.rows) - 1, 0, len(self.cols) - 1)]
+        self._frontier = [(i, 0, len(rows) - 1, 0, len(cols) - 1) for i, (rows, cols) in enumerate(self.instances)]
         self._pending = None
-        self.best = None  # (value, row_index, col_index)
+        self.best = (math.inf,)  # (value, instance, row_index, col_index) once probed
 
     def done(self) -> bool:
         return not self._frontier
@@ -63,7 +65,7 @@ class BipartiteSolver:
         self._pending = []
         out = []
         for node in self._frontier:
-            rl, rh, cl, ch = node
+            i, rl, rh, cl, ch = node
             if rl == rh:
                 cells = [(rl, c) for c in range(cl, ch + 1)]
             elif cl == ch:
@@ -72,9 +74,10 @@ class BipartiteSolver:
                 mid = cl + (ch - cl) // 2
                 cells = [(r, mid) for r in range(rl, rh + 1)]
             self._pending.append((node, cells))
-            out.extend(cells)
+            rows, cols = self.instances[i]
+            out.extend((rows[r], cols[c]) for r, c in cells)
         self.ledger.probes += len(out)
-        return [(self.rows[r], self.cols[c]) for r, c in out]
+        return out
 
     def advance(self, values):
         """Consume values for the last requests() batch and spawn children."""
@@ -82,40 +85,35 @@ class BipartiteSolver:
         frontier = []
         for node, cells in self._pending:
             vals = [next(it) for _ in cells]
-            rl, rh, cl, ch = node
+            i, rl, rh, cl, ch = node
             if rl == rh or cl == ch:
-                for (r, c), v in zip(cells, vals):
-                    self._record(v, r, c)
+                self.best = min([self.best] + [(v, i, r, c) for (r, c), v in zip(cells, vals)])
                 continue
             mid = cl + (ch - cl) // 2
             vmin = min(vals)
             first = vals.index(vmin)
             last = len(vals) - 1 - vals[::-1].index(vmin)
             i_s, i_t = rl + first, rl + last
-            self._record(vmin, i_s, mid)
+            self.best = min(self.best, (vmin, i, i_s, mid))
             if cl <= mid - 1:
-                frontier.append((rl, i_s, cl, mid - 1))
+                frontier.append((i, rl, i_s, cl, mid - 1))
             if mid + 1 <= ch:
-                frontier.append((i_t, rh, mid + 1, ch))
+                frontier.append((i, i_t, rh, mid + 1, ch))
         self._pending = None
         self._frontier = frontier
 
-    def _record(self, value, r, c):
-        cand = (value, r, c)
-        if self.best is None or cand < self.best:
-            self.best = cand
-
     def result(self):
-        value, r, c = self.best
-        return value, self.rows[r], self.cols[c]
+        """(value, row_item, col_item) of the least probe, the first instance winning ties."""
+        value, i, r, c = self.best
+        rows, cols = self.instances[i]
+        return value, rows[r], cols[c]
 
 
 def bipartite_interval(handle: CostMatrixHandle):
     """Global minimum of the handle's matrix: (value, row_item, col_item)."""
-    solver = BipartiteSolver(handle.rows, handle.cols, handle.ledger)
+    solver = BipartiteSolver([(handle.rows, handle.cols)], handle.ledger)
     while not solver.done():
-        probes = solver.requests()
-        solver.advance(handle.evaluator(probes))
+        solver.advance(handle.evaluator(solver.requests()))
     return solver.result()
 
 
@@ -134,14 +132,13 @@ def split_pairs(items):
     return out
 
 
-def self_pair_solvers(items, ledger):
-    """Independent bipartite solvers whose union covers all pairs in `items`.
+def self_pair_instances(items):
+    """Bipartite instances whose union covers all pairs in `items`.
 
     Rows are the first half reversed (nearest the split first); columns are
-    the second half in order. The solvers share one ledger but are mutually
-    independent, so a scheduler may run them in lockstep.
+    the second half in order.
     """
-    return [BipartiteSolver(list(reversed(a)), list(b), ledger) for a, b in split_pairs(items)]
+    return [(a[::-1], b) for a, b in split_pairs(items)]
 
 
 def interval_self(evaluator, path_items, ledger=None):
@@ -152,16 +149,11 @@ def interval_self(evaluator, path_items, ledger=None):
     """
     if len(path_items) < 2:
         raise ValueError("need at least two items")
-    ledger = ledger if ledger is not None else ProbeLedger()
-    solvers = self_pair_solvers(list(path_items), ledger)
-    best = None
-    for s in solvers:
-        while not s.done():
-            s.advance(evaluator(s.requests()))
-        cand = s.result()
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best[0], (best[1], best[2])
+    solver = BipartiteSolver(self_pair_instances(list(path_items)), ledger)
+    while not solver.done():
+        solver.advance(evaluator(solver.requests()))
+    value, a, b = solver.result()
+    return value, (a, b)
 
 
 def monge_check(matrix) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 from .graph import (CutResult, DisconnectedError, GraphError, RootedSpanTree, WeightedGraph, build_rooted_tree,
                     reconstruct_partition)
 from .provider import TreeContext, run_lockstep
-from .proxy import build_proxy_graph, first_leaving, peel_forests
+from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
 from .tworespect import SearchSink, two_respect_plan
@@ -209,11 +209,12 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     if g.n < 2:
         raise GraphError("no cut exists on a single vertex")
     g.check_weight_sum()
-    if not (0 < eps <= 0.1):
-        raise ValueError("eps must lie in (0, 1/10]")
+    check_eps(g.n, eps)
     cfg = config or PipelineConfig()
     if cfg.trees_override is not None and cfg.trees_override < 1:
         raise ValueError(f"the packed tree count must be at least 1, got {cfg.trees_override}")
+    if not (math.isfinite(cfg.churn) and cfg.churn >= 0):
+        raise ValueError(f"churn must be finite and nonnegative, got {cfg.churn}")
     seed = as_seed(rng)
     started = time.monotonic()
 

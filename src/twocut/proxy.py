@@ -19,6 +19,7 @@ recovery, the direct route and the budgets.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -41,6 +42,16 @@ def forests_per_class(n, eps) -> int:
 def proxy_edge_budget(n, eps) -> int:
     lg = max(1, ceil_log2(max(n, 2)))
     return max(1, math.ceil(PROXY_BUDGET_FACTOR * n * lg * lg / (eps * eps)))
+
+
+def check_eps(n, eps):
+    """ValueError unless eps lies in (0, 1/10] and the eps^-2 budgets of an
+    n-vertex graph come out finite: a tiny eps underflows eps * eps to 0,
+    or overflows the budget past any float."""
+    with contextlib.suppress(ZeroDivisionError, OverflowError):
+        if 0 < eps <= 0.1 and forests_per_class(n, eps) and proxy_edge_budget(n, eps):
+            return
+    raise ValueError(f"eps must lie in (0, 1/10] and keep eps^-2 budgets finite, got {eps}")
 
 
 def peel_forests(n, recover, subtract, rounds, patience, budget, kept):
@@ -115,8 +126,7 @@ def build_proxy_direct(g: WeightedGraph, eps) -> WeightedGraph:
 
 def build_proxy_graph(source, eps) -> WeightedGraph:
     """Dispatch on the source kind: graph, cut oracle, or stream harness."""
-    if not (0 < eps <= 0.1):
-        raise ValueError("eps must lie in (0, 1/10]")
+    check_eps(source.n, eps)
     if isinstance(source, WeightedGraph):
         return build_proxy_direct(source, eps)
     from .cutquery import CutOracle, build_proxy_via_oracle

@@ -32,7 +32,7 @@ import numpy as np
 from .graph import WeightedGraph
 from .grid import PoPrefixGrid
 from .provider import CostProvider
-from .proxy import ResourceBudgetError, forests_per_class, peel_forests, proxy_edge_budget
+from .proxy import ResourceBudgetError, build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
 from .rangeindex import edge_points
 from .util import bit_lengths, ceil_log2, rng_for
 
@@ -281,5 +281,4 @@ def stream_provider(harness: StreamHarness, eps=0.1, rng=None) -> StreamProvider
 
     `rng` is accepted and unused: the sketches draw from the harness seed.
     """
-    proxy = build_proxy_via_stream(harness, eps)
-    return StreamProvider(harness, proxy)
+    return StreamProvider(harness, build_proxy_graph(harness, eps))

@@ -1,11 +1,11 @@
 """Minimum 2-respecting cut: the five-step search over a cost provider.
 
 Step 1 reads every single-edge cut in one batch. Step 2 decomposes the tree
-into heavy paths. Step 3 runs the pair solver inside each path. Step 4
-samples subtree boundaries of the provider's proxy graph to discover
-cross-/down-interesting partner paths, screens them with the proxy's
+into heavy paths. Step 3 runs one pair solver over the split halves of every
+path. Step 4 samples subtree boundaries of the provider's proxy graph to
+discover cross-/down-interesting partner paths, screens them with the proxy's
 1/3-filter and verifies the survivors exactly, in every model. Step 5
-solves a bipartite instance per verified path pair over the marked edges;
+runs one pair solver over a bipartite instance per verified path pair;
 the verified rows stay int64 arrays from the Step 4 values to
 interesting.pair_solver_inputs, which hands back each instance's row and
 column lists. The minimum over everything probed is the answer, with high
@@ -13,7 +13,7 @@ probability equal to the true 2-respecting minimum.
 
 The search is a generator yielding (context, request) batches. Each yield is
 one synchronous round: under the stream provider one pass, under the query
-provider one batch of counted cuts. Probes of all active solvers at one
+provider one batch of counted cuts. The probes of every instance at one
 recursion depth travel in the same round, and a pipeline may interleave the
 rounds of many trees.
 """
@@ -37,70 +37,42 @@ from .graph import (
 )
 from .hld import decompose
 from .interesting import ProxyFilter, build_weight_classes, candidate_tops, pair_solver_inputs, sample_cross_candidates
-from .interval import BipartiteSolver, ProbeLedger, self_pair_solvers
+from .interval import BipartiteSolver, ProbeLedger, self_pair_instances
 from .provider import TreeContext, run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 from .util import as_seed, rng_for
 
 
-class BestTracker:
-    """Monotone minimum register with the deterministic pair tie rule."""
-
-    def __init__(self, tree):
-        self.tree = tree
-        self.key = None
-        self.value = None
-        self.pair = None
-
-    def offer(self, value, pair: TreeEdgePair):
-        key = (value,) + pair_tie_key(self.tree, pair)
-        if self.key is None or key < self.key:
-            self.key = key
-            self.value = value
-            self.pair = pair
-
-
 @dataclass
 class SearchSink:
-    """Filled in when a tree's search completes."""
+    """The least probe of a tree's search, with the deterministic pair tie
+    rule, and its probe count once the search completes."""
 
     value: Optional[int] = None
     pair: Optional[TreeEdgePair] = None
     probes: int = 0
 
-    def complete(self, best: BestTracker, ledger: ProbeLedger):
-        self.value = best.value
-        self.pair = best.pair
-        self.probes = ledger.probes
+    def offer(self, tree, values, pairs):
+        """Fold in one round: its least value, and among those pairs the least pair_tie_key;
+        (value,) + pair_tie_key is a total order, so probe by probe gives the same."""
+        v = min(values)
+        p = min((p for p, x in zip(pairs, values) if x == v), key=lambda p: pair_tie_key(tree, p))
+        if self.value is None or (v, pair_tie_key(tree, p)) < (self.value, pair_tie_key(tree, self.pair)):
+            self.value, self.pair = v, p
 
 
-def _drive_solvers(ctx: TreeContext, solvers, best: BestTracker):
-    """Advance bipartite solvers in lockstep; one yielded batch per depth.
+def _drive_solvers(ctx: TreeContext, solver: BipartiteSolver, sink: SearchSink):
+    """Run the solver's frontier; one yielded batch per depth.
 
-    Every probe is itself a genuine 2-respecting cut value, so the tracker
-    sees each one as it streams through.
+    Every probe is itself a genuine 2-respecting cut value, so the sink
+    sees each round as it streams through.
     """
     t = ctx.tree
-    live = list(solvers)
-    while live:
-        batch = []
-        spans = []
-        for s in live:
-            pairs = [classify_pair(t, a, b) for a, b in s.requests()]
-            spans.append((s, pairs))
-            batch.extend((ctx, PairCut(p)) for p in pairs)
-        values = yield batch
-        pos = 0
-        survivors = []
-        for s, pairs in spans:
-            vals = values[pos : pos + len(pairs)]
-            pos += len(pairs)
-            for p, v in zip(pairs, vals):
-                best.offer(v, p)
-            s.advance(vals)
-            if not s.done():
-                survivors.append(s)
-        live = survivors
+    while not solver.done():
+        pairs = [classify_pair(t, a, b) for a, b in solver.requests()]
+        values = yield [(ctx, PairCut(p)) for p in pairs]
+        sink.offer(t, values, pairs)
+        solver.advance(values)
 
 
 def interest_checks(d, proxy: WeightedGraph, idx, seed):
@@ -126,25 +98,20 @@ def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
     Step 4 samples on provider.proxy and 1/3-filters on provider.proxy_index(ctx).
     """
     t = ctx.tree
-    best = BestTracker(t)
     ledger = ProbeLedger()
     kids = t.edge_children()
 
     singles = yield [(ctx, DegSubtree(v)) for v in kids]
     deg = np.zeros(t.n, dtype=np.int64)
     deg[kids] = singles
-    for v, val in zip(kids, singles):
-        best.offer(val, TreeEdgePair(SINGLE, v))
+    sink.offer(t, singles, [TreeEdgePair(SINGLE, v) for v in kids])
 
     if len(kids) >= 2:
         d = decompose(t)
 
-        path_solvers = []
-        for path in d.paths:
-            if len(path) >= 2:
-                path_solvers.extend(self_pair_solvers(path, ledger))
-        if path_solvers:
-            yield from _drive_solvers(ctx, path_solvers, best)
+        path_instances = [inst for path in d.paths for inst in self_pair_instances(path)]
+        if path_instances:
+            yield from _drive_solvers(ctx, BipartiteSolver(path_instances, ledger), sink)
 
         cross, down = interest_checks(d, provider.proxy, provider.proxy_index(ctx), seed)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
@@ -154,11 +121,11 @@ def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
 
         # 2 v > deg exactly, without doubling v in int64
         ok = np.asarray(values, dtype=np.int64) > deg[np.concatenate((cross[:, 0], down[:, 0]))] // 2
-        pair_solvers = [BipartiteSolver(rows, cols, ledger) for rows, cols in pair_solver_inputs(d, cross, down, ok)]
-        if pair_solvers:
-            yield from _drive_solvers(ctx, pair_solvers, best)
+        pair_instances = pair_solver_inputs(d, cross, down, ok)
+        if pair_instances:
+            yield from _drive_solvers(ctx, BipartiteSolver(pair_instances, ledger), sink)
 
-    sink.complete(best, ledger)
+    sink.probes = ledger.probes
 
 
 def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:

@@ -64,6 +64,9 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     metrics = tracer.layer_metrics(dict(zip(("queries", "passes", "tracked_words", "probes"),
                                             ledgers(traced_stats))))
     assert metrics["tworespect.trees"] >= 1
+    # the solver hooks still wrap the methods the pipeline calls
+    assert tracer.calls["interval.solver"] > 0
+    assert 1 <= metrics["interval.solvers"] <= 2 * metrics["tworespect.trees"]
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == tracer.calls["interesting.candidate_tops"] >= 1
     assert tracer.calls["interesting.filter"] >= 1  # every mode filters Step 4's candidates

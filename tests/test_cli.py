@@ -8,6 +8,7 @@ from twocut import cli, packing
 from twocut.cli import EXIT_BUDGET, EXIT_DISCONNECTED, EXIT_OK, EXIT_PARSE, main
 from twocut.graph import load_graph
 from twocut.packing import PipelineConfig, min_cut_pipeline
+from twocut.proxy import build_proxy_graph
 
 GSTAR_TEXT = "p 5 6\n0 1 1\n1 2 1\n0 3 1\n3 4 1\n2 4 4\n1 3 2\n"
 
@@ -66,10 +67,35 @@ def test_trees_below_one_refused(gstar_file, capsys, trees):
         min_cut_pipeline(load_graph(GSTAR_TEXT), rng=7, config=PipelineConfig(trees_override=trees))
 
 
-@pytest.mark.parametrize("churn", ["inf", "nan"])
+@pytest.mark.parametrize("churn", ["inf", "nan", "-1"])
 def test_non_finite_churn_refused(gstar_file, capsys, churn):
-    assert main(["--mode", "streaming", "--churn", churn, "--input", str(gstar_file)]) == EXIT_PARSE
-    assert "error: churn must be finite" in capsys.readouterr().err
+    # every mode refuses it, not only the streaming one that uses it
+    for mode in packing.MODES:
+        assert main(["--mode", mode, "--churn", churn, "--input", str(gstar_file)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: churn must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", packing.MODES)
+@pytest.mark.parametrize("eps", ["1e-170", "5e-324", "1e-160"])
+def test_tiny_epsilon_refused(gstar_file, capsys, eps, mode):
+    # eps * eps underflows to 0 (or the eps^-2 budget overflows a float)
+    assert main(["--mode", mode, "--epsilon", eps, "--input", str(gstar_file)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must lie in (0, 1/10]") and err.count("\n") == 1
+    g = load_graph(GSTAR_TEXT)
+    with pytest.raises(ValueError, match="eps must lie"):
+        min_cut_pipeline(g, mode, eps=float(eps), rng=7)
+    with pytest.raises(ValueError, match="eps must lie"):
+        build_proxy_graph(g, float(eps))
+
+
+def test_smallest_carried_epsilon_runs(capsys):
+    # just above the refusal the budgets are huge but finite, and peeling
+    # still stops at the first empty forest
+    g = load_graph(GSTAR_TEXT)
+    for mode in packing.MODES:
+        assert min_cut_pipeline(g, mode, eps=1e-150, rng=7)[0].value == 2
 
 
 def test_budget_exit_code(gstar_file, capsys, monkeypatch):

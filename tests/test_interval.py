@@ -131,13 +131,40 @@ def test_batches_per_bipartite_call_bounded():
         left, right, m = bipartite_matrix(p, ivals)
         if not right:
             continue
-        solver = BipartiteSolver(list(range(len(m))), list(range(len(m[0]))))
+        solver = BipartiteSolver([(list(range(len(m))), list(range(len(m[0]))))])
         batches = 0
         while not solver.done():
             probes = solver.requests()
             batches += 1
             solver.advance([m[r][c] for r, c in probes])
         assert batches <= ceil_log2(len(m) + len(m[0])) + 1
+
+
+def drive(solver, matrices):
+    """Run a solver whose items are (instance, index); returns (result, batches, probes)."""
+    batches = 0
+    while not solver.done():
+        probes = solver.requests()
+        batches += 1
+        solver.advance([matrices[k][r][c] for (k, r), (_, c) in probes])
+    return solver.result(), batches, solver.ledger.probes
+
+
+def test_one_solver_over_many_instances_matches_separate_solvers():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        matrices = []
+        while len(matrices) < int(rng.integers(2, 7)):
+            p, ivals = random_interval_instance(rng, max_points=24, max_intervals=4)
+            matrices.append(bipartite_matrix(p, ivals)[2])  # few intervals: many tied minima
+        instances = [([(k, r) for r in range(len(m))], [(k, c) for c in range(len(m[0]))])
+                     for k, m in enumerate(matrices)]
+        alone = [drive(BipartiteSolver([inst]), matrices) for inst in instances]
+        result, batches, probes = drive(BipartiteSolver(instances), matrices)
+        assert probes == sum(p for _, _, p in alone)
+        assert batches == max(b for _, b, _ in alone)
+        first = min(range(len(alone)), key=lambda k: (alone[k][0][0], k))  # the first instance wins ties
+        assert result == alone[first][0]
 
 
 def test_column_minima_monotone_on_reduction():
@@ -159,6 +186,10 @@ def test_column_minima_monotone_on_reduction():
 
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
-        BipartiteSolver([], [1])
+        BipartiteSolver([([], [1])])
+    with pytest.raises(ValueError):
+        BipartiteSolver([])
+    with pytest.raises(ValueError):
+        BipartiteSolver([([1], [2]), ([3], [])])
     with pytest.raises(ValueError):
         interval_self(lambda pairs: [0] * len(pairs), [1])

@@ -11,6 +11,7 @@ from twocut.cutquery import (
     QueryProvider,
     build_proxy_via_oracle,
     oracle_cross_weight,
+    query_provider,
     recover_crossing_edge,
 )
 from twocut.graph import (
@@ -28,7 +29,7 @@ from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
-from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream
+from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream, stream_provider
 from twocut.util import ceil_log2
 
 from conftest import make_gstar, random_connected_graph, random_instance, random_spanning_tree_edges
@@ -47,6 +48,30 @@ def test_cut_query_counting_and_values():
         oracle.cut(set())
     with pytest.raises(ValueError):
         oracle.cut(set(range(5)))
+
+
+def test_cut_oracle_refuses_out_of_range_sides():
+    g, _ = make_gstar()
+    oracle = CutOracle(g)
+    for side in ([-1], [g.n], [0, g.n + 3], np.zeros(g.n + 1, dtype=bool), np.ones(g.n - 1, dtype=bool)):
+        with pytest.raises(ValueError):
+            oracle.cut(side)
+    with pytest.raises(ValueError):
+        oracle_cross_weight(oracle, [0], [-1])
+    assert oracle.query_count == 0
+    assert oracle.cut(np.arange(g.n) == g.n - 1) == oracle.cut([g.n - 1]) == 5
+
+
+@pytest.mark.parametrize("eps", [1e-170, 0.5])
+def test_provider_factories_refuse_eps(eps):
+    # the library factories check eps as the pipeline does, before any query or pass
+    g, _ = make_gstar()
+    oracle, harness = CutOracle(g), StreamHarness(g, seed=1)
+    with pytest.raises(ValueError, match="eps must lie"):
+        query_provider(oracle, eps=eps)
+    with pytest.raises(ValueError, match="eps must lie"):
+        stream_provider(harness, eps=eps)
+    assert oracle.query_count == harness.pass_count == 0
 
 
 def test_oracle_cross_weight_examples():

@@ -14,6 +14,8 @@ from twocut.graph import (
 )
 from twocut.grid import PoPrefixGrid
 from twocut.interesting import ProxyFilter
+from twocut.interval import BipartiteSolver
+from twocut.packing import MODES, min_cut_pipeline
 from twocut.rangeindex import WeightRangeIndex
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import min_2respect
@@ -158,6 +160,26 @@ def test_lockstep_round_counts():
     )
     assert sink2.value == 1
     assert rounds2 <= 4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
+    # one solver holds every Step 3 instance of a tree, one every Step 5
+    # instance; a tree's solvers share its probe ledger
+    ledgers = []  # held, so no ledger's id is reused
+    init = BipartiteSolver.__init__
+
+    def spy(self, instances, ledger=None):
+        init(self, instances, ledger)
+        ledgers.append(self.ledger)
+
+    monkeypatch.setattr(BipartiteSolver, "__init__", spy)
+    for g in (make_gstar()[0], random_connected_graph(np.random.default_rng(41), 40, extra=3.0, wmax=1 << 32)):
+        ledgers.clear()
+        _, stats = min_cut_pipeline(g, mode, rng=5)
+        solvers = Counter(id(ledger) for ledger in ledgers)
+        assert solvers and max(solvers.values()) <= 2
+        assert len(solvers) <= stats.trees_packed
 
 
 @pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
