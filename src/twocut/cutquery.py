@@ -48,16 +48,18 @@ class CutOracle:
         return int(self._ew[crossing].sum())
 
     def _mask(self, side):
-        """`side` as a length-n bool mask; ValueError for another length or a vertex outside 0..n-1."""
+        """`side` as a length-n bool mask; ValueError for another length or a vertex
+        that is not an integer in 0..n-1. Only a numpy bool array is a mask: the
+        items of any other iterable are vertex ids, Python bools read as 0 and 1."""
         if isinstance(side, np.ndarray) and side.dtype == bool:
             if side.shape != (self.n,):
                 raise ValueError(f"a side mask must have length {self.n}, got shape {side.shape}")
             return side
         verts = list(side)
-        if not all(0 <= v < self.n for v in verts):
-            raise ValueError(f"side vertices must lie in 0..{self.n - 1}")
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < self.n for v in verts):
+            raise ValueError(f"side vertices must be integers in 0..{self.n - 1}")
         mask = np.zeros(self.n, dtype=bool)
-        mask[verts] = True
+        mask[np.array(verts, dtype=np.int64)] = True
         return mask
 
     def po_grid(self, po) -> PoPrefixGrid:
@@ -185,7 +187,7 @@ class QueryProvider(CostProvider):
     subtree crossings three (two when the sides cover V)."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
-        super().__init__(oracle.n, proxy)
+        super().__init__(oracle.n, proxy, (oracle._eu, oracle._ev, oracle._ew))
         self.oracle = oracle
         self.stats.queries = oracle.query_count
 

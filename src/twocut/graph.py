@@ -98,8 +98,6 @@ class WeightedGraph:
             raise WeightOverflowError(f"total weight {self.total_weight} reaches 2**62")
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
         ds = DisjointSets(self.n)
         for u, v, _ in self.edges:
             ds.union(u, v)
@@ -122,10 +120,7 @@ def load_graph(text) -> WeightedGraph:
     DIMACS-style ``a u v w`` lines are accepted too, with 1-based endpoints
     translated to 0-based. Lines starting with ``c`` are comments.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
+    lines = text.splitlines() if isinstance(text, str) else list(text)
     body = [ln.strip() for ln in lines]
     body = [ln for ln in body if ln and not ln.startswith("c")]
     if not body or not body[0].startswith("p"):
@@ -152,11 +147,9 @@ def load_graph(text) -> WeightedGraph:
             u, v, w = (int(t) for t in toks)
         except ValueError as exc:
             raise MalformedInputError(f"bad edge line {ln!r}") from exc
-        u -= based
-        v -= based
         if w > MAX_EDGE_WEIGHT:
             raise WeightOverflowError(f"weight {w} exceeds 2**32 on line {ln!r}")
-        raw.append((u, v, w))
+        raw.append((u - based, v - based, w))
     if len(raw) != m:
         raise MalformedInputError(f"header declared {m} edges, found {len(raw)}")
     return WeightedGraph(n, raw)
@@ -176,15 +169,12 @@ class RootedSpanTree:
         self.root = root
         self.parent = np.asarray(parent, dtype=np.int64)
         children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
+        for v in range(n):  # in ascending id, so every child list is sorted
             if v != root:
                 children[parent[v]].append(v)
-        for c in children:
-            c.sort()
         self.children = children
 
         po = np.zeros(n, dtype=np.int64)
-        lo = np.zeros(n, dtype=np.int64)
         depth = np.zeros(n, dtype=np.int64)
         order = np.zeros(n, dtype=np.int64)
         size = [1] * n
@@ -205,14 +195,12 @@ class RootedSpanTree:
                 counter += 1
                 if v != root:
                     size[parent[v]] += size[v]
-        for v in range(n):
-            lo[v] = po[v] - size[v] + 1
+        self.size = np.asarray(size, dtype=np.int64)
         self.po = po
-        self.lo = lo
+        self.lo = lo = po - self.size + 1
         self.hi = po  # post-order index of v closes its own range
         self.depth = depth
         self.order = order
-        self.size = np.asarray(size, dtype=np.int64)
         # plain-int mirrors: scalar reads of numpy arrays are far slower than
         # list indexing, and the tree walks live on these
         self._po = po.tolist()

@@ -22,32 +22,19 @@ class PathDecomposition:
     def __init__(self, t: RootedSpanTree):
         self.tree = t
         n = t.n
-        heavy = np.full(n, -1, dtype=np.int64)
-        for v in range(n):
-            best = -1
-            best_size = 0
-            for c in t.children[v]:
-                s = int(t.size[c])
-                if s > best_size:  # ties go to the smaller id, which comes first
-                    best = c
-                    best_size = s
-            heavy[v] = best
+        # the heavy child has the largest subtree; ties go to the smaller id, which comes first
+        size = t.size.tolist()
+        heavy = [max(kids, key=size.__getitem__) if kids else -1 for kids in t.children]
         path_of = np.full(n, -1, dtype=np.int64)
         paths = []
-        for v in range(n):
-            if v == t.root:
-                continue
+        for v in range(n):  # a path starts at every edge that is not its parent's heavy edge
             p = int(t.parent[v])
-            if p == t.root or heavy[p] != v:
-                chain = []
-                x = v
-                while x != -1:
-                    chain.append(x)
-                    x = int(heavy[x])
-                pid = len(paths)
+            if v != t.root and (p == t.root or heavy[p] != v):
+                chain = [v]
+                while heavy[chain[-1]] != -1:
+                    chain.append(heavy[chain[-1]])
+                path_of[chain] = len(paths)
                 paths.append(chain)
-                for c in chain:
-                    path_of[c] = pid
         self.paths = paths
         self.path_of = path_of
         self.top_edge = np.asarray([p[0] for p in paths], dtype=np.int64) if paths else np.zeros(0, np.int64)

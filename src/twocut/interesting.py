@@ -46,12 +46,11 @@ class WeightClassIndex:
     def __init__(self, g: WeightedGraph, t, seed):
         self.n = t.n
         xs, ys = edge_points(t.po, g.eu, g.ev)
-        ids = np.arange(g.m)
         cls = bit_lengths(g.ew) - 1
         self.classes = {}
         for i in np.unique(cls[cls >= 0]).tolist():
-            keep = cls == i
-            self.classes[i] = SampleRangeIndex(xs[keep], ys[keep], ids[keep], seed=(seed << 6) ^ i)
+            keep = np.flatnonzero(cls == i)  # the class's edge ids
+            self.classes[i] = SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
 
 
 def build_weight_classes(g: WeightedGraph, t, seed) -> WeightClassIndex:

@@ -17,7 +17,9 @@ the graph, or a dense prefix grid over the oracle's hidden edges or the
 stream's net updates) and meter differently; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
-graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter.
+graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter:
+the tree's own index when the proxy nets to the same edges as the graph
+behind it, else a grid over the proxy.
 
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
@@ -102,10 +104,12 @@ class CostProvider:
     already charged (those are answered again for free).
     """
 
-    def __init__(self, n, proxy):
+    def __init__(self, n, proxy, hidden=None):
         self.stats = RunStats()
         self.n = n
         self.proxy = proxy
+        own = proxy is not None and hidden is not None  # hidden: (u, v, w) updates behind the own indexes
+        self._proxy_is_own = own and _net_edges(n, *hidden) == _net_edges(n, proxy.eu, proxy.ev, proxy.ew)
         self._slots = {}  # TreeContext uid -> slot
         self._trees = []
         self._index = []
@@ -176,6 +180,8 @@ class CostProvider:
 
     def proxy_index(self, ctx):
         """Step 4's unmetered rect_weights index over the proxy under ctx's tree."""
+        if self._proxy_is_own:
+            return self._index[self._slots[ctx.uid]]  # built by the tree's first batch (Step 1)
         h = self.proxy
         return PoPrefixGrid(self.n, *edge_points(ctx.tree.po, h.eu, h.ev), h.ew)
 
@@ -206,6 +212,14 @@ class CostProvider:
             if len(r):  # degree-only batches (Step 1) make no rectangle call
                 value[r] += coef[r] * subtree_sums(self._index[s], self._trees[s], a[r], b[r], IS_SUB[kind[r]])
         return value
+
+
+def _net_edges(n, eu, ev, ew):
+    """Vertex pair keys and net weights, as lists, of the pairs whose weights do not cancel."""
+    keys, inverse = np.unique(np.minimum(eu, ev) * n + np.maximum(eu, ev), return_inverse=True)
+    net = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(net, inverse, ew)
+    return keys[net != 0].tolist(), net[net != 0].tolist()
 
 
 def _run_starts(sorted_keys):

@@ -4,13 +4,16 @@ Each graph edge becomes one point (min(po u, po v), max(po u, po v)) carrying
 its weight, so subtree degrees and subtree-to-subtree crossings reduce to at
 most two axis-aligned rectangle sums. The weight index is a static merge-sort
 tree (O(m log^2 m) build) that answers a whole batch of rectangles with
-O(log m) vectorized `searchsorted` calls, each over the batch; the sampling
+O(log m) vectorized `searchsorted` calls, each over the batch. The sampling
 index keeps halving subsets S_0 .. S_k whose membership is fixed by the build
-seed, and `sample_rects` reports a batch of rectangles over several sampling
-indexes in one pass.
+seed; `sample_rects` reports a batch of rectangles over several sampling
+indexes at once, each (rectangle, index) pair scanning only the shorter of
+its x-run and y-run in one table of the points sorted by x and by y.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -46,9 +49,7 @@ class WeightRangeIndex:
     """
 
     def __init__(self, xs, ys, ws):
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        ws = np.asarray(ws, dtype=np.int64)
+        xs, ys, ws = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ws))
         self.total = sum(ws.tolist())
         if self.total >= WEIGHT_SUM_LIMIT:
             raise WeightOverflowError(f"total point weight {self.total} reaches 2**62")
@@ -107,70 +108,88 @@ class SampleRangeIndex:
     """
 
     def __init__(self, xs, ys, ids, seed):
-        m = len(xs)
-        self.m = m
+        self.m = m = len(xs)
         self.top = ceil_log2(m) if m > 1 else 0
         rng = rng_for(seed, 0xA11CE)
-        top_level = rng.geometric(0.5, size=m) - 1 if m else np.zeros(0, dtype=np.int64)
-        self.point_level = np.minimum(top_level, self.top).astype(np.int64)
-        self.xs = np.asarray(xs, dtype=np.int64)
-        self.ys = np.asarray(ys, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
+        self.point_level = np.minimum(rng.geometric(0.5, size=m) - 1, self.top)
+        self.xs, self.ys, self.ids = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ids))
 
     def sample_rect(self, x1, x2, y1, y2, k):
         """All rectangle points of the shallowest level that reports >= k of them."""
         return sample_rects([self], [x1], [x2], [y1], [y2], k)[1]
 
 
-SAMPLE_CHUNK_CELLS = 1 << 19  # rows x points per pass of sample_rects: 4 MB of int64
+SAMPLE_CHUNK_CELLS = 1 << 18  # run cells scanned per pass of sample_rects, ~40 bytes each at peak
 
 
 def sample_rects(indexes, x1, x2, y1, y2, k):
-    """sample_rect of every rectangle (aligned int64 arrays) in every index, in one pass.
+    """sample_rect of every rectangle (aligned int64 arrays) in every index, in one batch.
 
     The indexes are strata with disjoint points and levels of their own.
     Returns aligned (rectangle row, point id) arrays, rows ascending; within
-    a row the points come index by index, each in point order. One histogram
-    of (row, stratum, level) over the points inside each rectangle gives,
-    since the levels nest, every stop level: the highest holding >= k
-    points, or 0 when the stratum's part holds <= k (all of it is reported
-    either way).
+    a row the points come index by index, each in point order. Every
+    (rectangle, stratum) pair scans one run of a table holding the points
+    sorted by (stratum, x), then by (stratum, y): the shorter of its x-run
+    and y-run, masked to the rectangle. One histogram of (pair, level) over
+    the points inside gives, since the levels nest, every stop level: the
+    highest holding >= k points, or 0 when the pair holds <= k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     none = np.zeros(0, dtype=np.int64)
-    xs, ys, ids, level = (np.concatenate([getattr(ix, a) for ix in indexes] + [none])
-                          for a in ("xs", "ys", "ids", "point_level"))
-    strata = len(indexes)
-    width = max((ix.top for ix in indexes), default=0) + 1
-    stratum = np.repeat(np.arange(strata), [ix.m for ix in indexes])
-    cell = stratum * width + level
-    x1, x2, y1, y2 = (np.asarray(a, dtype=np.int64)[:, None] for a in (x1, x2, y1, y2))
-    step = max(1, SAMPLE_CHUNK_CELLS // max(len(xs), 1))
-    rows, got = [none], [none]
-    for s in range(0, len(x1), step):
-        c = slice(s, s + step)
-        r, p = np.nonzero((xs >= x1[c]) & (xs <= x2[c]) & (ys >= y1[c]) & (ys <= y2[c]))
-        nr = len(x1[c])
-        hist = np.bincount(r * (strata * width) + cell[p], minlength=nr * strata * width)
-        counts_at = hist.reshape(nr, strata, width)[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
-        stop = np.maximum((counts_at >= k).sum(axis=2) - 1, 0)
-        keep = level[p] >= stop[r, stratum[p]]
-        rows.append(r[keep] + s)
-        got.append(ids[p[keep]])
-    return np.concatenate(rows), np.concatenate(got)
+    c = np.concatenate([ix.xs for ix in indexes] + [ix.ys for ix in indexes] + [none])
+    ids = np.concatenate([ix.ids for ix in indexes] + [none])
+    level = np.concatenate([ix.point_level for ix in indexes] * 2 + [none])  # per table entry
+    m, strata, width = len(ids), len(indexes), max((ix.top for ix in indexes), default=0) + 1
+    # entry keys (axis, stratum) * span + c - base, c - base in 1..span-2, sort the table in runs;
+    # below[v] counts the keys <= v, placing any bound clamped into base+1..base+span
+    base = c.min(initial=0) - 1
+    span = c.max(initial=0) - base + 2
+    first = np.arange(2 * strata) * span - base
+    key = np.repeat(first, [ix.m for ix in indexes] * 2) + c
+    order = np.argsort(key)
+    below = np.bincount(key, minlength=2 * strata * span).cumsum()
+    other = np.concatenate((c[m:], c[:m]))[order]  # the coordinate a run leaves unsorted
+    lvl1 = level[order] + 1
+    bounds = np.array((x1, x2, y1, y2), dtype=np.int64).reshape(2, 2, -1, 1)  # axis, lo/hi, row
+    bounds[:, 1] += 1
+    run = below[np.minimum(np.maximum(bounds, base + 1), base + span) + (first - 1).reshape(2, 1, 1, strata)]
+    size = np.maximum(run[:, 1] - run[:, 0], 0)
+    use_x = size[0] <= size[1]
+    length = np.minimum(size[0], size[1]).ravel()
+    olo, ohi = np.where(use_x, bounds[1], bounds[0]).reshape(2, -1)  # [olo, ohi) on the other axis
+    ends = np.cumsum(length)
+    shift = np.where(use_x, run[0, 0], run[1, 0]).ravel() - ends + length  # run cell -> entry
+    bits = (2 * m).bit_length()  # output keys pair << bits | entry; a pair's entries share one run
+    keys, a = [none], 0
+    while a < len(length):  # pairs [a, b) scan at most SAMPLE_CHUNK_CELLS cells, or one pair
+        done = ends[a] - length[a]
+        b = max(bisect_right(ends, done + SAMPLE_CHUNK_CELLS, lo=a), a + 1)
+        pairs = b - a
+        pair = np.repeat(np.arange(pairs), length[a:b])
+        j = np.arange(done, ends[b - 1]) + shift[a:b][pair]
+        o = other[j]
+        lv = np.where((o >= olo[a:b][pair]) & (o < ohi[a:b][pair]), lvl1[j], 0)  # 0: outside
+        hist = np.bincount(lv * pairs + pair, minlength=(width + 1) * pairs).reshape(width + 1, pairs)
+        # the stop level: how many levels above 0 hold >= k points at or above them
+        stop = (hist[:1:-1].cumsum(axis=0) >= k).sum(axis=0)
+        sel = np.flatnonzero(lv > stop[pair])
+        keys.append((pair[sel] + a) << bits | order[j[sel]])  # entry: the point, + m on a y-run
+        a = b
+    keys = np.sort(np.concatenate(keys))
+    return (keys >> bits) // max(strata, 1), ids[(keys & ((1 << bits) - 1)) % max(m, 1)]
 
 
-def subtree_rects(t: RootedSpanTree, u, v, sub):
-    """The two rectangles per request row whose weight sums answer it.
+def subtree_sums(idx, t: RootedSpanTree, u, v, sub):
+    """Exact values of request rows, one rect_weights call.
 
     Row i is CrossSub(u, v) where sub[i] holds, else CrossNested(v, u);
-    DegSubtree(v) is the CrossNested row with u = v. Returns x1, x2, y1, y2,
-    each of shape (2, rows); a CrossSub's second rectangle is empty.
+    DegSubtree(v) is the CrossNested row with u = v. Every row sums one
+    rectangle, and a CrossNested row a second one. idx is any index over t's
+    edge points with WeightRangeIndex's rect_weights contract (a
+    WeightRangeIndex or a grid.PoPrefixGrid).
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    sub = np.asarray(sub, dtype=bool)
+    u, v, sub = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(sub, dtype=bool)
     a, b, c, d = t.lo[u], t.hi[u], t.lo[v], t.hi[v]
     swap = sub & (a > c)
     a, b, c, d = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, a, c), np.where(swap, b, d)
@@ -178,23 +197,14 @@ def subtree_rects(t: RootedSpanTree, u, v, sub):
         raise ValueError("subtree ranges overlap in a CrossSub request")
     if (~sub & ((c < a) | (d > b))).any():
         raise ValueError("a CrossNested request does not nest")
-    n = t.n
-    # np.array of two rows: same as np.stack, at a sixth of its call cost
-    x1 = np.array((np.where(sub, a, 0), c))
-    x2 = np.array((np.where(sub, b, a - 1), d))
-    y1 = np.array((c, np.where(sub, n, b + 1)))
-    y2 = np.array((d, np.full_like(d, n - 1)))
-    return x1, x2, y1, y2
-
-
-def subtree_sums(idx, t: RootedSpanTree, u, v, sub):
-    """Exact values of the subtree_rects request rows, one rect_weights call.
-
-    idx is any index over t's edge points with WeightRangeIndex's
-    rect_weights contract (a WeightRangeIndex or a grid.PoPrefixGrid).
-    """
-    x1, x2, y1, y2 = subtree_rects(t, u, v, sub)
-    return idx.rect_weights(x1.ravel(), x2.ravel(), y1.ravel(), y2.ravel()).reshape(2, -1).sum(axis=0)
+    nest = np.flatnonzero(~sub)
+    # first rectangles of all rows, then the nested rows' second ones
+    w = idx.rect_weights(np.concatenate((np.where(sub, a, 0), c[nest])),
+                         np.concatenate((np.where(sub, b, a - 1), d[nest])),
+                         np.concatenate((c, b[nest] + 1)),
+                         np.concatenate((d, np.full(len(nest), t.n - 1))))
+    w[nest] += w[len(u) :]
+    return w[: len(u)]
 
 
 def tree_degrees(idx, t: RootedSpanTree):

@@ -260,7 +260,7 @@ class StreamProvider(CostProvider):
     """One registered counter per request; one pass per batch."""
 
     def __init__(self, harness: StreamHarness, proxy: WeightedGraph):
-        super().__init__(harness.n, proxy)
+        super().__init__(harness.n, proxy, (harness.uu, harness.vv, harness.wdelta))
         self.harness = harness
         self.stats.passes = harness.pass_count
         self.stats.tracked_words = harness.tracked_words

@@ -25,6 +25,7 @@ from twocut.graph import (
 )
 from twocut.packing import min_cut_pipeline
 from twocut.provider import TreeContext
+from twocut.rangeindex import tree_degrees
 from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
@@ -60,6 +61,23 @@ def test_cut_oracle_refuses_out_of_range_sides():
         oracle_cross_weight(oracle, [0], [-1])
     assert oracle.query_count == 0
     assert oracle.cut(np.arange(g.n) == g.n - 1) == oracle.cut([g.n - 1]) == 5
+
+
+@pytest.mark.parametrize("side", [[0.5], np.array([1.0]), [1.0], [np.float64(2)]])
+def test_cut_oracle_refuses_non_integer_vertices(side):
+    oracle = CutOracle(make_gstar()[0])
+    with pytest.raises(ValueError, match="integers"):
+        oracle.cut(side)
+    assert oracle.query_count == 0
+
+
+def test_cut_oracle_reads_python_bools_as_vertex_ids():
+    g, _ = make_gstar()
+    oracle = CutOracle(g)
+    # [True, False, ...] is the side {0, 1}, not the mask selecting vertex 0
+    assert oracle.cut([True, False, False, False, False]) == oracle.cut([0, 1]) == oracle.cut({1, 0})
+    assert oracle.cut([True]) == oracle.cut([1]) == cut_of_partition(g, [1])
+    assert oracle.cut([True, False, False, False, False]) != oracle.cut([0])
 
 
 @pytest.mark.parametrize("eps", [1e-170, 0.5])
@@ -114,6 +132,25 @@ def test_oracle_proxy_small_graphs_exact():
         oracle = CutOracle(g)
         h = build_proxy_via_oracle(oracle, eps=0.1)
         assert h.edges == g.edges
+
+
+@pytest.mark.parametrize("model", ["cut-query", "streaming"])
+def test_filter_index_is_the_tree_grid_when_the_proxy_nets_to_the_graph(model):
+    # equality is of net edges: the stream's churn cancels and a zero-weight edge adds nothing
+    g = WeightedGraph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 4), (3, 4, 2), (0, 4, 1), (1, 3, 0)])
+    t = build_rooted_tree(g, [(0, 1), (1, 2), (2, 3), (3, 4)], 0)
+    same = WeightedGraph(5, [e for e in g.edges if e[2]])
+    other = WeightedGraph(5, [(u, v, w + (u == 0 and v == 4)) for u, v, w in same.edges])
+    for proxy in (same, other):
+        if model == "cut-query":
+            provider = QueryProvider(CutOracle(g), proxy)
+        else:
+            provider = StreamProvider(StreamHarness(g, seed=3, churn=1.0), proxy)
+        ctx = TreeContext(t)
+        provider.batch_eval([(ctx, DegSubtree(v)) for v in t.edge_children()])  # Step 1 builds the tree's grid
+        idx = provider.proxy_index(ctx)
+        assert (idx is provider._index[provider._slots[ctx.uid]]) == (proxy is same)
+        assert tree_degrees(idx, t)[1:].tolist() == [cut_of_partition(proxy, t.subtree(v)) for v in range(1, 5)]
 
 
 def test_query_provider_costs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twocut.grid import PoPrefixGrid
-from twocut.interesting import ProxyFilter
+from twocut.interesting import ProxyFilter, build_weight_classes, sample_cross_candidates, sample_k
 from twocut.rangeindex import (
     EdgePointSet,
     SampleRangeIndex,
@@ -226,3 +226,43 @@ def test_sample_rects_match_scalar_reference(monkeypatch):
             for ix, w in zip(strata, want):
                 assert ix.sample_rect(x1[i], x2[i], y1[i], y2[i], k).tolist() == w
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("wmax", [10, 1 << 32])
+@pytest.mark.parametrize("shape", ["path", "star", "random"])
+def test_subtree_boundary_samples_match_scalar_reference(monkeypatch, shape, wmax):
+    # the rectangles Step 4 really sends: both boundary rectangles of every subtree in
+    # every weight class; a path rooted at one end has the deepest subtrees, so the
+    # longest runs, and small chunk caps split the pairs across passes
+    import twocut.rangeindex as rangeindex
+
+    rng = np.random.default_rng(105 + wmax % 7)
+    n = 40
+    tree = {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "star": [(0, i) for i in range(1, n)],
+        "random": [(i, int(rng.integers(0, i))) for i in range(1, n)],
+    }[shape]
+    edges = {tuple(sorted(e)): int(rng.integers(1, wmax + 1)) for e in tree}
+    while len(edges) < 6 * n:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges[u, v] = int(rng.integers(1, wmax + 1))
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+    t = build_rooted_tree(g, tree, root=0)
+    wc = build_weight_classes(g, t, seed=int(rng.integers(1 << 40)))
+    us = np.delete(np.arange(n), t.root)
+    k = sample_k(n, multiplier=1)  # small enough that most pairs stop above level 0
+    want_e, want_id = [], []
+    for right in (False, True):
+        for u in us.tolist():
+            a, b = int(t.lo[u]), int(t.hi[u])
+            rect = (a, b, b + 1, n - 1) if right else (0, a - 1, a, b)
+            for sidx in wc.classes.values():
+                got = reference_sample_rect(sidx, *rect, k).tolist()
+                want_e += [u] * len(got)
+                want_id += got
+    for cells in (None, 1, 37, 500):
+        if cells is not None:
+            monkeypatch.setattr(rangeindex, "SAMPLE_CHUNK_CELLS", cells)
+        es, eids = sample_cross_candidates(wc, t, us, multiplier=1)
+        assert es.tolist() == want_e and eids.tolist() == want_id
