@@ -11,10 +11,10 @@ The sparsifier is peeled out of the oracle by proxy.peel_forests: one
 bisection per component still unmerged in its Boruvka sweep, with the
 forests already found subtracted locally (PeeledEdges), at no query.
 
-The values of the search's requests come from the providers' shared subtree
-formula over a PoPrefixGrid the oracle builds from its hidden edges, one
-per tree; that is a simulator speed path, and QueryProvider still charges
-query_count for every request exactly as the model prices it.
+The oracle only answers cut queries. QueryProvider hands the oracle's hidden
+edges to CostProvider, which answers the search's requests from one grid
+over them per tree; that is a simulator speed path, and QueryProvider still
+charges query_count for every request exactly as the model prices it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph
-from .grid import PoPrefixGrid
 from .provider import B_DEG, CROSS_COEF, IS_SUB, CostProvider
 from .proxy import build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
-from .rangeindex import edge_points
 
 
 class CutOracle:
@@ -61,14 +59,6 @@ class CutOracle:
         mask = np.zeros(self.n, dtype=bool)
         mask[np.array(verts, dtype=np.int64)] = True
         return mask
-
-    def po_grid(self, po) -> PoPrefixGrid:
-        """Simulator fast path: the hidden edges as a grid under one post-order.
-
-        It counts nothing; whoever answers cut values from it charges the
-        queries they stand for to query_count.
-        """
-        return PoPrefixGrid(self.n, *edge_points(po, self._eu, self._ev), self._ew)
 
 
 def oracle_cross_weight(oracle: CutOracle, a, b) -> int:
@@ -190,9 +180,6 @@ class QueryProvider(CostProvider):
         super().__init__(oracle.n, proxy, (oracle._eu, oracle._ev, oracle._ew))
         self.oracle = oracle
         self.stats.queries = oracle.query_count
-
-    def _indexes(self, trees):
-        return [self.oracle.po_grid(t.po) for t in trees]
 
     def _eval_unique(self, rows):
         self.oracle.query_count += _query_cost(self._size, rows)

@@ -161,13 +161,17 @@ class RootedSpanTree:
     Children are visited in ascending vertex id, so the numbering (and every
     tie-break derived from it) is deterministic. For each vertex v the
     subtree below v occupies post-order positions lo[v]..hi[v] with
-    hi[v] == po[v]. Tree edges are identified by their child vertex.
+    hi[v] == po[v]. Tree edges are identified by their child vertex. A
+    parent array that is not a tree on 0..n-1 raises TreeStructureError.
     """
 
     def __init__(self, n: int, root: int, parent: Sequence[int]):
         self.n = n
         self.root = root
         self.parent = np.asarray(parent, dtype=np.int64)
+        par = self.parent
+        if len(par) != n or not (0 <= root < n) or par[root] != -1 or ((par < 0) | (par >= n)).sum() != 1:
+            raise TreeStructureError(f"need {n} parents in 0..{n - 1}, except parent[root] == -1 at root {root}")
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):  # in ascending id, so every child list is sorted
             if v != root:
@@ -195,6 +199,8 @@ class RootedSpanTree:
                 counter += 1
                 if v != root:
                     size[parent[v]] += size[v]
+        if counter < n:
+            raise TreeStructureError(f"the walk from root {root} reaches {counter} of {n} vertices")
         self.size = np.asarray(size, dtype=np.int64)
         self.po = po
         self.lo = lo = po - self.size + 1

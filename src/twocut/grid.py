@@ -4,9 +4,9 @@ A PoPrefixGrid holds the same (min po, max po) weighted points as a
 WeightRangeIndex and answers `rect_weights` under the same contract, from an
 (n+1) x (n+1) prefix table: four lookups per rectangle. At the sizes the
 simulated models run (n up to a few hundred) the table is both smaller and
-cheaper per call than the merge-sort tree, so the cut-query oracle, the
-stream harness and the proxy filter hand one of these per tree to the shared
-subtree formula (rangeindex.subtree_sums).
+cheaper per call than the merge-sort tree, so CostProvider builds one per
+tree for the simulated models and for the proxy filter, and hands it to the
+shared subtree formula (rangeindex.subtree_sums).
 """
 
 from __future__ import annotations

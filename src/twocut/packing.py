@@ -26,7 +26,7 @@ from .provider import TreeContext, run_lockstep
 from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
-from .tworespect import SearchSink, two_respect_plan
+from .tworespect import SearchSink, tree_seed, two_respect_plan
 from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
@@ -242,8 +242,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         t = build_rooted_tree(g, edges, root=0)
         ctx = TreeContext(t)
         sink = SearchSink()
-        wc_seed = int(rng_for(seed, 7, ti).integers(1 << 62))
-        tasks.append(two_respect_plan(ctx, provider, wc_seed, sink))
+        tasks.append(two_respect_plan(ctx, provider, tree_seed(seed, ti), sink))
         sinks.append(sink)
         ctxs.append(ctx)
     run_lockstep(tasks, provider)

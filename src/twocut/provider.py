@@ -12,14 +12,16 @@ holds the only dispatch over request types. Rows are deduplicated with one
 sorted packed key, and a row's value is subtree degrees plus at most one
 crossing, read through small per-kind lookup arrays; per tree and batch one
 rangeindex.subtree_sums call over a rectangle-sum index answers every
-crossing. The providers hand over different indexes (a merge-sort tree over
-the graph, or a dense prefix grid over the oracle's hidden edges or the
-stream's net updates) and meter differently; the formula is shared.
+crossing. The index is a merge-sort tree over the graph in memory. The
+simulated models hand their hidden (u, v, w) edges (the oracle's graph, the
+stream's updates) to the constructor, which nets them once; each new tree's
+dense prefix grid is built from the net edges, here and nowhere else. Every
+`_eval_unique` meters before it reads values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
 graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter:
-the tree's own index when the proxy nets to the same edges as the graph
-behind it, else a grid over the proxy.
+the tree's own index when the proxy nets to the same edges as the hidden
+ones, else a grid over the proxy.
 
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
@@ -95,9 +97,9 @@ class CostProvider:
     """Base: batch dedup, the charged-degree mask, and the one evaluation
     every provider shares.
 
-    A provider differs from the others only in its proxy, in the
-    rectangle-sum index it hands over for each tree (`_indexes`) and in what
-    its `_eval_unique` meters before calling `_values`. Every tree it serves
+    A provider differs from the others only in its proxy, in its hidden
+    edges (none in memory, where `_indexes` is overridden) and in what its
+    `_eval_unique` meters before calling `_values`. Every tree it serves
     spans the same n vertices and gets a slot on first sight, which is its
     row in three (slots, n) tables: subtree sizes (the cut-query model prices
     sides by them), subtree degrees, and which DegSubtree requests were
@@ -108,8 +110,9 @@ class CostProvider:
         self.stats = RunStats()
         self.n = n
         self.proxy = proxy
-        own = proxy is not None and hidden is not None  # hidden: (u, v, w) updates behind the own indexes
-        self._proxy_is_own = own and _net_edges(n, *hidden) == _net_edges(n, proxy.eu, proxy.ev, proxy.ew)
+        self._hidden = None if hidden is None else _net_edges(n, *hidden)  # (u, v, w) updates, netted
+        self._proxy_is_own = proxy is not None and self._hidden is not None and all(
+            map(np.array_equal, self._hidden, _net_edges(n, proxy.eu, proxy.ev, proxy.ew)))
         self._slots = {}  # TreeContext uid -> slot
         self._trees = []
         self._index = []
@@ -183,12 +186,16 @@ class CostProvider:
         if self._proxy_is_own:
             return self._index[self._slots[ctx.uid]]  # built by the tree's first batch (Step 1)
         h = self.proxy
-        return PoPrefixGrid(self.n, *edge_points(ctx.tree.po, h.eu, h.ev), h.ew)
+        return self._grid(ctx.tree.po, h.eu, h.ev, h.ew)
+
+    def _grid(self, po, u, v, w):
+        """The (u, v, w) edge columns as a PoPrefixGrid under the post-order po."""
+        return PoPrefixGrid(self.n, *edge_points(po, u, v), w)
 
     def _indexes(self, trees):
         """One rect_weights index over the (min po, max po) edge points of
-        each tree; called once per batch with the trees not seen yet."""
-        raise NotImplementedError
+        each tree not seen yet: here a grid over the netted hidden edges."""
+        return [self._grid(t.po, *self._hidden) for t in trees]
 
     def _values(self, rows):
         """Exact values of request rows grouped by tree, as an int64 array.
@@ -215,11 +222,11 @@ class CostProvider:
 
 
 def _net_edges(n, eu, ev, ew):
-    """Vertex pair keys and net weights, as lists, of the pairs whose weights do not cancel."""
+    """(u, v, w) int64 columns of the vertex pairs whose weights do not cancel, u < v, in key order."""
     keys, inverse = np.unique(np.minimum(eu, ev) * n + np.maximum(eu, ev), return_inverse=True)
     net = np.zeros(len(keys), dtype=np.int64)
     np.add.at(net, inverse, ew)
-    return keys[net != 0].tolist(), net[net != 0].tolist()
+    return (*np.divmod(keys[net != 0], n), net[net != 0])
 
 
 def _run_starts(sorted_keys):

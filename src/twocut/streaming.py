@@ -7,10 +7,10 @@ trackers: per-pass counters (one per cut-value request, each a linear
 functional of the updates) and linear sketch cells filled in one pass.
 Passes and registered words are metered, and the word budget is checked
 as words are registered; values are exact because every tracker is linear
-and the stream's net multiset is the graph. A pass aggregates the stream
-into one net PoPrefixGrid per tree it touches first; StreamProvider keeps
-it and answers that tree's counters through the providers' shared subtree
-formula, one pass per batch as before.
+and the stream's net multiset is the graph. The harness only holds and
+meters the stream: StreamProvider registers a word per request and runs one
+pass per evaluated batch, then reads the counters off CostProvider's grid
+over the stream's net edges, one per tree, equal to what the pass would sum.
 
 The sketch bank holds the linear L0 sketches (Ahn-Guha-McGregor): per
 weight class and vertex, a few independent copies of level-sampled
@@ -30,10 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .graph import WeightedGraph
-from .grid import PoPrefixGrid
 from .provider import CostProvider
 from .proxy import ResourceBudgetError, build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
-from .rangeindex import edge_points
 from .util import bit_lengths, ceil_log2, rng_for
 
 # fingerprint moduli and their roots, one row per fingerprint
@@ -75,16 +73,14 @@ class StreamHarness:
         if self.words_budget is not None and self.tracked_words > self.words_budget:
             raise ResourceBudgetError(f"tracked words exceeded {self.words_budget}")
 
-    def run_pass(self, orders):
-        """One pass: the net weight grid of the stream under each post-order.
+    def run_pass(self):
+        """Meter one pass over the stream for the counters registered before it.
 
-        Each counter is a linear functional of the updates, so one pass may
-        aggregate the stream into a per-tree net grid that answers any of
-        that tree's counters; inserts and deletes cancel inside the
-        aggregation exactly as they would in the individual counters.
+        Each counter is a linear functional of the updates, and inserts and
+        deletes cancel inside it, so what a pass would read is a sum over the
+        stream's net edges: the provider reads it from its grid over them.
         """
         self.pass_count += 1
-        return [PoPrefixGrid(self.n, *edge_points(po, self.uu, self.vv), self.wdelta) for po in orders]
 
     def fill_bank(self, bank: "SketchBank"):
         """One pass filling every cell of the sketch bank.
@@ -265,12 +261,10 @@ class StreamProvider(CostProvider):
         self.stats.passes = harness.pass_count
         self.stats.tracked_words = harness.tracked_words
 
-    def _indexes(self, trees):
-        return self.harness.run_pass([t.po for t in trees])
-
     def _eval_unique(self, rows):
         self.harness.register_words(len(rows))
-        out = self._values(rows)  # the batch's one pass
+        self.harness.run_pass()
+        out = self._values(rows)
         self.stats.passes = self.harness.pass_count
         self.stats.tracked_words = self.harness.tracked_words
         return out

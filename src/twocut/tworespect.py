@@ -92,6 +92,11 @@ def interest_checks(d, proxy: WeightedGraph, idx, seed):
     return cross, down
 
 
+def tree_seed(seed, ti) -> int:
+    """Step 4's sampling seed for tree ti of a pipeline run from `seed`."""
+    return int(rng_for(seed, 7, ti).integers(1 << 62))
+
+
 def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
@@ -135,9 +140,8 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
         raise GraphError("no tree edge exists on a single vertex")
     ctx = TreeContext(t)
     seed = as_seed(rng)
-    wc_seed = int(rng_for(seed, 7, 0).integers(1 << 62))  # the pipeline's stream for tree 0
     sink = SearchSink()
-    task = two_respect_plan(ctx, provider, wc_seed, sink)
+    task = two_respect_plan(ctx, provider, tree_seed(seed, 0), sink)  # the pipeline's tree 0
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

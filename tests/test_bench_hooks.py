@@ -64,6 +64,7 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     metrics = tracer.layer_metrics(dict(zip(("queries", "passes", "tracked_words", "probes"),
                                             ledgers(traced_stats))))
     assert metrics["tworespect.trees"] >= 1
+    assert tracer.calls["grid.build"] == metrics["tworespect.trees"]  # one grid per tree, shared with the filter
     # the solver hooks still wrap the methods the pipeline calls
     assert tracer.calls["interval.solver"] > 0
     assert 1 <= metrics["interval.solvers"] <= 2 * metrics["tworespect.trees"]

@@ -13,6 +13,7 @@ from twocut.graph import (
     DisconnectedError,
     GraphError,
     MalformedInputError,
+    RootedSpanTree,
     SelfLoopError,
     TreeEdgePair,
     TreeStructureError,
@@ -138,6 +139,20 @@ def test_build_tree_rejects_bad_inputs(gstar):
         build_rooted_tree(g, [(0, 1), (1, 2), (-1, 3), (3, 4)], 0)
     with pytest.raises(TreeStructureError, match="not a vertex"):
         build_rooted_tree(g, [(0, 1), (1, 2), (0.0, 3), (3, 4)], 0)
+
+
+@pytest.mark.parametrize("n, root, parent", [
+    (3, 0, [-1, 2, 1]),  # a cycle away from the root
+    (3, 0, [-1, 0, 2]),  # a self-parent
+    (3, 0, [-1, 5, 0]),  # a parent out of range
+    (3, 0, [-1, -1, 0]),  # a second root
+    (3, 0, [-1, 0]),  # too short
+    (3, 3, [-1, 0, 0]),  # root out of range
+    (3, 1, [-1, 0, 0]),  # the root has a parent
+])
+def test_rooted_tree_rejects_parent_arrays_that_are_not_trees(n, root, parent):
+    with pytest.raises(TreeStructureError):
+        RootedSpanTree(n, root, parent)
 
 
 def test_build_tree_accepts_any_orientation_and_iterable(gstar):

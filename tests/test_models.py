@@ -312,6 +312,16 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
     assert deltas(batch) == want[mode]
     # DegSubtrees already charged cost nothing, not even a pass
     assert deltas([item for item in batch if isinstance(item[1], DegSubtree)]) == (0, 0, 0)
+    # other requests on trees already seen are metered again, and no index is built
+    held = [id(idx) for idx in provider._index]
+    again = [(ctx, req) for ctx, req in distinct if not isinstance(req, DegSubtree)]
+    want = {
+        "sequential": (0, 0, 0),
+        "cut-query": (sum(model_queries(ctx.tree, req) for ctx, req in again), 0, 0),
+        "streaming": (0, 1, len(again)),
+    }
+    assert deltas([item for item in batch if not isinstance(item[1], DegSubtree)]) == want[mode]
+    assert [id(idx) for idx in provider._index] == held
 
 
 def test_query_provider_refuses_empty_or_full_sides():
