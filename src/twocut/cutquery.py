@@ -30,6 +30,7 @@ class CutOracle:
     """Hidden weighted graph; reachable only through counted cut values."""
 
     def __init__(self, g: WeightedGraph):
+        g.check_weight_sum()
         self.n = g.n
         self._eu = g.eu
         self._ev = g.ev

@@ -141,10 +141,11 @@ def load_graph(text) -> WeightedGraph:
             based = 1
         else:
             based = 0
-        if len(toks) != 3:
+        # the header's -?[0-9]+ rule: int() alone also takes "1_0", "+3" and non-ASCII digits
+        if len(toks) != 3 or not ln.isascii() or "_" in ln or "+" in ln:
             raise MalformedInputError(f"bad edge line {ln!r}")
         try:
-            u, v, w = (int(t) for t in toks)
+            u, v, w = map(int, toks)
         except ValueError as exc:
             raise MalformedInputError(f"bad edge line {ln!r}") from exc
         if w > MAX_EDGE_WEIGHT:

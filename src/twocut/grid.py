@@ -2,11 +2,11 @@
 
 A PoPrefixGrid holds the same (min po, max po) weighted points as a
 WeightRangeIndex and answers `rect_weights` under the same contract, from an
-(n+1) x (n+1) prefix table: four lookups per rectangle. At the sizes the
-simulated models run (n up to a few hundred) the table is both smaller and
-cheaper per call than the merge-sort tree, so CostProvider builds one per
-tree for the simulated models and for the proxy filter, and hands it to the
-shared subtree formula (rangeindex.subtree_sums).
+(n+1) x (n+1) prefix table: four lookups per rectangle, cheaper per call
+than the merge-sort tree. CostProvider builds one per tree for the simulated
+models and for the proxy filter, and the in-memory provider keeps it while
+it is no larger than the merge-sort tree ((n+1)^2 <= 2 m log m words); it
+goes to the shared subtree formula (rangeindex.subtree_sums).
 """
 
 from __future__ import annotations

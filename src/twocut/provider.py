@@ -12,11 +12,12 @@ holds the only dispatch over request types. Rows are deduplicated with one
 sorted packed key, and a row's value is subtree degrees plus at most one
 crossing, read through small per-kind lookup arrays; per tree and batch one
 rangeindex.subtree_sums call over a rectangle-sum index answers every
-crossing. The index is a merge-sort tree over the graph in memory. The
-simulated models hand their hidden (u, v, w) edges (the oracle's graph, the
-stream's updates) to the constructor, which nets them once; each new tree's
-dense prefix grid is built from the net edges, here and nowhere else. Every
-`_eval_unique` meters before it reads values; the formula is shared.
+crossing. Every provider hands its hidden (u, v, w) edges (the graph in
+memory, the oracle's graph, the stream's updates) to the constructor, which
+nets them once; each new tree's dense prefix grid is built from the net
+edges, here and nowhere else. In memory a larger graph's trees get a
+merge-sort tree instead. Every `_eval_unique` meters before it reads values;
+the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
 graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter:
@@ -98,20 +99,19 @@ class CostProvider:
     every provider shares.
 
     A provider differs from the others only in its proxy, in its hidden
-    edges (none in memory, where `_indexes` is overridden) and in what its
-    `_eval_unique` meters before calling `_values`. Every tree it serves
-    spans the same n vertices and gets a slot on first sight, which is its
-    row in three (slots, n) tables: subtree sizes (the cut-query model prices
-    sides by them), subtree degrees, and which DegSubtree requests were
-    already charged (those are answered again for free).
+    edges and in what its `_eval_unique` meters before calling `_values`.
+    Every tree it serves spans the same n vertices and gets a slot on first
+    sight, which is its row in three (slots, n) tables: subtree sizes (the
+    cut-query model prices sides by them), subtree degrees, and which
+    DegSubtree requests were already charged (answered again for free).
     """
 
-    def __init__(self, n, proxy, hidden=None):
+    def __init__(self, n, proxy, hidden):
         self.stats = RunStats()
         self.n = n
         self.proxy = proxy
-        self._hidden = None if hidden is None else _net_edges(n, *hidden)  # (u, v, w) updates, netted
-        self._proxy_is_own = proxy is not None and self._hidden is not None and all(
+        self._hidden = _net_edges(n, *hidden)  # (u, v, w) updates, netted
+        self._proxy_is_own = proxy is not None and all(
             map(np.array_equal, self._hidden, _net_edges(n, proxy.eu, proxy.ev, proxy.ew)))
         self._slots = {}  # TreeContext uid -> slot
         self._trees = []

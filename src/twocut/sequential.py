@@ -1,9 +1,10 @@
-"""In-memory cost provider backed by the merge-sort-tree weight index.
+"""In-memory cost provider: per tree, the smaller of a prefix grid and a merge-sort tree.
 
-Each spanning tree gets its own edge-point set and WeightRangeIndex
-(post-order changes with the tree); CostProvider's shared evaluation turns
-every request of a round into rectangle sums on it. Nothing is metered.
-The graph is also the proxy that Step 4 samples and 1/3-filters on.
+The graph is both the hidden edges CostProvider nets and the proxy that
+Step 4 samples and 1/3-filters on, so the filter reads the tree's own index:
+the base PoPrefixGrid while its (n+1)^2 words are no more than the 2 m words
+per level of a WeightRangeIndex over the tree's edge points, else that
+merge-sort tree. Nothing is metered.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from .rangeindex import EdgePointSet, WeightRangeIndex
 
 class SequentialProvider(CostProvider):
     def __init__(self, g: WeightedGraph):
-        super().__init__(g.n, g)
+        g.check_weight_sum()  # the grid route builds no WeightRangeIndex to refuse it
+        super().__init__(g.n, g, (g.eu, g.ev, g.ew))
+        self._tree_words = 2 * g.m * g.m.bit_length()  # one merge-sort tree
+        self._dense = (g.n + 1) ** 2 <= self._tree_words
 
     def _indexes(self, trees):
+        if self._dense:
+            return super()._indexes(trees)
         out = []
         for t in trees:
             pts = EdgePointSet(self.proxy, t)
@@ -25,12 +31,11 @@ class SequentialProvider(CostProvider):
         return out
 
     def proxy_index(self, ctx):
-        # a grid is the cheapest filter index per row; built only while no larger than
-        # the tree indexes held (2 m words per level each), it at most doubles memory
-        m = self.proxy.m
-        if (self.n + 1) ** 2 <= len(self._index) * 2 * m * m.bit_length():
-            return super().proxy_index(ctx)
-        return self._index[self._slots[ctx.uid]]  # built by the tree's first batch (Step 1)
+        # over merge-sort trees a grid is still the cheapest filter index per row; built
+        # only while no larger than the tree indexes held, it at most doubles memory
+        if not self._dense and (self.n + 1) ** 2 <= len(self._index) * self._tree_words:
+            return self._grid(ctx.tree.po, *self._hidden)
+        return super().proxy_index(ctx)  # the tree's own index, built by its first batch (Step 1)
 
     def _eval_unique(self, rows):
         return self._values(rows)

@@ -45,6 +45,7 @@ class StreamHarness:
     def __init__(self, g: WeightedGraph, seed=0, churn=0.0, words_budget=None):
         if not (math.isfinite(churn) and churn >= 0):
             raise ValueError(f"churn must be finite and nonnegative, got {churn}")
+        g.check_weight_sum()
         self.n = g.n
         self.seed = seed
         self.words_budget = words_budget

@@ -24,6 +24,10 @@ def gstar():
     return make_gstar()
 
 
+def four_cycle(w):
+    return WeightedGraph(4, [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, w)])
+
+
 def random_connected_graph(rng, n, extra=2.0, wmax=10):
     """Random spanning tree plus ~extra*n additional edges, weights 1..wmax."""
     edges = {}

@@ -156,6 +156,10 @@ def test_malformed_header_exit_code(tmp_path, capsys):
         bad.write_text(f"{header}\n0 1 1\n1 2 1\n")
         assert main(["--input", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: bad header")
+    bad.write_text("p 3 2\n0 1 1_0\n1 2 1\n")
+    assert main(["--input", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad edge line") and err.count("\n") == 1
 
 
 def test_unwritable_stats_exit_code(gstar_file, tmp_path, capsys):

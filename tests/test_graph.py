@@ -29,7 +29,7 @@ from twocut.graph import (
     reconstruct_partition,
 )
 
-from conftest import GSTAR_TREE, make_gstar, random_instance
+from conftest import GSTAR_TREE, four_cycle, make_gstar, random_instance
 
 
 def test_load_triangle():
@@ -69,6 +69,15 @@ def test_load_distinct_errors():
 def test_load_malformed_header_refused(header):
     with pytest.raises(MalformedInputError, match="bad header"):
         load_graph(f"{header}\n0 1 1\n1 2 1\n")
+
+
+@pytest.mark.parametrize("line", ["0 1 1_0", "0_0 1 1", "0 1 \u0663", "0 1 +3", "+0 1 3", "a 1 2"])
+def test_load_edge_tokens_follow_the_header_rule(line):
+    # int() alone would read these as 10, 0, 3, 3 and 0
+    with pytest.raises(MalformedInputError, match="bad edge line"):
+        load_graph(f"p 3 2\n{line}\n1 2 3\n")
+    with pytest.raises(MalformedInputError, match="negative weight"):
+        load_graph("p 3 2\n0 1 -1\n1 2 3\n")
 
 
 def test_non_integer_weight_refused():
@@ -303,10 +312,6 @@ def test_po_ranges_match_ancestor_walks():
                 if u != v:
                     disjoint = not (t.is_ancestor(u, v) or t.is_ancestor(v, u))
                     assert t.orthogonal(u, v) == disjoint
-
-
-def four_cycle(w):
-    return WeightedGraph(4, [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, w)])
 
 
 def test_total_weight_is_exact_past_int64():

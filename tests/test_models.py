@@ -17,23 +17,26 @@ from twocut.cutquery import (
 from twocut.graph import (
     TreeEdgePair,
     WeightedGraph,
+    WeightOverflowError,
     build_rooted_tree,
     cross_weight,
     cut_of_partition,
     oracle_min_cut,
     pair_cut_value,
 )
+from twocut.grid import PoPrefixGrid
 from twocut.packing import min_cut_pipeline
 from twocut.provider import TreeContext
-from twocut.rangeindex import tree_degrees
+from twocut.rangeindex import WeightRangeIndex, tree_degrees
 from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
 from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream, stream_provider
+from twocut.tworespect import min_2respect
 from twocut.util import ceil_log2
 
-from conftest import make_gstar, random_connected_graph, random_instance, random_spanning_tree_edges
+from conftest import four_cycle, make_gstar, random_connected_graph, random_instance, random_spanning_tree_edges
 
 
 # ---- cut-query oracle ----
@@ -332,6 +335,45 @@ def test_query_provider_refuses_empty_or_full_sides():
         provider.batch_eval([(ctx, DegSubtree(t.root))])
     with pytest.raises(ValueError):
         provider.batch_eval([(ctx, CrossNested(1, t.root))])
+
+
+@pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
+def test_sequential_index_is_the_smaller_one(n, extra, index, monkeypatch):
+    # a tree's index is its grid while (n+1)^2 <= 2 m log m words, else its merge-sort tree;
+    # the filter reads that index, or a grid once the merge-sort trees held outweigh one
+    rng = np.random.default_rng(n)
+    g = random_connected_graph(rng, n, extra=extra, wmax=1 << 32)
+    trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))) for _ in range(4)]
+    ctxs = [TreeContext(t) for t in trees]
+    grids = []
+    init = PoPrefixGrid.__init__
+    monkeypatch.setattr(PoPrefixGrid, "__init__", lambda self, *a: grids.append(self) or init(self, *a))
+    provider = SequentialProvider(g)
+    batch = [(ctx, req) for ctx in ctxs[:2] for req in all_requests(g, ctx.tree)]
+    assert provider.batch_eval(batch) == [brute_value(g, ctx.tree, req) for ctx, req in batch]
+    provider.batch_eval([(ctx, DegSubtree(ctx.tree.root)) for ctx in ctxs])
+    assert [type(idx) for idx in provider._index] == [index] * 4
+    filters = [provider.proxy_index(ctx) for ctx in ctxs]
+    if index is PoPrefixGrid:
+        assert all(f is idx for f, idx in zip(filters, provider._index))
+        assert grids == provider._index  # one grid per tree, none for the filter
+    else:
+        assert (n + 1) ** 2 <= 4 * 2 * g.m * g.m.bit_length()
+        assert grids == filters and all(type(f) is PoPrefixGrid for f in filters)
+
+
+def test_sources_refuse_weight_sum_reaching_2_62():
+    g = four_cycle(1 << 62)  # int64 cut sums would wrap to -2**63
+    for make in (CutOracle, lambda g: StreamHarness(g, seed=1), SequentialProvider,
+                 lambda g: query_provider(CutOracle(g)), lambda g: stream_provider(StreamHarness(g, seed=1))):
+        with pytest.raises(WeightOverflowError):
+            make(g)
+    w = (1 << 60) - 1  # total just below the limit
+    g = four_cycle(w)
+    t = build_rooted_tree(g, [(0, 1), (1, 2), (2, 3)], 0)
+    for provider in (SequentialProvider(g), query_provider(CutOracle(g)),
+                     stream_provider(StreamHarness(g, seed=1, churn=0.5))):
+        assert min_2respect(g, t, provider, rng=1).value == 2 * w
 
 
 # ---- stream harness ----

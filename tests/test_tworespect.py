@@ -184,9 +184,9 @@ def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
 
 @pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
 def test_sequential_filter_index_by_size(n, extra, index, monkeypatch):
-    # the 1/3 filter reads a grid of g while it is no larger than the tree
-    # indexes held (dense g), else the tree's own merge-sort index (sparse g
-    # on one tree); either way it spares only exact checks that would fail
+    # the 1/3 filter reads the tree's own index: its grid on a dense g, its
+    # merge-sort tree on a sparse g held alone; either way it spares only
+    # exact checks that would fail
     rng = np.random.default_rng(n)
     g = random_connected_graph(rng, n, extra=extra, wmax=10)
     t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0)
@@ -201,8 +201,7 @@ def test_sequential_filter_index_by_size(n, extra, index, monkeypatch):
     provider = SequentialProvider(g)
     res = min_2respect(g, t, provider, rng=5)
     assert len(seen) == 1 and type(seen[0]) is index
-    if index is WeightRangeIndex:
-        assert seen[0] is provider._index[0]
+    assert seen[0] is provider._index[0]
     for name in ("cross_ok_many", "down_ok_many"):
         monkeypatch.setattr(ProxyFilter, name, lambda self, us, fs: np.ones(len(us), dtype=bool))
     keep_all = min_2respect(g, t, SequentialProvider(g), rng=5)
