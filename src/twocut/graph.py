@@ -214,10 +214,6 @@ class RootedSpanTree:
         self._lo = lo.tolist()
         self._hi = self._po
 
-    def tree_edges(self):
-        """Tree edges as (parent, child) pairs, one per non-root vertex."""
-        return [(int(self.parent[v]), v) for v in range(self.n) if v != self.root]
-
     def edge_children(self):
         return [v for v in range(self.n) if v != self.root]
 

@@ -5,8 +5,10 @@ when C(u_sub, v_sub) > deg(u_sub) / 2 (disjoint subtrees) and
 down-interesting when C(v_sub, V - u_sub) > deg(u_sub) / 2 (v below u). Only
 such pairs can beat every single-edge tree cut. Partners of one edge all lie
 on a single root-to-leaf line and are closed upward along it, so it is
-enough to sample edges on u's subtree boundary, walk each sampled endpoint's
-line through the path decomposition, and check the met segments' top edges.
+enough to sample edges on u's subtree boundary, walk the root line of both
+endpoints x of each sampled edge strictly below lca(u, x) (u itself for the
+endpoint inside) through the path decomposition, and check the met
+segments' top edges.
 
 Sampling is stratified by weight class [2^i, 2^(i+1)): whenever some subtree
 attracts more than half of u's boundary weight, at least one class gives its
@@ -16,9 +18,10 @@ solver already covers them.
 
 Every stage handles all tree edges of a tree in one batch: one sampling pass
 over the two boundary rectangles of every subtree in every weight class, one
-walk of the decomposition's per-vertex path tables for all sampled
-endpoints, and one proxy filter call per interest kind. Candidates travel
-as (e, f) rows of tree-edge children; f's decomposition path is path_of[f].
+walk of the decomposition's per-vertex path tables for both endpoints of
+every sampled edge, and one proxy filter call per interest kind. Candidates
+travel as (e, f) rows of tree-edge children; f's decomposition path is
+path_of[f].
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -37,45 +40,41 @@ from .util import bit_lengths, ceil_log2
 DEFAULT_SAMPLE_MULTIPLIER = 4
 
 
-class WeightClassIndex:
-    """Per weight class: that class's edge points with a sampling index.
+def build_weight_classes(g: WeightedGraph, t, seed):
+    """Per weight class, ascending: a sampling index over that class's edge
+    points under t, as {class: SampleRangeIndex}.
 
     Zero-weight edges are skipped; they cannot witness any threshold.
     """
-
-    def __init__(self, g: WeightedGraph, t, seed):
-        self.n = t.n
-        xs, ys = edge_points(t.po, g.eu, g.ev)
-        cls = bit_lengths(g.ew) - 1
-        self.classes = {}
-        for i in np.unique(cls[cls >= 0]).tolist():
-            keep = np.flatnonzero(cls == i)  # the class's edge ids
-            self.classes[i] = SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
-
-
-def build_weight_classes(g: WeightedGraph, t, seed) -> WeightClassIndex:
-    return WeightClassIndex(g, t, seed)
+    xs, ys = edge_points(t.po, g.eu, g.ev)
+    cls = bit_lengths(g.ew) - 1
+    classes = {}
+    for i in np.unique(cls[cls >= 0]).tolist():
+        keep = np.flatnonzero(cls == i)  # the class's edge ids
+        classes[i] = SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
+    return classes
 
 
 def sample_k(n, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     return max(1, multiplier * ceil_log2(max(n, 2)))
 
 
-def sample_cross_candidates(wc: WeightClassIndex, t, us, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
+def sample_cross_candidates(classes, t, us, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
     """Boundary samples of the subtrees below every tree edge in us.
 
-    One sample_rects pass reports both boundary rectangles of every subtree
-    (its edges leaving leftward and rightward in post-order) in every weight
+    classes: build_weight_classes' {class: SampleRangeIndex} under t. One
+    sample_rects pass reports both boundary rectangles of every subtree (its
+    edges leaving leftward and rightward in post-order) in every weight
     class. Returns aligned (edge, sampled edge id) arrays; the rectangles and
-    the classes are disjoint, so no pair repeats. The same sample serves the
-    cross and the down route: both read the same rectangles, and the level
-    walk is fixed by the build seed.
+    the classes are disjoint, so no pair repeats. One sample serves both
+    interest kinds: candidate_tops walks from both endpoints of every sampled
+    edge, and the level walk is fixed by the build seed.
     """
     us = np.asarray(us, dtype=np.int64)
     a, b = t.lo[us], t.hi[us]
     x1, x2 = np.concatenate((np.zeros_like(a), a)), np.concatenate((a - 1, b))
     y1, y2 = np.concatenate((a, b + 1)), np.concatenate((b, np.full_like(b, t.n - 1)))
-    rows, eids = sample_rects(list(wc.classes.values()), x1, x2, y1, y2, sample_k(wc.n, multiplier))
+    rows, eids = sample_rects(list(classes.values()), x1, x2, y1, y2, sample_k(t.n, multiplier))
     return us[rows % max(len(us), 1)], eids
 
 
@@ -116,28 +115,29 @@ def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):
 
     es, eids: aligned rows of a tree edge and an edge of g leaving its
     subtree (as from sample_cross_candidates). Returns (cross, down) int64
-    arrays of distinct (e, f) rows sorted by e then f, geometry-filtered
-    (f orthogonal to e for cross, strictly below e for down), with f on e's
-    own path excluded.
+    arrays of distinct (e, f) rows sorted by e then f: f orthogonal to e for
+    cross, strictly below e and off e's own path for down.
+
+    Both endpoints x of a sampled edge witness for e by one rule: e's
+    partners on x's root line lie strictly below lca(e, x), and interest is
+    closed upward within a segment, so per met path the segment's top edge
+    decides. The endpoint inside e's subtree has lca(e, x) = e, so its tops
+    lie below e; the outside one's tops are orthogonal to e. One walk thus
+    serves both kinds, and geometry alone splits them. Witnesses on one
+    decomposition path give nested candidate sets, so only the deepest per
+    (e, path) is walked: an outside witness sharing a path with an inside
+    one lies above e on e's root line and meets nothing below their lca, as
+    does a witness equal to e or to the root.
     """
     t = d.tree
     es, eids = np.asarray(es, dtype=np.int64), np.asarray(eids, dtype=np.int64)
-    a, b = g.eu[eids], g.ev[eids]
-    a_in = (t.lo[es] <= t.po[a]) & (t.po[a] <= t.hi[es])
-    inner, outer = np.where(a_in, a, b), np.where(a_in, b, a)
-    # witnesses on one decomposition path contribute nested candidate sets,
-    # so only the deepest witness per (edge, path) matters
-    ec, xc = _deepest_per_path(d, es, outer, outer != t.root)
-    ed, xd = _deepest_per_path(d, es, inner, inner != es)
-    # true partners sit strictly below the divergence point of e's and x's
-    # root lines; everything there is orthogonal to e, and interest is closed
-    # upward within the segment, so per met path its segment-top edge decides
-    row, f = d.suffix_tops(xc, d.anchor_depths(ec, xc))
-    e = ec[row]
+    es, xs = np.concatenate((es, es)), np.concatenate((g.eu[eids], g.ev[eids]))
+    es, xs = _deepest_per_path(d, es, xs, (xs != es) & (xs != t.root))
+    row, f = d.suffix_tops(xs, d.anchor_depths(es, xs))
+    e = es[row]
     cross = _distinct_rows(e, f, (t.hi[e] < t.lo[f]) | (t.hi[f] < t.lo[e]), t.n)
-    row, f = d.suffix_tops(xd, t.depth[ed])
-    e = ed[row]
-    down = _distinct_rows(e, f, d.path_of[f] != d.path_of[e], t.n)
+    below = (t.lo[e] <= t.lo[f]) & (t.hi[f] < t.hi[e])
+    down = _distinct_rows(e, f, below & (d.path_of[f] != d.path_of[e]), t.n)
     return cross, down
 
 

@@ -83,8 +83,8 @@ def interest_checks(d, proxy: WeightedGraph, idx, seed):
     for exact verification: CrossSub(e, f) and CrossNested(f, e).
     """
     t = d.tree
-    wc = build_weight_classes(proxy, t, seed)
-    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root))
+    classes = build_weight_classes(proxy, t, seed)
+    es, eids = sample_cross_candidates(classes, t, np.delete(np.arange(t.n), t.root))
     cross, down = candidate_tops(d, es, eids, proxy)
     filt = ProxyFilter(idx, t)
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]

@@ -90,7 +90,7 @@ def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
     for e in t.edge_children():
         a, b = int(t.lo[e]), int(t.hi[e])
         eids = set()
-        for sidx in wc.classes.values():
+        for sidx in wc.values():
             for x1, x2, y1, y2 in ((0, a - 1, a, b), (a, b, b + 1, t.n - 1)):
                 eids.update(reference_sample_rect(sidx, x1, x2, y1, y2, k).tolist())
         inner, outer = set(), set()
@@ -185,24 +185,24 @@ def exact_interest(provider, t, e, f, kind):
 def test_gstar_weight_classes():
     g, t = make_gstar()
     wc = build_weight_classes(g, t, seed=3)
-    sizes = {i: idx.m for i, idx in wc.classes.items()}
+    sizes = {i: idx.m for i, idx in wc.items()}
     assert sizes == {0: 4, 1: 1, 2: 1}
 
 
 def test_weight_classes_unit_and_sparse():
     unit = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     tu = build_rooted_tree(unit, [(0, 1), (1, 2), (2, 3)], 0)
-    assert set(build_weight_classes(unit, tu, 1).classes) == {0}
+    assert set(build_weight_classes(unit, tu, 1)) == {0}
 
     wide = WeightedGraph(3, [(0, 1, 1), (1, 2, 1 << 20)])
     tw = build_rooted_tree(wide, [(0, 1), (1, 2)], 0)
-    assert set(build_weight_classes(wide, tw, 1).classes) == {0, 20}
+    assert set(build_weight_classes(wide, tw, 1)) == {0, 20}
 
     # weights past 2**53, where a float bit length rounds 2**61 - 1 up to 62 bits
     heavy = WeightedGraph(3, [(0, 1, (1 << 61) - 1), (1, 2, 1 << 61), (0, 2, (1 << 53) + 1)])
     th = build_rooted_tree(heavy, [(0, 1), (1, 2)], 0)
     wc = build_weight_classes(heavy, th, 1)
-    assert {i: idx.ids.tolist() for i, idx in wc.classes.items()} == {53: [1], 60: [0], 61: [2]}
+    assert {i: idx.ids.tolist() for i, idx in wc.items()} == {53: [1], 60: [0], 61: [2]}
 
 
 def test_gstar_cross_bundle_contains_heavy_witness():
@@ -379,7 +379,32 @@ def equivalence_instances():
         # multiplier 1 shrinks k, so boundary rectangles overflow it and the
         # stop-level walk matters
         out.append((g, t, 1 if i % 3 == 0 else 4))
+    # degenerate shapes, where witnesses sit on e's own heavy path above and
+    # below e
+    for shape, root in (("path", 0), ("path", "middle"), ("star", 0), ("star", 1), ("caterpillar", 0)):
+        for wmax in (10, 1 << 32):
+            for multiplier in (1, 4):
+                g, t = shaped_instance(rng, shape, root, int(rng.integers(12, 41)), wmax)
+                out.append((g, t, multiplier))
     return out
+
+
+def shaped_instance(rng, shape, root, n, wmax):
+    """A tree of the given shape on n vertices plus ~3n random non-tree
+    edges, weights 1..wmax. A caterpillar hangs legs off a spine 0..n/2-1."""
+    spine = n // 2
+    tree = {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "star": [(0, i) for i in range(1, n)],
+        "caterpillar": [(i, i + 1) for i in range(spine - 1)]
+        + [(int(rng.integers(spine)), i) for i in range(spine, n)],
+    }[shape]
+    edges = {tuple(sorted(e)): int(rng.integers(1, wmax + 1)) for e in tree}
+    while len(edges) < 4 * n:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.setdefault((u, v), int(rng.integers(1, wmax + 1)))
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+    return g, build_rooted_tree(g, tree, n // 2 if root == "middle" else root)
 
 
 def filtered_rows(proxy, d, idx, seed, multiplier):

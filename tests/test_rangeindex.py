@@ -257,7 +257,7 @@ def test_subtree_boundary_samples_match_scalar_reference(monkeypatch, shape, wma
         for u in us.tolist():
             a, b = int(t.lo[u]), int(t.hi[u])
             rect = (a, b, b + 1, n - 1) if right else (0, a - 1, a, b)
-            for sidx in wc.classes.values():
+            for sidx in wc.values():
                 got = reference_sample_rect(sidx, *rect, k).tolist()
                 want_e += [u] * len(got)
                 want_id += got
