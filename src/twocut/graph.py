@@ -10,11 +10,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .util import DisjointSets
+from .util import DisjointSets, bit_lengths
 
 MAX_EDGE_WEIGHT = 1 << 32
 EXHAUSTIVE_CUT_LIMIT = 18
@@ -91,6 +92,14 @@ class WeightedGraph:
         self.total_weight = sum(merged.values())
         if require_connected and not self.is_connected():
             raise DisconnectedError("graph is not connected")
+
+    @cached_property
+    def weight_classes(self):
+        """{i: ids of the edges with weight in [2^i, 2^(i+1))}, classes
+        ascending, ids ascending; zero-weight edges are in no class. The
+        proxy peels per class and Step 4 samples per class, one split per graph."""
+        cls = bit_lengths(self.ew) - 1
+        return {i: np.flatnonzero(cls == i) for i in np.unique(cls[cls >= 0]).tolist()}
 
     def check_weight_sum(self):
         """Refuse graphs whose total weight int64 cut arithmetic cannot carry."""

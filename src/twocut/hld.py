@@ -74,9 +74,8 @@ class PathDecomposition:
         """
         pu, px = self.exit_path[us], self.exit_path[xs]
         shared = np.argmin((pu == px) & (pu >= 0), axis=1)  # rows end in padding
-        j = np.maximum(shared - 1, 0)[:, None]
-        lca = np.minimum(np.take_along_axis(self.exit_depth[us], j, axis=1),
-                         np.take_along_axis(self.exit_depth[xs], j, axis=1))[:, 0]
+        j = np.maximum(shared - 1, 0)
+        lca = np.minimum(self.exit_depth[us, j], self.exit_depth[xs, j])
         return np.where(shared > 0, lca, 0)
 
     def suffix_tops(self, xs, das):
@@ -87,7 +86,7 @@ class PathDecomposition:
         """
         below = np.asarray(das, dtype=np.int64)[:, None] + 1
         row, col = np.nonzero(self.exit_depth[xs] >= below)
-        pid = self.exit_path[xs][row, col]
+        pid = self.exit_path[np.asarray(xs)[row], col]
         seg = np.maximum(below[row, 0], self.top_depth[pid])
         return row, self.flat[self.start[pid] + seg - self.top_depth[pid]]
 

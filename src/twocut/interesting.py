@@ -13,15 +13,19 @@ segments' top edges.
 Sampling is stratified by weight class [2^i, 2^(i+1)): whenever some subtree
 attracts more than half of u's boundary weight, at least one class gives its
 edges a constant point-fraction, so a logarithmic sample hits it with high
-probability. Pairs within one decomposition path are excluded here; the path
-solver already covers them.
+probability. The split is the proxy's own (WeightedGraph.weight_classes),
+made once per graph and shared with the forest peeling of proxy.py; each
+tree only places the class's edges under its post-order. Pairs within one
+decomposition path are excluded here; the path solver already covers them.
 
 Every stage handles all tree edges of a tree in one batch: one sampling pass
 over the two boundary rectangles of every subtree in every weight class, one
 walk of the decomposition's per-vertex path tables for both endpoints of
 every sampled edge, and one proxy filter call per interest kind. Candidates
 travel as (e, f) rows of tree-edge children; f's decomposition path is
-path_of[f].
+path_of[f]. The filter's subtree degrees are the tree's Step 1 degrees,
+handed over by the provider, whenever the proxy nets to the hidden edges;
+only a proxy that differs has them read off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -35,7 +39,7 @@ import numpy as np
 from .graph import WeightedGraph
 from .hld import PathDecomposition
 from .rangeindex import SampleRangeIndex, edge_points, sample_rects, subtree_sums, tree_degrees
-from .util import bit_lengths, ceil_log2
+from .util import ceil_log2
 
 DEFAULT_SAMPLE_MULTIPLIER = 4
 
@@ -44,15 +48,12 @@ def build_weight_classes(g: WeightedGraph, t, seed):
     """Per weight class, ascending: a sampling index over that class's edge
     points under t, as {class: SampleRangeIndex}.
 
-    Zero-weight edges are skipped; they cannot witness any threshold.
+    The classes are g's cached split (WeightedGraph.weight_classes), so
+    zero-weight edges are skipped; they cannot witness any threshold.
     """
     xs, ys = edge_points(t.po, g.eu, g.ev)
-    cls = bit_lengths(g.ew) - 1
-    classes = {}
-    for i in np.unique(cls[cls >= 0]).tolist():
-        keep = np.flatnonzero(cls == i)  # the class's edge ids
-        classes[i] = SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
-    return classes
+    return {i: SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
+            for i, keep in g.weight_classes.items()}
 
 
 def sample_k(n, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
@@ -86,15 +87,17 @@ class ProxyFilter:
     exact check in the real graph. On the graph itself (the in-memory proxy)
     it drops only rows the exact 2C > deg would fail. idx is any
     rect_weights index over the proxy's edge points under tree (see
-    rangeindex.subtree_sums), as a provider's proxy_index hands it over.
-    Both checks take aligned (or scalar) edge arrays us, fs and return one
+    rangeindex.subtree_sums), as a provider's proxy_index hands it over;
+    deg, the proxy's subtree degrees under tree when the provider already
+    holds them (its proxy_degrees), else they are read from idx. Both
+    checks take aligned (or scalar) edge arrays us, fs and return one
     boolean per row.
     """
 
-    def __init__(self, idx, tree):
+    def __init__(self, idx, tree, deg=None):
         self.tree = tree
         self.idx = idx
-        self.deg = tree_degrees(idx, tree)
+        self.deg = tree_degrees(idx, tree) if deg is None else deg
 
     def cross_ok_many(self, us, fs):
         """3 C(u_sub, f_sub) > deg(u_sub) per row, for disjoint subtrees."""
@@ -145,7 +148,8 @@ def _deepest_per_path(d, es, xs, ok):
     # d.pos orders the vertices of each path by depth, paths one after another
     n = d.tree.n
     keys = np.sort(es[ok] * n + d.pos[xs[ok]])
-    es, xs = keys // n, d.flat[keys % n]
+    es, pos = np.divmod(keys, n)
+    xs = d.flat[pos]
     group = es * n + d.path_of[xs]
     last = np.diff(group, append=-1) != 0
     return es[last], xs[last]
@@ -154,7 +158,7 @@ def _deepest_per_path(d, es, xs, ok):
 def _distinct_rows(e, f, keep, n):
     keys = np.sort(e[keep] * n + f[keep])
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return np.stack((keys // n, keys % n), axis=1)
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def pair_solver_inputs(d: PathDecomposition, cross, down, ok):

@@ -10,19 +10,21 @@ All providers turn requests into values the same way. `batch_eval` decodes
 each request once into an int64 row (tree slot, kind, a, b); this module
 holds the only dispatch over request types. Rows are deduplicated with one
 sorted packed key, and a row's value is subtree degrees plus at most one
-crossing, read through small per-kind lookup arrays; per tree and batch one
-rangeindex.subtree_sums call over a rectangle-sum index answers every
-crossing. Every provider hands its hidden (u, v, w) edges (the graph in
-memory, the oracle's graph, the stream's updates) to the constructor, which
-nets them once; each new tree's dense prefix grid is built from the net
-edges, here and nowhere else. In memory a larger graph's trees get a
-merge-sort tree instead. Every `_eval_unique` meters before it reads values;
-the formula is shared.
+crossing, read through small per-kind lookup arrays. Every provider hands
+its hidden (u, v, w) edges (the graph in memory, the oracle's graph, the
+stream's updates) to the constructor, which nets them once; the grids of
+the trees first seen in one batch are built from the net edges into one
+grid.GridBlock, here and nowhere else. One rangeindex.subtree_sums call per
+block gives those trees all their subtree degrees, and one per block and
+batch answers every crossing. In memory a larger graph's trees get a
+merge-sort tree each instead, read one call per tree and batch. Every
+`_eval_unique` meters before it reads values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
-graph in memory, else the sparsifier), and `proxy_index` for the 1/3 filter:
-the tree's own index when the proxy nets to the same edges as the hidden
-ones, else a grid over the proxy.
+graph in memory, else the sparsifier), `proxy_index` for the 1/3 filter
+(the tree's own index when the proxy nets to the same edges as the hidden
+ones, else a grid over the proxy) and `proxy_degrees`, the tree's Step 1
+degrees in the first case, so the filter does not recompute them.
 
 Requests are paired with the TreeContext they refer to, so one provider can
 serve many spanning trees in the same run and a scheduler can merge their
@@ -35,12 +37,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
-from .grid import PoPrefixGrid
-from .rangeindex import edge_points, subtree_sums, tree_degrees
+from .grid import GridBlock, PoPrefixGrid
+from .rangeindex import WeightRangeIndex, edge_points, subtree_sums, tree_degrees
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 
 
@@ -99,12 +102,16 @@ class CostProvider:
     every provider shares.
 
     A provider differs from the others only in its proxy, in its hidden
-    edges and in what its `_eval_unique` meters before calling `_values`.
+    edges, in what its `_eval_unique` meters before calling `_values`, and
+    in `_dense`: whether its trees get block grids (else merge-sort trees).
     Every tree it serves spans the same n vertices and gets a slot on first
-    sight, which is its row in three (slots, n) tables: subtree sizes (the
-    cut-query model prices sides by them), subtree degrees, and which
-    DegSubtree requests were already charged (answered again for free).
+    sight, which is its row in the (slots, n) tables: subtree sizes (the
+    cut-query model prices sides by them), post-order ranges lo and hi,
+    subtree degrees, and which DegSubtree requests were already charged
+    (answered again for free); and its GridBlock and table offset there.
     """
+
+    _dense = True
 
     def __init__(self, n, proxy, hidden):
         self.stats = RunStats()
@@ -116,9 +123,11 @@ class CostProvider:
         self._slots = {}  # TreeContext uid -> slot
         self._trees = []
         self._index = []
-        self._size = np.zeros((0, n), dtype=np.int64)
-        self._deg = np.zeros((0, n), dtype=np.int64)
+        self._blocks = []  # GridBlocks, one per batch that brought new trees
+        self._size, self._lo, self._hi, self._deg = (np.zeros((0, n), dtype=np.int64) for _ in range(4))
         self._charged = np.zeros((0, n), dtype=bool)
+        self._block = np.zeros(0, dtype=np.int64)
+        self._at = np.zeros(0, dtype=np.int64)
 
     def _rows(self, items):
         """(slot, kind, a, b) of each (ctx, request): the one request decoder."""
@@ -157,10 +166,15 @@ class CostProvider:
         rows = np.fromiter(flat, dtype=np.int64, count=4 * len(items)).reshape(-1, 4)
         new = self._trees[len(self._index):]
         if new:
-            self._index += [None] * len(new)
+            k = len(new)
+            self._index += [None] * k
             self._size = np.vstack([self._size] + [t.size for t in new])
-            self._deg = np.vstack((self._deg, np.zeros((len(new), self.n), dtype=np.int64)))
-            self._charged = np.vstack((self._charged, np.zeros((len(new), self.n), dtype=bool)))
+            self._lo = np.vstack([self._lo] + [t.lo for t in new])
+            self._hi = np.vstack([self._hi] + [t.hi for t in new])
+            self._deg = np.vstack((self._deg, np.zeros((k, self.n), dtype=np.int64)))
+            self._charged = np.vstack((self._charged, np.zeros((k, self.n), dtype=bool)))
+            self._block = np.append(self._block, np.full(k, -1))
+            self._at = np.append(self._at, np.zeros(k, dtype=np.int64))
         n = self.n
         keys = rows @ np.array([len(A_DEG) * n * n, n * n, n, 1])
         order = np.argsort(keys)
@@ -188,36 +202,69 @@ class CostProvider:
         h = self.proxy
         return self._grid(ctx.tree.po, h.eu, h.ev, h.ew)
 
+    def proxy_degrees(self, ctx):
+        """The proxy's subtree degrees under ctx's tree when the proxy nets to
+        the hidden edges (the tree's Step 1 degrees), else None."""
+        return self._deg[self._slots[ctx.uid]] if self._proxy_is_own else None
+
     def _grid(self, po, u, v, w):
         """The (u, v, w) edge columns as a PoPrefixGrid under the post-order po."""
         return PoPrefixGrid(self.n, *edge_points(po, u, v), w)
 
-    def _indexes(self, trees):
-        """One rect_weights index over the (min po, max po) edge points of
-        each tree not seen yet: here a grid over the netted hidden edges."""
-        return [self._grid(t.po, *self._hidden) for t in trees]
+    def _add_indexes(self, slots):
+        """Index the net hidden edges under the trees of slots, seen for the
+        first time, and fill in all their subtree degrees: Step 1 needs them
+        all anyway and the later steps keep re-reading them."""
+        u, v, w = self._hidden
+        if not self._dense:
+            for s in slots:
+                t = self._trees[s]
+                self._index[s] = WeightRangeIndex(*edge_points(t.po, u, v), w)
+                self._deg[s] = tree_degrees(self._index[s], t)
+            return
+        block = GridBlock(self.n, [(*edge_points(self._trees[s].po, u, v), w) for s in slots])
+        for s, grid in zip(slots, block.grids):
+            self._index[s] = grid
+        slots = np.asarray(slots)
+        self._block[slots] = len(self._blocks)
+        self._blocks.append(block)
+        self._at[slots] = np.arange(len(slots)) * (self.n + 1) ** 2
+        x = np.tile(np.arange(self.n), len(slots))
+        deg = self._crossings(np.repeat(slots, self.n), x, x, np.zeros(len(x), dtype=bool))
+        self._deg[slots] = deg.reshape(len(slots), self.n)
+
+    def _crossings(self, slot, u, v, sub):
+        """subtree_sums of rows (slot, u, v, sub) sorted by slot: one call per
+        run of rows on one GridBlock, reading the lo/hi tables of all slots
+        at flat index slot * n + vertex, or per merge-sort tree."""
+        out = np.empty(len(slot), dtype=np.int64)
+        group = self._block[slot] if self._dense else slot
+        starts = np.flatnonzero(_run_starts(group)).tolist()
+        flat = SimpleNamespace(n=self.n, lo=self._lo.reshape(-1), hi=self._hi.reshape(-1))
+        for lo, hi in zip(starts, starts[1:] + [len(slot)]):
+            s, g = slot[lo:hi], int(group[lo])
+            if self._dense:
+                out[lo:hi] = subtree_sums(self._blocks[g], flat, s * self.n + u[lo:hi], s * self.n + v[lo:hi],
+                                          sub[lo:hi], self._at[s])
+            else:
+                out[lo:hi] = subtree_sums(self._index[g], self._trees[g], u[lo:hi], v[lo:hi], sub[lo:hi])
+        return out
 
     def _values(self, rows):
         """Exact values of request rows grouped by tree, as an int64 array.
 
-        A tree's first batch computes all its subtree degrees at once, since
-        Step 1 needs them all anyway and the later steps keep re-reading
-        them; after that each batch costs one subtree_sums call per tree
-        with crossings.
+        New trees are indexed first; then every crossing is read in one
+        _crossings call (none in Step 1, which reads degrees only).
         """
         slot, kind, a, b = rows.T
-        starts = np.flatnonzero(_run_starts(slot))
-        slots = slot[starts].tolist()
+        slots = slot[_run_starts(slot)].tolist()
         new = [s for s in slots if self._index[s] is None]
-        for s, idx in zip(new, self._indexes([self._trees[s] for s in new])):
-            self._index[s] = idx
-            self._deg[s] = tree_degrees(idx, self._trees[s])
+        if new:
+            self._add_indexes(new)
         value = A_DEG[kind] * self._deg[slot, a] + B_DEG[kind] * self._deg[slot, b]
-        coef = CROSS_COEF[kind]
-        for s, lo, hi in zip(slots, starts.tolist(), starts[1:].tolist() + [len(slot)]):
-            r = lo + np.flatnonzero(coef[lo:hi])
-            if len(r):  # degree-only batches (Step 1) make no rectangle call
-                value[r] += coef[r] * subtree_sums(self._index[s], self._trees[s], a[r], b[r], IS_SUB[kind[r]])
+        r = np.flatnonzero(CROSS_COEF[kind])
+        if len(r):
+            value[r] += CROSS_COEF[kind[r]] * self._crossings(slot[r], a[r], b[r], IS_SUB[kind[r]])
         return value
 
 

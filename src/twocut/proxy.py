@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .graph import GraphError, WeightedGraph
-from .util import DisjointSets, bit_lengths, ceil_log2
+from .util import DisjointSets, ceil_log2
 
 PROXY_BUDGET_FACTOR = 4.0  # c3 in the proxy edge budget
 FOREST_FACTOR = 1.0        # c4 in forests per weight class
@@ -112,10 +112,8 @@ def first_leaving(u, v, alive, labels):
 def build_proxy_direct(g: WeightedGraph, eps) -> WeightedGraph:
     rounds = forests_per_class(g.n, eps)
     budget = proxy_edge_budget(g.n, eps)
-    cls = bit_lengths(g.ew) - 1  # -1 for a zero weight, which no forest needs
     kept, taken = [], np.zeros(g.m, dtype=bool)
-    for c in np.unique(cls[cls >= 0]).tolist():
-        eids = np.flatnonzero(cls == c)
+    for eids in g.weight_classes.values():  # a zero weight is in no class: no forest needs it
         u, v, alive = g.eu[eids], g.ev[eids], np.ones(len(eids), dtype=bool)
         peel_forests(g.n, lambda sweep, labels, live: first_leaving(u, v, alive, labels),
                      lambda forest: alive.put([i for _, _, i in forest], False), rounds, 1, budget, kept)

@@ -180,7 +180,7 @@ def sample_rects(indexes, x1, x2, y1, y2, k):
     return (keys >> bits) // max(strata, 1), ids[(keys & ((1 << bits) - 1)) % max(m, 1)]
 
 
-def subtree_sums(idx, t: RootedSpanTree, u, v, sub):
+def subtree_sums(idx, t: RootedSpanTree, u, v, sub, at=None):
     """Exact values of request rows, one rect_weights call.
 
     Row i is CrossSub(u, v) where sub[i] holds, else CrossNested(v, u);
@@ -188,6 +188,10 @@ def subtree_sums(idx, t: RootedSpanTree, u, v, sub):
     rectangle, and a CrossNested row a second one. idx is any index over t's
     edge points with WeightRangeIndex's rect_weights contract (a
     WeightRangeIndex or a grid.PoPrefixGrid).
+
+    Rows of many trees go in one call through a grid.GridBlock idx: t then
+    holds the trees' lo and hi tables back to back (u and v index them as
+    tree * n + vertex), and at[i] is the offset of row i's table in the block.
     """
     u, v, sub = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(sub, dtype=bool)
     a, b, c, d = t.lo[u], t.hi[u], t.lo[v], t.hi[v]
@@ -199,10 +203,9 @@ def subtree_sums(idx, t: RootedSpanTree, u, v, sub):
         raise ValueError("a CrossNested request does not nest")
     nest = np.flatnonzero(~sub)
     # first rectangles of all rows, then the nested rows' second ones
-    w = idx.rect_weights(np.concatenate((np.where(sub, a, 0), c[nest])),
-                         np.concatenate((np.where(sub, b, a - 1), d[nest])),
-                         np.concatenate((c, b[nest] + 1)),
-                         np.concatenate((d, np.full(len(nest), t.n - 1))))
+    rects = (np.concatenate((np.where(sub, a, 0), c[nest])), np.concatenate((np.where(sub, b, a - 1), d[nest])),
+             np.concatenate((c, b[nest] + 1)), np.concatenate((d, np.full(len(nest), t.n - 1))))
+    w = idx.rect_weights(*rects) if at is None else idx.rect_weights(*rects, np.concatenate((at, at[nest])))
     w[nest] += w[len(u) :]
     return w[: len(u)]
 

@@ -1,17 +1,17 @@
 """In-memory cost provider: per tree, the smaller of a prefix grid and a merge-sort tree.
 
 The graph is both the hidden edges CostProvider nets and the proxy that
-Step 4 samples and 1/3-filters on, so the filter reads the tree's own index:
-the base PoPrefixGrid while its (n+1)^2 words are no more than the 2 m words
-per level of a WeightRangeIndex over the tree's edge points, else that
-merge-sort tree. Nothing is metered.
+Step 4 samples and 1/3-filters on, so the filter reads the tree's own index
+and its Step 1 degrees. That index is a block grid, as in the simulated
+models, while its (n+1)^2 words are no more than the 2 m words per level of
+a WeightRangeIndex over the tree's edge points, else that merge-sort tree.
+Nothing is metered.
 """
 
 from __future__ import annotations
 
 from .graph import WeightedGraph
 from .provider import CostProvider
-from .rangeindex import EdgePointSet, WeightRangeIndex
 
 
 class SequentialProvider(CostProvider):
@@ -20,15 +20,6 @@ class SequentialProvider(CostProvider):
         super().__init__(g.n, g, (g.eu, g.ev, g.ew))
         self._tree_words = 2 * g.m * g.m.bit_length()  # one merge-sort tree
         self._dense = (g.n + 1) ** 2 <= self._tree_words
-
-    def _indexes(self, trees):
-        if self._dense:
-            return super()._indexes(trees)
-        out = []
-        for t in trees:
-            pts = EdgePointSet(self.proxy, t)
-            out.append(WeightRangeIndex(pts.xs, pts.ys, pts.ws))
-        return out
 
     def proxy_index(self, ctx):
         # over merge-sort trees a grid is still the cheapest filter index per row; built

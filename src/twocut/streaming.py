@@ -39,6 +39,20 @@ _PRIMES = np.array([[1048573], [1048583]])
 _ROOTS = np.array([[5], [7]])
 
 
+def _powers(base, count):
+    """Per modulus row: base ** k mod p for k < count (a power of two), and base ** count mod p."""
+    table = np.ones((len(_PRIMES), 1), dtype=np.int64)
+    while table.shape[1] < count:
+        table = np.concatenate((table, table * base % _PRIMES), axis=1)
+        base = base * base % _PRIMES
+    return table, base
+
+
+# root ** (x mod 1024) and root ** (1024 (x >> 10)), exponents x < p < 2 ** 21
+_LOW, _STEP = _powers(_ROOTS, 1 << 10)
+_HIGH, _ = _powers(_STEP, 1 << 11)
+
+
 class StreamHarness:
     """Seeded dynamic edge stream over a hidden source graph."""
 
@@ -108,13 +122,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _fingerprints(eids: np.ndarray) -> np.ndarray:
     """root ** (eid mod (p - 1) + 1) mod p: one row per modulus, one column per edge id."""
     exp = eids % (_PRIMES - 1) + 1
-    out = np.ones(exp.shape, dtype=np.int64)
-    base = _ROOTS
-    while exp.any():  # square and multiply; products stay below 2**41
-        out = np.where(exp & 1, out * base % _PRIMES, out)
-        base = base * base % _PRIMES
-        exp >>= 1
-    return out
+    rows = np.arange(len(_PRIMES))[:, None]
+    return _LOW[rows, exp & 1023] * _HIGH[rows, exp >> 10] % _PRIMES  # products stay below 2**40
 
 
 class SketchBank:
@@ -153,18 +162,13 @@ class SketchBank:
                 for c in self.classes}
 
     def _tops(self, eids, salts):
-        """Top level of each edge id under each salt (broadcast): trailing one-bits of its hash."""
+        """Top level of each edge id under each salt (broadcast): trailing
+        one-bits of its hash, at most levels - 1."""
         with np.errstate(over="ignore"):
             h = _mix64(eids.astype(np.uint64) + salts)
-        top = np.zeros(h.shape, dtype=np.int64)
-        alive = np.ones(h.shape, dtype=bool)
-        for _ in range(self.levels - 1):
-            alive &= (h & np.uint64(1)).astype(bool)
-            if not alive.any():
-                break
-            top += alive
-            h >>= np.uint64(1)
-        return top
+        h &= ~np.uint64(1 << (self.levels - 1))  # caps the count, and h + 1 cannot wrap
+        low = ~h & (h + np.uint64(1))  # the lowest zero bit, 2 ** top
+        return np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1
 
     def absorb(self, uu, vv, wdelta):
         """Scatter a batch of signed updates into every matching cell.

@@ -75,18 +75,19 @@ def _drive_solvers(ctx: TreeContext, solver: BipartiteSolver, sink: SearchSink):
         solver.advance(values)
 
 
-def interest_checks(d, proxy: WeightedGraph, idx, seed):
+def interest_checks(d, proxy: WeightedGraph, idx, seed, deg=None):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
     Samples on proxy and 1/3-filters on idx, a rect_weights index over it
-    under d's tree. Returns (cross, down) int64 arrays of (e, f) rows left
+    under d's tree, with deg the proxy's subtree degrees when known (see
+    ProxyFilter). Returns (cross, down) int64 arrays of (e, f) rows left
     for exact verification: CrossSub(e, f) and CrossNested(f, e).
     """
     t = d.tree
     classes = build_weight_classes(proxy, t, seed)
     es, eids = sample_cross_candidates(classes, t, np.delete(np.arange(t.n), t.root))
     cross, down = candidate_tops(d, es, eids, proxy)
-    filt = ProxyFilter(idx, t)
+    filt = ProxyFilter(idx, t, deg)
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
     down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
     return cross, down
@@ -100,7 +101,8 @@ def tree_seed(seed, ti) -> int:
 def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
-    Step 4 samples on provider.proxy and 1/3-filters on provider.proxy_index(ctx).
+    Step 4 samples on provider.proxy and 1/3-filters on provider.proxy_index(ctx),
+    reusing provider.proxy_degrees(ctx).
     """
     t = ctx.tree
     ledger = ProbeLedger()
@@ -118,7 +120,8 @@ def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
         if path_instances:
             yield from _drive_solvers(ctx, BipartiteSolver(path_instances, ledger), sink)
 
-        cross, down = interest_checks(d, provider.proxy, provider.proxy_index(ctx), seed)
+        cross, down = interest_checks(d, provider.proxy, provider.proxy_index(ctx), seed,
+                                      provider.proxy_degrees(ctx))
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]

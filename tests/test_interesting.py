@@ -203,6 +203,11 @@ def test_weight_classes_unit_and_sparse():
     th = build_rooted_tree(heavy, [(0, 1), (1, 2)], 0)
     wc = build_weight_classes(heavy, th, 1)
     assert {i: idx.ids.tolist() for i, idx in wc.items()} == {53: [1], 60: [0], 61: [2]}
+    # the split is the graph's own, made once; a zero weight is in no class
+    assert heavy.weight_classes is heavy.weight_classes
+    assert {i: ids.tolist() for i, ids in heavy.weight_classes.items()} == {53: [1], 60: [0], 61: [2]}
+    zero = WeightedGraph(3, [(0, 1, 0), (1, 2, 3), (0, 2, 2)])
+    assert {i: ids.tolist() for i, ids in zero.weight_classes.items()} == {1: [1, 2]}
 
 
 def test_gstar_cross_bundle_contains_heavy_witness():
@@ -495,6 +500,39 @@ def heavy_graphs():
     light = random_connected_graph(np.random.default_rng(62), 12, extra=3, wmax=10)
     scale = int(2 ** 61.8) // light.total_weight
     yield WeightedGraph(light.n, [(u, v, w * scale) for u, v, w in light.edges])
+
+
+@pytest.mark.parametrize("mode", ["sequential", "cut-query", "streaming"])
+def test_filter_on_provider_degrees_equals_recomputed(mode):
+    # the Step 1 degrees a provider hands over are the ones the filter would read off its index
+    from twocut.cutquery import CutOracle, QueryProvider
+    from twocut.streaming import StreamHarness, StreamProvider
+
+    rng = np.random.default_rng(71)
+    g = random_connected_graph(rng, 20, extra=3, wmax=1 << 32)
+    make = {"sequential": SequentialProvider,
+            "cut-query": lambda g, proxy: QueryProvider(CutOracle(g), proxy),
+            "streaming": lambda g, proxy: StreamProvider(StreamHarness(g, seed=2, churn=0.5), proxy)}[mode]
+    provider = make(g) if mode == "sequential" else make(g, build_proxy_direct(g, 0.1))
+    for _ in range(3):
+        t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
+        ctx = TreeContext(t)
+        provider.batch_eval([(ctx, DegSubtree(v)) for v in t.edge_children()])
+        deg = provider.proxy_degrees(ctx)
+        assert deg is not None
+        given, own = ProxyFilter(provider.proxy_index(ctx), t, deg), ProxyFilter(provider.proxy_index(ctx), t)
+        assert given.deg.tolist() == own.deg.tolist()
+        kids = t.edge_children()
+        us, fs = (np.array(col) for col in zip(*itertools.product(kids, kids)))
+        orth = (t.hi[us] < t.lo[fs]) | (t.hi[fs] < t.lo[us])
+        below = (t.lo[us] <= t.lo[fs]) & (t.hi[fs] < t.hi[us])
+        assert np.array_equal(given.cross_ok_many(us[orth], fs[orth]), own.cross_ok_many(us[orth], fs[orth]))
+        assert np.array_equal(given.down_ok_many(us[below], fs[below]), own.down_ok_many(us[below], fs[below]))
+    if mode != "sequential":  # a proxy that does not net to the hidden edges brings no degrees
+        lighter = WeightedGraph(g.n, g.edges[1:], require_connected=False)
+        other = make(g, lighter)
+        other.batch_eval([(ctx, DegSubtree(kids[0]))])
+        assert other.proxy_degrees(ctx) is None
 
 
 def test_filter_keeps_every_interesting_row_near_the_weight_cap():

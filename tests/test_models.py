@@ -24,19 +24,34 @@ from twocut.graph import (
     oracle_min_cut,
     pair_cut_value,
 )
-from twocut.grid import PoPrefixGrid
+from twocut import provider as provider_module
+from twocut.grid import GridBlock, PoPrefixGrid
 from twocut.packing import min_cut_pipeline
-from twocut.provider import TreeContext
-from twocut.rangeindex import WeightRangeIndex, tree_degrees
+from twocut.provider import CostProvider, TreeContext
+from twocut.rangeindex import WeightRangeIndex, subtree_sums, tree_degrees
 from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
-from twocut.streaming import SketchBank, StreamHarness, StreamProvider, build_proxy_via_stream, stream_provider
+from twocut.streaming import (
+    SketchBank,
+    StreamHarness,
+    StreamProvider,
+    _fingerprints,
+    build_proxy_via_stream,
+    stream_provider,
+)
 from twocut.tworespect import min_2respect
 from twocut.util import ceil_log2
 
-from conftest import four_cycle, make_gstar, random_connected_graph, random_instance, random_spanning_tree_edges
+from conftest import (
+    four_cycle,
+    make_gstar,
+    random_connected_graph,
+    random_instance,
+    random_spanning_tree_edges,
+    weight_index,
+)
 
 
 # ---- cut-query oracle ----
@@ -362,6 +377,99 @@ def test_sequential_index_is_the_smaller_one(n, extra, index, monkeypatch):
         assert grids == filters and all(type(f) is PoPrefixGrid for f in filters)
 
 
+def per_tree_values(g, t, reqs):
+    """Each request's value from one subtree_sums call over t's own merge-sort tree."""
+    idx = weight_index(g, t)
+    deg = tree_degrees(idx, t)
+    terms, rows = [], []  # value = base + coef * crossing of row (u, v, sub)
+    for req in reqs:
+        if isinstance(req, DegSubtree):
+            terms.append((int(deg[req.v]), 0))
+            rows.append((req.v, req.v, False))
+        elif isinstance(req, (CrossSub, CrossNested)):
+            terms.append((0, 1))
+            rows.append((req.u, req.v, isinstance(req, CrossSub)))
+        else:
+            p = req.pair
+            b = p.a if p.b is None else p.b
+            terms.append((int(deg[p.a]) + (0 if p.b is None else int(deg[b])), 0 if p.b is None else -2))
+            rows.append((p.a, b, p.kind == "orthogonal"))
+    u, v, sub = zip(*rows)
+    return [base + coef * x for (base, coef), x in zip(terms, subtree_sums(idx, t, u, v, sub).tolist())]
+
+
+# (mode, n, extra): block grids in every model, and merge-sort trees in memory
+VALUE_CASES = [("sequential", 24, 8.0), ("sequential", 64, 1.5), ("cut-query", 24, 3.0), ("streaming", 24, 3.0)]
+
+
+@pytest.mark.parametrize("mode, n, extra", VALUE_CASES)
+def test_values_equal_per_tree_subtree_sums(mode, n, extra):
+    # trees arrive over three batches, each bringing new trees beside known ones;
+    # every request kind of every tree against subtree_sums over its own merge-sort tree
+    rng = np.random.default_rng(n + 7)
+    g = random_connected_graph(rng, n, extra=extra, wmax=1 << 32)
+    ctxs = [TreeContext(build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))))
+            for _ in range(5)]
+    provider = PROVIDERS[mode](g)
+    want = {}
+    for ctx in ctxs:
+        t = ctx.tree
+        reqs = all_requests(g, t) + [PairCut(TreeEdgePair("single", v)) for v in t.edge_children()]
+        want[ctx.uid] = list(zip(reqs, per_tree_values(g, t, reqs)))
+    for held in (2, 4, 5):
+        items = [(ctx, req) for ctx in ctxs[:held] for req, _ in want[ctx.uid]]
+        rng.shuffle(items)
+        value = {(ctx.uid, req): v for ctx in ctxs[:held] for req, v in want[ctx.uid]}
+        assert provider.batch_eval(items) == [value[ctx.uid, req] for ctx, req in items]
+    assert len(provider._blocks) == (3 if provider._dense else 0)
+    assert provider._dense == (mode != "sequential" or n == 24)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "cut-query", "streaming"])
+def test_grid_runs_read_crossings_per_block(mode, monkeypatch):
+    # on block grids, _values makes one subtree_sums call per block it reads, never one per tree
+    g = random_connected_graph(np.random.default_rng(5), 24, extra=8.0, wmax=10)
+    calls, rounds = [], []
+    sums = provider_module.subtree_sums
+
+    def spy(idx, t, u, v, sub, at=None):
+        calls.append((type(idx), at is not None))
+        return sums(idx, t, u, v, sub, at)
+
+    values = CostProvider._values
+
+    def count(self, rows):
+        rounds.append(len({int(b) for b in self._block[rows[:, 0]]}))
+        return values(self, rows)
+
+    monkeypatch.setattr(provider_module, "subtree_sums", spy)
+    monkeypatch.setattr(CostProvider, "_values", count)
+    res, stats = min_cut_pipeline(g, mode, rng=2)
+    assert res.value == oracle_min_cut(g).value
+    assert stats.trees_packed > 1 and len(rounds) > 2
+    assert set(calls) == {(GridBlock, True)}
+    assert len(calls) <= sum(rounds) + 1  # one call for the new trees' degrees
+
+
+@pytest.mark.parametrize("mode", PROVIDERS)
+def test_block_path_refuses_overlap_and_non_nesting(mode):
+    g, t = make_gstar()  # 0 - 1 - 2 and 0 - 3 - 4
+    provider = PROVIDERS[mode](g)
+    ctx = TreeContext(t)
+    provider.batch_eval([(ctx, DegSubtree(1))])
+    assert provider._dense and len(provider._blocks) == 1
+    with pytest.raises(ValueError, match="overlap"):
+        provider.batch_eval([(ctx, CrossSub(1, 2))])
+    with pytest.raises(ValueError, match="does not nest"):
+        provider.batch_eval([(ctx, CrossNested(1, 4))])
+
+
+def test_grid_block_out_of_address_space_is_a_memory_error():
+    # numpy refuses such a shape with a ValueError; the CLI maps MemoryError to exit code 5
+    with pytest.raises(MemoryError):
+        GridBlock(1 << 31, [(np.zeros(0, dtype=np.int64),) * 3] * 2)
+
+
 def test_sources_refuse_weight_sum_reaching_2_62():
     g = four_cycle(1 << 62)  # int64 cut sums would wrap to -2**63
     for make in (CutOracle, lambda g: StreamHarness(g, seed=1), SequentialProvider,
@@ -624,6 +732,35 @@ def test_sketch_bank_absorb_matches_per_update_loop():
     for c in classes:
         for name in ("w", "x", "f1", "f2"):
             assert np.array_equal(bank.cells[c][name], want[c][name]), (c, name)
+
+
+def reference_tops(bank, eids, salts):
+    """SketchBank._tops one level at a time: trailing one-bits of the hash, at most levels - 1."""
+    from twocut.streaming import _mix64
+
+    with np.errstate(over="ignore"):
+        h = _mix64(eids.astype(np.uint64) + salts)
+    top = np.zeros(h.shape, dtype=np.int64)
+    alive = np.ones(h.shape, dtype=bool)
+    for _ in range(bank.levels - 1):
+        alive &= (h & np.uint64(1)).astype(bool)
+        top += alive
+        h >>= np.uint64(1)
+    return top
+
+
+def test_sketch_hashing_matches_per_bit_references():
+    rng = np.random.default_rng(29)
+    for n in (3, 40, 4096, 1 << 20):
+        bank = SketchBank(n, [0], seed=int(rng.integers(1 << 60)), copies=3)
+        eids = rng.integers(0, n * n, size=20_000)
+        got = bank._tops(eids[:, None], bank.salts)
+        assert np.array_equal(got, reference_tops(bank, eids[:, None], bank.salts))
+        if n <= 40:
+            assert got.max() == bank.levels - 1  # small banks reach the cap
+    eids = np.concatenate((rng.integers(0, 1 << 40, size=2_000), np.arange(2_100), [1048572, 1048582]))
+    want = [[pow(r, e % (p - 1) + 1, p) for e in eids.tolist()] for p, r in ((1048573, 5), (1048583, 7))]
+    assert _fingerprints(eids).tolist() == want
 
 
 def test_sketch_bank_recovers_crafted_large_edge():
