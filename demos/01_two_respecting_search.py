@@ -25,7 +25,7 @@ g = WeightedGraph(5, EDGES)
 t = build_rooted_tree(g, TREE, root=0)
 
 print("post-order:", {v: int(t.po[v]) for v in range(5)})
-print("subtree ranges:", {v: t.range_of(v) for v in range(5)})
+print("subtree ranges:", {v: (int(t.lo[v]), int(t.hi[v])) for v in range(5)})
 
 for pair in (
     TreeEdgePair("single", 2),

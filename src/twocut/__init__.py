@@ -38,7 +38,7 @@ from .packing import (
     lambda_schedule,
     min_cut_pipeline,
 )
-from .provider import CostProvider, RunStats, TreeContext, run_lockstep
+from .provider import CostProvider, RunStats, run_lockstep
 from .proxy import ResourceBudgetError, build_proxy_graph
 from .rangeindex import EdgePointSet, SampleRangeIndex, WeightRangeIndex, subtree_sums
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut

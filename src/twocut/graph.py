@@ -238,9 +238,6 @@ class RootedSpanTree:
         """True iff the subtrees below a and b are disjoint."""
         return self._hi[a] < self._lo[b] or self._hi[b] < self._lo[a]
 
-    def range_of(self, v: int) -> tuple[int, int]:
-        return self._lo[v], self._hi[v]
-
 
 def build_rooted_tree(g: WeightedGraph, tree_edges, root: int) -> RootedSpanTree:
     """Root the given spanning-tree edges of g at `root`.

@@ -23,9 +23,9 @@ over the two boundary rectangles of every subtree in every weight class, one
 walk of the decomposition's per-vertex path tables for both endpoints of
 every sampled edge, and one proxy filter call per interest kind. Candidates
 travel as (e, f) rows of tree-edge children; f's decomposition path is
-path_of[f]. The filter's subtree degrees are the tree's Step 1 degrees,
-handed over by the provider, whenever the proxy nets to the hidden edges;
-only a proxy that differs has them read off its own index.
+path_of[f]. The provider builds the filter (CostProvider.proxy_filter): its
+subtree degrees are the tree's Step 1 degrees whenever the proxy nets to the
+hidden edges; only a proxy that differs has them read off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -87,11 +87,10 @@ class ProxyFilter:
     exact check in the real graph. On the graph itself (the in-memory proxy)
     it drops only rows the exact 2C > deg would fail. idx is any
     rect_weights index over the proxy's edge points under tree (see
-    rangeindex.subtree_sums), as a provider's proxy_index hands it over;
-    deg, the proxy's subtree degrees under tree when the provider already
-    holds them (its proxy_degrees), else they are read from idx. Both
-    checks take aligned (or scalar) edge arrays us, fs and return one
-    boolean per row.
+    rangeindex.subtree_sums); deg, the proxy's subtree degrees under tree
+    when the caller already holds them (as CostProvider.proxy_filter does),
+    else they are read from idx. Both checks take aligned (or scalar) edge
+    arrays us, fs and return one boolean per row.
     """
 
     def __init__(self, idx, tree, deg=None):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import (CutResult, DisconnectedError, GraphError, RootedSpanTree, WeightedGraph, build_rooted_tree,
                     reconstruct_partition)
-from .provider import TreeContext, run_lockstep
+from .provider import run_lockstep
 from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
@@ -229,7 +229,7 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         root = min(set(range(g.n)) - side)
         parent = [0 if v in side else root for v in range(g.n)]
         parent[0], parent[root] = root, -1
-        if provider.batch_eval([(TreeContext(RootedSpanTree(g.n, root, parent)), DegSubtree(0))]) != [0]:
+        if provider.batch_eval([(RootedSpanTree(g.n, root, parent), DegSubtree(0))]) != [0]:
             raise DisconnectedError("sparsifier is not connected")
         provider.stats.wall_ms = int((time.monotonic() - started) * 1000)
         return CutResult(0, None, frozenset(side)), provider.stats
@@ -237,20 +237,19 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
 
     tasks = []
     sinks = []
-    ctxs = []
+    rooted = []
     for ti, edges in enumerate(trees):
         t = build_rooted_tree(g, edges, root=0)
-        ctx = TreeContext(t)
         sink = SearchSink()
-        tasks.append(two_respect_plan(ctx, provider, tree_seed(seed, ti), sink))
+        tasks.append(two_respect_plan(t, provider, tree_seed(seed, ti), sink))
         sinks.append(sink)
-        ctxs.append(ctx)
+        rooted.append(t)
     run_lockstep(tasks, provider)
 
-    sink, ctx = min(zip(sinks, ctxs), key=lambda sink_ctx: sink_ctx[0].value)  # the first least value
+    sink, t = min(zip(sinks, rooted), key=lambda sink_t: sink_t[0].value)  # the first least value
     stats = provider.stats
     stats.probes += sum(s.probes for s in sinks)
     stats.trees_packed = packed_total
     stats.lambda_guesses = len(schedule)
     stats.wall_ms = int((time.monotonic() - started) * 1000)
-    return CutResult(sink.value, sink.pair, reconstruct_partition(ctx.tree, sink.pair)), stats
+    return CutResult(sink.value, sink.pair, reconstruct_partition(t, sink.pair)), stats

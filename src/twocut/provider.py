@@ -21,15 +21,15 @@ merge-sort tree each instead, read one call per tree and batch. Every
 `_eval_unique` meters before it reads values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
-graph in memory, else the sparsifier), `proxy_index` for the 1/3 filter
-(the tree's own index when the proxy nets to the same edges as the hidden
-ones, else a grid over the proxy) and `proxy_degrees`, the tree's Step 1
-degrees in the first case, so the filter does not recompute them.
+graph in memory, else the sparsifier), and `proxy_filter(tree)`, Step 4's
+1/3 filter on it: on the tree's own index and Step 1 degrees when the proxy
+nets to the same edges as the hidden ones, else on a grid over the proxy.
 
-Requests are paired with the TreeContext they refer to, so one provider can
-serve many spanning trees in the same run and a scheduler can merge their
-rounds: all solver instances advance one recursion depth per provider batch,
-and under the stream model one batch is exactly one pass.
+Requests are paired with the RootedSpanTree they refer to, which is also
+the key of the tree's slot, so one provider can serve many spanning trees in
+the same run and a scheduler can merge their rounds: all solver instances
+advance one recursion depth per provider batch, and under the stream model
+one batch is exactly one pass.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 
 from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
 from .grid import GridBlock, PoPrefixGrid
+from .interesting import ProxyFilter
 from .rangeindex import WeightRangeIndex, edge_points, subtree_sums, tree_degrees
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 
@@ -70,17 +71,6 @@ class RunStats:
             "seed": seed,
         }
         return json.dumps(payload)
-
-
-_ctx_ids = itertools.count()
-
-
-class TreeContext:
-    """One rooted spanning tree viewed by providers: a uid to key caches by."""
-
-    def __init__(self, tree: RootedSpanTree):
-        self.uid = next(_ctx_ids)
-        self.tree = tree
 
 
 # The kind column of a decoded request row (slot, kind, a, b): subtree degree,
@@ -120,7 +110,7 @@ class CostProvider:
         self._hidden = _net_edges(n, *hidden)  # (u, v, w) updates, netted
         self._proxy_is_own = proxy is not None and all(
             map(np.array_equal, self._hidden, _net_edges(n, proxy.eu, proxy.ev, proxy.ew)))
-        self._slots = {}  # TreeContext uid -> slot
+        self._slots = {}  # RootedSpanTree -> slot
         self._trees = []
         self._index = []
         self._blocks = []  # GridBlocks, one per batch that brought new trees
@@ -130,16 +120,16 @@ class CostProvider:
         self._at = np.zeros(0, dtype=np.int64)
 
     def _rows(self, items):
-        """(slot, kind, a, b) of each (ctx, request): the one request decoder."""
+        """(slot, kind, a, b) of each (tree, request): the one request decoder."""
         last = slot = None
-        for ctx, req in items:
-            if ctx is not last:
-                if ctx.uid not in self._slots:
-                    if ctx.tree.n != self.n:
-                        raise ValueError(f"a tree on {ctx.tree.n} vertices, the provider's graph has {self.n}")
-                    self._slots[ctx.uid] = len(self._trees)
-                    self._trees.append(ctx.tree)
-                last, slot = ctx, self._slots[ctx.uid]
+        for t, req in items:
+            if t is not last:
+                if t not in self._slots:
+                    if t.n != self.n:
+                        raise ValueError(f"a tree on {t.n} vertices, the provider's graph has {self.n}")
+                    self._slots[t] = len(self._trees)
+                    self._trees.append(t)
+                last, slot = t, self._slots[t]
             if isinstance(req, CrossSub):
                 yield (slot, CROSS_SUB, req.u, req.v) if req.u <= req.v else (slot, CROSS_SUB, req.v, req.u)
             elif isinstance(req, PairCut):
@@ -153,7 +143,7 @@ class CostProvider:
                 raise TypeError(f"unknown request {req!r}")
 
     def batch_eval(self, items):
-        """items: list of (TreeContext, request); returns aligned exact values.
+        """items: list of (RootedSpanTree, request); returns aligned exact values.
 
         The batch is decoded into one row table and deduplicated by sorting
         one packed key; the distinct rows come out grouped by tree. Rows
@@ -195,21 +185,15 @@ class CostProvider:
         """Meter the distinct uncached request rows, then return self._values(rows)."""
         raise NotImplementedError
 
-    def proxy_index(self, ctx):
-        """Step 4's unmetered rect_weights index over the proxy under ctx's tree."""
+    def proxy_filter(self, tree: RootedSpanTree):
+        """Step 4's unmetered ProxyFilter over the proxy under tree: on the tree's
+        own index and Step 1 degrees when the proxy nets to the hidden edges, else
+        on a grid over the proxy."""
         if self._proxy_is_own:
-            return self._index[self._slots[ctx.uid]]  # built by the tree's first batch (Step 1)
+            s = self._slots[tree]  # indexed by the tree's first batch (Step 1)
+            return ProxyFilter(self._index[s], tree, self._deg[s])
         h = self.proxy
-        return self._grid(ctx.tree.po, h.eu, h.ev, h.ew)
-
-    def proxy_degrees(self, ctx):
-        """The proxy's subtree degrees under ctx's tree when the proxy nets to
-        the hidden edges (the tree's Step 1 degrees), else None."""
-        return self._deg[self._slots[ctx.uid]] if self._proxy_is_own else None
-
-    def _grid(self, po, u, v, w):
-        """The (u, v, w) edge columns as a PoPrefixGrid under the post-order po."""
-        return PoPrefixGrid(self.n, *edge_points(po, u, v), w)
+        return ProxyFilter(PoPrefixGrid(self.n, *edge_points(tree.po, h.eu, h.ev), h.ew), tree)
 
     def _add_indexes(self, slots):
         """Index the net hidden edges under the trees of slots, seen for the
@@ -284,7 +268,7 @@ def _run_starts(sorted_keys):
 def run_lockstep(tasks, provider: CostProvider):
     """Drive request-yielding generators in rounds, one batch per round.
 
-    Each task yields a list of (ctx, request) items and receives the aligned
+    Each task yields a list of (tree, request) items and receives the aligned
     values; tasks that finish early simply drop out of later rounds.
     """
     live = []

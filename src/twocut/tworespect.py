@@ -11,7 +11,7 @@ interesting.pair_solver_inputs, which hands back each instance's row and
 column lists. The minimum over everything probed is the answer, with high
 probability equal to the true 2-respecting minimum.
 
-The search is a generator yielding (context, request) batches. Each yield is
+The search is a generator yielding (tree, request) batches. Each yield is
 one synchronous round: under the stream provider one pass, under the query
 provider one batch of counted cuts. The probes of every instance at one
 recursion depth travel in the same round, and a pipeline may interleave the
@@ -29,6 +29,7 @@ from .graph import (
     SINGLE,
     CutResult,
     GraphError,
+    RootedSpanTree,
     TreeEdgePair,
     WeightedGraph,
     classify_pair,
@@ -37,8 +38,8 @@ from .graph import (
 )
 from .hld import decompose
 from .interesting import ProxyFilter, build_weight_classes, candidate_tops, pair_solver_inputs, sample_cross_candidates
-from .interval import BipartiteSolver, ProbeLedger, self_pair_instances
-from .provider import TreeContext, run_lockstep
+from .interval import BipartiteSolver, self_pair_instances
+from .provider import run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 from .util import as_seed, rng_for
 
@@ -46,7 +47,7 @@ from .util import as_seed, rng_for
 @dataclass
 class SearchSink:
     """The least probe of a tree's search, with the deterministic pair tie
-    rule, and its probe count once the search completes."""
+    rule, and its probe count so far."""
 
     value: Optional[int] = None
     pair: Optional[TreeEdgePair] = None
@@ -61,33 +62,31 @@ class SearchSink:
             self.value, self.pair = v, p
 
 
-def _drive_solvers(ctx: TreeContext, solver: BipartiteSolver, sink: SearchSink):
+def _drive_solvers(t: RootedSpanTree, solver: BipartiteSolver, sink: SearchSink):
     """Run the solver's frontier; one yielded batch per depth.
 
     Every probe is itself a genuine 2-respecting cut value, so the sink
-    sees each round as it streams through.
+    sees each round as it streams through and counts its probes.
     """
-    t = ctx.tree
     while not solver.done():
         pairs = [classify_pair(t, a, b) for a, b in solver.requests()]
-        values = yield [(ctx, PairCut(p)) for p in pairs]
+        values = yield [(t, PairCut(p)) for p in pairs]
         sink.offer(t, values, pairs)
+        sink.probes += len(values)
         solver.advance(values)
 
 
-def interest_checks(d, proxy: WeightedGraph, idx, seed, deg=None):
+def interest_checks(d, proxy: WeightedGraph, filt: ProxyFilter, seed):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
-    Samples on proxy and 1/3-filters on idx, a rect_weights index over it
-    under d's tree, with deg the proxy's subtree degrees when known (see
-    ProxyFilter). Returns (cross, down) int64 arrays of (e, f) rows left
-    for exact verification: CrossSub(e, f) and CrossNested(f, e).
+    Samples on proxy and 1/3-filters with filt, a ProxyFilter over it under
+    d's tree. Returns (cross, down) int64 arrays of (e, f) rows left for
+    exact verification: CrossSub(e, f) and CrossNested(f, e).
     """
     t = d.tree
     classes = build_weight_classes(proxy, t, seed)
     es, eids = sample_cross_candidates(classes, t, np.delete(np.arange(t.n), t.root))
     cross, down = candidate_tops(d, es, eids, proxy)
-    filt = ProxyFilter(idx, t, deg)
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
     down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
     return cross, down
@@ -98,17 +97,14 @@ def tree_seed(seed, ti) -> int:
     return int(rng_for(seed, 7, ti).integers(1 << 62))
 
 
-def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
+def two_respect_plan(t: RootedSpanTree, provider, seed, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
-    Step 4 samples on provider.proxy and 1/3-filters on provider.proxy_index(ctx),
-    reusing provider.proxy_degrees(ctx).
+    Step 4 samples on provider.proxy and 1/3-filters with provider.proxy_filter(t).
     """
-    t = ctx.tree
-    ledger = ProbeLedger()
     kids = t.edge_children()
 
-    singles = yield [(ctx, DegSubtree(v)) for v in kids]
+    singles = yield [(t, DegSubtree(v)) for v in kids]
     deg = np.zeros(t.n, dtype=np.int64)
     deg[kids] = singles
     sink.offer(t, singles, [TreeEdgePair(SINGLE, v) for v in kids])
@@ -118,22 +114,19 @@ def two_respect_plan(ctx: TreeContext, provider, seed, sink: SearchSink):
 
         path_instances = [inst for path in d.paths for inst in self_pair_instances(path)]
         if path_instances:
-            yield from _drive_solvers(ctx, BipartiteSolver(path_instances, ledger), sink)
+            yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
 
-        cross, down = interest_checks(d, provider.proxy, provider.proxy_index(ctx), seed,
-                                      provider.proxy_degrees(ctx))
+        cross, down = interest_checks(d, provider.proxy, provider.proxy_filter(t), seed)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
-        reqs = [(ctx, CrossSub(e, f)) for e, f in zip(ce, cf)]
-        reqs += [(ctx, CrossNested(f, e)) for e, f in zip(de, df)]
+        reqs = [(t, CrossSub(e, f)) for e, f in zip(ce, cf)]
+        reqs += [(t, CrossNested(f, e)) for e, f in zip(de, df)]
         values = yield reqs
 
         # 2 v > deg exactly, without doubling v in int64
         ok = np.asarray(values, dtype=np.int64) > deg[np.concatenate((cross[:, 0], down[:, 0]))] // 2
         pair_instances = pair_solver_inputs(d, cross, down, ok)
         if pair_instances:
-            yield from _drive_solvers(ctx, BipartiteSolver(pair_instances, ledger), sink)
-
-    sink.probes = ledger.probes
+            yield from _drive_solvers(t, BipartiteSolver(pair_instances), sink)
 
 
 def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
@@ -141,10 +134,9 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     with high probability; all returned values are exact in g."""
     if g.n < 2:
         raise GraphError("no tree edge exists on a single vertex")
-    ctx = TreeContext(t)
     seed = as_seed(rng)
     sink = SearchSink()
-    task = two_respect_plan(ctx, provider, tree_seed(seed, 0), sink)  # the pipeline's tree 0
+    task = two_respect_plan(t, provider, tree_seed(seed, 0), sink)  # the pipeline's tree 0
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

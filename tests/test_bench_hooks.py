@@ -26,20 +26,20 @@ def ledgers(stats):
     return (stats.queries, stats.passes, stats.tracked_words, stats.probes)
 
 
-def request_identity(uid, req):
+def request_identity(t, req):
     """Dedup identity of a request: a CrossSub and its mirror are one."""
     if isinstance(req, CrossSub):
-        return (uid, "cross-sub", min(req.u, req.v), max(req.u, req.v))
+        return (t, "cross-sub", min(req.u, req.v), max(req.u, req.v))
     if isinstance(req, (DegSubtree, CrossNested)):
-        return (uid, req)
-    return (uid, req.pair)
+        return (t, req)
+    return (t, req.pair)
 
 
 def distinct_uncached(batches):
     """Requests each batch has to evaluate: distinct, and no DegSubtree charged before."""
     charged, total = set(), 0
     for items in batches:
-        keys = {request_identity(ctx.uid, req) for ctx, req in items} - charged
+        keys = {request_identity(t, req) for t, req in items} - charged
         total += len(keys)
         charged |= {k for k in keys if isinstance(k[1], DegSubtree)}
     return total

@@ -121,15 +121,15 @@ def test_merged_weight_past_int64_refused():
 def test_gstar_postorder_and_ranges():
     _, t = make_gstar()
     assert {v: int(t.po[v]) for v in range(5)} == {2: 0, 1: 1, 4: 2, 3: 3, 0: 4}
-    assert t.range_of(1) == (0, 1)
-    assert t.range_of(3) == (2, 3)
-    assert t.range_of(0) == (0, 4)
+    assert (t.lo[1], t.hi[1]) == (0, 1)
+    assert (t.lo[3], t.hi[3]) == (2, 3)
+    assert (t.lo[0], t.hi[0]) == (0, 4)
 
 
 def test_single_vertex_tree():
     g = WeightedGraph(1, [])
     t = build_rooted_tree(g, [], 0)
-    assert int(t.po[0]) == 0 and t.range_of(0) == (0, 0)
+    assert int(t.po[0]) == 0 and (t.lo[0], t.hi[0]) == (0, 0)
 
 
 def test_build_tree_rejects_bad_inputs(gstar):

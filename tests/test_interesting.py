@@ -18,8 +18,8 @@ from twocut.interesting import (
     sample_k,
 )
 from twocut.packing import min_cut_pipeline
-from twocut.provider import TreeContext
 from twocut.proxy import build_proxy_direct
+from twocut.rangeindex import tree_degrees
 from twocut.requests import CrossNested, CrossSub, DegSubtree
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import interest_checks
@@ -120,12 +120,11 @@ def verified_rows(g, t, d, seed, multiplier=4):
     SequentialProvider, as the pipeline does. Returns (cross, down, ok), ok
     aligned with the cross rows, then down."""
     provider = SequentialProvider(g)
-    ctx = TreeContext(t)
     cross, down = candidate_rows(g, d, seed, multiplier)
     kids = t.edge_children()
-    reqs = [(ctx, DegSubtree(e)) for e in kids]
-    reqs += [(ctx, CrossSub(e, f)) for e, f in cross.tolist()]
-    reqs += [(ctx, CrossNested(f, e)) for e, f in down.tolist()]
+    reqs = [(t, DegSubtree(e)) for e in kids]
+    reqs += [(t, CrossSub(e, f)) for e, f in cross.tolist()]
+    reqs += [(t, CrossNested(f, e)) for e, f in down.tolist()]
     values = provider.batch_eval(reqs)
     deg = dict(zip(kids, values))
     rows = cross.tolist() + down.tolist()
@@ -176,9 +175,8 @@ def reference_solver_inputs(d, cross, down, ok):
 
 def exact_interest(provider, t, e, f, kind):
     """The pipeline's verification request for one row, with Step 1's degree."""
-    ctx = TreeContext(t)
     req = CrossSub(e, f) if kind == CROSS else CrossNested(f, e)
-    deg, val = provider.batch_eval([(ctx, DegSubtree(e)), (ctx, req)])
+    deg, val = provider.batch_eval([(t, DegSubtree(e)), (t, req)])
     return 2 * val > deg
 
 
@@ -433,7 +431,7 @@ def test_batch_rows_equal_per_edge_reference():
         for p, index in ((g, weight_index), (h, grid_index)):
             runs.append((p, p, filtered_rows(p, d, index(p, t), 77 + i, multiplier)))
             if multiplier == DEFAULT_SAMPLE_MULTIPLIER:  # the pipeline's Step 4 is that route
-                got = interest_checks(d, p, index(p, t), 77 + i)
+                got = interest_checks(d, p, ProxyFilter(index(p, t), t), 77 + i)
                 assert all(np.array_equal(a, b) for a, b in zip(got, runs[-1][2])), f"instance {i}"
         for sample_graph, proxy, got in runs:
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
@@ -516,11 +514,10 @@ def test_filter_on_provider_degrees_equals_recomputed(mode):
     provider = make(g) if mode == "sequential" else make(g, build_proxy_direct(g, 0.1))
     for _ in range(3):
         t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
-        ctx = TreeContext(t)
-        provider.batch_eval([(ctx, DegSubtree(v)) for v in t.edge_children()])
-        deg = provider.proxy_degrees(ctx)
-        assert deg is not None
-        given, own = ProxyFilter(provider.proxy_index(ctx), t, deg), ProxyFilter(provider.proxy_index(ctx), t)
+        provider.batch_eval([(t, DegSubtree(v)) for v in t.edge_children()])
+        given = provider.proxy_filter(t)
+        assert np.shares_memory(given.deg, provider._deg)  # the Step 1 degrees
+        own = ProxyFilter(given.idx, t)
         assert given.deg.tolist() == own.deg.tolist()
         kids = t.edge_children()
         us, fs = (np.array(col) for col in zip(*itertools.product(kids, kids)))
@@ -528,11 +525,14 @@ def test_filter_on_provider_degrees_equals_recomputed(mode):
         below = (t.lo[us] <= t.lo[fs]) & (t.hi[fs] < t.hi[us])
         assert np.array_equal(given.cross_ok_many(us[orth], fs[orth]), own.cross_ok_many(us[orth], fs[orth]))
         assert np.array_equal(given.down_ok_many(us[below], fs[below]), own.down_ok_many(us[below], fs[below]))
-    if mode != "sequential":  # a proxy that does not net to the hidden edges brings no degrees
+    if mode != "sequential":  # a proxy that does not net to the hidden edges has its degrees read off its grid
         lighter = WeightedGraph(g.n, g.edges[1:], require_connected=False)
         other = make(g, lighter)
-        other.batch_eval([(ctx, DegSubtree(kids[0]))])
-        assert other.proxy_degrees(ctx) is None
+        other.batch_eval([(t, DegSubtree(kids[0]))])
+        filt = other.proxy_filter(t)
+        assert not np.shares_memory(filt.deg, other._deg)
+        assert filt.deg.tolist() == tree_degrees(filt.idx, t).tolist()
+        assert filt.deg[kids].tolist() == [cut_of_partition(lighter, t.subtree(v)) for v in kids]
 
 
 def test_filter_keeps_every_interesting_row_near_the_weight_cap():

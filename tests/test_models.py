@@ -27,7 +27,7 @@ from twocut.graph import (
 from twocut import provider as provider_module
 from twocut.grid import GridBlock, PoPrefixGrid
 from twocut.packing import min_cut_pipeline
-from twocut.provider import CostProvider, TreeContext
+from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums, tree_degrees
 from twocut.proxy import ResourceBudgetError, peel_forests
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
@@ -164,10 +164,9 @@ def test_filter_index_is_the_tree_grid_when_the_proxy_nets_to_the_graph(model):
             provider = QueryProvider(CutOracle(g), proxy)
         else:
             provider = StreamProvider(StreamHarness(g, seed=3, churn=1.0), proxy)
-        ctx = TreeContext(t)
-        provider.batch_eval([(ctx, DegSubtree(v)) for v in t.edge_children()])  # Step 1 builds the tree's grid
-        idx = provider.proxy_index(ctx)
-        assert (idx is provider._index[provider._slots[ctx.uid]]) == (proxy is same)
+        provider.batch_eval([(t, DegSubtree(v)) for v in t.edge_children()])  # Step 1 builds the tree's grid
+        idx = provider.proxy_filter(t).idx
+        assert (idx is provider._index[provider._slots[t]]) == (proxy is same)
         assert tree_degrees(idx, t)[1:].tolist() == [cut_of_partition(proxy, t.subtree(v)) for v in range(1, 5)]
 
 
@@ -175,28 +174,27 @@ def test_query_provider_costs():
     g, t = make_gstar()
     oracle = CutOracle(g)
     provider = QueryProvider(oracle, proxy=None)
-    ctx = TreeContext(t)
     base = oracle.query_count
-    vals = provider.batch_eval([(ctx, PairCut(TreeEdgePair("orthogonal", 1, 3)))])
+    vals = provider.batch_eval([(t, PairCut(TreeEdgePair("orthogonal", 1, 3)))])
     assert vals == [2]
     assert oracle.query_count - base == 1
     base = oracle.query_count
-    provider.batch_eval([(ctx, DegSubtree(3))])
+    provider.batch_eval([(t, DegSubtree(3))])
     assert oracle.query_count - base == 1
     base = oracle.query_count
-    provider.batch_eval([(ctx, CrossSub(1, 3))])
+    provider.batch_eval([(t, CrossSub(1, 3))])
     assert oracle.query_count - base == 3
     base = oracle.query_count
-    provider.batch_eval([(ctx, CrossNested(2, 1))])
+    provider.batch_eval([(t, CrossNested(2, 1))])
     assert oracle.query_count - base == 3
     # sides that cover V need no third cut
     base = oracle.query_count
-    assert provider.batch_eval([(ctx, CrossNested(2, 2))]) == [cut_of_partition(g, t.subtree(2))]
+    assert provider.batch_eval([(t, CrossNested(2, 2))]) == [cut_of_partition(g, t.subtree(2))]
     assert oracle.query_count - base == 2
     # b pair-cut requests cost exactly b queries
     kids = [TreeEdgePair("single", v) for v in (1, 2, 3, 4)]
     base = oracle.query_count
-    provider.batch_eval([(ctx, PairCut(p)) for p in kids])
+    provider.batch_eval([(t, PairCut(p)) for p in kids])
     assert oracle.query_count - base == 4
 
 
@@ -225,16 +223,13 @@ def test_three_providers_agree_exactly():
         g, t = random_instance(rng, 4, 12)
         reqs = all_requests(g, t)
         seq = SequentialProvider(g)
-        ctx1 = TreeContext(t)
-        v1 = seq.batch_eval([(ctx1, r) for r in reqs])
+        v1 = seq.batch_eval([(t, r) for r in reqs])
         oracle = CutOracle(g)
         qp = QueryProvider(oracle, proxy=None)
-        ctx2 = TreeContext(t)
-        v2 = qp.batch_eval([(ctx2, r) for r in reqs])
+        v2 = qp.batch_eval([(t, r) for r in reqs])
         harness = StreamHarness(g, seed=i, churn=0.5)
         sp = StreamProvider(harness, proxy=None)
-        ctx3 = TreeContext(t)
-        v3 = sp.batch_eval([(ctx3, r) for r in reqs])
+        v3 = sp.batch_eval([(t, r) for r in reqs])
         assert v1 == v2 == v3
         assert sp.stats.passes == 1  # one batch, one pass
 
@@ -273,20 +268,19 @@ def test_batch_interleaves_trees_in_input_order(mode):
     g, t0 = random_instance(rng, 9, 13, wmax=1 << 32)
     trees = [t0] + [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
                     for _ in range(3)]
-    ctxs = [TreeContext(t) for t in trees]
-    pool = [(ctx, req) for ctx, t in zip(ctxs, trees) for req in all_requests(g, t)]
+    pool = [(t, req) for t in trees for req in all_requests(g, t)]
     picks = rng.integers(0, len(pool), size=3 * len(pool))  # shuffled, with repeats
     batch = [pool[int(i)] for i in picks]
-    assert len({ctx.uid for ctx, _ in batch[:40]}) > 1
+    assert len({t for t, _ in batch[:40]}) > 1
     provider = PROVIDERS[mode](g)
-    fresh = {(ctx.uid, req): (ctx, req) for ctx, req in batch}
+    fresh = {(t, req): (t, req) for t, req in batch}
     for _ in range(2):  # the second round answers degrees from the cache
         queries, passes, words = (getattr(provider.stats, k) for k in ("queries", "passes", "tracked_words"))
         got = provider.batch_eval(batch)
-        assert got == [brute_value(g, ctx.tree, req) for ctx, req in batch]
+        assert got == [brute_value(g, t, req) for t, req in batch]
         assert all(type(x) is int for x in got)
         if mode == "cut-query":
-            want = sum(model_queries(ctx.tree, req) for ctx, req in fresh.values())
+            want = sum(model_queries(t, req) for t, req in fresh.values())
             assert provider.stats.queries - queries == want
         if mode == "streaming":
             assert provider.stats.passes - passes == 1
@@ -301,30 +295,29 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
     rng = np.random.default_rng(41)
     g, t0 = random_instance(rng, 10, 10, wmax=1 << 32)
     trees = [t0, build_rooted_tree(g, random_spanning_tree_edges(g, rng), 3)]
-    ctxs = [TreeContext(t) for t in trees]
     per_tree, distinct = [], []
-    for ctx, t in zip(ctxs, trees):
+    for t in trees:
         kids = t.edge_children()
         e, f = next((x, y) for x in kids for y in kids if x < y and classify_pair(t, x, y).kind == "orthogonal")
         v = kids[0]
         single = PairCut(TreeEdgePair("single", v))
-        per_tree.append([(ctx, r) for r in (CrossSub(e, f), DegSubtree(v), CrossSub(f, e), single,
-                                            CrossSub(e, f), DegSubtree(v), single, CrossSub(f, e))])
-        distinct += [(ctx, CrossSub(e, f)), (ctx, DegSubtree(v)), (ctx, single)]
+        per_tree.append([(t, r) for r in (CrossSub(e, f), DegSubtree(v), CrossSub(f, e), single,
+                                          CrossSub(e, f), DegSubtree(v), single, CrossSub(f, e))])
+        distinct += [(t, CrossSub(e, f)), (t, DegSubtree(v)), (t, single)]
     batch = [item for pair in zip(*per_tree) for item in pair]  # the two trees interleaved
     provider = PROVIDERS[mode](g)
 
     def deltas(items):
         before = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
         got = provider.batch_eval(items)
-        assert got == [brute_value(g, ctx.tree, req) for ctx, req in items]
+        assert got == [brute_value(g, t, req) for t, req in items]
         after = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
         return tuple(b - a for a, b in zip(before, after))
 
     # a mirror and a repeat are one request; a single PairCut is metered apart from its DegSubtree
     want = {
         "sequential": (0, 0, 0),
-        "cut-query": (sum(model_queries(ctx.tree, req) for ctx, req in distinct), 0, 0),
+        "cut-query": (sum(model_queries(t, req) for t, req in distinct), 0, 0),
         "streaming": (0, 1, len(distinct)),
     }
     assert deltas(batch) == want[mode]
@@ -332,24 +325,68 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
     assert deltas([item for item in batch if isinstance(item[1], DegSubtree)]) == (0, 0, 0)
     # other requests on trees already seen are metered again, and no index is built
     held = [id(idx) for idx in provider._index]
-    again = [(ctx, req) for ctx, req in distinct if not isinstance(req, DegSubtree)]
+    again = [(t, req) for t, req in distinct if not isinstance(req, DegSubtree)]
     want = {
         "sequential": (0, 0, 0),
-        "cut-query": (sum(model_queries(ctx.tree, req) for ctx, req in again), 0, 0),
+        "cut-query": (sum(model_queries(t, req) for t, req in again), 0, 0),
         "streaming": (0, 1, len(again)),
     }
     assert deltas([item for item in batch if not isinstance(item[1], DegSubtree)]) == want[mode]
     assert [id(idx) for idx in provider._index] == held
 
 
+@pytest.mark.parametrize("mode", PROVIDERS)
+def test_tree_on_another_vertex_count_is_refused(mode):
+    g, t = make_gstar()  # 5 vertices
+    small = four_cycle(1)
+    provider = PROVIDERS[mode](g)
+    with pytest.raises(ValueError, match="a tree on 4 vertices, the provider's graph has 5"):
+        provider.batch_eval([(build_rooted_tree(small, [(0, 1), (1, 2), (2, 3)], 0), DegSubtree(1))])
+    assert provider._slots == {}
+    assert provider.batch_eval([(t, DegSubtree(1))]) == [7]
+
+
+MODELS = {
+    "sequential": SequentialProvider,
+    "cut-query": lambda g: query_provider(CutOracle(g)),
+    "streaming": lambda g: stream_provider(StreamHarness(g, seed=5, churn=0.5)),
+}
+
+
+@pytest.mark.parametrize("mode", MODELS)
+def test_one_tree_object_keeps_one_slot_across_batches_and_searches(mode):
+    # the tree is its own key: a second batch, and a second search on the same
+    # tree object, reuse its slot and index, and its Step 1 degrees are charged once
+    rng = np.random.default_rng(43)
+    g = random_connected_graph(rng, 16, extra=3.0, wmax=1 << 20)
+    t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0)
+    kids = t.edge_children()
+    provider = MODELS[mode](g)
+
+    def ledgers():
+        return np.array([provider.stats.queries, provider.stats.passes, provider.stats.tracked_words])
+
+    start = ledgers()
+    first = min_2respect(g, t, provider, rng=8)
+    held = list(provider._index)
+    cost = ledgers() - start
+    second = min_2respect(g, t, provider, rng=8)
+    assert (second.value, second.certificate, second.partition) == (first.value, first.certificate, first.partition)
+    step1 = {"sequential": [0, 0, 0], "cut-query": [len(kids), 0, 0], "streaming": [0, 1, len(kids)]}[mode]
+    assert (ledgers() - start - cost).tolist() == (cost - step1).tolist()
+    before = ledgers()
+    assert provider.batch_eval([(t, DegSubtree(v)) for v in kids]) == [cut_of_partition(g, t.subtree(v)) for v in kids]
+    assert (ledgers() - before).tolist() == [0, 0, 0]
+    assert provider._slots == {t: 0} and len(provider._index) == 1 and provider._index[0] is held[0]
+
+
 def test_query_provider_refuses_empty_or_full_sides():
     g, t = make_gstar()
     provider = QueryProvider(CutOracle(g), proxy=None)
-    ctx = TreeContext(t)
     with pytest.raises(ValueError):
-        provider.batch_eval([(ctx, DegSubtree(t.root))])
+        provider.batch_eval([(t, DegSubtree(t.root))])
     with pytest.raises(ValueError):
-        provider.batch_eval([(ctx, CrossNested(1, t.root))])
+        provider.batch_eval([(t, CrossNested(1, t.root))])
 
 
 @pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
@@ -359,16 +396,15 @@ def test_sequential_index_is_the_smaller_one(n, extra, index, monkeypatch):
     rng = np.random.default_rng(n)
     g = random_connected_graph(rng, n, extra=extra, wmax=1 << 32)
     trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))) for _ in range(4)]
-    ctxs = [TreeContext(t) for t in trees]
     grids = []
     init = PoPrefixGrid.__init__
     monkeypatch.setattr(PoPrefixGrid, "__init__", lambda self, *a: grids.append(self) or init(self, *a))
     provider = SequentialProvider(g)
-    batch = [(ctx, req) for ctx in ctxs[:2] for req in all_requests(g, ctx.tree)]
-    assert provider.batch_eval(batch) == [brute_value(g, ctx.tree, req) for ctx, req in batch]
-    provider.batch_eval([(ctx, DegSubtree(ctx.tree.root)) for ctx in ctxs])
+    batch = [(t, req) for t in trees[:2] for req in all_requests(g, t)]
+    assert provider.batch_eval(batch) == [brute_value(g, t, req) for t, req in batch]
+    provider.batch_eval([(t, DegSubtree(t.root)) for t in trees])
     assert [type(idx) for idx in provider._index] == [index] * 4
-    filters = [provider.proxy_index(ctx) for ctx in ctxs]
+    filters = [provider.proxy_filter(t).idx for t in trees]
     if index is PoPrefixGrid:
         assert all(f is idx for f, idx in zip(filters, provider._index))
         assert grids == provider._index  # one grid per tree, none for the filter
@@ -408,19 +444,17 @@ def test_values_equal_per_tree_subtree_sums(mode, n, extra):
     # every request kind of every tree against subtree_sums over its own merge-sort tree
     rng = np.random.default_rng(n + 7)
     g = random_connected_graph(rng, n, extra=extra, wmax=1 << 32)
-    ctxs = [TreeContext(build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))))
-            for _ in range(5)]
+    trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))) for _ in range(5)]
     provider = PROVIDERS[mode](g)
     want = {}
-    for ctx in ctxs:
-        t = ctx.tree
+    for t in trees:
         reqs = all_requests(g, t) + [PairCut(TreeEdgePair("single", v)) for v in t.edge_children()]
-        want[ctx.uid] = list(zip(reqs, per_tree_values(g, t, reqs)))
+        want[t] = list(zip(reqs, per_tree_values(g, t, reqs)))
     for held in (2, 4, 5):
-        items = [(ctx, req) for ctx in ctxs[:held] for req, _ in want[ctx.uid]]
+        items = [(t, req) for t in trees[:held] for req, _ in want[t]]
         rng.shuffle(items)
-        value = {(ctx.uid, req): v for ctx in ctxs[:held] for req, v in want[ctx.uid]}
-        assert provider.batch_eval(items) == [value[ctx.uid, req] for ctx, req in items]
+        value = {(t, req): v for t in trees[:held] for req, v in want[t]}
+        assert provider.batch_eval(items) == [value[t, req] for t, req in items]
     assert len(provider._blocks) == (3 if provider._dense else 0)
     assert provider._dense == (mode != "sequential" or n == 24)
 
@@ -455,13 +489,12 @@ def test_grid_runs_read_crossings_per_block(mode, monkeypatch):
 def test_block_path_refuses_overlap_and_non_nesting(mode):
     g, t = make_gstar()  # 0 - 1 - 2 and 0 - 3 - 4
     provider = PROVIDERS[mode](g)
-    ctx = TreeContext(t)
-    provider.batch_eval([(ctx, DegSubtree(1))])
+    provider.batch_eval([(t, DegSubtree(1))])
     assert provider._dense and len(provider._blocks) == 1
     with pytest.raises(ValueError, match="overlap"):
-        provider.batch_eval([(ctx, CrossSub(1, 2))])
+        provider.batch_eval([(t, CrossSub(1, 2))])
     with pytest.raises(ValueError, match="does not nest"):
-        provider.batch_eval([(ctx, CrossNested(1, 4))])
+        provider.batch_eval([(t, CrossNested(1, 4))])
 
 
 def test_grid_block_out_of_address_space_is_a_memory_error():
@@ -518,8 +551,7 @@ def test_counter_value_ignores_churn():
     for churn in (0.0, 0.5, 2.0):
         h = StreamHarness(g, seed=9, churn=churn)
         sp = StreamProvider(h, proxy=None)
-        ctx = TreeContext(t)
-        vals.append(sp.batch_eval([(ctx, DegSubtree(1))])[0])
+        vals.append(sp.batch_eval([(t, DegSubtree(1))])[0])
     assert vals == [7, 7, 7]
 
 

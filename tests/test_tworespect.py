@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from twocut import tworespect
 from twocut.graph import (
     GraphError,
     WeightedGraph,
@@ -138,12 +139,10 @@ def test_lockstep_round_counts():
     # step-5 rounds
     g, t = make_gstar()
     provider = SequentialProvider(g)
-    from twocut.provider import TreeContext
     from twocut.tworespect import SearchSink, two_respect_plan
 
-    ctx = TreeContext(t)
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(ctx, provider, 5, sink)], provider)
+    rounds = run_lockstep([two_respect_plan(t, provider, 5, sink)], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -152,11 +151,10 @@ def test_lockstep_round_counts():
 
     path = WeightedGraph(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2)])
     tp = build_rooted_tree(path, [(0, 1), (1, 2), (2, 3)], 0)
-    ctx2 = TreeContext(tp)
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep(
-        [two_respect_plan(ctx2, provider2, 5, sink2)], provider2
+        [two_respect_plan(tp, provider2, 5, sink2)], provider2
     )
     assert sink2.value == 1
     assert rounds2 <= 4
@@ -164,20 +162,27 @@ def test_lockstep_round_counts():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
-    # one solver holds every Step 3 instance of a tree, one every Step 5
-    # instance; a tree's solvers share its probe ledger
-    ledgers = []  # held, so no ledger's id is reused
-    init = BipartiteSolver.__init__
+    # one solver holds every Step 3 instance of a tree, one every Step 5 instance;
+    # every solver built is driven once, under the tree it searches
+    trees, built = [], []
+    drive, init = tworespect._drive_solvers, BipartiteSolver.__init__
 
-    def spy(self, instances, ledger=None):
+    def spy(t, solver, sink):
+        trees.append(t)
+        return drive(t, solver, sink)
+
+    def count(self, instances, ledger=None):
         init(self, instances, ledger)
-        ledgers.append(self.ledger)
+        built.append(self)
 
-    monkeypatch.setattr(BipartiteSolver, "__init__", spy)
+    monkeypatch.setattr(tworespect, "_drive_solvers", spy)
+    monkeypatch.setattr(BipartiteSolver, "__init__", count)
     for g in (make_gstar()[0], random_connected_graph(np.random.default_rng(41), 40, extra=3.0, wmax=1 << 32)):
-        ledgers.clear()
+        trees.clear()
+        built.clear()
         _, stats = min_cut_pipeline(g, mode, rng=5)
-        solvers = Counter(id(ledger) for ledger in ledgers)
+        solvers = Counter(trees)
+        assert len(built) == len(trees)
         assert solvers and max(solvers.values()) <= 2
         assert len(solvers) <= stats.trees_packed
 
@@ -191,13 +196,14 @@ def test_sequential_filter_index_by_size(n, extra, index, monkeypatch):
     g = random_connected_graph(rng, n, extra=extra, wmax=10)
     t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0)
     seen = []
-    proxy_index = SequentialProvider.proxy_index
+    proxy_filter = SequentialProvider.proxy_filter
 
-    def spy(self, ctx):
-        seen.append(proxy_index(self, ctx))
-        return seen[-1]
+    def spy(self, tree):
+        filt = proxy_filter(self, tree)
+        seen.append(filt.idx)
+        return filt
 
-    monkeypatch.setattr(SequentialProvider, "proxy_index", spy)
+    monkeypatch.setattr(SequentialProvider, "proxy_filter", spy)
     provider = SequentialProvider(g)
     res = min_2respect(g, t, provider, rng=5)
     assert len(seen) == 1 and type(seen[0]) is index
