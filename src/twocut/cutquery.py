@@ -3,18 +3,32 @@
 A CutOracle hides the weighted graph behind a single operation: the total
 weight crossing a vertex bipartition, one query per call. Everything else
 is built from that: crossings between disjoint sets cost three queries,
-recovering one edge leaving a set costs O(log n) by interval bisection, and
-the search's requests cost one query each because the requesting side knows
-its partition already.
+recovering one edge leaving a set costs O(log n) by interval bisection
+(recover_crossing_edge, with the forests already found subtracted locally
+by PeeledEdges, at no query), and the search's requests cost one query each
+because the requesting side knows its partition already.
 
 The sparsifier is peeled out of the oracle by proxy.peel_forests: one
-bisection per component still unmerged in its Boruvka sweep, with the
-forests already found subtracted locally (PeeledEdges), at no query.
+bisection per component still unmerged in its Boruvka sweep. With
+nonnegative weights that bisection is a fixed function of the residual
+graph, since a half has nonzero residual crossing weight exactly when one
+of its vertices has a residual edge to the fixed side. For a component C
+it ends at far, the least vertex outside C joined to C by a positive-weight
+edge, and near, the least vertex of C joined to far, with that edge's
+weight, after exactly 1 + 3 (h(rank of far outside C, n - |C|) + h(rank of
+near in C, |C|)) queries: cut(C), then three per halving, h(p, L) being
+the halvings that reach position p of L candidates (a half is a strict
+subset of the candidates, so oracle_cross_weight never skips its third
+query). When C has no such edge it costs 1 query. bisection_outcomes reads
+every component's outcome and price off the hidden edges in one pass per
+sweep, and build_proxy_via_oracle charges each price as peel_forests admits
+the component, so query_count is what the bisections would have spent.
 
-The oracle only answers cut queries. QueryProvider hands the oracle's hidden
-edges to CostProvider, which answers the search's requests from one grid
-over them per tree; that is a simulator speed path, and QueryProvider still
-charges query_count for every request exactly as the model prices it.
+The oracle only answers cut queries. Like the sparsifier build,
+QueryProvider reads the oracle's hidden edges as a simulator speed path: it
+hands them to CostProvider, which answers the search's requests from one
+grid over them per tree, and still charges query_count for every request
+exactly as the model prices it.
 """
 
 from __future__ import annotations
@@ -151,6 +165,54 @@ def recover_crossing_edge(oracle: CutOracle, side, peeled=None):
     return near, far, weight
 
 
+def _halvings(p, size):
+    """How many halvings the bisection of recover_crossing_edge makes to
+    reach position p of `size` candidates (int64 arrays): each one keeps
+    the first floor(size / 2) candidates when p lies among them, else the
+    rest."""
+    p, size = np.asarray(p, dtype=np.int64), np.asarray(size, dtype=np.int64)
+    count = np.zeros_like(size)
+    while (size > 1).any():
+        go = size > 1
+        half = size // 2
+        first = p < half
+        count += go
+        p = np.where(go & ~first, p - half, p)
+        size = np.where(go, np.where(first, half, size - half), size)
+    return count
+
+
+def bisection_outcomes(oracle: CutOracle, alive, labels):
+    """For every component of `labels`, what recover_crossing_edge would
+    return and charge on the residual graph of the oracle's edges with
+    alive[i] (in the oracle's edge order), read off those edges in one pass
+    and without a query; the module docstring says why both are fixed.
+    Returns int64 arrays (near, far, weight, queries) over the labels,
+    weight 0 where the bisection would return None.
+    """
+    n, ew = oracle.n, oracle._ew
+    keys = oracle._eu * n + oracle._ev
+    residual = alive & (ew > 0)
+    u, v = oracle._eu[residual], oracle._ev[residual]
+    lu, lv = labels[u], labels[v]
+    cross = lu != lv
+    k = int(labels.max()) + 1
+    best = np.full(k, n * n, dtype=np.int64)  # least far * n + near per component
+    np.minimum.at(best, np.concatenate((lu[cross], lv[cross])),
+                  np.concatenate((v[cross] * n + u[cross], u[cross] * n + v[cross])))
+    found = best < n * n
+    far, near = np.divmod(np.where(found, best, 0), n)
+    weight = np.zeros(k, dtype=np.int64)
+    weight[found] = ew[np.searchsorted(keys, np.minimum(near, far)[found] * n + np.maximum(near, far)[found])]
+    # ranks among C and among the rest, from the vertices sorted by (label, vertex)
+    by_label = np.sort(labels * n + np.arange(n))
+    c = np.arange(k) * n
+    start, near_at, far_at = np.searchsorted(by_label, np.stack((c, c + near, c + far)))
+    size = np.bincount(labels, minlength=k)
+    queries = 1 + 3 * (_halvings(far - (far_at - start), n - size) + _halvings(near_at - start, size))
+    return near, far, weight, np.where(found, queries, 1)
+
+
 def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     """Forest peeling against the oracle: recover a spanning forest of the
     residual graph, subtract it, repeat until exhaustion or the forest cap.
@@ -158,18 +220,33 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     A class-restricted peel is not observable through whole-graph cut
     queries, so the forests are peeled from the full residual graph; at the
     scales the budgets are asserted on, peeling exhausts the graph and the
-    proxy is exact. Recovery is lazy, one component at a time, so a
-    component merged earlier in its sweep costs no query.
+    proxy is exact. Each sweep's recoveries are recover_crossing_edge's
+    bisections, whose outcomes and prices (1 + 3 halvings per component,
+    see the module docstring) bisection_outcomes reads at once off the
+    hidden edges. Recovery stays lazy: query_count is charged a component's
+    exact price only when peel_forests admits it, so a component merged
+    earlier in its sweep costs no query. A finished forest is subtracted by
+    clearing its edges in an alive mask over the oracle's sorted edge keys.
+    The oracle still answers nothing but cut queries.
     """
     n = oracle.n
-    peeled = PeeledEdges()
+    keys = oracle._eu * n + oracle._ev
+    alive = np.ones(len(keys), dtype=bool)
 
     def recover(sweep, labels, live):
-        for c in range(int(labels.max()) + 1):
-            yield recover_crossing_edge(oracle, labels == c, peeled=peeled) if live(c) else None
+        near, far, weight, queries = (col.tolist() for col in bisection_outcomes(oracle, alive, labels))
+        for c in range(len(near)):
+            if not live(c):
+                yield None
+                continue
+            oracle.query_count += queries[c]
+            yield (near[c], far[c], weight[c]) if weight[c] else None
 
-    kept = peel_forests(n, recover, peeled.extend, 40 * forests_per_class(n, eps), 1,
-                        proxy_edge_budget(n, eps), [])
+    def subtract(forest):
+        a, b, _ = np.array(forest, dtype=np.int64).T
+        alive[np.searchsorted(keys, np.minimum(a, b) * n + np.maximum(a, b))] = False
+
+    kept = peel_forests(n, recover, subtract, 40 * forests_per_class(n, eps), 1, proxy_edge_budget(n, eps), [])
     return WeightedGraph(n, kept, require_connected=False)
 
 

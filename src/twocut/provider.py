@@ -16,9 +16,10 @@ stream's updates) to the constructor, which nets them once; the grids of
 the trees first seen in one batch are built from the net edges into one
 grid.GridBlock, here and nowhere else. One rangeindex.subtree_sums call per
 block gives those trees all their subtree degrees, and one per block and
-batch answers every crossing. In memory a larger graph's trees get a
-merge-sort tree each instead, read one call per tree and batch. Every
-`_eval_unique` meters before it reads values; the formula is shared.
+batch answers every crossing, each split every CROSSING_ROWS rows. In
+memory a larger graph's trees get a merge-sort tree each instead, read one
+call per tree and batch. Every `_eval_unique` meters before it reads
+values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 samples on (its own
 graph in memory, else the sparsifier), and `proxy_filter(tree)`, Step 4's
@@ -85,6 +86,9 @@ A_DEG = np.array([1, 0, 0, 1, 1, 1])
 B_DEG = np.array([0, 0, 0, 0, 1, 1])
 CROSS_COEF = np.array([0, 1, 1, 0, -2, -2])
 IS_SUB = np.array([False, True, False, False, True, False])
+# rows per subtree_sums call in CostProvider._crossings, so that its
+# temporaries (about 160 bytes a row) stay bounded on any batch
+CROSSING_ROWS = 4096
 
 
 class CostProvider:
@@ -220,18 +224,22 @@ class CostProvider:
     def _crossings(self, slot, u, v, sub):
         """subtree_sums of rows (slot, u, v, sub) sorted by slot: one call per
         run of rows on one GridBlock, reading the lo/hi tables of all slots
-        at flat index slot * n + vertex, or per merge-sort tree."""
+        at flat index slot * n + vertex, or per merge-sort tree, and one more
+        per CROSSING_ROWS rows of a longer run."""
         out = np.empty(len(slot), dtype=np.int64)
         group = self._block[slot] if self._dense else slot
         starts = np.flatnonzero(_run_starts(group)).tolist()
         flat = SimpleNamespace(n=self.n, lo=self._lo.reshape(-1), hi=self._hi.reshape(-1))
-        for lo, hi in zip(starts, starts[1:] + [len(slot)]):
-            s, g = slot[lo:hi], int(group[lo])
-            if self._dense:
-                out[lo:hi] = subtree_sums(self._blocks[g], flat, s * self.n + u[lo:hi], s * self.n + v[lo:hi],
-                                          sub[lo:hi], self._at[s])
-            else:
-                out[lo:hi] = subtree_sums(self._index[g], self._trees[g], u[lo:hi], v[lo:hi], sub[lo:hi])
+        for start, end in zip(starts, starts[1:] + [len(slot)]):
+            g = int(group[start])
+            for lo in range(start, end, CROSSING_ROWS):
+                hi = min(lo + CROSSING_ROWS, end)
+                s = slot[lo:hi]
+                if self._dense:
+                    out[lo:hi] = subtree_sums(self._blocks[g], flat, s * self.n + u[lo:hi], s * self.n + v[lo:hi],
+                                              sub[lo:hi], self._at[s])
+                else:
+                    out[lo:hi] = subtree_sums(self._index[g], self._trees[g], u[lo:hi], v[lo:hi], sub[lo:hi])
         return out
 
     def _values(self, rows):

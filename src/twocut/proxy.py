@@ -11,9 +11,10 @@ loop all three sources share; each source passes its own boundary-edge
 recovery and forest subtraction. An in-memory graph is peeled class by
 class from its known edges (`first_leaving`, which also grows the packed
 trees of packing.py). A counted cut-query oracle and a dynamic stream hide
-their edges: the oracle recovers a component's boundary edge by interval
-bisection (cutquery.py), the stream from linear sketches of one weight
-class (streaming.py). This module owns the sweep loop, the known-edge
+their edges: the oracle's recovery is the outcome of an interval bisection
+of each component, read for a whole sweep at once and charged its exact
+cut queries (cutquery.py), the stream's comes from linear sketches of one
+weight class (streaming.py). This module owns the sweep loop, the known-edge
 recovery, the direct route and the budgets.
 """
 

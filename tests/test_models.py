@@ -8,7 +8,9 @@ import pytest
 from twocut import cutquery, packing
 from twocut.cutquery import (
     CutOracle,
+    PeeledEdges,
     QueryProvider,
+    bisection_outcomes,
     build_proxy_via_oracle,
     oracle_cross_weight,
     query_provider,
@@ -29,7 +31,7 @@ from twocut.grid import GridBlock, PoPrefixGrid
 from twocut.packing import min_cut_pipeline
 from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums, tree_degrees
-from twocut.proxy import ResourceBudgetError, peel_forests
+from twocut.proxy import ResourceBudgetError, forests_per_class, peel_forests, proxy_edge_budget
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
@@ -150,6 +152,59 @@ def test_oracle_proxy_small_graphs_exact():
         oracle = CutOracle(g)
         h = build_proxy_via_oracle(oracle, eps=0.1)
         assert h.edges == g.edges
+
+
+def residual_cases(seed, count):
+    """Random graphs on 2..40 vertices, weights up to 10 with every third
+    zeroed, or up to 2^32."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 41))
+        g = random_connected_graph(rng, n, extra=float(rng.choice([0.5, 2.0, 6.0])), wmax=(10, 1 << 32)[i % 2])
+        if i % 2 == 0:
+            g = WeightedGraph(n, [(u, v, w if k % 3 else 0) for k, (u, v, w) in enumerate(g.edges)])
+        yield rng, g
+
+
+def test_bisection_outcomes_equal_recover_crossing_edge():
+    # every component's outcome and query count, against one bisection on the residual graph
+    for rng, g in residual_cases(11, 60):
+        peeled = rng.random(g.m) < rng.choice([0.0, 0.3, 0.8])
+        k = int(rng.integers(2, g.n + 1))
+        labels = np.unique(rng.integers(k, size=g.n), return_inverse=True)[1].reshape(-1)
+        if labels.max() == 0:
+            labels[int(rng.integers(g.n))] = 1
+        oracle = CutOracle(g)
+        near, far, weight, queries = bisection_outcomes(oracle, ~peeled, labels)
+        assert oracle.query_count == 0
+        residual = PeeledEdges()
+        residual.extend([e for e, p in zip(g.edges, peeled) if p])
+        for c in range(int(labels.max()) + 1):
+            before = oracle.query_count
+            got = recover_crossing_edge(oracle, labels == c, peeled=residual)
+            assert got == ((int(near[c]), int(far[c]), int(weight[c])) if weight[c] else None)
+            assert oracle.query_count - before == queries[c]
+
+
+def lazy_bisection_proxy(oracle, eps):
+    """The oracle sparsifier by one recover_crossing_edge call per component
+    still unmerged in its sweep, peeled forests subtracted locally: the
+    reference build_proxy_via_oracle must equal in edges and queries."""
+    n, peeled = oracle.n, PeeledEdges()
+
+    def recover(sweep, labels, live):
+        for c in range(int(labels.max()) + 1):
+            yield recover_crossing_edge(oracle, labels == c, peeled=peeled) if live(c) else None
+
+    kept = peel_forests(n, recover, peeled.extend, 40 * forests_per_class(n, eps), 1, proxy_edge_budget(n, eps), [])
+    return WeightedGraph(n, kept, require_connected=False)
+
+
+def test_oracle_proxy_equals_lazy_bisection_reference():
+    for _, g in residual_cases(12, 44):
+        fast, slow = CutOracle(g), CutOracle(g)
+        assert build_proxy_via_oracle(fast, eps=0.1).edges == lazy_bisection_proxy(slow, eps=0.1).edges
+        assert fast.query_count == slow.query_count
 
 
 @pytest.mark.parametrize("model", ["cut-query", "streaming"])
@@ -434,14 +489,19 @@ def per_tree_values(g, t, reqs):
     return [base + coef * x for (base, coef), x in zip(terms, subtree_sums(idx, t, u, v, sub).tolist())]
 
 
-# (mode, n, extra): block grids in every model, and merge-sort trees in memory
-VALUE_CASES = [("sequential", 24, 8.0), ("sequential", 64, 1.5), ("cut-query", 24, 3.0), ("streaming", 24, 3.0)]
+# (mode, n, extra, rows per _crossings call or None): block grids in every
+# model, and merge-sort trees in memory; a small cap splits runs inside a tree
+VALUE_CASES = [("sequential", 24, 8.0, None), ("sequential", 64, 1.5, None), ("cut-query", 24, 3.0, None),
+               ("streaming", 24, 3.0, None), ("sequential", 64, 1.5, 5), ("cut-query", 24, 3.0, 5)]
 
 
-@pytest.mark.parametrize("mode, n, extra", VALUE_CASES)
-def test_values_equal_per_tree_subtree_sums(mode, n, extra):
+@pytest.mark.parametrize("mode, n, extra, cap", VALUE_CASES,
+                         ids=[f"{m}-{n}-{x}" + (f"-cap{c}" if c else "") for m, n, x, c in VALUE_CASES])
+def test_values_equal_per_tree_subtree_sums(mode, n, extra, cap, monkeypatch):
     # trees arrive over three batches, each bringing new trees beside known ones;
     # every request kind of every tree against subtree_sums over its own merge-sort tree
+    if cap:
+        monkeypatch.setattr(provider_module, "CROSSING_ROWS", cap)
     rng = np.random.default_rng(n + 7)
     g = random_connected_graph(rng, n, extra=extra, wmax=1 << 32)
     trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(n))) for _ in range(5)]
@@ -673,7 +733,7 @@ def test_peel_forests_raises_after_keeping_the_forest_past_budget():
 
 
 # (n, extra, wmax, churn, seed, zero every third weight) ->
-#   (oracle query_count, recover_crossing_edge calls,
+#   (oracle query_count, oracle recoveries (one recover_crossing_edge bisection each),
 #    stream pass_count, tracked_words, SketchBank.recover calls, subtract_edges calls)
 # The last two graphs are the query-heavy and stream-dense-churn bench instances.
 PINNED_PROXIES = [
@@ -705,15 +765,27 @@ def test_model_proxies_pinned(spec, want, monkeypatch):
 
         monkeypatch.setattr(obj, name, spy)
 
-    for obj, name in ((cutquery, "recover_crossing_edge"), (SketchBank, "recover"), (SketchBank, "subtract_edges")):
+    for obj, name in ((SketchBank, "recover"), (SketchBank, "subtract_edges")):
         count(obj, name)
+    peel = cutquery.peel_forests
+
+    def peel_counting_recoveries(n, recover, *rest):
+        # the oracle builder charges one recovery for each component peel_forests admits
+        def counted(sweep, labels, live):
+            for c, got in enumerate(recover(sweep, labels, live)):
+                calls["oracle recoveries"] += live(c)
+                yield got
+
+        return peel(n, counted, *rest)
+
+    monkeypatch.setattr(cutquery, "peel_forests", peel_counting_recoveries)
     oracle = CutOracle(g)
     oracle_proxy = build_proxy_via_oracle(oracle, eps=0.1)
     harness = StreamHarness(g, seed=seed, churn=churn)
     stream_proxy = build_proxy_via_stream(harness, eps=0.1)
     # peeling exhausts these graphs; no forest can hold a zero-weight edge
     assert oracle_proxy.edges == stream_proxy.edges == [e for e in g.edges if e[2]]
-    got = (oracle.query_count, calls["recover_crossing_edge"], harness.pass_count, harness.tracked_words,
+    got = (oracle.query_count, calls["oracle recoveries"], harness.pass_count, harness.tracked_words,
            calls["recover"], calls["subtract_edges"])
     assert got == want
 
