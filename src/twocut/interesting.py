@@ -112,6 +112,9 @@ class ProxyFilter:
         return subtree_sums(self.idx, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us] // 3
 
 
+TOPS_BLOCK_CELLS = 1 << 20  # cells of each per-block table of candidate_tops
+
+
 def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):
     """Segment-top candidates implied by sampled boundary edges.
 
@@ -130,34 +133,46 @@ def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):
     (e, path) is walked: an outside witness sharing a path with an inside
     one lies above e on e's root line and meets nothing below their lca, as
     does a witness equal to e or to the root.
+
+    No step sorts. The edges go in blocks of consecutive ids, each through
+    two tables with one row per edge: the deepest witness per (e, path) by
+    np.maximum.at, then a mark per distinct (e, f), read back in key order.
+    A block spans TOPS_BLOCK_CELLS // n edges (at least one), so no table
+    outgrows that many cells; when that is short of the whole tree, each
+    block picks its rows with one scan of all of them.
     """
     t = d.tree
+    n, paths = t.n, len(d.paths)
     es, eids = np.asarray(es, dtype=np.int64), np.asarray(eids, dtype=np.int64)
     es, xs = np.concatenate((es, es)), np.concatenate((g.eu[eids], g.ev[eids]))
-    es, xs = _deepest_per_path(d, es, xs, (xs != es) & (xs != t.root))
-    row, f = d.suffix_tops(xs, d.anchor_depths(es, xs))
-    e = es[row]
-    cross = _distinct_rows(e, f, (t.hi[e] < t.lo[f]) | (t.hi[f] < t.lo[e]), t.n)
-    below = (t.lo[e] <= t.lo[f]) & (t.hi[f] < t.hi[e])
-    down = _distinct_rows(e, f, below & (d.path_of[f] != d.path_of[e]), t.n)
-    return cross, down
+    # each row's (e, path) cell and its witness's depth order on that path
+    # (d.pos orders each path's vertices by depth); the root has path and
+    # order -1, so it never wins a cell, and its cell (-1 for e = 0 wraps
+    # to the last) is left as it was
+    cell, pos = es * paths + d.path_of[xs], d.pos[xs]
+    span = max(1, TOPS_BLOCK_CELLS // n)
+    cross, down = [], []
+    for lo in range(0, n, span):
+        rows = min(span, n - lo)
+        sel = slice(None) if rows == n else (cell >= lo * paths) & (cell < (lo + rows) * paths)
+        deepest = np.full(rows * paths, -1, dtype=np.int64)
+        np.maximum.at(deepest, cell[sel] - lo * paths, pos[sel])
+        at = np.flatnonzero(deepest >= 0)
+        e, x = at // paths + lo, d.flat[deepest[at]]
+        row, f = d.suffix_tops(x, d.anchor_depths(e, x))
+        e = e[row]
+        le, he, lf, hf = t.lo[e], t.hi[e], t.lo[f], t.hi[f]
+        cross.append(_distinct_rows(e, f, (he < lf) | (hf < le), lo, rows, n))
+        down.append(_distinct_rows(e, f, (le <= lf) & (hf < he) & (d.path_of[f] != d.path_of[e]), lo, rows, n))
+    return np.concatenate(cross), np.concatenate(down)
 
 
-def _deepest_per_path(d, es, xs, ok):
-    # d.pos orders the vertices of each path by depth, paths one after another
-    n = d.tree.n
-    keys = np.sort(es[ok] * n + d.pos[xs[ok]])
-    es, pos = np.divmod(keys, n)
-    xs = d.flat[pos]
-    group = es * n + d.path_of[xs]
-    last = np.diff(group, append=-1) != 0
-    return es[last], xs[last]
-
-
-def _distinct_rows(e, f, keep, n):
-    keys = np.sort(e[keep] * n + f[keep])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return np.stack(np.divmod(keys, n), axis=1)
+def _distinct_rows(e, f, keep, lo, rows, n):
+    """The distinct kept (e, f) rows of edges lo..lo+rows-1, sorted, read off a mark table."""
+    mark = np.zeros(rows * n, dtype=bool)
+    mark[(e[keep] - lo) * n + f[keep]] = True
+    e, f = np.divmod(np.flatnonzero(mark), n)
+    return np.stack((e + lo, f), axis=1)
 
 
 def pair_solver_inputs(d: PathDecomposition, cross, down, ok):

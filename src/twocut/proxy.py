@@ -65,6 +65,8 @@ def peel_forests(n, recover, subtract, rounds, patience, budget, kept):
     disjoint sets over the k labels; a component some union already touched
     this sweep (live(label) is False) is skipped: its edge was found for a
     smaller vertex set, and the merged component is asked again next sweep.
+    A sweep that adds no edge leaves the labels standing, since no set
+    merged; only a sweep with unions relabels the components.
     A forest ends after `patience` sweeps in a row add no edge; it is then
     passed to subtract(forest) and appended to `kept`. Peeling stops at
     the first empty forest; ResourceBudgetError once `kept` holds more
@@ -84,11 +86,12 @@ def peel_forests(n, recover, subtract, rounds, patience, budget, kept):
             for c, got in enumerate(recover(sweep, labels, live)):
                 if got is not None and live(c) and ds.union(int(labels[got[0]]), int(labels[got[1]])):
                     forest.append(got)
-            ids = {}  # merged set -> next label, in order of its least label, so of its first vertex
-            labels = np.array([ids.setdefault(ds.find(c), len(ids)) for c in range(k)])[labels]
-            k = len(ids)
             sweep += 1
-            idle = 0 if len(forest) > grown else idle + 1
+            idle += 1
+            if len(forest) > grown:
+                ids = {}  # merged set -> next label, in order of its least label, so of its first vertex
+                labels = np.array([ids.setdefault(ds.find(c), len(ids)) for c in range(k)])[labels]
+                k, idle = len(ids), 0
         if not forest:
             break
         subtract(forest)

@@ -20,6 +20,16 @@ edge; one recover call does so for every component of a Boruvka sweep.
 The stream sparsifier runs proxy.peel_forests once per weight class with
 that call as its edge source: each finished forest is subtracted from the
 cells (linearity) and peeling repeats until the class is exhausted.
+
+Linearity also says which components a sweep need not sum. A component's
+cell is the sum of the net payloads of the vertex pairs that cross it, so a
+component that no pair with a nonzero net payload crosses has all-zero cells
+and recovers nothing under any copy. StreamResidual keeps those net payloads
+per class and pair, fed the bank's own updates, and each sweep sums only the
+components it marks; every forest's closing idle sweeps then read no cell.
+The residual is the simulator's view of the stream, like the provider's
+grid: it registers no words and adds no pass, and the recovered edges are
+those of summing every component.
 """
 
 from __future__ import annotations
@@ -126,6 +136,20 @@ def _fingerprints(eids: np.ndarray) -> np.ndarray:
     return _LOW[rows, exp & 1023] * _HIGH[rows, exp >> 10] % _PRIMES  # products stay below 2**40
 
 
+CELL_FIELDS = ("w", "x", "f1", "f2")
+
+
+def _payload(n, uu, vv, wdelta):
+    """How a sketch cell files signed updates: the weight class of |delta|,
+    the pair id u * n + v, and the (4, updates) cell payload, one row per
+    CELL_FIELDS entry: delta, sign(delta) * id, and fmod(delta, p) times the
+    id's fingerprint root ** (id mod (p - 1) + 1) mod p for each modulus."""
+    cls = bit_lengths(np.abs(wdelta)) - 1
+    eids = uu * n + vv
+    f1, f2 = np.fmod(wdelta, _PRIMES) * _fingerprints(eids)
+    return cls, eids, np.stack((wdelta, np.sign(wdelta) * eids, f1, f2))
+
+
 class SketchBank:
     """Level-sampled one-sparse cells per (weight class, vertex, copy).
 
@@ -158,8 +182,7 @@ class SketchBank:
     @cached_property
     def cells(self):
         shape = (self.n, self.copies, self.reps, self.levels)
-        return {c: {name: np.zeros(shape, dtype=np.int64) for name in ("w", "x", "f1", "f2")}
-                for c in self.classes}
+        return {c: {name: np.zeros(shape, dtype=np.int64) for name in CELL_FIELDS} for c in self.classes}
 
     def _tops(self, eids, salts):
         """Top level of each edge id under each salt (broadcast): trailing
@@ -178,10 +201,7 @@ class SketchBank:
         one flat cell index, and each payload array takes one np.add.at
         (int64, so sums stay exact).
         """
-        cls = bit_lengths(np.abs(wdelta)) - 1
-        eids = uu * self.n + vv
-        f1, f2 = np.fmod(wdelta, _PRIMES) * _fingerprints(eids)
-        payload = {"w": wdelta, "x": np.sign(wdelta) * eids, "f1": f1, "f2": f2}
+        cls, eids, payload = _payload(self.n, uu, vv, wdelta)
         pairs = len(self.salts)
         for c in self.classes:
             sel = np.flatnonzero(cls == c)
@@ -193,7 +213,7 @@ class SketchBank:
             upd = sel[slot // pairs]
             within = (slot % pairs) * self.levels + lvl  # offset inside one vertex row
             idx = np.concatenate([uu[upd], vv[upd]]) * (pairs * self.levels) + np.tile(within, 2)
-            for name, val in payload.items():
+            for name, val in zip(CELL_FIELDS, payload):
                 # u-side rows carry +delta, v-side -delta
                 np.add.at(self.cells[c][name].reshape(-1), idx, np.concatenate([val[upd], -val[upd]]))
 
@@ -204,25 +224,33 @@ class SketchBank:
         uu, vv, ww = (np.asarray(col, dtype=np.int64) for col in zip(*edges))
         self.absorb(uu, vv, -ww)
 
-    def recover(self, cls, copy, labels):
+    def recover(self, cls, copy, labels, active):
         """One boundary edge per component of a vertex labelling, in class `cls`.
 
         labels is an int64 array: labels[v] in 0..k-1 names v's component,
-        and every label is used. Member rows are summed per component
-        (sketch merge); each component then takes its first cell, sparsest
-        level first and reps in order, that verifies as a single edge
-        leaving it. Returns k entries, each (u, v, w) or None.
+        and every label is used. active is a boolean mask over the k labels;
+        an inactive component gets None without its cells being read, which
+        is exact when its cells are all zero (StreamResidual.active). The
+        member rows of each active component are summed (sketch merge); it
+        then takes its first cell, sparsest level first and reps in order,
+        that verifies as a single edge leaving it. Returns k entries, each
+        (u, v, w) or None.
         """
-        k = int(labels.max()) + 1
-        order = np.argsort(labels, kind="stable")
-        starts = np.searchsorted(labels[order], np.arange(k))
-        # component sums, laid out (component, level descending, rep): the scan order
+        out = [None] * len(active)
+        comps = np.flatnonzero(active)
+        if not len(comps):
+            return out
+        members = np.flatnonzero(active[labels])
+        order = members[np.argsort(labels[members], kind="stable")]
+        starts = np.searchsorted(labels[order], comps)
+        # active component sums, laid out (component, level descending, rep): the scan order
         w, x, f1, f2 = (np.add.reduceat(arr[order, copy], starts)[:, :, ::-1].transpose(0, 2, 1)
                         for arr in self.cells[cls].values())
         sign = np.sign(w)
-        comp, j, rep = np.nonzero((sign != 0) & (x * sign >= 0) & (x * sign < self.space))
-        w, f1, f2, sign = w[comp, j, rep], f1[comp, j, rep], f2[comp, j, rep], sign[comp, j, rep]
-        eid = x[comp, j, rep] * sign
+        row, j, rep = np.nonzero((sign != 0) & (x * sign >= 0) & (x * sign < self.space))
+        w, f1, f2, sign = w[row, j, rep], f1[row, j, rep], f2[row, j, rep], sign[row, j, rep]
+        comp = comps[row]
+        eid = x[row, j, rep] * sign
         u, v = np.divmod(eid, self.n)
         u_in = labels[u] == comp
         # u-side rows carry +w, v-side -w: the sum's sign must match
@@ -231,9 +259,52 @@ class SketchBank:
         ok &= ((np.stack([f1, f2]) - w % _PRIMES * _fingerprints(eid)) % _PRIMES == 0).all(axis=0)
         comp, u, v, w = comp[ok], u[ok], v[ok], np.abs(w[ok])
         first = np.diff(comp, prepend=-1) != 0  # each component's first verified cell
-        out = [None] * k
         for c, a, b, ww in zip(*(col[first].tolist() for col in (comp, u, v, w))):
             out[c] = (a, b, ww)
+        return out
+
+
+class StreamResidual:
+    """Net cell payload of every vertex pair a sketch bank has absorbed, per weight class.
+
+    Fed the same updates as the bank (the harness's stream, then each
+    subtracted forest), it keeps per class the pairs whose four payload sums
+    (_payload) are not all zero, with those sums. It is the simulator's view
+    of the stream, like CostProvider's grid over the stream's net edges: it
+    registers no words and adds no pass, and the algorithm reads nothing
+    from it but which components a sweep need not sum.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.net = {}  # class -> (endpoints (2, k), payload sums (4, k)) of its nonzero pairs
+
+    subtract_edges = SketchBank.subtract_edges  # absorb the negated edges, as the bank does
+
+    def absorb(self, uu, vv, wdelta):
+        """Add a batch of signed updates, filed by class and pair as SketchBank.absorb files them."""
+        cls, eids, payload = _payload(self.n, uu, vv, wdelta)
+        for c in np.unique(cls[cls >= 0]).tolist():  # a zero delta has no class and a zero payload
+            sel = cls == c
+            ends, sums = self.net.get(c, (np.zeros((2, 0), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)))
+            keys = np.concatenate((ends[0] * self.n + ends[1], eids[sel]))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(np.concatenate((sums, payload[:, sel]), axis=1)[:, order], starts, axis=1)
+            live = sums.any(axis=0)
+            self.net[c] = (np.stack(np.divmod(keys[starts[live]], self.n)), sums[:, live])
+
+    def active(self, cls, labels):
+        """Mask over the components of `labels` that some nonzero pair of class
+        `cls` crosses. A component no such pair crosses has all-zero cells:
+        the pairs inside it cancel between their two endpoints' rows, and every
+        other pair adds nothing."""
+        ends = self.net.get(cls, (np.zeros((2, 0), dtype=np.int64),))[0]
+        sides = labels[ends]
+        sides = sides[:, sides[0] != sides[1]]
+        out = np.zeros(int(labels.max()) + 1, dtype=bool)
+        out[sides.ravel()] = True
         return out
 
 
@@ -241,19 +312,33 @@ def build_proxy_via_stream(harness: StreamHarness, eps) -> WeightedGraph:
     """Sparsifier from one sketch pass plus local per-class forest peeling.
 
     Sweep i of a forest reads sketch copy i mod copies, so a forest ends
-    once every copy in turn has failed to add an edge.
+    once every copy in turn has failed to add an edge. The sketches are
+    linear, so a component that no pair with a nonzero net payload crosses
+    has all-zero cells and recovers nothing under any copy: a
+    StreamResidual fed the bank's updates marks the components each sweep
+    sums, and the others are never read. It is the simulator's view of the
+    stream and registers no words, so passes, words and the kept edges are
+    those of summing every component.
     """
     n = harness.n
     observed = np.unique(bit_lengths(np.abs(harness.wdelta[harness.wdelta != 0])) - 1).tolist()
     copies = ceil_log2(max(n, 2)) + 2
     bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies)
     harness.fill_bank(bank)
+    residual = StreamResidual(n)
+    residual.absorb(harness.uu, harness.vv, harness.wdelta)
+
+    def subtract(forest):
+        bank.subtract_edges(forest)
+        residual.subtract_edges(forest)
+
     budget = proxy_edge_budget(n, eps)
     rounds = forests_per_class(n, eps)
     kept = []
     for cls in observed:
-        peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels),
-                     bank.subtract_edges, rounds, copies, budget, kept)
+        peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels,
+                                                                 residual.active(cls, labels)),
+                     subtract, rounds, copies, budget, kept)
     return WeightedGraph(n, kept, require_connected=False)
 
 

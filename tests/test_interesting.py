@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cross_weight, cut_of_partition
+from twocut import interesting
 from twocut.hld import decompose
 from twocut.interesting import (
     DEFAULT_SAMPLE_MULTIPLIER,
@@ -418,8 +419,13 @@ def filtered_rows(proxy, d, idx, seed, multiplier):
     return cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])], down[filt.down_ok_many(down[:, 0], down[:, 1])]
 
 
-def test_batch_rows_equal_per_edge_reference():
-    for i, (g, t, multiplier) in enumerate(equivalence_instances()):
+def test_batch_rows_equal_per_edge_reference(monkeypatch):
+    # the module's block cap holds every tree in one block; a 40-cell cap
+    # splits trees of 4..14 vertices into blocks of 2..10 edges, and larger
+    # ones into blocks of one
+    cases = [(cap, inst) for cap in (interesting.TOPS_BLOCK_CELLS, 40) for inst in enumerate(equivalence_instances())]
+    for cap, (i, (g, t, multiplier)) in cases:
+        monkeypatch.setattr(interesting, "TOPS_BLOCK_CELLS", cap)
         if t.n < 3:
             continue
         d = decompose(t)
@@ -435,7 +441,8 @@ def test_batch_rows_equal_per_edge_reference():
                 assert all(np.array_equal(a, b) for a, b in zip(got, runs[-1][2])), f"instance {i}"
         for sample_graph, proxy, got in runs:
             want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
-            assert [sorted(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i}"
+            # rows come distinct and sorted by (e, f), as the reference lists them
+            assert [list(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i} cap {cap}"
 
 
 def test_pair_solver_inputs_equal_per_row_reference():

@@ -1,5 +1,6 @@
 """The three cost models: oracle accounting, stream passes, forest peeling, sketches, sampling."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -35,16 +36,18 @@ from twocut.proxy import ResourceBudgetError, forests_per_class, peel_forests, p
 from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
+from twocut import streaming
 from twocut.streaming import (
     SketchBank,
     StreamHarness,
     StreamProvider,
+    StreamResidual,
     _fingerprints,
     build_proxy_via_stream,
     stream_provider,
 )
 from twocut.tworespect import min_2respect
-from twocut.util import ceil_log2
+from twocut.util import DisjointSets, ceil_log2
 
 from conftest import (
     four_cycle,
@@ -633,6 +636,135 @@ def test_stream_pipeline_exact_with_huge_bridge(bridge):
     assert got.value == oracle_min_cut(g).value == 7
 
 
+def every_component_proxy(harness, eps, copies, reps=2):
+    """The stream sparsifier with every Boruvka sweep summing every
+    component's cells and relabelling, unions or not: the reference that
+    build_proxy_via_stream must equal in kept edges, passes, words and
+    recover calls. The sweep loop is peel_forests' own, written out, less
+    the edge budget, which no stream here comes near."""
+    n = harness.n
+    observed = sorted({abs(w).bit_length() - 1 for w in harness.wdelta.tolist() if w})
+    bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies, reps=reps)
+    harness.fill_bank(bank)
+    kept = []
+    for cls in observed:
+        for _ in range(forests_per_class(n, eps)):
+            labels, k, forest, sweep, idle = np.arange(n), n, [], 0, 0
+            while k > 1 and idle < copies:
+                ds, grown = DisjointSets(k), len(forest)
+                for c, got in enumerate(bank.recover(cls, sweep % copies, labels, np.ones(k, dtype=bool))):
+                    if got is not None and ds.size[ds.find(c)] == 1 and ds.union(int(labels[got[0]]),
+                                                                                  int(labels[got[1]])):
+                        forest.append(got)
+                ids = {}
+                labels = np.array([ids.setdefault(ds.find(c), len(ids)) for c in range(k)])[labels]
+                k, sweep = len(ids), sweep + 1
+                idle = 0 if len(forest) > grown else idle + 1
+            if not forest:
+                break
+            bank.subtract_edges(forest)
+            kept.extend(forest)
+    return kept
+
+
+def stream_cases(seed, count):
+    """Random streams: n 4..60, churn 0..1, weights up to 10 or 2^32, every
+    third weight zeroed on every third graph."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(4, 61))
+        g = random_connected_graph(rng, n, extra=float(rng.choice([0.5, 2.0, 5.0])), wmax=(10, 1 << 32)[i % 2])
+        if i % 3 == 0:
+            g = WeightedGraph(n, [(u, v, w if k % 3 else 0) for k, (u, v, w) in enumerate(g.edges)])
+        yield g, int(rng.integers(1 << 30)), float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("copies, reps", [(None, 2), (1, 1)], ids=["bank", "one-copy-one-rep"])
+def test_stream_proxy_equals_every_component_reference(copies, reps, monkeypatch):
+    # one copy and one rep make the sketch miss edges of crossing components,
+    # so forests end early and active components recover nothing
+    if copies is not None:
+        monkeypatch.setattr(streaming, "ceil_log2", lambda x: copies - 2)
+        monkeypatch.setattr(streaming, "SketchBank", functools.partial(SketchBank, reps=reps))
+    calls, missed = Counter(), Counter()
+    recover = SketchBank.recover
+
+    def spy(bank, cls, copy, labels, active):
+        out = recover(bank, cls, copy, labels, active)
+        calls["recover"] += 1
+        missed["active, nothing recovered"] += sum(a and got is None for a, got in zip(active.tolist(), out))
+        return out
+
+    monkeypatch.setattr(SketchBank, "recover", spy)
+    peel, kept = streaming.peel_forests, []
+
+    def peel_keeping(*args):
+        kept.append(args[-1])  # the builder's kept list, in peeling order
+        return peel(*args)
+
+    monkeypatch.setattr(streaming, "peel_forests", peel_keeping)
+    for i, (g, seed, churn) in enumerate(stream_cases(21, 64)):
+        fast, slow = StreamHarness(g, seed=seed, churn=churn), StreamHarness(g, seed=seed, churn=churn)
+        kept.clear()
+        proxy = build_proxy_via_stream(fast, eps=0.1)
+        got = kept[-1] if kept else []
+        assert proxy.edges == sorted(got)
+        fast_calls = calls["recover"]
+        want = every_component_proxy(slow, 0.1, copies or ceil_log2(g.n) + 2, reps)
+        assert got == want, f"stream {i}"
+        assert fast_calls == calls["recover"] - fast_calls, f"stream {i}"
+        assert (fast.pass_count, fast.tracked_words) == (slow.pass_count, slow.tracked_words), f"stream {i}"
+        calls.clear()
+    if copies is not None:
+        assert missed["active, nothing recovered"] > 0
+    else:
+        assert proxy.edges == [e for e in g.edges if e[2]]  # the full bank exhausts the last graph
+
+
+def test_components_no_nonzero_pair_crosses_have_zero_cells():
+    # a churned stream, then a subtracted forest; besides, one pair gets three
+    # 1,300,000 inserts and two subtracted 1,950,000 edges, all in class 20:
+    # its w sum is zero, but its sign and fingerprint sums are not, since the
+    # weights pass both moduli and their residues do not cancel
+    rng = np.random.default_rng(31)
+    n = 14
+    g = random_connected_graph(rng, n, extra=3.0, wmax=40)
+    h = StreamHarness(g, seed=5, churn=0.8)
+    odd = (2, 9)
+    classes = sorted({w.bit_length() - 1 for _, _, w in g.edges} | {20})
+    bank, residual = SketchBank(n, classes, seed=8, copies=3), StreamResidual(n)
+    ds, forest = DisjointSets(n), []
+    for u, v, w in g.edges:
+        if ds.union(u, v):
+            forest.append((u, v, w))
+    for sketch in (bank, residual):
+        sketch.absorb(h.uu, h.vv, h.wdelta)
+        sketch.absorb(np.array([odd[0]] * 3), np.array([odd[1]] * 3), np.array([1_300_000] * 3))
+        sketch.subtract_edges(forest[::2] + [odd + (1_950_000,)] * 2)
+    ends, sums = residual.net[20]
+    assert ends.T.tolist() == [list(odd)]
+    assert sums[0, 0] == 0 and (sums[1:, 0] != 0).all()
+    checked = Counter()
+    for _ in range(40):
+        k = int(rng.integers(2, n + 1))
+        labels = np.unique(rng.integers(k, size=n), return_inverse=True)[1].reshape(-1)
+        for c in classes:
+            active = residual.active(c, labels)
+            comp = np.zeros((len(active), *bank.cells[c]["w"].shape[1:]), dtype=np.int64)
+            zero = np.ones(len(active), dtype=bool)
+            for cells in bank.cells[c].values():
+                comp[:] = 0
+                np.add.at(comp, labels, cells)
+                zero &= ~comp.reshape(len(active), -1).any(axis=1)
+            assert not (~active & ~zero).any()  # inactive components have all-zero cells
+            checked["inactive"] += int((~active).sum())
+            if c == 20 and labels[odd[0]] != labels[odd[1]]:
+                # only the odd pair crosses: its components are active, and their cells nonzero
+                assert active[labels[list(odd)]].all() and not zero[labels[list(odd)]].any()
+                checked["odd pair split"] += 1
+    assert checked["inactive"] > 100 and checked["odd pair split"] > 0
+
+
 def test_stream_word_budget_refuses_bank_before_allocating(monkeypatch):
     banks = []
     init = SketchBank.__init__
@@ -798,15 +930,18 @@ def side_labels(n, side):
     return np.array([int(v in side) for v in range(n)])
 
 
+BOTH = np.ones(2, dtype=bool)  # recover's active mask over side_labels' two components
+
+
 def test_l0_single_edge_roundtrip():
     bank = SketchBank(10, [2], seed=5, copies=1)
     bank.absorb(np.array([3]), np.array([7]), np.array([4]))
-    assert bank.recover(2, 0, side_labels(10, {3})) == [(3, 7, 4), (3, 7, 4)]
+    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [(3, 7, 4), (3, 7, 4)]
     bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
-    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
+    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [None, None]
     # a net delete leaves -w on u's side, which no real edge does
     bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
-    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
+    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [None, None]
 
 
 def test_sketch_bank_absorb_matches_per_update_loop():
@@ -872,8 +1007,8 @@ def test_sketch_bank_recovers_crafted_large_edge():
     bank = SketchBank(n, [60], seed=7, copies=1)
     bank.absorb(np.array([4094]), np.array([4095]), np.array([w]))
     edge = (4094, 4095, w)
-    assert bank.recover(60, 0, side_labels(n, {4094})) == [edge, edge]
-    assert bank.recover(60, 0, side_labels(n, set(range(n)) - {4095})) == [edge, edge]
+    assert bank.recover(60, 0, side_labels(n, {4094}), BOTH) == [edge, edge]
+    assert bank.recover(60, 0, side_labels(n, set(range(n)) - {4095}), BOTH) == [edge, edge]
 
 
 def test_l0_linearity():
@@ -896,8 +1031,8 @@ def test_l0_linearity():
         assert np.array_equal(cells, a.cells[2][name])
     labels = side_labels(8, {0, 1})
     for copy in range(2):
-        assert merged.recover(2, copy, labels) == a.recover(2, copy, labels)
-        assert merged.recover(2, copy, labels)[1] in a_edges
+        assert merged.recover(2, copy, labels, BOTH) == a.recover(2, copy, labels, BOTH)
+        assert merged.recover(2, copy, labels, BOTH)[1] in a_edges
 
 
 def test_l0_random_multiset_recovery_rate():
@@ -912,7 +1047,7 @@ def test_l0_random_multiset_recovery_rate():
         edges = {pairs[i] + (int(rng.integers(32, 64)),) for i in support}
         uu, vv, ww = (np.array(col) for col in zip(*edges))
         bank.absorb(uu, vv, ww)
-        if bank.recover(5, 0, left)[1] in edges:
+        if bank.recover(5, 0, left, BOTH)[1] in edges:
             ok += 1
     assert ok / 1000 >= 0.99
 
@@ -928,7 +1063,7 @@ def test_l0_recovery_rate_and_uniformity():
     for s in range(trials):
         bank = SketchBank(21, [1], seed=int(rng.integers(1 << 60)), copies=1, reps=4)
         bank.absorb(np.zeros(20, dtype=np.int64), np.array(support), np.full(20, 3))
-        got = bank.recover(1, 0, center)[1]
+        got = bank.recover(1, 0, center, BOTH)[1]
         if got is None:
             fails += 1
         else:
