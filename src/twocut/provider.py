@@ -68,6 +68,8 @@ class RunStats:
             "passes": self.passes,
             "tracked_words": self.tracked_words,
             "probes": self.probes,
+            "trees_packed": self.trees_packed,
+            "lambda_guesses": self.lambda_guesses,
             "wall_ms": self.wall_ms,
             "seed": seed,
         }

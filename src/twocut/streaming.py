@@ -19,23 +19,14 @@ rows over a component cancels its inner edges and exposes one boundary
 edge; one recover call does so for every component of a Boruvka sweep.
 The stream sparsifier runs proxy.peel_forests once per weight class with
 that call as its edge source: each finished forest is subtracted from the
-cells (linearity) and peeling repeats until the class is exhausted.
-
-Linearity also says which components a sweep need not sum. A component's
-cell is the sum of the net payloads of the vertex pairs that cross it, so a
-component that no pair with a nonzero net payload crosses has all-zero cells
-and recovers nothing under any copy. StreamResidual keeps those net payloads
-per class and pair, fed the bank's own updates, and each sweep sums only the
-components it marks; every forest's closing idle sweeps then read no cell.
-The residual is the simulator's view of the stream, like the provider's
-grid: it registers no words and adds no pass, and the recovered edges are
-those of summing every component.
+bank (linearity) and peeling repeats until the class is exhausted. By the
+same linearity a component's cells are the sums of the net payloads of the
+vertex pairs that cross it, which is all the bank keeps.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +102,7 @@ class StreamHarness:
         """One pass filling every cell of the sketch bank.
 
         The bank's words are registered first, so a bank over the budget is
-        refused before its cells are allocated.
+        refused before it absorbs an update.
         """
         self.register_words(bank.word_count)
         self.pass_count += 1
@@ -136,14 +127,11 @@ def _fingerprints(eids: np.ndarray) -> np.ndarray:
     return _LOW[rows, exp & 1023] * _HIGH[rows, exp >> 10] % _PRIMES  # products stay below 2**40
 
 
-CELL_FIELDS = ("w", "x", "f1", "f2")
-
-
 def _payload(n, uu, vv, wdelta):
     """How a sketch cell files signed updates: the weight class of |delta|,
-    the pair id u * n + v, and the (4, updates) cell payload, one row per
-    CELL_FIELDS entry: delta, sign(delta) * id, and fmod(delta, p) times the
-    id's fingerprint root ** (id mod (p - 1) + 1) mod p for each modulus."""
+    the pair id u * n + v, and the (4, updates) cell payload: delta,
+    sign(delta) * id, and fmod(delta, p) times the id's fingerprint
+    root ** (id mod (p - 1) + 1) mod p for each modulus."""
     cls = bit_lengths(np.abs(wdelta)) - 1
     eids = uu * n + vv
     f1, f2 = np.fmod(wdelta, _PRIMES) * _fingerprints(eids)
@@ -151,16 +139,20 @@ def _payload(n, uu, vv, wdelta):
 
 
 class SketchBank:
-    """Level-sampled one-sparse cells per (weight class, vertex, copy).
+    """Level-sampled one-sparse cells per (weight class, vertex, copy, rep, level).
 
-    Cell arrays have shape (n, copies, reps, levels) per class. A cell is 4
-    int64 words: the signed weight sum w, the signed index sum x (each update
-    adds +-1 times its edge id, so |x| <= updates * n**2 and no weight
-    enters it) and two modular fingerprints, each update adding its signed
-    weight residue times a power of its edge id. Update, merge and subtract
-    are plain addition, so a delete cancels its insert word for word; a cell
-    left with one edge has x = +-eid with the sign of w. The cells are
-    allocated on first use, so `word_count` can be charged first.
+    A cell is 4 int64 words: the signed weight sum w, the signed index sum x
+    (each update adds +-1 times its pair id, so |x| <= updates * n**2 and no
+    weight enters it) and two modular fingerprints, each update adding its
+    signed weight residue times a power of its pair id. An update adds its
+    payload to u's cells and subtracts it from v's, at every level up to its
+    pair's hashed top, so a delete cancels its insert word for word and a
+    cell left with one edge has x = +-id with the sign of w.
+
+    The model meters `word_count` words of cells. The simulator keeps only
+    what they are sums of, the net payload of every vertex pair per class
+    (int64 addition is exact modulo 2 ** 64 in any order), and sums a
+    component's cells from the pairs that cross it in `recover`.
     """
 
     def __init__(self, n, classes, seed, copies, reps=2):
@@ -174,18 +166,15 @@ class SketchBank:
         self.salts = np.array(
             [(seed * 0x9E3779B97F4A7C15 + copy * 0x100000001B3 + rep * 2654435761) % (1 << 64)
              for copy in range(copies) for rep in range(reps)], dtype=np.uint64)
+        # class -> (pair ids (k,), payload sums (4, k)) of its nonzero pairs
+        self.net = {c: (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64)) for c in self.classes}
 
     @property
     def word_count(self):
         return 4 * len(self.classes) * self.n * self.copies * self.reps * self.levels
 
-    @cached_property
-    def cells(self):
-        shape = (self.n, self.copies, self.reps, self.levels)
-        return {c: {name: np.zeros(shape, dtype=np.int64) for name in CELL_FIELDS} for c in self.classes}
-
     def _tops(self, eids, salts):
-        """Top level of each edge id under each salt (broadcast): trailing
+        """Top level of each pair id under each salt (broadcast): trailing
         one-bits of its hash, at most levels - 1."""
         with np.errstate(over="ignore"):
             h = _mix64(eids.astype(np.uint64) + salts)
@@ -194,28 +183,18 @@ class SketchBank:
         return np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1
 
     def absorb(self, uu, vv, wdelta):
-        """Scatter a batch of signed updates into every matching cell.
-
-        An update's op is the sign of its weight delta. Per class, every
-        (update, copy, rep, level up to the update's top, endpoint) becomes
-        one flat cell index, and each payload array takes one np.add.at
-        (int64, so sums stay exact).
-        """
+        """Net a batch of signed updates into the payload sums of their (class, pair)."""
         cls, eids, payload = _payload(self.n, uu, vv, wdelta)
-        pairs = len(self.salts)
-        for c in self.classes:
-            sel = np.flatnonzero(cls == c)
-            if not len(sel):
-                continue
-            depth = (self._tops(eids[sel, None], self.salts) + 1).ravel()  # levels per (update, pair)
-            slot = np.repeat(np.arange(depth.size), depth)
-            lvl = np.arange(len(slot)) - np.repeat(np.cumsum(depth) - depth, depth)
-            upd = sel[slot // pairs]
-            within = (slot % pairs) * self.levels + lvl  # offset inside one vertex row
-            idx = np.concatenate([uu[upd], vv[upd]]) * (pairs * self.levels) + np.tile(within, 2)
-            for name, val in zip(CELL_FIELDS, payload):
-                # u-side rows carry +delta, v-side -delta
-                np.add.at(self.cells[c][name].reshape(-1), idx, np.concatenate([val[upd], -val[upd]]))
+        for c in np.intersect1d(cls, self.classes).tolist():
+            sel = cls == c
+            keys, sums = self.net[c]
+            keys = np.concatenate((keys, eids[sel]))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(np.concatenate((sums, payload[:, sel]), axis=1)[:, order], starts, axis=1)
+            live = sums.any(axis=0)
+            self.net[c] = (keys[starts[live]], sums[:, live])
 
     def subtract_edges(self, edges):
         """Remove known (u, v, w) edges (linearity)."""
@@ -224,28 +203,35 @@ class SketchBank:
         uu, vv, ww = (np.asarray(col, dtype=np.int64) for col in zip(*edges))
         self.absorb(uu, vv, -ww)
 
-    def recover(self, cls, copy, labels, active):
+    def recover(self, cls, copy, labels):
         """One boundary edge per component of a vertex labelling, in class `cls`.
 
         labels is an int64 array: labels[v] in 0..k-1 names v's component,
-        and every label is used. active is a boolean mask over the k labels;
-        an inactive component gets None without its cells being read, which
-        is exact when its cells are all zero (StreamResidual.active). The
-        member rows of each active component are summed (sketch merge); it
-        then takes its first cell, sparsest level first and reps in order,
-        that verifies as a single edge leaving it. Returns k entries, each
-        (u, v, w) or None.
+        and every label is used. A component's cell is the sum of the
+        payloads of the pairs crossing it, +payload from its u side and
+        -payload from its v side, at every level up to the pair's top; the
+        pairs inside it cancel. Each component then takes its first cell,
+        sparsest level first and reps in order, that verifies as a single
+        edge leaving it; one that no nonzero pair crosses gets None unread.
+        Returns k entries, each (u, v, w) or None.
         """
-        out = [None] * len(active)
-        comps = np.flatnonzero(active)
-        if not len(comps):
+        out = [None] * (int(labels.max()) + 1)
+        keys, sums = self.net[cls]
+        sides = labels[np.stack(np.divmod(keys, self.n))]
+        cut = sides[0] != sides[1]
+        if not cut.any():
             return out
-        members = np.flatnonzero(active[labels])
-        order = members[np.argsort(labels[members], kind="stable")]
-        starts = np.searchsorted(labels[order], comps)
-        # active component sums, laid out (component, level descending, rep): the scan order
-        w, x, f1, f2 = (np.add.reduceat(arr[order, copy], starts)[:, :, ::-1].transpose(0, 2, 1)
-                        for arr in self.cells[cls].values())
+        comps, at = np.unique(sides[:, cut], return_inverse=True)
+        tops = self._tops(keys[cut, None], self.salts[copy * self.reps:(copy + 1) * self.reps])
+        # each (side, pair, rep) adds its signed payload at its top level, and
+        # a reverse cumulative sum over the levels spreads it to every level below
+        rows = (at.reshape(2, -1, 1) * self.reps + np.arange(self.reps)) * self.levels + tops
+        signed = np.concatenate((sums[:, cut], -sums[:, cut]), axis=1).repeat(self.reps, axis=1)
+        table = np.zeros((4, len(comps) * self.reps * self.levels), dtype=np.int64)
+        np.add.at(table, (slice(None), rows.ravel()), signed)
+        # component sums, laid out (component, level descending, rep): the scan order
+        w, x, f1, f2 = (np.cumsum(table.reshape(4, len(comps), self.reps, self.levels)[..., ::-1], axis=3)
+                        .transpose(0, 1, 3, 2))
         sign = np.sign(w)
         row, j, rep = np.nonzero((sign != 0) & (x * sign >= 0) & (x * sign < self.space))
         w, f1, f2, sign = w[row, j, rep], f1[row, j, rep], f2[row, j, rep], sign[row, j, rep]
@@ -264,81 +250,23 @@ class SketchBank:
         return out
 
 
-class StreamResidual:
-    """Net cell payload of every vertex pair a sketch bank has absorbed, per weight class.
-
-    Fed the same updates as the bank (the harness's stream, then each
-    subtracted forest), it keeps per class the pairs whose four payload sums
-    (_payload) are not all zero, with those sums. It is the simulator's view
-    of the stream, like CostProvider's grid over the stream's net edges: it
-    registers no words and adds no pass, and the algorithm reads nothing
-    from it but which components a sweep need not sum.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.net = {}  # class -> (endpoints (2, k), payload sums (4, k)) of its nonzero pairs
-
-    subtract_edges = SketchBank.subtract_edges  # absorb the negated edges, as the bank does
-
-    def absorb(self, uu, vv, wdelta):
-        """Add a batch of signed updates, filed by class and pair as SketchBank.absorb files them."""
-        cls, eids, payload = _payload(self.n, uu, vv, wdelta)
-        for c in np.unique(cls[cls >= 0]).tolist():  # a zero delta has no class and a zero payload
-            sel = cls == c
-            ends, sums = self.net.get(c, (np.zeros((2, 0), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)))
-            keys = np.concatenate((ends[0] * self.n + ends[1], eids[sel]))
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            sums = np.add.reduceat(np.concatenate((sums, payload[:, sel]), axis=1)[:, order], starts, axis=1)
-            live = sums.any(axis=0)
-            self.net[c] = (np.stack(np.divmod(keys[starts[live]], self.n)), sums[:, live])
-
-    def active(self, cls, labels):
-        """Mask over the components of `labels` that some nonzero pair of class
-        `cls` crosses. A component no such pair crosses has all-zero cells:
-        the pairs inside it cancel between their two endpoints' rows, and every
-        other pair adds nothing."""
-        ends = self.net.get(cls, (np.zeros((2, 0), dtype=np.int64),))[0]
-        sides = labels[ends]
-        sides = sides[:, sides[0] != sides[1]]
-        out = np.zeros(int(labels.max()) + 1, dtype=bool)
-        out[sides.ravel()] = True
-        return out
-
-
 def build_proxy_via_stream(harness: StreamHarness, eps) -> WeightedGraph:
     """Sparsifier from one sketch pass plus local per-class forest peeling.
 
     Sweep i of a forest reads sketch copy i mod copies, so a forest ends
-    once every copy in turn has failed to add an edge. The sketches are
-    linear, so a component that no pair with a nonzero net payload crosses
-    has all-zero cells and recovers nothing under any copy: a
-    StreamResidual fed the bank's updates marks the components each sweep
-    sums, and the others are never read. It is the simulator's view of the
-    stream and registers no words, so passes, words and the kept edges are
-    those of summing every component.
+    once every copy in turn has failed to add an edge.
     """
     n = harness.n
     observed = np.unique(bit_lengths(np.abs(harness.wdelta[harness.wdelta != 0])) - 1).tolist()
     copies = ceil_log2(max(n, 2)) + 2
     bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies)
     harness.fill_bank(bank)
-    residual = StreamResidual(n)
-    residual.absorb(harness.uu, harness.vv, harness.wdelta)
-
-    def subtract(forest):
-        bank.subtract_edges(forest)
-        residual.subtract_edges(forest)
-
     budget = proxy_edge_budget(n, eps)
     rounds = forests_per_class(n, eps)
     kept = []
     for cls in observed:
-        peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels,
-                                                                 residual.active(cls, labels)),
-                     subtract, rounds, copies, budget, kept)
+        peel_forests(n, lambda sweep, labels, live: bank.recover(cls, sweep % copies, labels),
+                     bank.subtract_edges, rounds, copies, budget, kept)
     return WeightedGraph(n, kept, require_connected=False)
 
 

@@ -39,7 +39,9 @@ def test_run_streaming_with_churn_matches(gstar_file, tmp_path, capsys):
     assert payload["value"] == 2
     assert payload["passes"] >= 1
     assert payload["queries"] == 0
-    assert set(payload) == {"value", "queries", "passes", "tracked_words", "probes", "wall_ms", "seed"}
+    assert set(payload) == {"value", "queries", "passes", "tracked_words", "probes", "trees_packed",
+                            "lambda_guesses", "wall_ms", "seed"}
+    assert payload["trees_packed"] >= 1 and payload["lambda_guesses"] >= 1
 
 
 def test_report_partition(gstar_file, capsys):

@@ -28,8 +28,9 @@ from twocut.graph import (
     pair_cut_value,
 )
 from twocut import provider as provider_module
+from twocut import proxy as proxy_module
 from twocut.grid import GridBlock, PoPrefixGrid
-from twocut.packing import min_cut_pipeline
+from twocut.packing import PipelineConfig, min_cut_pipeline
 from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums, tree_degrees
 from twocut.proxy import ResourceBudgetError, forests_per_class, peel_forests, proxy_edge_budget
@@ -41,7 +42,6 @@ from twocut.streaming import (
     SketchBank,
     StreamHarness,
     StreamProvider,
-    StreamResidual,
     _fingerprints,
     build_proxy_via_stream,
     stream_provider,
@@ -636,15 +636,82 @@ def test_stream_pipeline_exact_with_huge_bridge(bridge):
     assert got.value == oracle_min_cut(g).value == 7
 
 
+FINGERPRINT_ROOTS = ((1048573, 5), (1048583, 7))  # (modulus, root) per fingerprint
+
+
+class VertexCells(SketchBank):
+    """The per-vertex sketch model, the reference for SketchBank.
+
+    Per class, a (4, n, copies, reps, levels) int64 array of the cells w,
+    x, f1, f2, filled one update at a time: +payload on u's cells and
+    -payload on v's, at every level up to the update's top. recover sums
+    each component's member rows and scans its cells one at a time,
+    sparsest level first and reps in order. It counts its recover calls, and
+    the components whose summed cells are not all zero yet verify no edge.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        shape = (4, self.n, self.copies, self.reps, self.levels)
+        self.cells = {c: np.zeros(shape, dtype=np.int64) for c in self.classes}
+        self.calls = self.missed = 0
+
+    def absorb(self, uu, vv, wdelta):
+        for u, v, delta in zip(uu.tolist(), vv.tolist(), wdelta.tolist()):
+            w, op = abs(delta), (1 if delta >= 0 else -1)
+            if w.bit_length() - 1 not in self.cells:
+                continue
+            eid = u * self.n + v
+            fps = [op * (w % p) * pow(r, eid % (p - 1) + 1, p) for p, r in FINGERPRINT_ROOTS]
+            payload = np.array([delta, op * eid, *fps], dtype=np.int64)
+            reach = np.arange(self.levels) <= self._tops(np.array([eid]), self.salts)[:, None]
+            add = payload[:, None, None, None] * reach.reshape(self.copies, self.reps, self.levels)
+            cells = self.cells[w.bit_length() - 1]
+            cells[:, u] += add
+            cells[:, v] -= add
+
+    def recover(self, cls, copy, labels):
+        self.calls += 1
+        k = int(labels.max()) + 1
+        sums = np.zeros((4, k, self.reps, self.levels), dtype=np.int64)
+        np.add.at(sums, (slice(None), labels), self.cells[cls][:, :, copy])
+        out = [self._first_edge(labels, c, copy, sums[:, c].tolist()) for c in range(k)]
+        self.missed += sum(got is None and sums[:, c].any() for c, got in enumerate(out))
+        return out
+
+    def _first_edge(self, labels, c, copy, cells):
+        """The first of component c's (rep, level) cells, sparsest level first
+        and reps in order, that holds exactly one edge leaving c, as (u, v, |w|)."""
+        for lvl in reversed(range(self.levels)):
+            for rep in range(self.reps):
+                w, x, *fps = (field[rep][lvl] for field in cells)
+                sign = 1 if w > 0 else -1
+                eid = x * sign
+                if not w or not 0 <= eid < self.space:
+                    continue
+                u, v = divmod(eid, self.n)
+                u_in, v_in = labels[u] == c, labels[v] == c
+                if u >= v or u_in == v_in or sign != (1 if u_in else -1):  # u's side carries +w, v's -w
+                    continue
+                if self._tops(np.array([eid]), self.salts[copy * self.reps + rep])[0] < lvl:
+                    continue
+                if any((f - w % p * pow(r, eid % (p - 1) + 1, p)) % p
+                       for f, (p, r) in zip(fps, FINGERPRINT_ROOTS)):
+                    continue
+                return (u, v, abs(w))
+        return None
+
+
 def every_component_proxy(harness, eps, copies, reps=2):
-    """The stream sparsifier with every Boruvka sweep summing every
-    component's cells and relabelling, unions or not: the reference that
-    build_proxy_via_stream must equal in kept edges, passes, words and
-    recover calls. The sweep loop is peel_forests' own, written out, less
-    the edge budget, which no stream here comes near."""
+    """The stream sparsifier over the per-vertex model, with every Boruvka
+    sweep summing every component's cells and relabelling, unions or not:
+    the reference that build_proxy_via_stream must equal in kept edges,
+    passes, words and recover calls. The sweep loop is peel_forests' own,
+    written out, less the edge budget, which no stream here comes near.
+    Returns the kept edges in order and the reference bank."""
     n = harness.n
     observed = sorted({abs(w).bit_length() - 1 for w in harness.wdelta.tolist() if w})
-    bank = SketchBank(n, observed, seed=harness.seed ^ 0x5EED, copies=copies, reps=reps)
+    bank = VertexCells(n, observed, seed=harness.seed ^ 0x5EED, copies=copies, reps=reps)
     harness.fill_bank(bank)
     kept = []
     for cls in observed:
@@ -652,7 +719,7 @@ def every_component_proxy(harness, eps, copies, reps=2):
             labels, k, forest, sweep, idle = np.arange(n), n, [], 0, 0
             while k > 1 and idle < copies:
                 ds, grown = DisjointSets(k), len(forest)
-                for c, got in enumerate(bank.recover(cls, sweep % copies, labels, np.ones(k, dtype=bool))):
+                for c, got in enumerate(bank.recover(cls, sweep % copies, labels)):
                     if got is not None and ds.size[ds.find(c)] == 1 and ds.union(int(labels[got[0]]),
                                                                                   int(labels[got[1]])):
                         forest.append(got)
@@ -664,7 +731,7 @@ def every_component_proxy(harness, eps, copies, reps=2):
                 break
             bank.subtract_edges(forest)
             kept.extend(forest)
-    return kept
+    return kept, bank
 
 
 def stream_cases(seed, count):
@@ -679,90 +746,116 @@ def stream_cases(seed, count):
         yield g, int(rng.integers(1 << 30)), float(rng.choice([0.0, 0.3, 0.5, 1.0]))
 
 
-@pytest.mark.parametrize("copies, reps", [(None, 2), (1, 1)], ids=["bank", "one-copy-one-rep"])
-def test_stream_proxy_equals_every_component_reference(copies, reps, monkeypatch):
-    # one copy and one rep make the sketch miss edges of crossing components,
-    # so forests end early and active components recover nothing
-    if copies is not None:
-        monkeypatch.setattr(streaming, "ceil_log2", lambda x: copies - 2)
-        monkeypatch.setattr(streaming, "SketchBank", functools.partial(SketchBank, reps=reps))
-    calls, missed = Counter(), Counter()
-    recover = SketchBank.recover
+def kept_and_recover_calls(harness, eps, monkeypatch):
+    """build_proxy_via_stream's kept edges in peeling order, and its SketchBank.recover calls."""
+    calls, kept = Counter(), []
+    recover, peel = SketchBank.recover, streaming.peel_forests
 
-    def spy(bank, cls, copy, labels, active):
-        out = recover(bank, cls, copy, labels, active)
+    def counting(*args):
         calls["recover"] += 1
-        missed["active, nothing recovered"] += sum(a and got is None for a, got in zip(active.tolist(), out))
-        return out
-
-    monkeypatch.setattr(SketchBank, "recover", spy)
-    peel, kept = streaming.peel_forests, []
+        return recover(*args)
 
     def peel_keeping(*args):
         kept.append(args[-1])  # the builder's kept list, in peeling order
         return peel(*args)
 
-    monkeypatch.setattr(streaming, "peel_forests", peel_keeping)
+    with monkeypatch.context() as patch:
+        patch.setattr(SketchBank, "recover", counting)
+        patch.setattr(streaming, "peel_forests", peel_keeping)
+        proxy = build_proxy_via_stream(harness, eps)
+    got = kept[-1] if kept else []
+    assert proxy.edges == sorted(got)
+    return got, calls["recover"]
+
+
+@pytest.mark.parametrize("copies, reps", [(None, 2), (1, 1)], ids=["bank", "one-copy-one-rep"])
+def test_stream_proxy_equals_every_component_reference(copies, reps, monkeypatch):
+    # one copy and one rep make the sketch miss edges of crossing components,
+    # so forests end early with nonzero cells left unrecovered
+    if copies is not None:
+        monkeypatch.setattr(streaming, "ceil_log2", lambda x: copies - 2)
+        monkeypatch.setattr(streaming, "SketchBank", functools.partial(SketchBank, reps=reps))
+    missed = 0
     for i, (g, seed, churn) in enumerate(stream_cases(21, 64)):
         fast, slow = StreamHarness(g, seed=seed, churn=churn), StreamHarness(g, seed=seed, churn=churn)
-        kept.clear()
-        proxy = build_proxy_via_stream(fast, eps=0.1)
-        got = kept[-1] if kept else []
-        assert proxy.edges == sorted(got)
-        fast_calls = calls["recover"]
-        want = every_component_proxy(slow, 0.1, copies or ceil_log2(g.n) + 2, reps)
+        got, calls = kept_and_recover_calls(fast, 0.1, monkeypatch)
+        want, ref = every_component_proxy(slow, 0.1, copies or ceil_log2(g.n) + 2, reps)
         assert got == want, f"stream {i}"
-        assert fast_calls == calls["recover"] - fast_calls, f"stream {i}"
+        assert calls == ref.calls, f"stream {i}"
         assert (fast.pass_count, fast.tracked_words) == (slow.pass_count, slow.tracked_words), f"stream {i}"
-        calls.clear()
+        missed += ref.missed
     if copies is not None:
-        assert missed["active, nothing recovered"] > 0
+        assert missed > 0
     else:
-        assert proxy.edges == [e for e in g.edges if e[2]]  # the full bank exhausts the last graph
+        assert sorted(got) == [e for e in g.edges if e[2]]  # the full bank exhausts the last graph
 
 
-def test_components_no_nonzero_pair_crosses_have_zero_cells():
-    # a churned stream, then a subtracted forest; besides, one pair gets three
-    # 1,300,000 inserts and two subtracted 1,950,000 edges, all in class 20:
-    # its w sum is zero, but its sign and fingerprint sums are not, since the
-    # weights pass both moduli and their residues do not cancel
+def test_thin_stream_proxy_differs_from_graph_and_keeps_the_cut(monkeypatch):
+    # one to three forests per class leave a proxy that is not the graph, so
+    # Step 4 filters on a grid over the proxy instead of the tree's own index
+    grids = Counter()
+    grid = provider_module.PoPrefixGrid
+
+    def counting(*args):
+        grids["proxy filter"] += 1
+        return grid(*args)
+
+    monkeypatch.setattr(provider_module, "PoPrefixGrid", counting)
+    rng = np.random.default_rng(41)
+    graphs = [random_connected_graph(rng, 96, extra=12.0, wmax=10) for _ in range(3)]
+    for factor in (0.005, 0.001):
+        monkeypatch.setattr(proxy_module, "FOREST_FACTOR", factor)
+        for i, g in enumerate(graphs):
+            assert g.m == 1152
+            seed = 60 + i
+            got, _ = kept_and_recover_calls(StreamHarness(g, seed=seed, churn=0.5), 0.1, monkeypatch)
+            want, _ = every_component_proxy(StreamHarness(g, seed=seed, churn=0.5), 0.1, ceil_log2(g.n) + 2)
+            assert got == want
+            assert len(got) < g.m
+            grids.clear()
+            result, _ = min_cut_pipeline(g, "streaming", 0.1, seed, PipelineConfig(churn=0.5))
+            assert result.value == oracle_min_cut(g).value
+            assert grids["proxy filter"] > 0
+
+
+def test_sketch_bank_recover_equals_per_vertex_reference():
+    # a churned stream, then two subtracted forests; besides, one pair gets
+    # three 1,300,000 inserts and two subtracted 1,950,000 edges, all in
+    # class 20: its w sum is zero, but its sign and fingerprint sums are not,
+    # since the weights pass both moduli and their residues do not cancel;
+    # one more class-20 edge shares cells with it
     rng = np.random.default_rng(31)
     n = 14
     g = random_connected_graph(rng, n, extra=3.0, wmax=40)
     h = StreamHarness(g, seed=5, churn=0.8)
-    odd = (2, 9)
+    odd, other = (2, 9), (5, 11, 1_200_000)
     classes = sorted({w.bit_length() - 1 for _, _, w in g.edges} | {20})
-    bank, residual = SketchBank(n, classes, seed=8, copies=3), StreamResidual(n)
     ds, forest = DisjointSets(n), []
     for u, v, w in g.edges:
         if ds.union(u, v):
             forest.append((u, v, w))
-    for sketch in (bank, residual):
+    bank, ref = SketchBank(n, classes, seed=8, copies=3), VertexCells(n, classes, seed=8, copies=3)
+    for sketch in (bank, ref):
         sketch.absorb(h.uu, h.vv, h.wdelta)
-        sketch.absorb(np.array([odd[0]] * 3), np.array([odd[1]] * 3), np.array([1_300_000] * 3))
+        sketch.absorb(np.array([odd[0]] * 3 + [other[0]]), np.array([odd[1]] * 3 + [other[1]]),
+                      np.array([1_300_000] * 3 + [other[2]]))
         sketch.subtract_edges(forest[::2] + [odd + (1_950_000,)] * 2)
-    ends, sums = residual.net[20]
-    assert ends.T.tolist() == [list(odd)]
+        sketch.subtract_edges(forest[1::3])
+    keys, sums = bank.net[20]
+    assert keys.tolist() == [odd[0] * n + odd[1], other[0] * n + other[1]]
     assert sums[0, 0] == 0 and (sums[1:, 0] != 0).all()
     checked = Counter()
     for _ in range(40):
         k = int(rng.integers(2, n + 1))
         labels = np.unique(rng.integers(k, size=n), return_inverse=True)[1].reshape(-1)
         for c in classes:
-            active = residual.active(c, labels)
-            comp = np.zeros((len(active), *bank.cells[c]["w"].shape[1:]), dtype=np.int64)
-            zero = np.ones(len(active), dtype=bool)
-            for cells in bank.cells[c].values():
-                comp[:] = 0
-                np.add.at(comp, labels, cells)
-                zero &= ~comp.reshape(len(active), -1).any(axis=1)
-            assert not (~active & ~zero).any()  # inactive components have all-zero cells
-            checked["inactive"] += int((~active).sum())
-            if c == 20 and labels[odd[0]] != labels[odd[1]]:
-                # only the odd pair crosses: its components are active, and their cells nonzero
-                assert active[labels[list(odd)]].all() and not zero[labels[list(odd)]].any()
-                checked["odd pair split"] += 1
-    assert checked["inactive"] > 100 and checked["odd pair split"] > 0
+            for copy in range(bank.copies):
+                got = bank.recover(c, copy, labels)
+                assert got == ref.recover(c, copy, labels), (c, copy, labels.tolist())
+                checked["edges"] += sum(e is not None for e in got)
+        if labels[odd[0]] != labels[odd[1]]:
+            checked["odd pair split"] += 1
+    assert checked["edges"] > 1000 and checked["odd pair split"] > 0 and ref.missed > 0
 
 
 def test_stream_word_budget_refuses_bank_before_allocating(monkeypatch):
@@ -779,7 +872,7 @@ def test_stream_word_budget_refuses_bank_before_allocating(monkeypatch):
     with pytest.raises(ResourceBudgetError):
         min_cut_pipeline(g, "streaming", rng=1)
     assert len(banks) == 1
-    assert "cells" not in vars(banks[0])  # no cell array was allocated
+    assert not any(len(keys) for keys, _ in banks[0].net.values())  # the bank absorbed no update
 
 
 # ---- forest peeling ----
@@ -930,47 +1023,38 @@ def side_labels(n, side):
     return np.array([int(v in side) for v in range(n)])
 
 
-BOTH = np.ones(2, dtype=bool)  # recover's active mask over side_labels' two components
-
-
 def test_l0_single_edge_roundtrip():
     bank = SketchBank(10, [2], seed=5, copies=1)
     bank.absorb(np.array([3]), np.array([7]), np.array([4]))
-    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [(3, 7, 4), (3, 7, 4)]
+    assert bank.recover(2, 0, side_labels(10, {3})) == [(3, 7, 4), (3, 7, 4)]
     bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
-    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [None, None]
+    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
     # a net delete leaves -w on u's side, which no real edge does
     bank.absorb(np.array([3]), np.array([7]), np.array([-4]))
-    assert bank.recover(2, 0, side_labels(10, {3}), BOTH) == [None, None]
+    assert bank.recover(2, 0, side_labels(10, {3})) == [None, None]
 
 
 def test_sketch_bank_absorb_matches_per_update_loop():
-    # the flat-index scatter against one cell at a time, on a churned stream
+    # the netted store against one update at a time, on a churned stream
     rng = np.random.default_rng(23)
     g, _ = random_instance(rng, 9, 9, wmax=1 << 32)
     h = StreamHarness(g, seed=4, churn=1.0)
     classes = sorted({w.bit_length() - 1 for _, _, w in g.edges})
-    bank = SketchBank(g.n, classes, seed=12, copies=3)
+    bank = SketchBank(g.n, classes[1:], seed=12, copies=3)  # a class the bank lacks is dropped
     bank.absorb(h.uu, h.vv, h.wdelta)
-    want = {c: {name: np.zeros_like(arr) for name, arr in bank.cells[c].items()} for c in classes}
-    primes, roots = (1048573, 1048583), (5, 7)
+    want = {}
     for u, v, delta in zip(h.uu.tolist(), h.vv.tolist(), h.wdelta.tolist()):
         w, op = abs(delta), (1 if delta >= 0 else -1)
         eid = u * g.n + v
-        fps = [op * (w % p) * pow(r, eid % (p - 1) + 1, p) for p, r in zip(primes, roots)]
-        for copy in range(bank.copies):
-            for rep in range(bank.reps):
-                top = int(bank._tops(np.array([eid]), bank.salts[copy * bank.reps + rep])[0])
-                for lvl in range(top + 1):
-                    for x, side in ((u, 1), (v, -1)):
-                        cell = want[w.bit_length() - 1]
-                        cell["w"][x, copy, rep, lvl] += side * op * w
-                        cell["x"][x, copy, rep, lvl] += side * op * eid
-                        cell["f1"][x, copy, rep, lvl] += side * fps[0]
-                        cell["f2"][x, copy, rep, lvl] += side * fps[1]
-    for c in classes:
-        for name in ("w", "x", "f1", "f2"):
-            assert np.array_equal(bank.cells[c][name], want[c][name]), (c, name)
+        fps = [op * (w % p) * pow(r, eid % (p - 1) + 1, p) for p, r in FINGERPRINT_ROOTS]
+        sums = want.setdefault(w.bit_length() - 1, {}).setdefault(eid, [0, 0, 0, 0])
+        for i, val in enumerate((delta, op * eid, *fps)):
+            sums[i] += val
+    assert sorted(bank.net) == classes[1:]
+    for c in classes[1:]:
+        keys, sums = bank.net[c]
+        assert dict(zip(keys.tolist(), sums.T.tolist())) == {e: s for e, s in want[c].items() if any(s)}
+        assert keys.tolist() == sorted(keys.tolist())
 
 
 def reference_tops(bank, eids, salts):
@@ -1007,13 +1091,13 @@ def test_sketch_bank_recovers_crafted_large_edge():
     bank = SketchBank(n, [60], seed=7, copies=1)
     bank.absorb(np.array([4094]), np.array([4095]), np.array([w]))
     edge = (4094, 4095, w)
-    assert bank.recover(60, 0, side_labels(n, {4094}), BOTH) == [edge, edge]
-    assert bank.recover(60, 0, side_labels(n, set(range(n)) - {4095}), BOTH) == [edge, edge]
+    assert bank.recover(60, 0, side_labels(n, {4094})) == [edge, edge]
+    assert bank.recover(60, 0, side_labels(n, set(range(n)) - {4095})) == [edge, edge]
 
 
 def test_l0_linearity():
-    # sketch(A) + sketch(B) - sketch(B) leaves cells (hence recovery)
-    # identical to sketch(A)
+    # sketch(A) + sketch(B) - sketch(B) leaves the net store (hence every
+    # cell and recovery) identical to sketch(A)
     a_edges = [(0, 3, 4), (1, 5, 5)]
     b_edges = [(2, 6, 7), (0, 3, 6)]
 
@@ -1027,12 +1111,13 @@ def test_l0_linearity():
     absorb(merged, a_edges)
     absorb(merged, b_edges)
     absorb(merged, b_edges, -1)
-    for name, cells in merged.cells[2].items():
-        assert np.array_equal(cells, a.cells[2][name])
+    assert sorted(merged.net) == sorted(a.net) == [2]
+    for got, want in zip(merged.net[2], a.net[2]):
+        assert np.array_equal(got, want)
     labels = side_labels(8, {0, 1})
     for copy in range(2):
-        assert merged.recover(2, copy, labels, BOTH) == a.recover(2, copy, labels, BOTH)
-        assert merged.recover(2, copy, labels, BOTH)[1] in a_edges
+        assert merged.recover(2, copy, labels) == a.recover(2, copy, labels)
+        assert merged.recover(2, copy, labels)[1] in a_edges
 
 
 def test_l0_random_multiset_recovery_rate():
@@ -1047,7 +1132,7 @@ def test_l0_random_multiset_recovery_rate():
         edges = {pairs[i] + (int(rng.integers(32, 64)),) for i in support}
         uu, vv, ww = (np.array(col) for col in zip(*edges))
         bank.absorb(uu, vv, ww)
-        if bank.recover(5, 0, left, BOTH)[1] in edges:
+        if bank.recover(5, 0, left)[1] in edges:
             ok += 1
     assert ok / 1000 >= 0.99
 
@@ -1063,7 +1148,7 @@ def test_l0_recovery_rate_and_uniformity():
     for s in range(trials):
         bank = SketchBank(21, [1], seed=int(rng.integers(1 << 60)), copies=1, reps=4)
         bank.absorb(np.zeros(20, dtype=np.int64), np.array(support), np.full(20, 3))
-        got = bank.recover(1, 0, center, BOTH)[1]
+        got = bank.recover(1, 0, center)[1]
         if got is None:
             fails += 1
         else:
