@@ -1,9 +1,11 @@
 """Min cut through a counted cut-query oracle.
 
 The graph hides behind one operation: the weight crossing a bipartition.
-Crossings between two sets cost 3 queries, recovering one boundary edge
-costs O(log n) by bisection, and the whole pipeline stays well under the
-n log^3 n budget because the search prices each candidate cut at one query.
+Crossings between two sets cost at most 3 queries; sides asked before are
+free. Recovering one boundary edge costs O(log n) by bisection, and the
+whole pipeline stays well under the n log^3 n budget because the search
+prices each candidate cut at one query, and the pipeline's sparsifier and
+search never pay twice for one side or its complement.
 """
 
 import numpy as np

@@ -3,10 +3,20 @@
 A CutOracle hides the weighted graph behind a single operation: the total
 weight crossing a vertex bipartition, one query per call. Everything else
 is built from that: crossings between disjoint sets cost three queries,
-recovering one edge leaving a set costs O(log n) by interval bisection
-(recover_crossing_edge, with the forests already found subtracted locally
-by PeeledEdges, at no query), and the search's requests cost one query each
-because the requesting side knows its partition already.
+cut(A) + cut(B) - cut(A + B) (oracle_cross_weight), recovering one edge
+leaving a set costs O(log n) by interval bisection (recover_crossing_edge,
+with the forests already found subtracted locally by PeeledEdges, at no
+query), and the search's requests cost one query per side they ask, because
+the requesting side knows its partition already.
+
+A querier never asks a side twice. The sparsifier build and QueryProvider
+each keep a CutCache of the sides they have asked, a side and its
+complement counting as one since they have one cut, and charge query_count
+only for sides new to it. The cache names a side by a 64-bit key: the
+wrapping sum h of one random word per vertex, folded with the sum T over
+all vertices as min(h, T - h). Over N distinct sides the chance that any
+two share a key is below N^2 2^-64; a shared key would only undercount the
+meter, never change a value, since values are read off the hidden edges.
 
 The sparsifier is peeled out of the oracle by proxy.peel_forests: one
 bisection per component still unmerged in its Boruvka sweep. With
@@ -15,20 +25,22 @@ graph, since a half has nonzero residual crossing weight exactly when one
 of its vertices has a residual edge to the fixed side. For a component C
 it ends at far, the least vertex outside C joined to C by a positive-weight
 edge, and near, the least vertex of C joined to far, with that edge's
-weight, after exactly 1 + 3 (h(rank of far outside C, n - |C|) + h(rank of
-near in C, |C|)) queries: cut(C), then three per halving, h(p, L) being
-the halvings that reach position p of L candidates (a half is a strict
-subset of the candidates, so oracle_cross_weight never skips its third
-query). When C has no such edge it costs 1 query. bisection_outcomes reads
-every component's outcome and price off the hidden edges in one pass per
-sweep, and build_proxy_via_oracle charges each price as peel_forests admits
-the component, so query_count is what the bisections would have spent.
+weight. It asks cut(C); for each halving of the vertices outside C, the
+half H and C + H (and C again); cut({far}) when C has two or more
+vertices; and for each halving of C, H and {far} + H. A halving of L
+candidates in vertex order asks the first floor(L / 2) of them, whichever
+half it keeps, so oracle_cross_weight never skips its third query. When C
+has no such edge it asks cut(C) alone. bisection_outcomes reads every
+component's outcome and the word sums of its sides off the hidden edges in
+one pass per sweep, and build_proxy_via_oracle charges the sides of the
+components peel_forests admits, so query_count is what the bisections would
+have spent, repeats free.
 
 The oracle only answers cut queries. Like the sparsifier build,
 QueryProvider reads the oracle's hidden edges as a simulator speed path: it
 hands them to CostProvider, which answers the search's requests from one
-grid over them per tree, and still charges query_count for every request
-exactly as the model prices it.
+grid over them per tree, and still charges query_count for every side a
+request's queries ask that the provider has not asked before.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph
-from .provider import B_DEG, CROSS_COEF, IS_SUB, CostProvider
+from .provider import CROSS_NESTED, CROSS_SUB, CostProvider
 from .proxy import build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
 
 
@@ -165,30 +177,73 @@ def recover_crossing_edge(oracle: CutOracle, side, peeled=None):
     return near, far, weight
 
 
-def _halvings(p, size):
-    """How many halvings the bisection of recover_crossing_edge makes to
-    reach position p of `size` candidates (int64 arrays): each one keeps
-    the first floor(size / 2) candidates when p lies among them, else the
-    rest."""
-    p, size = np.asarray(p, dtype=np.int64), np.asarray(size, dtype=np.int64)
-    count = np.zeros_like(size)
-    while (size > 1).any():
-        go = size > 1
-        half = size // 2
-        first = p < half
-        count += go
-        p = np.where(go & ~first, p - half, p)
-        size = np.where(go, np.where(first, half, size - half), size)
-    return count
+CUT_CACHE_SEED = 2019  # seeds the vertex words of every CutCache
 
 
-def bisection_outcomes(oracle: CutOracle, alive, labels):
+class CutCache:
+    """The sides one querier has asked of its oracle, by 64-bit key (see the
+    module docstring): asking a side again, or its complement, costs nothing.
+
+    A side is handed over as the wrapping uint64 sum of `words` over its
+    vertices; the keys seen are kept in one sorted uint64 array.
+    """
+
+    def __init__(self, oracle: CutOracle):
+        self.oracle = oracle
+        self.words = np.random.default_rng(CUT_CACHE_SEED).integers(
+            0, np.iinfo(np.uint64).max, size=oracle.n, dtype=np.uint64, endpoint=True)
+        self.total = self.words.sum()
+        self.seen = np.zeros(0, dtype=np.uint64)
+
+    def key(self, sums):
+        """The keys of sides with these word sums; a side and its complement share one."""
+        return np.minimum(sums, self.total - sums)
+
+    def charge(self, sums):
+        """Count one query on the oracle for each distinct side among `sums`
+        (uint64 word sums) that was not asked before, and remember them."""
+        merged = np.concatenate((self.seen, np.sort(self.key(sums))))
+        merged.sort(kind="stable")  # two sorted runs: one merge
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        self.oracle.query_count += int(first.sum()) - len(self.seen)
+        self.seen = merged[first]
+
+
+def _prefix_sums(words):
+    """Wrapping uint64 sums of the first 0..L of the L words along the last axis."""
+    out = np.zeros((*words.shape[:-1], words.shape[-1] + 1), dtype=np.uint64)
+    np.cumsum(words, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _halves(problems, p, size):
+    """(problem, lo, mid) of every halving that the bisection of
+    recover_crossing_edge makes to reach rank p[q] among size[q] candidates,
+    for each q in `problems` (int64 arrays): each asks ranks lo..mid-1, the
+    first floor(L / 2) of the L candidates left, and keeps them when p lies
+    among them, else the rest."""
+    c, p, lo, hi = problems, p[problems], np.zeros(len(problems), dtype=np.int64), size[problems]
+    out = [(c[:0], lo[:0], lo[:0])]
+    while len(c):
+        go = hi - lo > 1
+        c, p, lo, hi = c[go], p[go], lo[go], hi[go]
+        mid = (lo + hi) // 2
+        out.append((c, lo, mid))
+        first = p < mid
+        lo, hi = np.where(first, lo, mid), np.where(first, mid, hi)
+    return (np.concatenate(col) for col in zip(*out))
+
+
+def bisection_outcomes(oracle: CutOracle, words, alive, labels):
     """For every component of `labels`, what recover_crossing_edge would
-    return and charge on the residual graph of the oracle's edges with
-    alive[i] (in the oracle's edge order), read off those edges in one pass
-    and without a query; the module docstring says why both are fixed.
-    Returns int64 arrays (near, far, weight, queries) over the labels,
-    weight 0 where the bisection would return None.
+    return on the residual graph of the oracle's edges with alive[i] (in the
+    oracle's edge order), and the sides it would ask, read off those edges in
+    one pass and without a query; the module docstring says why both are
+    fixed. Returns int64 arrays (near, far, weight) over the labels, weight 0
+    where the bisection would return None, then every side asked as its
+    uint64 sum of `words` (one per vertex), with the label of the component
+    that asks it.
     """
     n, ew = oracle.n, oracle._ew
     keys = oracle._eu * n + oracle._ev
@@ -209,8 +264,30 @@ def bisection_outcomes(oracle: CutOracle, alive, labels):
     c = np.arange(k) * n
     start, near_at, far_at = np.searchsorted(by_label, np.stack((c, c + near, c + far)))
     size = np.bincount(labels, minlength=k)
-    queries = 1 + 3 * (_halvings(far - (far_at - start), n - size) + _halvings(near_at - start, size))
-    return near, far, weight, np.where(found, queries, 1)
+    owner, members = np.divmod(by_label, n)
+    # word sums of rank ranges: the outside vertex of rank q is q + j, j being
+    # the members m_i (i-th of C) with m_i - i <= q
+    every, inside = _prefix_sums(words), _prefix_sums(words[members])
+    gaps = owner * (n + 1) + members - (np.arange(n) - start[owner])
+
+    def outside(c, q):
+        j = np.searchsorted(gaps, c * (n + 1) + q, side="right") - start[c]
+        return every[q + j] - (inside[start[c] + j] - inside[start[c]])
+
+    whole = inside[start + size] - inside[start]
+    comps = np.flatnonzero(found)
+    # the far bisection of component c is problem c, its near one problem k + c
+    problems = np.concatenate((comps, k + comps))
+    q, lo, mid = _halves(problems, np.concatenate((far - (far_at - start), near_at - start)),
+                         np.concatenate((n - size, size)))
+    is_far = q < k
+    fc, nc = q[is_far], q[~is_far] - k
+    far_half = outside(fc, mid[is_far]) - outside(fc, lo[is_far])
+    near_half = inside[start[nc] + mid[~is_far]] - inside[start[nc] + lo[~is_far]]
+    halving = comps[size[comps] > 1]  # these ask cut({far})
+    sums = np.concatenate((whole, far_half, whole[fc] + far_half, words[far[halving]], near_half,
+                           words[far[nc]] + near_half))
+    return near, far, weight, sums, np.concatenate((np.arange(k), fc, fc, halving, nc, nc))
 
 
 def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
@@ -221,26 +298,26 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     queries, so the forests are peeled from the full residual graph; at the
     scales the budgets are asserted on, peeling exhausts the graph and the
     proxy is exact. Each sweep's recoveries are recover_crossing_edge's
-    bisections, whose outcomes and prices (1 + 3 halvings per component,
-    see the module docstring) bisection_outcomes reads at once off the
-    hidden edges. Recovery stays lazy: query_count is charged a component's
-    exact price only when peel_forests admits it, so a component merged
-    earlier in its sweep costs no query. A finished forest is subtracted by
-    clearing its edges in an alive mask over the oracle's sorted edge keys.
-    The oracle still answers nothing but cut queries.
+    bisections, whose outcomes and sides bisection_outcomes reads at once
+    off the hidden edges. Recovery stays lazy: after the sweep, one CutCache
+    for the whole build is charged the sides of the components peel_forests
+    admitted, so a component merged earlier in its sweep asks nothing and
+    no side is paid for twice. A finished forest is subtracted by clearing
+    its edges in an alive mask over the oracle's sorted edge keys. The
+    oracle still answers nothing but cut queries.
     """
     n = oracle.n
     keys = oracle._eu * n + oracle._ev
     alive = np.ones(len(keys), dtype=bool)
+    cache = CutCache(oracle)
 
     def recover(sweep, labels, live):
-        near, far, weight, queries = (col.tolist() for col in bisection_outcomes(oracle, alive, labels))
-        for c in range(len(near)):
-            if not live(c):
-                yield None
-                continue
-            oracle.query_count += queries[c]
-            yield (near[c], far[c], weight[c]) if weight[c] else None
+        near, far, weight, sums, askers = bisection_outcomes(oracle, cache.words, alive, labels)
+        admitted = []
+        for got in zip(near.tolist(), far.tolist(), weight.tolist()):
+            admitted.append(live(len(admitted)))
+            yield got if admitted[-1] and got[2] else None
+        cache.charge(sums[np.array(admitted)[askers]])
 
     def subtract(forest):
         a, b, _ = np.array(forest, dtype=np.int64).T
@@ -251,41 +328,59 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
 
 
 class QueryProvider(CostProvider):
-    """Requests priced per the model: subtree cuts and pair cuts one query,
-    subtree crossings three (two when the sides cover V)."""
+    """Requests priced per the model, one cut query for each side they ask
+    (see _query_sides) that this provider has not asked before, by one
+    CutCache for all its trees. It keeps the word sum of every subtree side
+    of each slot, from one prefix sum over the tree's post-order."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
         super().__init__(oracle.n, proxy, (oracle._eu, oracle._ev, oracle._ew))
         self.oracle = oracle
+        self.cache = CutCache(oracle)
+        self._sub = np.zeros((0, oracle.n), dtype=np.uint64)
         self.stats.queries = oracle.query_count
 
     def _eval_unique(self, rows):
-        self.oracle.query_count += _query_cost(self._size, rows)
+        k = len(self._sub)
+        if k < len(self._trees):
+            prefix = _prefix_sums(self.cache.words[np.array([t.order for t in self._trees[k:]])])
+            sub = np.take_along_axis(prefix, self._hi[k:] + 1, 1) - np.take_along_axis(prefix, self._lo[k:], 1)
+            self._sub = np.vstack((self._sub, sub))
+        self.cache.charge(_query_sides(self._size, self._sub, rows))
         self.stats.queries = self.oracle.query_count
         return self._values(rows)
 
 
-def _query_cost(size, rows) -> int:
-    """Cut queries behind request rows (slot, kind, a, b), given the (slots, n)
-    subtree sizes of their trees (see provider.py for the kinds).
+# per request kind, the sides its cut queries ask, each x sub a + y sub b for
+# (x, y) = (SIDE_X, SIDE_Y)[kind, j]: a subtree or pair cut asks one side
+# (j = 0), a crossing of A and B asks A, B and A + B (j = 0, 1, 2), and for
+# a CrossNested, B = V - sub a and A + B = V - (sub a - sub b) are asked as
+# their complements
+SIDE_X = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])
+SIDE_Y = np.array([[0, 0, 0], [0, 1, 1], [1, 0, -1], [0, 0, 0], [1, 0, 0], [-1, 0, 0]])
 
-    A subtree or pair cut is one query on its side: sub(a) plus (orthogonal)
-    or minus (nested) sub(b). A crossing of sides A = sub(b) and B = sub(a)
-    (CrossSub) or V - sub(a) (CrossNested) is three, cut(A) + cut(B) -
-    cut(A + B), or two when A + B is all of V. ValueError when a side is
+
+def _query_sides(size, sub, rows):
+    """Word sums (uint64) of the sides that the cut queries behind request
+    rows (slot, kind, a, b) ask, given the (slots, n) subtree sizes and
+    subtree word sums of their trees (see provider.py for the kinds). The
+    sides of a CrossNested with a = b cover V, so its third is not asked.
+    ValueError when a cut's side, or one of the two sides of a crossing, is
     empty or all of V, as for CutOracle.cut.
     """
     n = size.shape[1]
     slot, kind, a, b = rows.T
+    cross = np.flatnonzero((kind == CROSS_SUB) | (kind == CROSS_NESTED))
+    third = cross[(kind[cross] == CROSS_SUB) | (a[cross] != b[cross])]
+    asked = ((slice(None), 0), (cross, 1), (third, 2))  # (rows, j)
     sa, sb = size[slot, a], size[slot, b]
-    sub = IS_SUB[kind]
-    cut = CROSS_COEF[kind] != 1
-    side_a = np.where(cut, sa + B_DEG[kind] * np.where(sub, sb, -sb), sb)
-    side_b = np.where(sub, sa, n - sa)
-    sides = np.concatenate((side_a, side_b[~cut]))
-    if ((sides <= 0) | (sides >= n)).any():
-        raise ValueError("side must be a proper nonempty subset")
-    return int(np.where(cut, 1, 3 - (side_a + side_b == n)).sum())
+    for r, j in asked[:2]:
+        sides = SIDE_X[kind[r], j] * sa[r] + SIDE_Y[kind[r], j] * sb[r]
+        if ((sides <= 0) | (sides >= n)).any():
+            raise ValueError("side must be a proper nonempty subset")
+    ha, hb = sub[slot, a], sub[slot, b]
+    x, y = SIDE_X.astype(np.uint64), SIDE_Y.astype(np.uint64)  # -1 wraps to 2^64 - 1
+    return np.concatenate([x[kind[r], j] * ha[r] + y[kind[r], j] * hb[r] for r, j in asked])
 
 
 def query_provider(oracle: CutOracle, eps=0.1, rng=None) -> QueryProvider:

@@ -102,7 +102,7 @@ class CostProvider:
     in `_dense`: whether its trees get block grids (else merge-sort trees).
     Every tree it serves spans the same n vertices and gets a slot on first
     sight, which is its row in the (slots, n) tables: subtree sizes (the
-    cut-query model prices sides by them), post-order ranges lo and hi,
+    cut-query model checks its sides by them), post-order ranges lo and hi,
     subtree degrees, and which DegSubtree requests were already charged
     (answered again for free); and its GridBlock and table offset there.
     """

@@ -12,8 +12,8 @@ recovery and forest subtraction. An in-memory graph is peeled class by
 class from its known edges (`first_leaving`, which also grows the packed
 trees of packing.py). A counted cut-query oracle and a dynamic stream hide
 their edges: the oracle's recovery is the outcome of an interval bisection
-of each component, read for a whole sweep at once and charged its exact
-cut queries (cutquery.py), the stream's comes from linear sketches of one
+of each component, read for a whole sweep at once and charged the cut
+queries of the sides it asks for the first time (cutquery.py), the stream's comes from linear sketches of one
 weight class (streaming.py). This module owns the sweep loop, the known-edge
 recovery, the direct route and the budgets.
 """

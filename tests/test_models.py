@@ -8,6 +8,7 @@ import pytest
 
 from twocut import cutquery, packing
 from twocut.cutquery import (
+    CutCache,
     CutOracle,
     PeeledEdges,
     QueryProvider,
@@ -169,8 +170,42 @@ def residual_cases(seed, count):
         yield rng, g
 
 
+def side_key(n, side):
+    """A side as the frozenset of its vertices, complemented when it holds
+    vertex 0: a side and its complement, which have one cut, share one key."""
+    side = frozenset(side)
+    return frozenset(range(n)) - side if 0 in side else side
+
+
+class DistinctSides:
+    """A memo front around a CutOracle that asks it each side once, by
+    side_key: the exact count of distinct sides that CutCache counts by
+    hashing. recover_crossing_edge and oracle_cross_weight run through it
+    unchanged; `sides` holds the keys of the sides asked."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n, self._mask = oracle, oracle.n, oracle._mask
+        self.sides = {}
+
+    @property
+    def query_count(self):
+        return self.oracle.query_count
+
+    def cut(self, side):
+        mask = self._mask(side)
+        key = side_key(self.n, np.flatnonzero(mask).tolist())
+        if key not in self.sides:
+            self.sides[key] = self.oracle.cut(mask)
+        return self.sides[key]
+
+
+def cache_keys(cache, sides):
+    """CutCache keys of vertex sets, each summed directly over its vertices."""
+    return set(cache.key(np.array([cache.words[list(s)].sum() for s in sides], dtype=np.uint64)).tolist())
+
+
 def test_bisection_outcomes_equal_recover_crossing_edge():
-    # every component's outcome and query count, against one bisection on the residual graph
+    # every component's outcome and the sides it asks, against one bisection on the residual graph
     for rng, g in residual_cases(11, 60):
         peeled = rng.random(g.m) < rng.choice([0.0, 0.3, 0.8])
         k = int(rng.integers(2, g.n + 1))
@@ -178,21 +213,23 @@ def test_bisection_outcomes_equal_recover_crossing_edge():
         if labels.max() == 0:
             labels[int(rng.integers(g.n))] = 1
         oracle = CutOracle(g)
-        near, far, weight, queries = bisection_outcomes(oracle, ~peeled, labels)
-        assert oracle.query_count == 0
+        cache = CutCache(oracle)
+        near, far, weight, sums, askers = bisection_outcomes(oracle, cache.words, ~peeled, labels)
+        assert oracle.query_count == 0 and sums.dtype == np.uint64
         residual = PeeledEdges()
         residual.extend([e for e, p in zip(g.edges, peeled) if p])
         for c in range(int(labels.max()) + 1):
-            before = oracle.query_count
-            got = recover_crossing_edge(oracle, labels == c, peeled=residual)
+            front = DistinctSides(oracle)
+            got = recover_crossing_edge(front, labels == c, peeled=residual)
             assert got == ((int(near[c]), int(far[c]), int(weight[c])) if weight[c] else None)
-            assert oracle.query_count - before == queries[c]
+            assert set(cache.key(sums[askers == c]).tolist()) == cache_keys(cache, front.sides)
 
 
 def lazy_bisection_proxy(oracle, eps):
     """The oracle sparsifier by one recover_crossing_edge call per component
     still unmerged in its sweep, peeled forests subtracted locally: the
-    reference build_proxy_via_oracle must equal in edges and queries."""
+    reference build_proxy_via_oracle must equal in edges, and through
+    DistinctSides in queries."""
     n, peeled = oracle.n, PeeledEdges()
 
     def recover(sweep, labels, live):
@@ -205,7 +242,7 @@ def lazy_bisection_proxy(oracle, eps):
 
 def test_oracle_proxy_equals_lazy_bisection_reference():
     for _, g in residual_cases(12, 44):
-        fast, slow = CutOracle(g), CutOracle(g)
+        fast, slow = CutOracle(g), DistinctSides(CutOracle(g))
         assert build_proxy_via_oracle(fast, eps=0.1).edges == lazy_bisection_proxy(slow, eps=0.1).edges
         assert fast.query_count == slow.query_count
 
@@ -232,28 +269,30 @@ def test_query_provider_costs():
     g, t = make_gstar()
     oracle = CutOracle(g)
     provider = QueryProvider(oracle, proxy=None)
+    # the tree is 0 - 1 - 2 and 0 - 3 - 4 rooted at 0; a side asked before, or
+    # its complement, costs nothing
     base = oracle.query_count
     vals = provider.batch_eval([(t, PairCut(TreeEdgePair("orthogonal", 1, 3)))])
     assert vals == [2]
-    assert oracle.query_count - base == 1
+    assert oracle.query_count - base == 1  # {1, 2, 3, 4}
     base = oracle.query_count
     provider.batch_eval([(t, DegSubtree(3))])
-    assert oracle.query_count - base == 1
+    assert oracle.query_count - base == 1  # {3, 4}
     base = oracle.query_count
     provider.batch_eval([(t, CrossSub(1, 3))])
-    assert oracle.query_count - base == 3
+    assert oracle.query_count - base == 1  # {1, 2}; {3, 4} and their union are known
     base = oracle.query_count
     provider.batch_eval([(t, CrossNested(2, 1))])
-    assert oracle.query_count - base == 3
-    # sides that cover V need no third cut
+    assert oracle.query_count - base == 2  # {2} and {1}; V - {1, 2} is known
+    # sides that cover V need no third cut, and these two are known
     base = oracle.query_count
     assert provider.batch_eval([(t, CrossNested(2, 2))]) == [cut_of_partition(g, t.subtree(2))]
-    assert oracle.query_count - base == 2
-    # b pair-cut requests cost exactly b queries
+    assert oracle.query_count - base == 0
+    # of the four single-edge cuts only {4} is new
     kids = [TreeEdgePair("single", v) for v in (1, 2, 3, 4)]
     base = oracle.query_count
     provider.batch_eval([(t, PairCut(p)) for p in kids])
-    assert oracle.query_count - base == 4
+    assert oracle.query_count - base == 1
 
 
 # ---- provider value equivalence ----
@@ -302,15 +341,33 @@ def brute_value(g, t, req):
     return pair_cut_value(g, t, req.pair)
 
 
-def model_queries(t, req):
-    """The cut-query price of one request, from its vertex sets."""
+def model_sides(t, req):
+    """The side_keys of the sides that the cut queries behind one request
+    ask, from its vertex sets: a crossing of A and B asks A, B and A + B
+    (not when A + B is V), a cut its one side."""
+    def sub(v):
+        return set(t.subtree(v))
+
     if isinstance(req, CrossSub):
-        a, b = set(t.subtree(req.u)), set(t.subtree(req.v))
+        a, b = sub(req.u), sub(req.v)
+        sides = [a, b, a | b]
     elif isinstance(req, CrossNested):
-        a, b = set(t.subtree(req.v)), set(range(t.n)) - set(t.subtree(req.u))
+        a, b = sub(req.v), set(range(t.n)) - sub(req.u)
+        sides = [a, b, a | b]
+    elif isinstance(req, DegSubtree):
+        sides = [sub(req.v)]
     else:
-        return 1
-    return 2 if len(a | b) == t.n else 3
+        p = req.pair
+        sides = [sub(p.a) if p.kind == "single" else sub(p.a) | sub(p.b) if p.kind == "orthogonal"
+                 else sub(p.a) - sub(p.b)]
+    return {side_key(t.n, s) for s in sides if len(s) < t.n}
+
+
+def new_sides(items, asked):
+    """How many distinct sides the requests of items ask beyond `asked`, which gains them."""
+    sides = set().union(*(model_sides(t, req) for t, req in items)) - asked
+    asked |= sides
+    return len(sides)
 
 
 PROVIDERS = {
@@ -332,14 +389,14 @@ def test_batch_interleaves_trees_in_input_order(mode):
     assert len({t for t, _ in batch[:40]}) > 1
     provider = PROVIDERS[mode](g)
     fresh = {(t, req): (t, req) for t, req in batch}
-    for _ in range(2):  # the second round answers degrees from the cache
+    asked = set()
+    for _ in range(2):  # the second round answers degrees from the cache, and asks no side again
         queries, passes, words = (getattr(provider.stats, k) for k in ("queries", "passes", "tracked_words"))
         got = provider.batch_eval(batch)
         assert got == [brute_value(g, t, req) for t, req in batch]
         assert all(type(x) is int for x in got)
         if mode == "cut-query":
-            want = sum(model_queries(t, req) for t, req in fresh.values())
-            assert provider.stats.queries - queries == want
+            assert provider.stats.queries - queries == new_sides(batch, asked)
         if mode == "streaming":
             assert provider.stats.passes - passes == 1
             assert provider.stats.tracked_words - words == len(fresh)
@@ -372,21 +429,23 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
         after = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
         return tuple(b - a for a, b in zip(before, after))
 
-    # a mirror and a repeat are one request; a single PairCut is metered apart from its DegSubtree
+    # a mirror and a repeat are one request; a single PairCut is metered apart
+    # from its DegSubtree, though the cut-query model asks their one side once
     want = {
         "sequential": (0, 0, 0),
-        "cut-query": (sum(model_queries(t, req) for t, req in distinct), 0, 0),
+        "cut-query": (new_sides(distinct, set()), 0, 0),
         "streaming": (0, 1, len(distinct)),
     }
     assert deltas(batch) == want[mode]
     # DegSubtrees already charged cost nothing, not even a pass
     assert deltas([item for item in batch if isinstance(item[1], DegSubtree)]) == (0, 0, 0)
-    # other requests on trees already seen are metered again, and no index is built
+    # other requests on trees already seen are metered again, but ask no new
+    # side, and no index is built
     held = [id(idx) for idx in provider._index]
     again = [(t, req) for t, req in distinct if not isinstance(req, DegSubtree)]
     want = {
         "sequential": (0, 0, 0),
-        "cut-query": (sum(model_queries(t, req) for t, req in again), 0, 0),
+        "cut-query": (0, 0, 0),
         "streaming": (0, 1, len(again)),
     }
     assert deltas([item for item in batch if not isinstance(item[1], DegSubtree)]) == want[mode]
@@ -414,7 +473,8 @@ MODELS = {
 @pytest.mark.parametrize("mode", MODELS)
 def test_one_tree_object_keeps_one_slot_across_batches_and_searches(mode):
     # the tree is its own key: a second batch, and a second search on the same
-    # tree object, reuse its slot and index, and its Step 1 degrees are charged once
+    # tree object, reuse its slot and index, and its Step 1 degrees are charged
+    # once; the cut-query model asked every side of the second search before
     rng = np.random.default_rng(43)
     g = random_connected_graph(rng, 16, extra=3.0, wmax=1 << 20)
     t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0)
@@ -430,8 +490,9 @@ def test_one_tree_object_keeps_one_slot_across_batches_and_searches(mode):
     cost = ledgers() - start
     second = min_2respect(g, t, provider, rng=8)
     assert (second.value, second.certificate, second.partition) == (first.value, first.certificate, first.partition)
-    step1 = {"sequential": [0, 0, 0], "cut-query": [len(kids), 0, 0], "streaming": [0, 1, len(kids)]}[mode]
-    assert (ledgers() - start - cost).tolist() == (cost - step1).tolist()
+    # the stream meters the repeat again but for Step 1's degrees; in memory it is free
+    again = (cost - [0, 1, len(kids)]).tolist() if mode == "streaming" else [0, 0, 0]
+    assert (ledgers() - start - cost).tolist() == again
     before = ledgers()
     assert provider.batch_eval([(t, DegSubtree(v)) for v in kids]) == [cut_of_partition(g, t.subtree(v)) for v in kids]
     assert (ledgers() - before).tolist() == [0, 0, 0]
@@ -445,6 +506,77 @@ def test_query_provider_refuses_empty_or_full_sides():
         provider.batch_eval([(t, DegSubtree(t.root))])
     with pytest.raises(ValueError):
         provider.batch_eval([(t, CrossNested(1, t.root))])
+
+
+def test_cut_query_ledger_counts_distinct_sides(monkeypatch):
+    # each querier, the sparsifier build and the search's provider, is charged
+    # exactly the distinct sides it asks, counted by frozensets here and by
+    # hashed keys in CutCache: on 2-respecting searches of trees rooted away
+    # from vertex 0 and on whole pipelines
+    built, asked = [], []
+    build = packing.build_proxy_graph
+    batch_eval = QueryProvider.batch_eval
+
+    def spy_build(source, eps):
+        proxy = build(source, eps)
+        built.append((source.query_count, eps))
+        return proxy
+
+    monkeypatch.setattr(packing, "build_proxy_graph", spy_build)
+    monkeypatch.setattr(QueryProvider, "batch_eval", lambda self, items: asked.extend(items) or batch_eval(self, items))
+    rng = np.random.default_rng(59)
+    for i in range(40):
+        n = int(rng.integers(3, 13))
+        g = random_connected_graph(rng, n, extra=float(rng.choice([1.0, 3.0])), wmax=(10, 1 << 32)[i % 2])
+        if i % 3 == 2:
+            g = WeightedGraph(n, [(u, v, w if k % 3 else 0) for k, (u, v, w) in enumerate(g.edges)])
+        t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(1, n)))
+        provider = QueryProvider(CutOracle(g), g)
+        asked.clear()
+        min_2respect(g, t, provider, rng=i)
+        search = provider.stats.queries
+        assert search == new_sides(asked, set()), f"graph {i}"
+        built.clear()
+        asked.clear()
+        _, stats = min_cut_pipeline(g, "cut-query", rng=i)
+        (proxy_queries, eps), = built
+        reference = DistinctSides(CutOracle(g))
+        lazy_bisection_proxy(reference, eps)
+        assert proxy_queries == reference.query_count, f"graph {i}"
+        assert stats.queries - proxy_queries == new_sides(asked, set()), f"graph {i}"
+        if n <= 6:  # n vertices have 2^(n-1) - 1 sides, a side and its complement being one
+            assert max(search, proxy_queries, stats.queries - proxy_queries) <= (1 << (n - 1)) - 1, f"graph {i}"
+
+
+def test_cut_cache_keys_are_uint64_word_sums():
+    # prefix-sum keys equal the direct sums over their sides' vertices at n = 2048,
+    # where every sum wraps; a uint64 prefix sum concatenated after a Python 0
+    # would silently turn float64
+    rng = np.random.default_rng(2048)
+    g = random_connected_graph(rng, 2048, extra=1.0, wmax=1 << 32)
+    oracle = CutOracle(g)
+    cache = CutCache(oracle)
+    assert cache.words.dtype == np.uint64 and len(set(cache.words.tolist())) == g.n
+    labels = np.unique(rng.integers(40, size=g.n), return_inverse=True)[1].reshape(-1)
+    near, far, weight, sums, askers = bisection_outcomes(oracle, cache.words, np.ones(g.m, dtype=bool), labels)
+    assert sums.dtype == np.uint64 and cache.key(sums).dtype == np.uint64
+    for c in range(4):
+        front = DistinctSides(oracle)
+        recover_crossing_edge(front, labels == c)
+        assert set(cache.key(sums[askers == c]).tolist()) == cache_keys(cache, front.sides)
+    t = build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(1, g.n)))
+    provider = QueryProvider(oracle, g)
+    provider.batch_eval([(t, DegSubtree(v)) for v in t.edge_children()[:64]])
+    assert provider._sub.dtype == np.uint64 and np.array_equal(provider.cache.words, cache.words)
+    assert provider._sub[0].tolist() == [int(cache.words[t.subtree(v)].sum()) for v in range(g.n)]
+    # a side, its complement and a repeat are one query; the keys stay sorted
+    small = CutCache(CutOracle(four_cycle(1)))
+    w = small.words
+    small.charge(np.array([w[[0, 1]].sum(), w[[2, 3]].sum(), w[[0, 1]].sum()]))
+    assert small.oracle.query_count == 1
+    small.charge(np.array([w[3], w[[2, 3]].sum(), w[[0, 1, 2]].sum()]))
+    assert small.oracle.query_count == 2 and small.seen.dtype == np.uint64
+    assert small.seen.tolist() == sorted(small.key(np.array([w[[0, 1]].sum(), w[3]])).tolist())
 
 
 @pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
@@ -962,14 +1094,14 @@ def test_peel_forests_raises_after_keeping_the_forest_past_budget():
 #    stream pass_count, tracked_words, SketchBank.recover calls, subtract_edges calls)
 # The last two graphs are the query-heavy and stream-dense-churn bench instances.
 PINNED_PROXIES = [
-    ((4, 2.0, 10, 0.0, 1, False), (45, 18, 1, 2560, 32, 4)),
-    ((9, 2.0, 1 << 32, 0.5, 2, False), (218, 47, 1, 9072, 41, 4)),
-    ((17, 3.0, 10, 1.0, 3, False), (791, 137, 1, 34272, 82, 6)),
-    ((25, 2.0, 1 << 32, 0.0, 4, False), (914, 191, 1, 56000, 80, 6)),
-    ((30, 4.0, 10, 0.5, 5, True), (1475, 221, 1, 67200, 83, 6)),
-    ((60, 3.0, 1 << 32, 0.5, 6, False), (3951, 552, 1, 368640, 171, 11)),
-    ((48, 8.0, 1 << 32, 0.0, 3000, False), (8081, 1244, 1, 294912, 193, 15)),
-    ((128, 24.0, 10, 0.5, 3000, False), (79147, 11737, 1, 552960, 305, 30)),
+    ((4, 2.0, 10, 0.0, 1, False), (7, 18, 1, 2560, 32, 4)),
+    ((9, 2.0, 1 << 32, 0.5, 2, False), (58, 47, 1, 9072, 41, 4)),
+    ((17, 3.0, 10, 1.0, 3, False), (204, 137, 1, 34272, 82, 6)),
+    ((25, 2.0, 1 << 32, 0.0, 4, False), (262, 191, 1, 56000, 80, 6)),
+    ((30, 4.0, 10, 0.5, 5, True), (440, 221, 1, 67200, 83, 6)),
+    ((60, 3.0, 1 << 32, 0.5, 6, False), (1176, 552, 1, 368640, 171, 11)),
+    ((48, 8.0, 1 << 32, 0.0, 3000, False), (1636, 1244, 1, 294912, 193, 15)),
+    ((128, 24.0, 10, 0.5, 3000, False), (12402, 11737, 1, 552960, 305, 30)),
 ]
 
 
