@@ -33,6 +33,7 @@ from .packing import (
     PipelineConfig,
     Skeleton,
     TreePacking,
+    approx_min_cut,
     build_skeleton,
     greedy_pack,
     lambda_schedule,

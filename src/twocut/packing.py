@@ -6,15 +6,19 @@ by edge id). Any cut close to the minimum must 2-respect a constant
 fraction of a long enough packing, so solving the 2-respecting problem on
 every packed tree and keeping the best answer finds the global minimum cut
 with high probability. The skeleton step thins heavy graphs first so the
-packing stays logarithmic; guessed thinning rates that turn out wrong cost
-work, never correctness, because every candidate value is evaluated exactly
-in the input graph.
+packing stays logarithmic. Its rate needs a guess within a factor 2 of the
+min cut lambda; Matula's approximation brackets lambda within 2.1 on the
+host at no query, pass or word, so at most three halvings are packed. A
+wrong guess costs work, never correctness, because every candidate value is
+evaluated exactly in the input graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,19 +99,60 @@ def greedy_pack(host: WeightedGraph, k: int) -> TreePacking:
     return TreePacking(host, trees, loads.tolist())
 
 
-def lambda_schedule(host: WeightedGraph):
-    """Halving guesses from the min weighted degree down to its 1/(2n) floor."""
+def approx_min_cut(host: WeightedGraph) -> int:
+    """Matula's (2+eps)-approximation at eps = 0.1: lambda <= alpha <= 2.1 lambda.
+
+    Each phase takes the least degree d of the contracted graph (a cut, so
+    lambda <= d), runs one maximum-adjacency order and contracts each edge
+    whose attachment q (its later end's weight from the scanned set, this
+    edge included) has 21 q >= 10 d. As lambda(u, v) >= q (Nagamochi-Ibaraki),
+    d <= 2.1 lambda in the phase that first contracts a minimum cut edge; an
+    uncontracted minimum cut is the last d. alpha is the least d; zero-weight
+    edges are skipped, so positive edges that leave the host disconnected give 0.
+    """
+    ds, alpha = DisjointSets(host.n), host.total_weight
+    while ds.count > 1 and alpha > 0:
+        adj = {ds.find(v): defaultdict(int) for v in range(host.n)}
+        for u, v, w in host.edges:
+            a, b = ds.find(u), ds.find(v)
+            if a != b and w:
+                adj[a][b] += w
+                adj[b][a] += w
+        d = min(sum(nb.values()) for nb in adj.values())
+        alpha = min(alpha, d)
+        reach, heap, scanned = dict.fromkeys(adj, 0), sorted((0, x) for x in adj), set()
+        while heap:
+            x = heapq.heappop(heap)[1]
+            if x not in scanned:
+                scanned.add(x)
+                for y, w in adj[x].items():
+                    if y not in scanned:
+                        reach[y] += w
+                        heapq.heappush(heap, (-reach[y], y))
+                        if 21 * reach[y] >= 10 * d:
+                            ds.union(x, y)
+    return alpha
+
+
+def lambda_schedule(host: WeightedGraph, eps):
+    """Guesses of lambda to pack; Karger's reduction needs one in [lambda/2, lambda].
+
+    If the least weighted degree saturates the skeleton rate, so does every
+    smaller guess, and [that degree] is the one exact packing. Otherwise
+    approx_min_cut brackets lambda in [alpha / 2.1, alpha], and alpha,
+    alpha // 2, alpha // 4 while 42 g >= 10 alpha (at most three guesses,
+    cut after the first saturated one) hold such a guess for every integer
+    lambda in the bracket.
+    """
     if host.n < 2:
         raise GraphError("no cut to guess on a single vertex")
-    top = host.min_weighted_degree()
-    floor = max(1, top // (2 * host.n))
-    out = []
-    guess = max(1, top)
-    while True:
-        out.append(guess)
-        if guess <= floor:
-            break
-        guess = max(floor, guess // 2)
+    top = max(1, host.min_weighted_degree())
+    if skeleton_rate(host.n, eps, top) >= 1:
+        return [top]
+    alpha = approx_min_cut(host)
+    out = [max(1, alpha)]
+    while 42 * (out[-1] // 2) >= 10 * alpha and skeleton_rate(host.n, eps, out[-1]) < 1:
+        out.append(out[-1] // 2)
     return out
 
 
@@ -141,35 +186,24 @@ def build_skeleton(host: WeightedGraph, eps, lambda_guess, rng) -> Skeleton:
 def trees_to_run(host: WeightedGraph, eps, seed, trees_override=None):
     """Packed trees across the guess schedule, deduplicated.
 
-    Each guess packs trees_override trees, or ceil(c2 ln n) when it is None.
-    Guesses whose skeleton rate saturates at 1 share one exact packing, and
-    identical trees are solved once; every distinct packed tree is run.
+    Each guess packs trees_override trees, or ceil(c2 ln n) when it is None;
+    a guess whose skeleton rate saturates packs the host itself. Identical
+    trees are solved once; every distinct packed tree is run.
     """
-    schedule = lambda_schedule(host)
+    schedule = lambda_schedule(host, eps)
     k = trees_override
     if k is None:
         k = max(1, math.ceil(TREES_FACTOR * math.log(max(host.n, 2))))
     unique = []
     seen = set()
-    packed_total = 0
-    exact_done = False
     for j, guess in enumerate(schedule):
-        p = skeleton_rate(host.n, eps, guess)
-        if p >= 1:
-            if exact_done:
-                continue
-            exact_done = True
-            skel = Skeleton(host, 1.0, guess)
-        else:
-            skel = build_skeleton(host, eps, guess, rng_for(seed, 3, j))
-        packing = greedy_pack(skel.graph, k)
-        packed_total += k
+        packing = greedy_pack(build_skeleton(host, eps, guess, rng_for(seed, 3, j)).graph, k)
         for i in range(k):
             edges = tuple(sorted(packing.tree_edges(i)))
             if edges not in seen:
                 seen.add(edges)
                 unique.append(edges)
-    return unique, schedule, packed_total
+    return unique, schedule, k * len(schedule)
 
 
 def _providers_for(g, mode, eps, seed, churn):

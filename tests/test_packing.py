@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from twocut.graph import GraphError, WeightedGraph, cut_of_partition, oracle_min_cut
-from twocut import proxy
+from twocut import packing, proxy
 from twocut.packing import (
     MODES,
+    PipelineConfig,
+    approx_min_cut,
     build_skeleton,
     greedy_pack,
     lambda_schedule,
     min_cut_pipeline,
+    skeleton_rate,
 )
 from twocut.proxy import ResourceBudgetError, build_proxy_direct, forests_per_class
 from twocut.util import DisjointSets
@@ -43,24 +46,85 @@ def test_greedy_pack_tree_host_repeats():
 
 
 def test_lambda_schedule_examples():
+    # both saturate the skeleton rate, so the one exact packing is the schedule
     g, _ = make_gstar()
-    assert lambda_schedule(g) == [2, 1]
+    assert lambda_schedule(g, 0.1) == [2]
     star = WeightedGraph(4, [(0, i, 1) for i in range(1, 4)])
-    assert lambda_schedule(star) == [1]
+    assert lambda_schedule(star, 0.1) == [1]
 
 
 def test_lambda_schedule_spans_degree_gap():
-    # two heavy cliques joined by one light bridge
+    # two heavy cliques joined by one light bridge: lambda lies far below
+    # the least degree, and a guess must still land in (lambda/2, lambda]
+    heavy, bridge = 1 << 30, 1000
     edges = []
     for a, b in itertools.combinations(range(4), 2):
-        edges.append((a, b, 50))
-        edges.append((a + 4, b + 4, 50))
-    edges.append((0, 4, 1))
+        edges.append((a, b, heavy))
+        edges.append((a + 4, b + 4, heavy))
+    edges.append((0, 4, bridge))
     g = WeightedGraph(8, edges)
-    sched = lambda_schedule(g)
-    assert sched[0] == g.min_weighted_degree()
-    assert sched[-1] <= max(1, sched[0] // (2 * g.n)) or sched[-1] == 1
+    sched = lambda_schedule(g, 0.1)
+    assert skeleton_rate(g.n, 0.1, g.min_weighted_degree()) < 1
+    assert 1 <= len(sched) <= 3
+    assert any(bridge < 2 * guess <= 2 * bridge for guess in sched)
     assert all(a > b for a, b in zip(sched, sched[1:]))
+
+
+def matula_corpus():
+    """Random graphs at light and heavy weights, zero-weight and merged
+    parallel edges, totals near the 2**62 cap, paths, stars, cycles, and
+    heavy cliques joined by a light bridge."""
+    rng = np.random.default_rng(0x3A7)
+    for i in range(120):
+        n = int(rng.integers(2, 20))
+        yield random_connected_graph(rng, n, float(rng.uniform(0.5, 4)), (10, 1 << 32)[i % 2])
+    for i in range(30):
+        g = random_connected_graph(rng, int(rng.integers(3, 16)), 2.5, (10, 1 << 32)[i % 2])
+        yield WeightedGraph(g.n, [(u, v, w if j % 3 else 0) for j, (u, v, w) in enumerate(g.edges)])
+        yield WeightedGraph(g.n, g.edges + [(u, v, w // 3) for u, v, w in g.edges[::2]])
+    for _ in range(20):
+        g = random_connected_graph(rng, int(rng.integers(2, 16)), 2.0, 1 << 32)
+        scale = int(2 ** 61.8) // g.total_weight
+        yield WeightedGraph(g.n, [(u, v, w * scale) for u, v, w in g.edges])
+    for i in range(30):
+        n = int(rng.integers(2, 20))
+        w = [int(x) for x in rng.integers(1, (10, 1 << 32)[i % 2] + 1, size=n)]
+        shape = i % 3
+        if shape == 0:
+            yield WeightedGraph(n, [(v, v + 1, w[v]) for v in range(n - 1)])
+        elif shape == 1:
+            yield WeightedGraph(n, [(0, v, w[v]) for v in range(1, n)])
+        else:
+            yield WeightedGraph(n, [(v, (v + 1) % n, w[v]) for v in range(n)])
+    for i in range(10):
+        k, heavy = int(rng.integers(3, 8)), 1 << int(rng.integers(20, 33))
+        clique = list(itertools.combinations(range(k), 2))
+        edges = [(u, v, heavy) for u, v in clique] + [(u + k, v + k, heavy) for u, v in clique]
+        yield WeightedGraph(2 * k, edges + [(0, k, 1 + i), (k - 1, 2 * k - 1, i)])
+
+
+def test_approx_min_cut_brackets_lambda():
+    graphs = list(matula_corpus())
+    assert len(graphs) >= 200
+    for i, g in enumerate(graphs):
+        lam, alpha = oracle_min_cut(g).value, approx_min_cut(g)
+        assert lam <= alpha and 10 * alpha <= 21 * lam, f"graph {i}: lambda {lam}, alpha {alpha}"
+
+
+def test_lambda_schedule_covers_the_bracket(monkeypatch):
+    # every integer lambda in [alpha / 2.1, alpha] is served by one of at
+    # most three guesses: a g with lambda / 2 <= g <= lambda, or a saturated
+    # g >= lambda / 2, whose exact packing every smaller guess shares. eps 1
+    # leaves small guesses unsaturated, so the halvings themselves are tried.
+    heavy = WeightedGraph(4, [(u, v, 1 << 40) for u, v in itertools.combinations(range(4), 2)])
+    for eps, alpha in itertools.product((0.1, 1.0), [*range(1, 400), 10**9 + 7, 42 << 30, (1 << 41) - 1]):
+        monkeypatch.setattr(packing, "approx_min_cut", lambda host: alpha)
+        sched = lambda_schedule(heavy, eps)
+        assert sched[0] == alpha and len(sched) <= 3
+        lo = -(-10 * alpha // 21)
+        near_edges = (lo, lo + 1, alpha // 2 - 1, alpha // 2, alpha // 2 + 1, alpha - 1)
+        for lam in range(lo, alpha + 1) if alpha < 400 else [lam for lam in near_edges if lo <= lam] + [alpha]:
+            assert any(lam <= 2 * g and (g <= lam or skeleton_rate(4, eps, g) >= 1) for g in sched), (eps, alpha, lam)
 
 
 def test_skeleton_rate_one_copies_host():
@@ -169,6 +233,39 @@ def test_zero_weight_edges_pack_and_solve(mode):
     res, _ = min_cut_pipeline(g, mode, rng=3)
     assert res.value == 0 == oracle_min_cut(g).value
     assert cut_of_partition(g, res.partition) == 0
+
+
+def heavy_planted_family():
+    """Two random halves at weights up to 2**32 joined by 1-3 bridges of
+    weight 10..2**31, and a dumbbell whose lambda lies below the
+    degree / (2n) floor where a halving sweep from the least degree stops."""
+    rng = np.random.default_rng(0x2CA7)
+    for _ in range(40):
+        a, b = (int(k) for k in rng.integers(6, 14, size=2))
+        left = random_connected_graph(rng, a, extra=3.0, wmax=1 << 32)
+        right = random_connected_graph(rng, b, extra=3.0, wmax=1 << 32)
+        edges = left.edges + [(u + a, v + a, w) for u, v, w in right.edges]
+        for _ in range(int(rng.integers(1, 4))):
+            edges.append((int(rng.integers(a)), a + int(rng.integers(b)), int(rng.integers(10, (1 << 31) + 1))))
+        yield WeightedGraph(a + b, edges)
+    clique = list(itertools.combinations(range(6), 2))
+    edges = [(u, v, 1 << 32) for u, v in clique] + [(u + 6, v + 6, 1 << 32) for u, v in clique]
+    yield WeightedGraph(12, edges + [(0, 6, 10)])
+
+
+def test_heavy_planted_cuts_exact_in_all_modes():
+    below = 0
+    for i, g in enumerate(heavy_planted_family()):
+        lam = oracle_min_cut(g).value
+        below += lam < g.min_weighted_degree()
+        for mode in MODES:
+            cfg = PipelineConfig(churn=0.5 if mode == "streaming" else 0.0)
+            res, stats = min_cut_pipeline(g, mode, rng=i, config=cfg)
+            assert res.value == lam == cut_of_partition(g, res.partition), f"graph {i} {mode}"
+            assert stats.lambda_guesses <= 3
+    lam, n = oracle_min_cut(g).value, g.n
+    assert lam == 10 < g.min_weighted_degree() // (2 * n)
+    assert below >= 40  # all but one draw, whose light leaf is the minimum cut
 
 
 # ---- scalar references for the forests peel_forests grows ----
