@@ -3,7 +3,8 @@
 Edges become points on the post-order plane, so subtree degrees and
 crossings are one or two rectangle sums. The sampling index keeps halving
 subsets of the points; reporting a rectangle at the right level returns a
-small uniform sample, which is what drives interesting-pair discovery.
+small uniform sample, the source paper's route to interesting pairs (the
+pipeline finds them from deterministic tertile witnesses instead).
 """
 
 import numpy as np

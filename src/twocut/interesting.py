@@ -5,27 +5,27 @@ when C(u_sub, v_sub) > deg(u_sub) / 2 (disjoint subtrees) and
 down-interesting when C(v_sub, V - u_sub) > deg(u_sub) / 2 (v below u). Only
 such pairs can beat every single-edge tree cut. Partners of one edge all lie
 on a single root-to-leaf line and are closed upward along it, so it is
-enough to sample edges on u's subtree boundary, walk the root line of both
-endpoints x of each sampled edge strictly below lca(u, x) (u itself for the
-endpoint inside) through the path decomposition, and check the met
-segments' top edges.
+enough to find, per edge, a few witness vertices whose root lines hold every
+partner, walk each line strictly below lca(u, x) through the path
+decomposition, and check the met segments' top edges.
 
-Sampling is stratified by weight class [2^i, 2^(i+1)): whenever some subtree
-attracts more than half of u's boundary weight, at least one class gives its
-edges a constant point-fraction, so a logarithmic sample hits it with high
-probability. The split is the proxy's own (WeightedGraph.weight_classes),
-made once per graph and shared with the forest peeling of proxy.py; each
-tree only places the class's edges under its post-order. Pairs within one
-decomposition path are excluded here; the path solver already covers them.
+The witnesses are deterministic (tertile_witnesses): per kind, the vertices
+where the running boundary mass of u's subtree, laid out in post-order on
+the proxy, first reaches a third and two thirds of deg(u_sub). Every
+partner the 1/3 filter keeps holds one of them in its subtree, so the
+filtered rows are exactly the segment-top rows that filter keeps. Pairs
+within one decomposition path are excluded here; the path solver already
+covers them. The per-weight-class boundary sampler (build_weight_classes,
+sample_cross_candidates) is off the pipeline.
 
-Every stage handles all tree edges of a tree in one batch: one sampling pass
-over the two boundary rectangles of every subtree in every weight class, one
-walk of the decomposition's per-vertex path tables for both endpoints of
-every sampled edge, and one proxy filter call per interest kind. Candidates
-travel as (e, f) rows of tree-edge children; f's decomposition path is
-path_of[f]. The provider builds the filter (CostProvider.proxy_filter): its
-subtree degrees are the tree's Step 1 degrees whenever the proxy nets to the
-hidden edges; only a proxy that differs has them read off its own index.
+Every stage handles all tree edges of a tree in one batch: one binary
+search for all witnesses, one walk of the decomposition's per-vertex path
+tables from all of them, and one proxy filter call per interest kind.
+Candidates travel as (e, f) rows of tree-edge children; f's decomposition
+path is path_of[f]. The provider builds the filter
+(CostProvider.proxy_filter): its subtree degrees are the tree's Step 1
+degrees whenever the proxy nets to the hidden edges; only a proxy that
+differs has them read off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -61,15 +61,14 @@ def sample_k(n, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
 
 
 def sample_cross_candidates(classes, t, us, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    """Boundary samples of the subtrees below every tree edge in us.
+    """Boundary samples of the subtrees below every tree edge in us (off the
+    pipeline, which takes tertile_witnesses instead).
 
     classes: build_weight_classes' {class: SampleRangeIndex} under t. One
     sample_rects pass reports both boundary rectangles of every subtree (its
     edges leaving leftward and rightward in post-order) in every weight
     class. Returns aligned (edge, sampled edge id) arrays; the rectangles and
-    the classes are disjoint, so no pair repeats. One sample serves both
-    interest kinds: candidate_tops walks from both endpoints of every sampled
-    edge, and the level walk is fixed by the build seed.
+    the classes are disjoint, so no pair repeats.
     """
     us = np.asarray(us, dtype=np.int64)
     a, b = t.lo[us], t.hi[us]
@@ -112,67 +111,72 @@ class ProxyFilter:
         return subtree_sums(self.idx, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us] // 3
 
 
-TOPS_BLOCK_CELLS = 1 << 20  # cells of each per-block table of candidate_tops
+def tertile_witnesses(d: PathDecomposition, filt: ProxyFilter):
+    """Four witness vertices per tree edge e (above u) with T = filt.deg[u] > 0.
+
+    Lay the boundary edges of u's subtree on the post-order line with their
+    weights on filt.idx, at their outside endpoints for cross partners and at
+    their inside ones for down partners. A partner f that the 1/3 filter
+    keeps carries more than T/3 of that line's mass T, all of it inside f's
+    post-order interval (outside u's for cross, inside for down). Let q1, q2
+    be the first positions where the running mass reaches ceil(T/3) and
+    ceil(2T/3). An interval missing both ends before q1 (mass at most
+    ceil(T/3) - 1), starts after q2 (at most T - ceil(2T/3)) or lies strictly
+    between them (at most ceil(2T/3) - 1 - ceil(T/3)): at most T/3 each. So
+    the root lines of the vertices at q1 and q2 hold every kept partner.
+
+    One binary search over post-order positions finds all four for every
+    edge, each step one filt.idx.rect_weights call. The running mass at p is
+    two rectangles, cross [0, min(p, lo-1)] x [lo, hi] + [lo, hi] x [hi+1, p]
+    and down [0, lo-1] x [lo, p] + [lo, p] x [hi+1, n-1], both pieces of T,
+    so no sum passes 2^62. Returns aligned (edge, witness) arrays, rows
+    grouped as cross q1, cross q2, down q1, down q2.
+    """
+    t, n = d.tree, d.tree.n
+    us = np.flatnonzero(filt.deg > 0)  # the root's degree is 0
+    third, rest = np.divmod(filt.deg[us], 3)
+    tau = np.tile(np.concatenate((third + (rest > 0), 2 * third + rest)), 2)  # ceil(T/3), ceil(2T/3)
+    h = 2 * len(us)  # rows: h cross searches over 0..n-1, then h down searches over lo..hi
+    lo, hi = np.tile(t.lo[us], 4), np.tile(t.hi[us], 4)
+    a, b = np.concatenate((np.zeros(h, np.int64), lo[h:])), np.concatenate((np.full(h, n - 1), hi[h:]))
+    # every row's first rectangle, then its second; x2 and y2 move with p
+    x1, y1 = np.concatenate((np.zeros(2 * h, np.int64), lo)), np.concatenate((lo, hi + 1))
+    x2, y2 = np.concatenate((lo - 1, hi)), np.concatenate((hi, np.full(2 * h, n - 1)))
+    for _ in range(ceil_log2(n)):
+        p = (a + b) >> 1
+        x2[:h] = np.minimum(p[:h], lo[:h] - 1)
+        x2[3 * h :] = y2[h : 2 * h] = p[h:]
+        y2[2 * h : 3 * h] = p[:h]
+        w = filt.idx.rect_weights(x1, x2, y1, y2)
+        hit = w[: 2 * h] + w[2 * h :] >= tau
+        a, b = np.where(hit, a, p + 1), np.where(hit, p, b)
+    return np.tile(us, 4), t.order[a]
 
 
-def candidate_tops(d: PathDecomposition, es, eids, g: WeightedGraph):
-    """Segment-top candidates implied by sampled boundary edges.
+def candidate_tops(d: PathDecomposition, es, xs):
+    """Segment-top candidates implied by witness vertices.
 
-    es, eids: aligned rows of a tree edge and an edge of g leaving its
-    subtree (as from sample_cross_candidates). Returns (cross, down) int64
-    arrays of distinct (e, f) rows sorted by e then f: f orthogonal to e for
-    cross, strictly below e and off e's own path for down.
+    es, xs: aligned rows of a tree edge and a witness vertex for it (as from
+    tertile_witnesses). Returns (cross, down) int64 arrays of distinct (e, f)
+    rows sorted by e then f: f orthogonal to e for cross, strictly below e
+    and off e's own path for down.
 
-    Both endpoints x of a sampled edge witness for e by one rule: e's
-    partners on x's root line lie strictly below lca(e, x), and interest is
-    closed upward within a segment, so per met path the segment's top edge
-    decides. The endpoint inside e's subtree has lca(e, x) = e, so its tops
-    lie below e; the outside one's tops are orthogonal to e. One walk thus
-    serves both kinds, and geometry alone splits them. Witnesses on one
-    decomposition path give nested candidate sets, so only the deepest per
-    (e, path) is walked: an outside witness sharing a path with an inside
-    one lies above e on e's root line and meets nothing below their lca, as
-    does a witness equal to e or to the root.
-
-    No step sorts. The edges go in blocks of consecutive ids, each through
-    two tables with one row per edge: the deepest witness per (e, path) by
-    np.maximum.at, then a mark per distinct (e, f), read back in key order.
-    A block spans TOPS_BLOCK_CELLS // n edges (at least one), so no table
-    outgrows that many cells; when that is short of the whole tree, each
-    block picks its rows with one scan of all of them.
+    Every witness x follows one rule: e's partners on x's root line lie
+    strictly below lca(e, x), and interest is closed upward within a
+    segment, so per met path the segment's top edge decides. A witness
+    inside e's subtree has lca(e, x) = e, so its tops lie below e; an
+    outside one's tops are orthogonal to e. One walk thus serves both kinds,
+    and geometry alone splits them; one np.unique over e * n + f keeps the
+    distinct rows.
     """
     t = d.tree
-    n, paths = t.n, len(d.paths)
-    es, eids = np.asarray(es, dtype=np.int64), np.asarray(eids, dtype=np.int64)
-    es, xs = np.concatenate((es, es)), np.concatenate((g.eu[eids], g.ev[eids]))
-    # each row's (e, path) cell and its witness's depth order on that path
-    # (d.pos orders each path's vertices by depth); the root has path and
-    # order -1, so it never wins a cell, and its cell (-1 for e = 0 wraps
-    # to the last) is left as it was
-    cell, pos = es * paths + d.path_of[xs], d.pos[xs]
-    span = max(1, TOPS_BLOCK_CELLS // n)
-    cross, down = [], []
-    for lo in range(0, n, span):
-        rows = min(span, n - lo)
-        sel = slice(None) if rows == n else (cell >= lo * paths) & (cell < (lo + rows) * paths)
-        deepest = np.full(rows * paths, -1, dtype=np.int64)
-        np.maximum.at(deepest, cell[sel] - lo * paths, pos[sel])
-        at = np.flatnonzero(deepest >= 0)
-        e, x = at // paths + lo, d.flat[deepest[at]]
-        row, f = d.suffix_tops(x, d.anchor_depths(e, x))
-        e = e[row]
-        le, he, lf, hf = t.lo[e], t.hi[e], t.lo[f], t.hi[f]
-        cross.append(_distinct_rows(e, f, (he < lf) | (hf < le), lo, rows, n))
-        down.append(_distinct_rows(e, f, (le <= lf) & (hf < he) & (d.path_of[f] != d.path_of[e]), lo, rows, n))
-    return np.concatenate(cross), np.concatenate(down)
-
-
-def _distinct_rows(e, f, keep, lo, rows, n):
-    """The distinct kept (e, f) rows of edges lo..lo+rows-1, sorted, read off a mark table."""
-    mark = np.zeros(rows * n, dtype=bool)
-    mark[(e[keep] - lo) * n + f[keep]] = True
-    e, f = np.divmod(np.flatnonzero(mark), n)
-    return np.stack((e + lo, f), axis=1)
+    es, xs = np.asarray(es, dtype=np.int64), np.asarray(xs, dtype=np.int64)
+    row, f = d.suffix_tops(xs, d.anchor_depths(es, xs))
+    e, f = np.divmod(np.unique(es[row] * t.n + f), t.n)
+    le, he, lf, hf = t.lo[e], t.hi[e], t.lo[f], t.hi[f]
+    cross = (he < lf) | (hf < le)
+    down = (le <= lf) & (hf < he) & (d.path_of[f] != d.path_of[e])
+    return np.stack((e[cross], f[cross]), axis=1), np.stack((e[down], f[down]), axis=1)
 
 
 def pair_solver_inputs(d: PathDecomposition, cross, down, ok):

@@ -21,8 +21,8 @@ memory a larger graph's trees get a merge-sort tree each instead, read one
 call per tree and batch. Every `_eval_unique` meters before it reads
 values; the formula is shared.
 
-Each provider also carries `proxy`, the graph Step 4 samples on (its own
-graph in memory, else the sparsifier), and `proxy_filter(tree)`, Step 4's
+Each provider also carries `proxy`, the graph Step 4 finds partners on (its
+own graph in memory, else the sparsifier), and `proxy_filter(tree)`, Step 4's
 1/3 filter on it: on the tree's own index and Step 1 degrees when the proxy
 nets to the same edges as the hidden ones, else on a grid over the proxy.
 

@@ -1,7 +1,7 @@
 """In-memory cost provider: per tree, the smaller of a prefix grid and a merge-sort tree.
 
 The graph is both the hidden edges CostProvider nets and the proxy that
-Step 4 samples and 1/3-filters on, so the filter reads the tree's own index
+Step 4 searches and 1/3-filters on, so the filter reads the tree's own index
 and its Step 1 degrees. That index is a block grid, as in the simulated
 models, while its (n+1)^2 words are no more than the 2 m words per level of
 a WeightRangeIndex over the tree's edge points, else that merge-sort tree.

@@ -2,14 +2,16 @@
 
 Step 1 reads every single-edge cut in one batch. Step 2 decomposes the tree
 into heavy paths. Step 3 runs one pair solver over the split halves of every
-path. Step 4 samples subtree boundaries of the provider's proxy graph to
-discover cross-/down-interesting partner paths, screens them with the proxy's
-1/3-filter and verifies the survivors exactly, in every model. Step 5
-runs one pair solver over a bipartite instance per verified path pair;
-the verified rows stay int64 arrays from the Step 4 values to
-interesting.pair_solver_inputs, which hands back each instance's row and
-column lists. The minimum over everything probed is the answer, with high
-probability equal to the true 2-respecting minimum.
+path. Step 4 walks the root lines of each subtree's tertile witnesses on the
+provider's proxy to discover cross-/down-interesting partner paths, screens
+them with the proxy's 1/3-filter and verifies the survivors exactly, in
+every model. Step 5 runs one pair solver over a bipartite instance per
+verified path pair; the verified rows stay int64 arrays from the Step 4
+values to interesting.pair_solver_inputs, which hands back each instance's
+row and column lists. The minimum over everything probed is the answer.
+No step samples: it is the true 2-respecting minimum whenever the 1/3
+filter keeps every true partner, always on the graph itself and on a
+sparsifier within 1 +- eps of it.
 
 The search is a generator yielding (tree, request) batches. Each yield is
 one synchronous round: under the stream provider one pass, under the query
@@ -37,11 +39,11 @@ from .graph import (
     reconstruct_partition,
 )
 from .hld import decompose
-from .interesting import ProxyFilter, build_weight_classes, candidate_tops, pair_solver_inputs, sample_cross_candidates
+from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
+from .interesting import build_weight_classes, sample_cross_candidates  # noqa: F401  tracer-only until ROADMAP item 1
 from .interval import BipartiteSolver, self_pair_instances
 from .provider import run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
-from .util import as_seed, rng_for
 
 
 @dataclass
@@ -76,31 +78,25 @@ def _drive_solvers(t: RootedSpanTree, solver: BipartiteSolver, sink: SearchSink)
         solver.advance(values)
 
 
-def interest_checks(d, proxy: WeightedGraph, filt: ProxyFilter, seed):
+def interest_checks(d, filt: ProxyFilter):
     """Step 4 discovery for every tree edge of d's tree in one batch.
 
-    Samples on proxy and 1/3-filters with filt, a ProxyFilter over it under
-    d's tree. Returns (cross, down) int64 arrays of (e, f) rows left for
-    exact verification: CrossSub(e, f) and CrossNested(f, e).
+    Walks the root lines of each edge's tertile witnesses on filt's index
+    and 1/3-filters the met segment tops with filt, a ProxyFilter under d's
+    tree. Returns (cross, down) int64 arrays of (e, f) rows left for exact
+    verification: CrossSub(e, f) and CrossNested(f, e). They are exactly
+    the segment-top rows the filter keeps (see tertile_witnesses).
     """
-    t = d.tree
-    classes = build_weight_classes(proxy, t, seed)
-    es, eids = sample_cross_candidates(classes, t, np.delete(np.arange(t.n), t.root))
-    cross, down = candidate_tops(d, es, eids, proxy)
+    cross, down = candidate_tops(d, *tertile_witnesses(d, filt))
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
     down = down[filt.down_ok_many(down[:, 0], down[:, 1])]
     return cross, down
 
 
-def tree_seed(seed, ti) -> int:
-    """Step 4's sampling seed for tree ti of a pipeline run from `seed`."""
-    return int(rng_for(seed, 7, ti).integers(1 << 62))
-
-
-def two_respect_plan(t: RootedSpanTree, provider, seed, sink: SearchSink):
+def two_respect_plan(t: RootedSpanTree, provider, sink: SearchSink):
     """The five-step search for one tree, as a lockstep generator.
 
-    Step 4 samples on provider.proxy and 1/3-filters with provider.proxy_filter(t).
+    Step 4 discovers and 1/3-filters on provider.proxy_filter(t).
     """
     kids = t.edge_children()
 
@@ -116,7 +112,7 @@ def two_respect_plan(t: RootedSpanTree, provider, seed, sink: SearchSink):
         if path_instances:
             yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
 
-        cross, down = interest_checks(d, provider.proxy, provider.proxy_filter(t), seed)
+        cross, down = interest_checks(d, provider.proxy_filter(t))
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(t, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(t, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -130,13 +126,13 @@ def two_respect_plan(t: RootedSpanTree, provider, seed, sink: SearchSink):
 
 
 def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
-    """Exact minimum 2-respecting cut of (g, t) through the given provider,
-    with high probability; all returned values are exact in g."""
+    """Exact minimum 2-respecting cut of (g, t) through the given provider;
+    all returned values are exact in g. The search draws nothing at random,
+    so rng changes nothing."""
     if g.n < 2:
         raise GraphError("no tree edge exists on a single vertex")
-    seed = as_seed(rng)
     sink = SearchSink()
-    task = two_respect_plan(t, provider, tree_seed(seed, 0), sink)  # the pipeline's tree 0
+    task = two_respect_plan(t, provider, sink)
     run_lockstep([task], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair

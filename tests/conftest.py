@@ -5,7 +5,7 @@ import pytest
 
 from twocut.graph import WeightedGraph, build_rooted_tree
 from twocut.grid import PoPrefixGrid
-from twocut.interesting import DEFAULT_SAMPLE_MULTIPLIER, build_weight_classes, candidate_tops, sample_cross_candidates
+from twocut.interesting import ProxyFilter, candidate_tops, tertile_witnesses
 from twocut.rangeindex import EdgePointSet, WeightRangeIndex, edge_points
 from twocut.util import DisjointSets
 
@@ -71,13 +71,11 @@ def random_instance(rng, n_lo=4, n_hi=14, wmax=10, extra=2.0):
     return g, t
 
 
-def candidate_rows(g, d, seed, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    """Step 4's (cross, down) candidate rows sampled on g before any filter:
+def candidate_rows(g, d):
+    """Step 4's (cross, down) candidate rows on g before any filter:
     interest_checks without its proxy filter."""
     t = d.tree
-    wc = build_weight_classes(g, t, seed)
-    es, eids = sample_cross_candidates(wc, t, np.delete(np.arange(t.n), t.root), multiplier)
-    return candidate_tops(d, es, eids, g)
+    return candidate_tops(d, *tertile_witnesses(d, ProxyFilter(weight_index(g, t), t)))
 
 
 def weight_index(g, t):

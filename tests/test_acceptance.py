@@ -113,6 +113,17 @@ def test_criterion_02_two_respect_exactness_three_providers(pair_corpus):
     print(f"\n[PASS] criterion 2: 500 instances x 3 providers equal the pair oracle ({elapsed:.1f}s)")
 
 
+def test_two_respect_search_ignores_rng(pair_corpus):
+    # Step 4 draws nothing at random, so rng moves no value, pair or probe
+    for i, (g, t) in enumerate(pair_corpus[:60]):
+        runs = set()
+        for rng in range(10):
+            provider = SequentialProvider(g)
+            res = min_2respect(g, t, provider, rng=rng)
+            runs.add((res.value, res.certificate, provider.stats.probes))
+        assert len(runs) == 1, f"instance {i}: {runs}"
+
+
 def test_criterion_03_pair_formula_soundness(pair_corpus):
     checked = 0
     for g, t in pair_corpus:

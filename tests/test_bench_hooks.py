@@ -69,7 +69,8 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     assert tracer.calls["interval.solver"] > 0
     assert 1 <= metrics["interval.solvers"] <= 2 * metrics["tworespect.trees"]
     assert metrics["interesting.candidates"] > 0
-    assert tracer.calls["interesting.sample"] == tracer.calls["interesting.candidate_tops"] >= 1
+    assert tracer.calls["interesting.sample"] == 0  # Step 4 no longer samples
+    assert tracer.calls["interesting.candidate_tops"] >= 1
     assert tracer.calls["interesting.filter"] >= 1  # every mode filters Step 4's candidates
     assert abs(tracer.identity_residual()) < 1e-6
     assert tracer.counts["provider.unique"] == distinct_uncached(batches) > 0

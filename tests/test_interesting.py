@@ -1,6 +1,7 @@
-"""Interest discovery: thresholds, structure laws, sampling coverage, the
-per-tree batch against a scalar per-edge reference, and the Step 5 pairing
-against a scalar per-row reference."""
+"""Interest discovery: thresholds, structure laws, the boundary sampler's
+coverage, the tertile-witness route against a scalar per-edge reference and
+against exhaustive enumeration, and the Step 5 pairing against a scalar
+per-row reference."""
 
 import itertools
 
@@ -8,15 +9,16 @@ import numpy as np
 import pytest
 
 from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cross_weight, cut_of_partition
-from twocut import interesting
+from twocut import proxy as proxy_module
+from twocut import tworespect
 from twocut.hld import decompose
 from twocut.interesting import (
-    DEFAULT_SAMPLE_MULTIPLIER,
     ProxyFilter,
     build_weight_classes,
+    candidate_tops,
     pair_solver_inputs,
     sample_cross_candidates,
-    sample_k,
+    tertile_witnesses,
 )
 from twocut.packing import min_cut_pipeline
 from twocut.proxy import build_proxy_direct
@@ -73,39 +75,41 @@ def reference_sample_rect(sidx, x1, x2, y1, y2, k):
     return sidx.ids[inside][lv >= stop]
 
 
-def deepest_per_path(t, d, vertices):
-    best = {}
-    for x in vertices:
-        pid = int(d.path_of[x])
-        if pid not in best or t.depth[x] > t.depth[best[pid]]:
-            best[pid] = x
-    return best.values()
+def reference_witnesses(t, proxy, e):
+    """e's tertile witnesses by one scan of its boundary edges in Python ints:
+    with each edge's weight at its outside endpoint (cross), then at its inside
+    one (down), the first vertex in post-order where the running mass m has
+    3 m >= T, then 3 m >= 2 T; none when T = 0."""
+    inside = set(t.subtree(e))
+    at_out, at_in = [0] * t.n, [0] * t.n
+    for u, v, w in proxy.edges:
+        if (u in inside) != (v in inside):
+            a, b = (u, v) if u in inside else (v, u)
+            at_in[int(t.po[a])] += w
+            at_out[int(t.po[b])] += w
+    total = sum(at_in)
+    if not total:
+        return []
+    out = []
+    for mass in (at_out, at_in):
+        for k in (1, 2):
+            running = itertools.accumulate(mass)
+            out.append(int(t.order[next(p for p, m in enumerate(running) if 3 * m >= k * total)]))
+    return out
 
 
-def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
-    """The per-edge loop: sample each class and rectangle, walk parent
-    pointers from every witness, then one brute-force proxy check per candidate."""
-    wc = build_weight_classes(sample_graph, t, seed)
-    k = sample_k(t.n, multiplier)
+def reference_checks(t, d, proxy, filtered=True):
+    """The per-edge loop: scan for each edge's witnesses, walk parent pointers
+    from each, then (when filtered) one brute-force proxy check per candidate."""
     cross, down = set(), set()
     for e in t.edge_children():
-        a, b = int(t.lo[e]), int(t.hi[e])
-        eids = set()
-        for sidx in wc.values():
-            for x1, x2, y1, y2 in ((0, a - 1, a, b), (a, b, b + 1, t.n - 1)):
-                eids.update(reference_sample_rect(sidx, x1, x2, y1, y2, k).tolist())
-        inner, outer = set(), set()
-        for eid in eids:
-            u, v, _ = sample_graph.edges[eid]
-            if not t.is_ancestor(e, u):
-                u, v = v, u
-            inner.add(u)
-            outer.add(v)
-        for x in deepest_per_path(t, d, outer - {t.root}):
-            cross.update((e, f) for f, _ in walk_tops(t, d, brute_lca(t, e, x), x) if t.orthogonal(e, f))
-        for x in deepest_per_path(t, d, inner - {e}):
-            down.update((e, f) for f, _ in walk_tops(t, d, e, x) if d.path_of[f] != d.path_of[e])
-    if proxy is not None:
+        for x in reference_witnesses(t, proxy, e):
+            for f, _ in walk_tops(t, d, brute_lca(t, e, x), x):
+                if t.orthogonal(e, f):
+                    cross.add((e, f))
+                elif d.path_of[f] != d.path_of[e]:
+                    down.add((e, f))
+    if filtered:
         deg = {e: cut_of_partition(proxy, t.subtree(e)) for e in t.edge_children()}
         cross = {(e, f) for e, f in cross if 3 * cross_weight(proxy, t.subtree(e), t.subtree(f)) > deg[e]}
         down = {
@@ -115,13 +119,34 @@ def reference_checks(t, d, sample_graph, proxy, seed, multiplier):
     return sorted(cross), sorted(down)
 
 
-def verified_rows(g, t, d, seed, multiplier=4):
+def exhaustive_filtered_rows(t, d, proxy):
+    """Every (e, f) row whose f tops its path segment below lca(e, f) and which
+    the 1/3 filter keeps, by enumerating all edge pairs in Python ints; down
+    rows off e's own path."""
+    kids = t.edge_children()
+    cross, down = [], []
+    for e in kids:
+        sub = t.subtree(e)
+        deg = cut_of_partition(proxy, sub)
+        for f in kids:
+            if not (int(t.parent[f]) == brute_lca(t, e, f) or d.top_edge[d.path_of[f]] == f):
+                continue
+            if t.orthogonal(e, f):
+                if 3 * cross_weight(proxy, sub, t.subtree(f)) > deg:
+                    cross.append((e, f))
+            elif f != e and t.is_ancestor(e, f) and d.path_of[f] != d.path_of[e]:
+                if 3 * cross_weight(proxy, t.subtree(f), set(range(t.n)) - set(sub)) > deg:
+                    down.append((e, f))
+    return sorted(cross), sorted(down)
+
+
+def verified_rows(g, t, d):
     """Step 4 on one tree without the proxy filter: the unfiltered candidate
     rows, then the exact strict-half check of every row through a
     SequentialProvider, as the pipeline does. Returns (cross, down, ok), ok
     aligned with the cross rows, then down."""
     provider = SequentialProvider(g)
-    cross, down = candidate_rows(g, d, seed, multiplier)
+    cross, down = candidate_rows(g, d)
     kids = t.edge_children()
     reqs = [(t, DegSubtree(e)) for e in kids]
     reqs += [(t, CrossSub(e, f)) for e, f in cross.tolist()]
@@ -133,9 +158,9 @@ def verified_rows(g, t, d, seed, multiplier=4):
     return cross, down, ok
 
 
-def verified_partners(g, t, d, seed):
+def verified_partners(g, t, d):
     """verified_rows as {e: (cross path ids, down path ids)}."""
-    cross, down, ok = verified_rows(g, t, d, seed)
+    cross, down, ok = verified_rows(g, t, d)
     out = {e: (set(), set()) for e in t.edge_children()}
     for i, ((e, f), keep) in enumerate(zip(cross.tolist() + down.tolist(), ok.tolist())):
         if keep:
@@ -242,7 +267,7 @@ def test_verify_interest_zero_cross_false():
 def test_gstar_interesting_paths():
     g, t = make_gstar()
     d = decompose(t)
-    crossed, downed = verified_partners(g, t, d, seed=5)[2]
+    crossed, downed = verified_partners(g, t, d)[2]
     assert crossed == {int(d.path_of[3])}
     assert downed == set()
 
@@ -306,7 +331,7 @@ def test_returned_paths_cover_truth():
         g, t = random_instance(rng, 4, 12)
         d = decompose(t)
         cross_int, down_int = exhaustive_interest(g, t)
-        got = verified_partners(g, t, d, seed=1000 + i)
+        got = verified_partners(g, t, d)
         ok = True
         for e in t.edge_children():
             crossed, downed = got[e]
@@ -318,7 +343,7 @@ def test_returned_paths_cover_truth():
                 ok = False
         if not ok:
             bad_instances += 1
-    assert bad_instances / 120 < 0.01
+    assert bad_instances == 0
 
 
 def test_proxy_filter_soundness_and_breadth():
@@ -364,7 +389,7 @@ def test_accumulator_canonicalization_and_drain():
 def test_gstar_full_cross_marks():
     g, t = make_gstar()
     d = decompose(t)
-    cross, down, ok = verified_rows(g, t, d, seed=9)
+    cross, down, ok = verified_rows(g, t, d)
     drained = pair_solver_inputs(d, cross, down[:0], ok[: len(cross)])
     assert len(drained) == 1
     mp, mq = drained[0]
@@ -373,23 +398,18 @@ def test_gstar_full_cross_marks():
 
 def equivalence_instances():
     rng = np.random.default_rng(0x57E4)
-    out = [make_gstar() + (4,)]
+    out = [make_gstar()]
     for i in range(160):
         wmax = 10 if i % 2 else 1 << 32
-        if i % 10 == 9:  # bigger trees, so more sampling levels take part
-            g, t = random_instance(rng, 30, 60, wmax=wmax, extra=4.0)
+        if i % 10 == 9:  # bigger trees, so the witness searches take more steps
+            out.append(random_instance(rng, 30, 60, wmax=wmax, extra=4.0))
         else:
-            g, t = random_instance(rng, 4, 14, wmax=wmax, extra=3.0)
-        # multiplier 1 shrinks k, so boundary rectangles overflow it and the
-        # stop-level walk matters
-        out.append((g, t, 1 if i % 3 == 0 else 4))
+            out.append(random_instance(rng, 4, 14, wmax=wmax, extra=3.0))
     # degenerate shapes, where witnesses sit on e's own heavy path above and
     # below e
     for shape, root in (("path", 0), ("path", "middle"), ("star", 0), ("star", 1), ("caterpillar", 0)):
         for wmax in (10, 1 << 32):
-            for multiplier in (1, 4):
-                g, t = shaped_instance(rng, shape, root, int(rng.integers(12, 41)), wmax)
-                out.append((g, t, multiplier))
+            out.append(shaped_instance(rng, shape, root, int(rng.integers(12, 41)), wmax))
     return out
 
 
@@ -411,44 +431,84 @@ def shaped_instance(rng, shape, root, n, wmax):
     return g, build_rooted_tree(g, tree, n // 2 if root == "middle" else root)
 
 
-def filtered_rows(proxy, d, idx, seed, multiplier):
-    """interest_checks at any sample multiplier: the candidate rows sampled
-    on proxy, then the 1/3 filter on idx."""
-    cross, down = candidate_rows(proxy, d, seed, multiplier)
-    filt = ProxyFilter(idx, d.tree)
-    return cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])], down[filt.down_ok_many(down[:, 0], down[:, 1])]
+def as_rows(arrays):
+    return [list(map(tuple, rows.tolist())) for rows in arrays]
 
 
-def test_batch_rows_equal_per_edge_reference(monkeypatch):
-    # the module's block cap holds every tree in one block; a 40-cell cap
-    # splits trees of 4..14 vertices into blocks of 2..10 edges, and larger
-    # ones into blocks of one
-    cases = [(cap, inst) for cap in (interesting.TOPS_BLOCK_CELLS, 40) for inst in enumerate(equivalence_instances())]
-    for cap, (i, (g, t, multiplier)) in cases:
-        monkeypatch.setattr(interesting, "TOPS_BLOCK_CELLS", cap)
+def test_batch_rows_equal_per_edge_reference():
+    for i, (g, t) in enumerate(equivalence_instances()):
         if t.n < 3:
             continue
         d = decompose(t)
         h = build_proxy_direct(g, eps=0.1)
-        # unfiltered candidates, then the filtered route on the graph itself
-        # (the in-memory provider's proxy) through its merge-sort tree, and
-        # on a sparsifier through its grid
-        runs = [(g, None, candidate_rows(g, d, 77 + i, multiplier))]
+        # on the graph itself (the in-memory provider's proxy) through its
+        # merge-sort tree, and on a sparsifier through its grid
         for p, index in ((g, weight_index), (h, grid_index)):
-            runs.append((p, p, filtered_rows(p, d, index(p, t), 77 + i, multiplier)))
-            if multiplier == DEFAULT_SAMPLE_MULTIPLIER:  # the pipeline's Step 4 is that route
-                got = interest_checks(d, p, ProxyFilter(index(p, t), t), 77 + i)
-                assert all(np.array_equal(a, b) for a, b in zip(got, runs[-1][2])), f"instance {i}"
-        for sample_graph, proxy, got in runs:
-            want = reference_checks(t, d, sample_graph, proxy, 77 + i, multiplier)
+            filt = ProxyFilter(index(p, t), t)
+            es, xs = tertile_witnesses(d, filt)
+            want = sorted((e, x) for e in t.edge_children() for x in reference_witnesses(t, p, e))
+            assert sorted(zip(es.tolist(), xs.tolist())) == want, f"instance {i}"
             # rows come distinct and sorted by (e, f), as the reference lists them
-            assert [list(map(tuple, rows.tolist())) for rows in got] == list(want), f"instance {i} cap {cap}"
+            assert as_rows(candidate_tops(d, es, xs)) == list(reference_checks(t, d, p, filtered=False)), f"instance {i}"
+            assert as_rows(interest_checks(d, filt)) == list(reference_checks(t, d, p)), f"instance {i}"
+
+
+def exhaustive_cases():
+    """(graph, tree) pairs: random trees at light and 2^32 weights, then the
+    path, star and caterpillar shapes."""
+    rng = np.random.default_rng(0xE4A)
+    for i in range(40):
+        yield random_instance(rng, 4, 12, wmax=1 << 32 if i % 2 else 10, extra=3.0)
+    for shape, root in (("path", 0), ("path", "middle"), ("star", 0), ("star", 1), ("caterpillar", 0)):
+        for wmax in (10, 1 << 32):
+            yield shaped_instance(rng, shape, root, int(rng.integers(9, 17)), wmax)
+
+
+def test_interest_checks_equal_exhaustive_enumeration(monkeypatch):
+    # every segment-top row the 1/3 filter keeps, and no other, on the graph
+    # itself through its merge-sort tree and on a sparser proxy (one forest
+    # per weight class) through its grid
+    monkeypatch.setattr(proxy_module, "FOREST_FACTOR", 0.002)
+    differing = 0
+    for i, (g, t) in enumerate(exhaustive_cases()):
+        d = decompose(t)
+        h = build_proxy_direct(g, eps=0.1)
+        differing += h.m < g.m
+        for p, index in ((g, weight_index), (h, grid_index)):
+            got = as_rows(interest_checks(d, ProxyFilter(index(p, t), t)))
+            assert got == list(exhaustive_filtered_rows(t, d, p)), f"instance {i}"
+    assert differing >= 40
+
+
+@pytest.mark.parametrize("weights, landing", [
+    ((3, 4, 1, 1), "T/3 at leaf 2"),    # T = 9
+    ((2, 4, 2, 1), "2T/3 at leaf 3"),   # T = 9
+    ((4, 3, 2, 1), "ceil(T/3) at 2"),   # T = 10
+    ((1, 6, 2, 1), "ceil(2T/3) at 3"),  # T = 10
+    ((4, 4, 2, 1), "ceil(T/3) at 2, ceil(2T/3) at 3"),  # T = 11
+    ((1, 3, 4, 3), "ceil(T/3) at 3, ceil(2T/3) at 4"),  # T = 11
+])
+def test_tertile_witnesses_at_exact_landings(weights, landing):
+    # tree 0-1, 0-2, 0-3, 0-4 (post-order 1, 2, 3, 4, 0) and edges from 1 to
+    # each other vertex: e = 1's cross line carries w2, w3, w4 at leaves 2..4
+    # and the tree edge's w0 at the root, so T = deg(1) = w2 + w3 + w4 + w0
+    w2, w3, w4, w0 = weights
+    g = WeightedGraph(5, [(0, 1, w0), (1, 2, w2), (1, 3, w3), (1, 4, w4), (0, 2, 1), (0, 3, 1), (0, 4, 1)])
+    t = build_rooted_tree(g, [(0, 1), (0, 2), (0, 3), (0, 4)], root=0)
+    d = decompose(t)
+    filt = ProxyFilter(weight_index(g, t), t)
+    es, xs = tertile_witnesses(d, filt)
+    total = sum(weights)
+    running = dict(zip((2, 3, 4, 0), itertools.accumulate((w2, w3, w4, w0))))
+    first = [next(v for v in (2, 3, 4, 0) if 3 * running[v] >= k * total) for k in (1, 2)]
+    assert xs[es == 1][:2].tolist() == first, landing
+    assert as_rows(interest_checks(d, filt)) == list(exhaustive_filtered_rows(t, d, g)), landing
 
 
 def test_pair_solver_inputs_equal_per_row_reference():
-    for i, (g, t, multiplier) in enumerate(equivalence_instances()):
+    for i, (g, t) in enumerate(equivalence_instances()):
         d = decompose(t)
-        cross, down, ok = verified_rows(g, t, d, 77 + i, multiplier)
+        cross, down, ok = verified_rows(g, t, d)
         # every candidate marked as well, so that many pairs form on small trees
         for keep in (ok, np.ones_like(ok)):
             got = pair_solver_inputs(d, cross, down, keep)
@@ -470,10 +530,19 @@ def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):
     assert (stats.queries, stats.passes, stats.tracked_words, stats.probes) == ledgers
 
 
+def every_witness(d, filt):
+    """Every vertex as a witness for every tree edge, in tertile_witnesses' form."""
+    t = d.tree
+    es, xs = np.divmod(np.arange(t.n * t.n), t.n)
+    return es[es != t.root], xs[es != t.root]
+
+
 @pytest.mark.parametrize("graph", ["gstar", "n40"])
 def test_sequential_filter_drops_only_failing_rows(graph, monkeypatch):
     # on the graph itself the 1/3 filter (3 C > deg) is implied by the exact
-    # 2 C > deg, so it only spares exact checks of rows that would fail
+    # 2 C > deg, so it and the tertile witnesses only spare exact checks of
+    # rows that would fail: checking every segment-top row instead, with
+    # every vertex a witness for every edge, changes nothing else
     if graph == "gstar":
         g, _ = make_gstar()
     else:
@@ -491,6 +560,7 @@ def test_sequential_filter_drops_only_failing_rows(graph, monkeypatch):
         if keep_all:
             for name in ("cross_ok_many", "down_ok_many"):
                 monkeypatch.setattr(ProxyFilter, name, lambda self, us, fs: np.ones(len(us), dtype=bool))
+            monkeypatch.setattr(tworespect, "tertile_witnesses", every_witness)
         crossings.append(0)
         res, stats = min_cut_pipeline(g, "sequential", rng=3)
         runs.append((res.value, res.certificate, res.partition, stats.probes))

@@ -103,7 +103,7 @@ def test_step5_work_bound():
         # direct bound check on the Step 5 instances, rows verified by brute force
         d = decompose(t)
         deg = {v: cut_of_partition(g, t.subtree(v)) for v in t.edge_children()}
-        cross, down = candidate_rows(g, d, i)
+        cross, down = candidate_rows(g, d)
         okc = np.array([2 * cross_weight(g, t.subtree(e), t.subtree(f)) > deg[e]
                         for e, f in cross.tolist()], dtype=bool)
         okd = np.array([2 * cross_weight(g, t.subtree(f), set(range(n)) - set(t.subtree(e))) > deg[e]
@@ -142,7 +142,7 @@ def test_lockstep_round_counts():
     from twocut.tworespect import SearchSink, two_respect_plan
 
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(t, provider, 5, sink)], provider)
+    rounds = run_lockstep([two_respect_plan(t, provider, sink)], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -154,7 +154,7 @@ def test_lockstep_round_counts():
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep(
-        [two_respect_plan(tp, provider2, 5, sink2)], provider2
+        [two_respect_plan(tp, provider2, sink2)], provider2
     )
     assert sink2.value == 1
     assert rounds2 <= 4
