@@ -10,6 +10,8 @@ tables of the paths each root line meets.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .graph import RootedSpanTree
@@ -104,6 +106,22 @@ def decompose(t: RootedSpanTree) -> PathDecomposition:
     if t.n < 2:
         raise ValueError("decomposition needs at least one edge")
     return PathDecomposition(t)
+
+
+def stack(ds):
+    """The decompositions of trees on n vertices each as one, for batched walks:
+    tree i's vertex v becomes i * n + v, with path ids and flat positions offset
+    to match, and tree holds n and the stacked lo, hi and order tables (positions
+    stay per tree)."""
+    n, k, out = ds[0].tree.n, np.arange(len(ds)), PathDecomposition.__new__(PathDecomposition)
+    pid = np.cumsum([0] + [len(d.paths) for d in ds])
+    shift = {"order": k * n, "flat": k * n, "start": k * (n - 1), "path_of": pid, "exit_path": pid}
+    def cat(objs, name):  # negative entries (no path, padding) stay
+        return np.concatenate([np.where(a >= 0, a + s, a) for a, s in
+                               zip((getattr(o, name) for o in objs), shift.get(name, 0 * k))])
+    out.tree = SimpleNamespace(n=n, **{name: cat([d.tree for d in ds], name) for name in ("lo", "hi", "order")})
+    vars(out).update({a: cat(ds, a) for a in ("flat", "start", "top_depth", "path_of", "exit_path", "exit_depth")})
+    return out
 
 
 def top_edges_on_root_path(d: PathDecomposition, v: int):

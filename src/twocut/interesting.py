@@ -1,4 +1,4 @@
-"""Discovery of cross- and down-interesting tree-edge pairs, one tree at a time.
+"""Discovery of cross- and down-interesting tree-edge pairs, many trees at a time.
 
 For a tree edge e above vertex u, a partner edge above v is cross-interesting
 when C(u_sub, v_sub) > deg(u_sub) / 2 (disjoint subtrees) and
@@ -18,14 +18,14 @@ within one decomposition path are excluded here; the path solver already
 covers them. The per-weight-class boundary sampler (build_weight_classes,
 sample_cross_candidates) is off the pipeline.
 
-Every stage handles all tree edges of a tree in one batch: one binary
-search for all witnesses, one walk of the decomposition's per-vertex path
-tables from all of them, and one proxy filter call per interest kind.
-Candidates travel as (e, f) rows of tree-edge children; f's decomposition
-path is path_of[f]. The provider builds the filter
-(CostProvider.proxy_filter): its subtree degrees are the tree's Step 1
-degrees whenever the proxy nets to the hidden edges; only a proxy that
-differs has them read off its own index.
+Every stage handles all tree edges of a group of trees (hld.stack: tree i's
+vertex v is i * n + v) in one batch: one binary search for all witnesses, one
+walk of the stacked per-vertex path tables from all of them, and one proxy
+filter call per interest kind, each rectangle read at its tree's table offset.
+Candidates travel as (e, f) rows of tree-edge children; f's decomposition path
+is path_of[f]. The provider builds the filter (CostProvider.proxy_filter) with
+the trees' Step 1 degrees whenever the proxy nets to the hidden edges; a proxy
+that differs is filtered one tree at a time, on degrees off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
@@ -89,12 +89,12 @@ class ProxyFilter:
     rangeindex.subtree_sums); deg, the proxy's subtree degrees under tree
     when the caller already holds them (as CostProvider.proxy_filter does),
     else they are read from idx. Both checks take aligned (or scalar) edge
-    arrays us, fs and return one boolean per row.
+    arrays us, fs and return one boolean per row. On a GridBlock idx, tree and
+    deg stack several trees (hld.stack) and at[v] is the offset of v's table.
     """
 
-    def __init__(self, idx, tree, deg=None):
-        self.tree = tree
-        self.idx = idx
+    def __init__(self, idx, tree, deg=None, at=None):
+        self.tree, self.idx, self.at = tree, idx, at
         self.deg = tree_degrees(idx, tree) if deg is None else deg
 
     def cross_ok_many(self, us, fs):
@@ -108,7 +108,8 @@ class ProxyFilter:
     def _ok(self, us, fs, sub):
         us, fs = np.broadcast_arrays(np.atleast_1d(us), np.atleast_1d(fs))
         # 3 C > deg exactly, without tripling C in int64
-        return subtree_sums(self.idx, self.tree, us, fs, np.full(len(us), sub)) > self.deg[us] // 3
+        at = None if self.at is None else self.at[us]
+        return subtree_sums(self.idx, self.tree, us, fs, np.full(len(us), sub), at) > self.deg[us] // 3
 
 
 def tertile_witnesses(d: PathDecomposition, filt: ProxyFilter):
@@ -126,7 +127,8 @@ def tertile_witnesses(d: PathDecomposition, filt: ProxyFilter):
     the root lines of the vertices at q1 and q2 hold every kept partner.
 
     One binary search over post-order positions finds all four for every
-    edge, each step one filt.idx.rect_weights call. The running mass at p is
+    edge of every tree d stacks, each step one filt.idx.rect_weights call (at
+    each tree's table offset filt.at on a GridBlock). The running mass at p is
     two rectangles, cross [0, min(p, lo-1)] x [lo, hi] + [lo, hi] x [hi+1, p]
     and down [0, lo-1] x [lo, p] + [lo, p] x [hi+1, n-1], both pieces of T,
     so no sum passes 2^62. Returns aligned (edge, witness) arrays, rows
@@ -142,15 +144,16 @@ def tertile_witnesses(d: PathDecomposition, filt: ProxyFilter):
     # every row's first rectangle, then its second; x2 and y2 move with p
     x1, y1 = np.concatenate((np.zeros(2 * h, np.int64), lo)), np.concatenate((lo, hi + 1))
     x2, y2 = np.concatenate((lo - 1, hi)), np.concatenate((hi, np.full(2 * h, n - 1)))
+    at = () if filt.at is None else (filt.at[np.tile(us, 8)],)  # each rectangle's table offset
     for _ in range(ceil_log2(n)):
         p = (a + b) >> 1
         x2[:h] = np.minimum(p[:h], lo[:h] - 1)
         x2[3 * h :] = y2[h : 2 * h] = p[h:]
         y2[2 * h : 3 * h] = p[:h]
-        w = filt.idx.rect_weights(x1, x2, y1, y2)
+        w = filt.idx.rect_weights(x1, x2, y1, y2, *at)
         hit = w[: 2 * h] + w[2 * h :] >= tau
         a, b = np.where(hit, a, p + 1), np.where(hit, p, b)
-    return np.tile(us, 4), t.order[a]
+    return np.tile(us, 4), t.order[np.tile(us - us % n, 4) + a]
 
 
 def candidate_tops(d: PathDecomposition, es, xs):
@@ -169,10 +172,10 @@ def candidate_tops(d: PathDecomposition, es, xs):
     and geometry alone splits them; one np.unique over e * n + f keeps the
     distinct rows.
     """
-    t = d.tree
+    t, m = d.tree, len(d.tree.lo)  # m: the vertices of every tree d stacks
     es, xs = np.asarray(es, dtype=np.int64), np.asarray(xs, dtype=np.int64)
     row, f = d.suffix_tops(xs, d.anchor_depths(es, xs))
-    e, f = np.divmod(np.unique(es[row] * t.n + f), t.n)
+    e, f = np.divmod(np.unique(es[row] * m + f), m)
     le, he, lf, hf = t.lo[e], t.hi[e], t.lo[f], t.hi[f]
     cross = (he < lf) | (hf < le)
     down = (le <= lf) & (hf < he) & (d.path_of[f] != d.path_of[e])

@@ -30,7 +30,7 @@ from .provider import run_lockstep
 from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
-from .tworespect import SearchSink, two_respect_plan
+from .tworespect import SearchSink, Step4Batch, two_respect_plan
 from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
@@ -272,10 +272,11 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
     tasks = []
     sinks = []
     rooted = []
+    step4 = Step4Batch()
     for edges in trees:
         t = build_rooted_tree(g, edges, root=0)
         sink = SearchSink()
-        tasks.append(two_respect_plan(t, provider, sink))
+        tasks.append(two_respect_plan(t, provider, sink, step4))
         sinks.append(sink)
         rooted.append(t)
     run_lockstep(tasks, provider)

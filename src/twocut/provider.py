@@ -22,9 +22,9 @@ call per tree and batch. Every `_eval_unique` meters before it reads
 values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 finds partners on (its
-own graph in memory, else the sparsifier), and `proxy_filter(tree)`, Step 4's
-1/3 filter on it: on the tree's own index and Step 1 degrees when the proxy
-nets to the same edges as the hidden ones, else on a grid over the proxy.
+own graph in memory, else the sparsifier), and `proxy_filter(*trees)`, Step
+4's 1/3 filter on it: on the trees' own indexes, one filter per `filter_key`
+(GridBlock), when the proxy nets to the hidden edges, else on a grid over it.
 
 Requests are paired with the RootedSpanTree they refer to, which is also
 the key of the tree's slot, so one provider can serve many spanning trees in
@@ -191,15 +191,25 @@ class CostProvider:
         """Meter the distinct uncached request rows, then return self._values(rows)."""
         raise NotImplementedError
 
-    def proxy_filter(self, tree: RootedSpanTree):
-        """Step 4's unmetered ProxyFilter over the proxy under tree: on the tree's
-        own index and Step 1 degrees when the proxy nets to the hidden edges, else
-        on a grid over the proxy."""
+    def proxy_filter(self, *trees: RootedSpanTree):
+        """Step 4's unmetered ProxyFilter over the proxy under trees: for trees of
+        one filter_key, their GridBlock at each tree's table offset and their Step 1
+        degrees, stacked as in hld.stack; for one tree, the same on its own index
+        when the proxy nets to the hidden edges, else a grid over the proxy."""
+        s = [self._slots.get(t) for t in trees]  # indexed by each tree's first batch (Step 1)
+        if len(s) > 1:
+            flat = SimpleNamespace(n=self.n, lo=self._lo[s].ravel(), hi=self._hi[s].ravel())
+            block = self._blocks[self._block[s[0]]]
+            return ProxyFilter(block, flat, self._deg[s].ravel(), np.repeat(self._at[s], self.n))
         if self._proxy_is_own:
-            s = self._slots[tree]  # indexed by the tree's first batch (Step 1)
-            return ProxyFilter(self._index[s], tree, self._deg[s])
+            return ProxyFilter(self._index[s[0]], trees[0], self._deg[s[0]])
         h = self.proxy
-        return ProxyFilter(PoPrefixGrid(self.n, *edge_points(tree.po, h.eu, h.ev), h.ew), tree)
+        return ProxyFilter(PoPrefixGrid(self.n, *edge_points(trees[0].po, h.eu, h.ev), h.ew), trees[0])
+
+    def filter_key(self, tree):
+        """The GridBlock whose trees share one proxy_filter call; None for a tree filtered alone."""
+        s = self._slots.get(tree)
+        return int(self._block[s]) if self._proxy_is_own and s is not None and self._block[s] >= 0 else None
 
     def _add_indexes(self, slots):
         """Index the net hidden edges under the trees of slots, seen for the

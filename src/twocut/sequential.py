@@ -24,14 +24,14 @@ class SequentialProvider(CostProvider):
         self._tree_words = 2 * g.m * g.m.bit_length()  # one merge-sort tree
         self._dense = (g.n + 1) ** 2 <= self._tree_words
 
-    def proxy_filter(self, tree):
-        # over merge-sort trees a grid is still the cheapest filter index per row; built
-        # only while no larger than the tree indexes held, it at most doubles memory
+    def proxy_filter(self, *trees):
+        # over merge-sort trees (alone) a grid is still the cheapest filter index per row;
+        # built only while no larger than the tree indexes held, it at most doubles memory
         if not self._dense and (self.n + 1) ** 2 <= len(self._index) * self._tree_words:
-            u, v, w = self._hidden
+            (tree,), (u, v, w) = trees, self._hidden
             grid = PoPrefixGrid(self.n, *edge_points(tree.po, u, v), w)
             return ProxyFilter(grid, tree, self._deg[self._slots[tree]])
-        return super().proxy_filter(tree)  # the tree's own index and Step 1 degrees
+        return super().proxy_filter(*trees)  # the trees' own indexes and Step 1 degrees
 
     def _eval_unique(self, rows):
         return self._values(rows)

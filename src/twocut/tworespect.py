@@ -1,14 +1,15 @@
 """Minimum 2-respecting cut: the five-step search over a cost provider.
 
-Step 1 reads every single-edge cut in one batch. Step 2 decomposes the tree
-into heavy paths. Step 3 runs one pair solver over the split halves of every
-path. Step 4 walks the root lines of each subtree's tertile witnesses on the
-provider's proxy to discover cross-/down-interesting partner paths, screens
-them with the proxy's 1/3-filter and verifies the survivors exactly, in
-every model. Step 5 runs one pair solver over a bipartite instance per
-verified path pair; the verified rows stay int64 arrays from the Step 4
-values to interesting.pair_solver_inputs, which hands back each instance's
-row and column lists. The minimum over everything probed is the answer.
+Step 2 decomposes the tree into heavy paths, before Step 1 reads every
+single-edge cut in one batch. Step 3 runs one pair solver over the split
+halves of every path. Step 4 walks the root lines of each subtree's tertile
+witnesses on the provider's proxy to discover cross-/down-interesting partner
+paths and screens them with the proxy's 1/3-filter, once per group of trees
+(Step4Batch); each tree's survivors are verified exactly, in every model.
+Step 5 runs one pair solver over a bipartite instance per verified path pair;
+the verified rows stay int64 arrays from the Step 4 values to
+interesting.pair_solver_inputs, which hands back each instance's row and
+column lists. The minimum over everything probed is the answer.
 No step samples: it is the true 2-respecting minimum whenever the 1/3
 filter keeps every true partner, always on the graph itself and on a
 sparsifier within 1 +- eps of it.
@@ -38,7 +39,7 @@ from .graph import (
     pair_tie_key,
     reconstruct_partition,
 )
-from .hld import decompose
+from .hld import decompose, stack
 from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
 from .interesting import build_weight_classes, sample_cross_candidates  # noqa: F401  tracer-only until ROADMAP item 1
 from .interval import BipartiteSolver, self_pair_instances
@@ -79,13 +80,12 @@ def _drive_solvers(t: RootedSpanTree, solver: BipartiteSolver, sink: SearchSink)
 
 
 def interest_checks(d, filt: ProxyFilter):
-    """Step 4 discovery for every tree edge of d's tree in one batch.
+    """Step 4 discovery for every tree edge of the trees d stacks, in one batch.
 
-    Walks the root lines of each edge's tertile witnesses on filt's index
-    and 1/3-filters the met segment tops with filt, a ProxyFilter under d's
-    tree. Returns (cross, down) int64 arrays of (e, f) rows left for exact
-    verification: CrossSub(e, f) and CrossNested(f, e). They are exactly
-    the segment-top rows the filter keeps (see tertile_witnesses).
+    Walks the root lines of each edge's tertile witnesses and 1/3-filters the
+    met segment tops with filt, a ProxyFilter under the same trees. Returns
+    (cross, down) int64 arrays of the (e, f) rows the filter keeps, sorted by
+    e, for exact verification as CrossSub(e, f) and CrossNested(f, e).
     """
     cross, down = candidate_tops(d, *tertile_witnesses(d, filt))
     cross = cross[filt.cross_ok_many(cross[:, 0], cross[:, 1])]
@@ -93,12 +93,43 @@ def interest_checks(d, filt: ProxyFilter):
     return cross, down
 
 
-def two_respect_plan(t: RootedSpanTree, provider, sink: SearchSink):
-    """The five-step search for one tree, as a lockstep generator.
+GROUP_EDGES = 1024  # tree edges per Step 4 group, bounding its stacked temporaries (~1.2 KB per edge)
 
-    Step 4 discovers and 1/3-filters on provider.proxy_filter(t).
+
+class Step4Batch:
+    """Step 4 discovery for the trees of one run, one interest_checks pass per group.
+
+    Trees register their decomposition before Step 1. The first to reach Step 4
+    discovers the rows of its group, itself and up to max(1, GROUP_EDGES // n) - 1
+    waiting trees of its provider.filter_key, stacked by hld.stack. The run owns
+    the batch, not the provider: a cycle between them would hold a finished run's grids.
     """
+
+    def __init__(self):
+        self._waiting, self._rows = {}, {}  # tree -> decomposition; tree -> (cross, down) until taken
+
+    def register(self, t: RootedSpanTree, d):
+        self._waiting[t] = d
+
+    def rows(self, t: RootedSpanTree, provider):
+        if t not in self._rows:
+            key = provider.filter_key(t)
+            peers = [s for s in self._waiting if key is not None and s is not t and provider.filter_key(s) == key]
+            group = [t] + peers[: max(1, GROUP_EDGES // t.n) - 1]
+            cross, down = interest_checks(stack([self._waiting.pop(s) for s in group]), provider.proxy_filter(*group))
+            base = np.arange(len(group) + 1) * t.n  # tree i's rows have e in [base[i], base[i + 1])
+            cut, nest = np.searchsorted(cross[:, 0], base), np.searchsorted(down[:, 0], base)
+            for i, s in enumerate(group):
+                self._rows[s] = cross[cut[i] : cut[i + 1]] - base[i], down[nest[i] : nest[i + 1]] - base[i]
+        return self._rows.pop(t)
+
+
+def two_respect_plan(t: RootedSpanTree, provider, sink: SearchSink, step4: Step4Batch):
+    """The five-step search for one tree, as a lockstep generator; the tree's
+    decomposition is registered with step4, which Step 4 takes its rows from."""
     kids = t.edge_children()
+    if len(kids) >= 2:
+        step4.register(t, d := decompose(t))
 
     singles = yield [(t, DegSubtree(v)) for v in kids]
     deg = np.zeros(t.n, dtype=np.int64)
@@ -106,13 +137,11 @@ def two_respect_plan(t: RootedSpanTree, provider, sink: SearchSink):
     sink.offer(t, singles, [TreeEdgePair(SINGLE, v) for v in kids])
 
     if len(kids) >= 2:
-        d = decompose(t)
-
         path_instances = [inst for path in d.paths for inst in self_pair_instances(path)]
         if path_instances:
             yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
 
-        cross, down = interest_checks(d, provider.proxy_filter(t))
+        cross, down = step4.rows(t, provider)
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(t, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(t, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -132,8 +161,7 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     if g.n < 2:
         raise GraphError("no tree edge exists on a single vertex")
     sink = SearchSink()
-    task = two_respect_plan(t, provider, sink)
-    run_lockstep([task], provider)
+    run_lockstep([two_respect_plan(t, provider, sink, Step4Batch())], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair
     return CutResult(sink.value, pair, reconstruct_partition(t, pair))

@@ -531,10 +531,13 @@ def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):
 
 
 def every_witness(d, filt):
-    """Every vertex as a witness for every tree edge, in tertile_witnesses' form."""
-    t = d.tree
-    es, xs = np.divmod(np.arange(t.n * t.n), t.n)
-    return es[es != t.root], xs[es != t.root]
+    """Every vertex as a witness for every edge of its tree, in tertile_witnesses'
+    form: d may stack several trees (hld.stack), tree i's vertex v at i * n + v."""
+    t, n = d.tree, d.tree.n
+    es, xs = np.divmod(np.arange(len(t.lo) * n), n)
+    xs += es - es % n
+    edge = t.hi[es] - t.lo[es] < n - 1  # not a root, whose subtree spans the tree
+    return es[edge], xs[edge]
 
 
 @pytest.mark.parametrize("graph", ["gstar", "n40"])

@@ -1,11 +1,16 @@
-"""Orchestrated search vs the exhaustive 2-respecting oracle (in-memory)."""
+"""Orchestrated search vs the exhaustive 2-respecting oracle (in-memory), and
+Step 4 discovery shared by a group of trees vs each tree's own."""
 
+import gc
+import math
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from twocut import tworespect
+from twocut import packing, tworespect
+from twocut import proxy as proxy_module
 from twocut.graph import (
     GraphError,
     WeightedGraph,
@@ -14,12 +19,13 @@ from twocut.graph import (
     oracle_2respect_min,
 )
 from twocut.grid import PoPrefixGrid
+from twocut.hld import decompose
 from twocut.interesting import ProxyFilter
 from twocut.interval import BipartiteSolver
-from twocut.packing import MODES, min_cut_pipeline
+from twocut.packing import MODES, PipelineConfig, min_cut_pipeline
 from twocut.rangeindex import WeightRangeIndex
 from twocut.sequential import SequentialProvider
-from twocut.tworespect import min_2respect
+from twocut.tworespect import interest_checks, min_2respect
 from twocut.util import floor_log2
 
 from conftest import (
@@ -139,10 +145,10 @@ def test_lockstep_round_counts():
     # step-5 rounds
     g, t = make_gstar()
     provider = SequentialProvider(g)
-    from twocut.tworespect import SearchSink, two_respect_plan
+    from twocut.tworespect import SearchSink, Step4Batch, two_respect_plan
 
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(t, provider, sink)], provider)
+    rounds = run_lockstep([two_respect_plan(t, provider, sink, Step4Batch())], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -154,7 +160,7 @@ def test_lockstep_round_counts():
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep(
-        [two_respect_plan(tp, provider2, sink2)], provider2
+        [two_respect_plan(tp, provider2, sink2, Step4Batch())], provider2
     )
     assert sink2.value == 1
     assert rounds2 <= 4
@@ -213,3 +219,103 @@ def test_sequential_filter_index_by_size(n, extra, index, monkeypatch):
     keep_all = min_2respect(g, t, SequentialProvider(g), rng=5)
     assert (res.value, res.certificate, res.partition) == (keep_all.value, keep_all.certificate, keep_all.partition)
     assert res.value == oracle_2respect_min(g, t).value
+
+
+def bench_shaped_runs():
+    """(graph, mode, churn) at the benchmark workloads' shapes: n = 128 at extra 8
+    in memory, n = 48 at weights up to 2^32 under queries, n = 128 under a churned
+    stream."""
+    for i, (mode, n, extra, wmax, churn) in enumerate([("sequential", 128, 8, 10, 0.0),
+                                                       ("cut-query", 48, 8, 1 << 32, 0.0),
+                                                       ("streaming", 128, 8, 10, 0.5)]):
+        yield random_connected_graph(np.random.default_rng(90 + i), n, extra=extra, wmax=wmax), mode, churn
+
+
+def discovery_runs(case):
+    if case == "bench-shaped":
+        yield from bench_shaped_runs()
+    elif case == "criterion-1":
+        from test_acceptance import corpus_200
+
+        for g in corpus_200()[:12]:
+            for mode in MODES:
+                yield g, mode, 0.5 if mode == "streaming" else 0.0
+    elif case == "merge-sort":  # as in test_sequential_filter_index_by_size
+        yield random_connected_graph(np.random.default_rng(64), 64, extra=1.5, wmax=10), "sequential", 0.0
+    else:  # a thin stream proxy that differs from the graph, filtered on a grid of its own
+        for i in range(3):
+            yield random_connected_graph(np.random.default_rng(70 + i), 48, extra=8, wmax=10), "streaming", 0.5
+
+
+@pytest.mark.parametrize("group_edges", [1, tworespect.GROUP_EDGES, 1 << 40])
+@pytest.mark.parametrize("case", ["bench-shaped", "criterion-1", "merge-sort", "thin-proxy"])
+def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
+    # every tree takes from its group's one pass exactly the rows interest_checks
+    # gives it alone, whatever the group bound: one tree, about 1,024 edges, all
+    monkeypatch.setattr(tworespect, "GROUP_EDGES", group_edges)
+    if case == "thin-proxy":
+        monkeypatch.setattr(proxy_module, "FOREST_FACTOR", 0.002)
+    rows, stack, providers = tworespect.Step4Batch.rows, tworespect.stack, packing._providers_for
+    taken, groups, own = [], [], []
+
+    def spy(self, t, provider):
+        got = rows(self, t, provider)
+        want = interest_checks(decompose(t), provider.proxy_filter(t))
+        taken.append(all(map(np.array_equal, got, want)))
+        return got
+
+    def providers_spy(*args):
+        provider, host = providers(*args)
+        own.append(provider._proxy_is_own)
+        return provider, host
+
+    monkeypatch.setattr(tworespect.Step4Batch, "rows", spy)
+    monkeypatch.setattr(tworespect, "stack", lambda ds: groups.append(len(ds)) or stack(ds))
+    monkeypatch.setattr(packing, "_providers_for", providers_spy)
+    runs = 0
+    for g, mode, churn in discovery_runs(case):
+        min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
+        runs += 1
+    assert taken and all(taken)
+    assert sum(groups) == len(taken)
+    if case in ("bench-shaped", "criterion-1"):  # each run's trees share one GridBlock
+        assert all(own) and (max(groups) > 1) == (group_edges > 1)
+        if group_edges == 1 << 40:
+            assert len(groups) == runs
+    else:  # filtered alone: a merge-sort tree's graph, or a proxy that differs
+        assert max(groups) == 1 and all(own) == (case == "merge-sort")
+
+
+def test_discovery_runs_once_per_group(monkeypatch):
+    # a silent per-tree route would pass every value check; count the witness searches
+    searches, registered = [], []
+    witnesses, register = tworespect.tertile_witnesses, tworespect.Step4Batch.register
+    monkeypatch.setattr(tworespect, "tertile_witnesses", lambda d, filt: searches.append(d) or witnesses(d, filt))
+    monkeypatch.setattr(tworespect.Step4Batch, "register",
+                        lambda self, t, d: registered.append(t) or register(self, t, d))
+    g, mode, _ = next(bench_shaped_runs())
+    min_cut_pipeline(g, mode, rng=5)
+    room = tworespect.GROUP_EDGES // g.n
+    assert room > 1 and len(registered) > room
+    assert len(searches) == math.ceil(len(registered) / room)
+
+
+def test_finished_pipeline_frees_its_provider(monkeypatch):
+    # a reference cycle through the provider would keep every grid of a finished
+    # solve alive until the next collection
+    refs, providers = [], packing._providers_for
+
+    def providers_spy(*args):
+        provider, host = providers(*args)
+        refs.append(weakref.ref(provider))
+        return provider, host
+
+    monkeypatch.setattr(packing, "_providers_for", providers_spy)
+    g = next(bench_shaped_runs())[0]
+    gc.disable()
+    try:
+        for mode in MODES:
+            min_cut_pipeline(g, mode, rng=5)
+            assert refs[-1]() is None, mode
+    finally:
+        gc.enable()
