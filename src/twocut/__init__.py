@@ -27,7 +27,7 @@ from .graph import (
     reconstruct_partition,
 )
 from .hld import decompose, top_edges_on_root_path
-from .interesting import build_weight_classes, candidate_tops, pair_solver_inputs, sample_cross_candidates
+from .interesting import candidate_tops, pair_solver_inputs
 from .interval import CostMatrixHandle, ProbeLedger, bipartite_interval, interval_self, monge_check
 from .packing import (
     PipelineConfig,

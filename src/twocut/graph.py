@@ -97,7 +97,7 @@ class WeightedGraph:
     def weight_classes(self):
         """{i: ids of the edges with weight in [2^i, 2^(i+1))}, classes
         ascending, ids ascending; zero-weight edges are in no class. The
-        proxy peels per class, as the off-pipeline boundary sampler samples."""
+        proxy peels its forests one class at a time."""
         cls = bit_lengths(self.ew) - 1
         return {i: np.flatnonzero(cls == i) for i in np.unique(cls[cls >= 0]).tolist()}
 

@@ -15,8 +15,7 @@ the proxy, first reaches a third and two thirds of deg(u_sub). Every
 partner the 1/3 filter keeps holds one of them in its subtree, so the
 filtered rows are exactly the segment-top rows that filter keeps. Pairs
 within one decomposition path are excluded here; the path solver already
-covers them. The per-weight-class boundary sampler (build_weight_classes,
-sample_cross_candidates) is off the pipeline.
+covers them. Unlike the source paper, Step 4 samples no boundary edges.
 
 Every stage handles all tree edges of a group of trees (hld.stack: tree i's
 vertex v is i * n + v) in one batch: one binary search for all witnesses, one
@@ -36,46 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import WeightedGraph
 from .hld import PathDecomposition
-from .rangeindex import SampleRangeIndex, edge_points, sample_rects, subtree_sums, tree_degrees
+from .rangeindex import subtree_sums, tree_degrees
 from .util import ceil_log2
-
-DEFAULT_SAMPLE_MULTIPLIER = 4
-
-
-def build_weight_classes(g: WeightedGraph, t, seed):
-    """Per weight class, ascending: a sampling index over that class's edge
-    points under t, as {class: SampleRangeIndex}.
-
-    The classes are g's cached split (WeightedGraph.weight_classes), so
-    zero-weight edges are skipped; they cannot witness any threshold.
-    """
-    xs, ys = edge_points(t.po, g.eu, g.ev)
-    return {i: SampleRangeIndex(xs[keep], ys[keep], keep, seed=(seed << 6) ^ i)
-            for i, keep in g.weight_classes.items()}
-
-
-def sample_k(n, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    return max(1, multiplier * ceil_log2(max(n, 2)))
-
-
-def sample_cross_candidates(classes, t, us, multiplier=DEFAULT_SAMPLE_MULTIPLIER):
-    """Boundary samples of the subtrees below every tree edge in us (off the
-    pipeline, which takes tertile_witnesses instead).
-
-    classes: build_weight_classes' {class: SampleRangeIndex} under t. One
-    sample_rects pass reports both boundary rectangles of every subtree (its
-    edges leaving leftward and rightward in post-order) in every weight
-    class. Returns aligned (edge, sampled edge id) arrays; the rectangles and
-    the classes are disjoint, so no pair repeats.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    a, b = t.lo[us], t.hi[us]
-    x1, x2 = np.concatenate((np.zeros_like(a), a)), np.concatenate((a - 1, b))
-    y1, y2 = np.concatenate((a, b + 1)), np.concatenate((b, np.full_like(b, t.n - 1)))
-    rows, eids = sample_rects(list(classes.values()), x1, x2, y1, y2, sample_k(t.n, multiplier))
-    return us[rows % max(len(us), 1)], eids
 
 
 class ProxyFilter:

@@ -6,14 +6,10 @@ most two axis-aligned rectangle sums. The weight index is a static merge-sort
 tree (O(m log^2 m) build) that answers a whole batch of rectangles with
 O(log m) vectorized `searchsorted` calls, each over the batch. The sampling
 index keeps halving subsets S_0 .. S_k whose membership is fixed by the build
-seed; `sample_rects` reports a batch of rectangles over several sampling
-indexes at once, each (rectangle, index) pair scanning only the shorter of
-its x-run and y-run in one table of the points sorted by x and by y.
+seed and reports one rectangle from one mask of its points.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -50,6 +46,8 @@ class WeightRangeIndex:
 
     def __init__(self, xs, ys, ws):
         xs, ys, ws = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ws))
+        if not len(xs) == len(ys) == len(ws):
+            raise ValueError("point columns differ in length")
         self.total = sum(ws.tolist())
         if self.total >= WEIGHT_SUM_LIMIT:
             raise WeightOverflowError(f"total point weight {self.total} reaches 2**62")
@@ -108,76 +106,24 @@ class SampleRangeIndex:
     """
 
     def __init__(self, xs, ys, ids, seed):
-        self.m = m = len(xs)
+        self.xs, self.ys, self.ids = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ids))
+        if not len(self.xs) == len(self.ys) == len(self.ids):
+            raise ValueError("point columns differ in length")
+        self.m = m = len(self.xs)
         self.top = ceil_log2(m) if m > 1 else 0
         rng = rng_for(seed, 0xA11CE)
         self.point_level = np.minimum(rng.geometric(0.5, size=m) - 1, self.top)
-        self.xs, self.ys, self.ids = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ids))
 
     def sample_rect(self, x1, x2, y1, y2, k):
-        """All rectangle points of the shallowest level that reports >= k of them."""
-        return sample_rects([self], [x1], [x2], [y1], [y2], k)[1]
-
-
-SAMPLE_CHUNK_CELLS = 1 << 18  # run cells scanned per pass of sample_rects, ~40 bytes each at peak
-
-
-def sample_rects(indexes, x1, x2, y1, y2, k):
-    """sample_rect of every rectangle (aligned int64 arrays) in every index, in one batch.
-
-    The indexes are strata with disjoint points and levels of their own.
-    Returns aligned (rectangle row, point id) arrays, rows ascending; within
-    a row the points come index by index, each in point order. Every
-    (rectangle, stratum) pair scans one run of a table holding the points
-    sorted by (stratum, x), then by (stratum, y): the shorter of its x-run
-    and y-run, masked to the rectangle. One histogram of (pair, level) over
-    the points inside gives, since the levels nest, every stop level: the
-    highest holding >= k points, or 0 when the pair holds <= k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    none = np.zeros(0, dtype=np.int64)
-    c = np.concatenate([ix.xs for ix in indexes] + [ix.ys for ix in indexes] + [none])
-    ids = np.concatenate([ix.ids for ix in indexes] + [none])
-    level = np.concatenate([ix.point_level for ix in indexes] * 2 + [none])  # per table entry
-    m, strata, width = len(ids), len(indexes), max((ix.top for ix in indexes), default=0) + 1
-    # entry keys (axis, stratum) * span + c - base, c - base in 1..span-2, sort the table in runs;
-    # below[v] counts the keys <= v, placing any bound clamped into base+1..base+span
-    base = c.min(initial=0) - 1
-    span = c.max(initial=0) - base + 2
-    first = np.arange(2 * strata) * span - base
-    key = np.repeat(first, [ix.m for ix in indexes] * 2) + c
-    order = np.argsort(key)
-    below = np.bincount(key, minlength=2 * strata * span).cumsum()
-    other = np.concatenate((c[m:], c[:m]))[order]  # the coordinate a run leaves unsorted
-    lvl1 = level[order] + 1
-    bounds = np.array((x1, x2, y1, y2), dtype=np.int64).reshape(2, 2, -1, 1)  # axis, lo/hi, row
-    bounds[:, 1] += 1
-    run = below[np.minimum(np.maximum(bounds, base + 1), base + span) + (first - 1).reshape(2, 1, 1, strata)]
-    size = np.maximum(run[:, 1] - run[:, 0], 0)
-    use_x = size[0] <= size[1]
-    length = np.minimum(size[0], size[1]).ravel()
-    olo, ohi = np.where(use_x, bounds[1], bounds[0]).reshape(2, -1)  # [olo, ohi) on the other axis
-    ends = np.cumsum(length)
-    shift = np.where(use_x, run[0, 0], run[1, 0]).ravel() - ends + length  # run cell -> entry
-    bits = (2 * m).bit_length()  # output keys pair << bits | entry; a pair's entries share one run
-    keys, a = [none], 0
-    while a < len(length):  # pairs [a, b) scan at most SAMPLE_CHUNK_CELLS cells, or one pair
-        done = ends[a] - length[a]
-        b = max(bisect_right(ends, done + SAMPLE_CHUNK_CELLS, lo=a), a + 1)
-        pairs = b - a
-        pair = np.repeat(np.arange(pairs), length[a:b])
-        j = np.arange(done, ends[b - 1]) + shift[a:b][pair]
-        o = other[j]
-        lv = np.where((o >= olo[a:b][pair]) & (o < ohi[a:b][pair]), lvl1[j], 0)  # 0: outside
-        hist = np.bincount(lv * pairs + pair, minlength=(width + 1) * pairs).reshape(width + 1, pairs)
-        # the stop level: how many levels above 0 hold >= k points at or above them
-        stop = (hist[:1:-1].cumsum(axis=0) >= k).sum(axis=0)
-        sel = np.flatnonzero(lv > stop[pair])
-        keys.append((pair[sel] + a) << bits | order[j[sel]])  # entry: the point, + m on a y-run
-        a = b
-    keys = np.sort(np.concatenate(keys))
-    return (keys >> bits) // max(strata, 1), ids[(keys & ((1 << bits) - 1)) % max(m, 1)]
+        """The rectangle's points at or above the highest level that holds >= k
+        of them (level 0 when none does), in point order."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        inside = (self.xs >= x1) & (self.xs <= x2) & (self.ys >= y1) & (self.ys <= y2)
+        level = self.point_level[inside]
+        # the levels nest: the stop level is how many levels above 0 hold >= k at or above them
+        stop = (np.bincount(level, minlength=self.top + 1)[:0:-1].cumsum() >= k).sum()
+        return self.ids[inside][level >= stop]
 
 
 def subtree_sums(idx, t: RootedSpanTree, u, v, sub, at=None):

@@ -41,10 +41,13 @@ from .graph import (
 )
 from .hld import decompose, stack
 from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
-from .interesting import build_weight_classes, sample_cross_candidates  # noqa: F401  tracer-only until ROADMAP item 1
 from .interval import BipartiteSolver, self_pair_instances
 from .provider import run_lockstep
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
+
+# perfbench's tracer patches these two names, which nothing calls;
+# ROADMAP item 2 deletes this line along with the patching
+build_weight_classes = sample_cross_candidates = None
 
 
 @dataclass

@@ -70,6 +70,7 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     assert 1 <= metrics["interval.solvers"] <= 2 * metrics["tworespect.trees"]
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == 0  # Step 4 no longer samples
+    assert tracer.calls["interesting.weight_classes"] == 0  # nor builds the sampler's classes
     assert tracer.calls["interesting.candidate_tops"] >= 1
     assert tracer.calls["interesting.filter"] >= 1  # every mode filters Step 4's candidates
     assert abs(tracer.identity_residual()) < 1e-6

@@ -1,7 +1,6 @@
-"""Interest discovery: thresholds, structure laws, the boundary sampler's
-coverage, the tertile-witness route against a scalar per-edge reference and
-against exhaustive enumeration, and the Step 5 pairing against a scalar
-per-row reference."""
+"""Interest discovery: thresholds, structure laws, the tertile-witness route
+against a scalar per-edge reference and against exhaustive enumeration, and
+the Step 5 pairing against a scalar per-row reference."""
 
 import itertools
 
@@ -12,14 +11,7 @@ from twocut.graph import WeightedGraph, all_pair_tables, build_rooted_tree, cros
 from twocut import proxy as proxy_module
 from twocut import tworespect
 from twocut.hld import decompose
-from twocut.interesting import (
-    ProxyFilter,
-    build_weight_classes,
-    candidate_tops,
-    pair_solver_inputs,
-    sample_cross_candidates,
-    tertile_witnesses,
-)
+from twocut.interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
 from twocut.packing import min_cut_pipeline
 from twocut.proxy import build_proxy_direct
 from twocut.rangeindex import tree_degrees
@@ -207,42 +199,24 @@ def exact_interest(provider, t, e, f, kind):
 
 
 def test_gstar_weight_classes():
-    g, t = make_gstar()
-    wc = build_weight_classes(g, t, seed=3)
-    sizes = {i: idx.m for i, idx in wc.items()}
-    assert sizes == {0: 4, 1: 1, 2: 1}
+    g, _ = make_gstar()
+    assert {i: len(ids) for i, ids in g.weight_classes.items()} == {0: 4, 1: 1, 2: 1}
 
 
 def test_weight_classes_unit_and_sparse():
     unit = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    tu = build_rooted_tree(unit, [(0, 1), (1, 2), (2, 3)], 0)
-    assert set(build_weight_classes(unit, tu, 1)) == {0}
+    assert set(unit.weight_classes) == {0}
 
     wide = WeightedGraph(3, [(0, 1, 1), (1, 2, 1 << 20)])
-    tw = build_rooted_tree(wide, [(0, 1), (1, 2)], 0)
-    assert set(build_weight_classes(wide, tw, 1)) == {0, 20}
+    assert set(wide.weight_classes) == {0, 20}
 
     # weights past 2**53, where a float bit length rounds 2**61 - 1 up to 62 bits
     heavy = WeightedGraph(3, [(0, 1, (1 << 61) - 1), (1, 2, 1 << 61), (0, 2, (1 << 53) + 1)])
-    th = build_rooted_tree(heavy, [(0, 1), (1, 2)], 0)
-    wc = build_weight_classes(heavy, th, 1)
-    assert {i: idx.ids.tolist() for i, idx in wc.items()} == {53: [1], 60: [0], 61: [2]}
     # the split is the graph's own, made once; a zero weight is in no class
     assert heavy.weight_classes is heavy.weight_classes
     assert {i: ids.tolist() for i, ids in heavy.weight_classes.items()} == {53: [1], 60: [0], 61: [2]}
     zero = WeightedGraph(3, [(0, 1, 0), (1, 2, 3), (0, 2, 2)])
     assert {i: ids.tolist() for i, ids in zero.weight_classes.items()} == {1: [1, 2]}
-
-
-def test_gstar_cross_bundle_contains_heavy_witness():
-    g, t = make_gstar()
-    heavy = g.edges.index((2, 4, 4))
-    for seed in range(50):
-        wc = build_weight_classes(g, t, seed)
-        es, eids = sample_cross_candidates(wc, t, t.edge_children())
-        assert len(set(zip(es.tolist(), eids.tolist()))) == len(es)
-        assert heavy in eids[es == 2]  # cross witness for the edge above 2
-        assert heavy in eids[es == 1]  # down witness for the edge above 1
 
 
 def test_verify_interest_examples():
@@ -294,34 +268,6 @@ def test_interest_structure_laws_exhaustively():
                 while anc != e and t.is_ancestor(e, anc) and anc != -1:
                     assert anc in partners
                     anc = int(t.parent[anc])
-
-
-def test_sampled_discovery_covers_true_interest():
-    # whenever a true partner exists, some sampled edge lands in its subtree
-    rng = np.random.default_rng(64)
-    checked = 0
-    failures = 0
-    trials = 0
-    while checked < 40:
-        g, t = random_instance(rng, 6, 12)
-        cross_int, _ = exhaustive_interest(g, t)
-        pairs = [(e, f) for e, fs in cross_int.items() for f in fs]
-        if not pairs:
-            continue
-        checked += 1
-        for seed in range(250):
-            wc = build_weight_classes(g, t, seed=seed)
-            es, eids = sample_cross_candidates(wc, t, t.edge_children())
-            for e, f in pairs:
-                trials += 1
-                sub = set(t.subtree(f))
-                hit = any(
-                    (g.edges[eid][0] in sub) or (g.edges[eid][1] in sub)
-                    for eid in eids[es == e].tolist()
-                )
-                if not hit:
-                    failures += 1
-    assert failures / trials <= 0.001
 
 
 def test_returned_paths_cover_truth():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twocut.grid import PoPrefixGrid
-from twocut.interesting import ProxyFilter, build_weight_classes, sample_cross_candidates, sample_k
+from twocut.interesting import ProxyFilter
 from twocut.rangeindex import (
     EdgePointSet,
     SampleRangeIndex,
@@ -196,73 +196,29 @@ def test_sample_rect_rejects_bad_k():
         sidx.sample_rect(0, 4, 0, 4, 0)
 
 
-def test_sample_rects_match_scalar_reference(monkeypatch):
-    import twocut.rangeindex as rangeindex
-
+def test_sample_rect_matches_scalar_reference():
+    # bounds below 0 and past the span, empty and inverted rectangles, 0 to 300 points
     rng = np.random.default_rng(104)
     for trial in range(60):
-        # a few strata with disjoint ids, as the weight classes of one tree
-        strata = []
-        ids = rng.permutation(4000)
-        for j in range(int(rng.integers(0, 4))):
-            m = int(rng.integers(0, 300))
-            xs = rng.integers(0, 40, size=m)
-            ys = xs + rng.integers(1, 40, size=m)
-            strata.append(SampleRangeIndex(xs, ys, ids[1000 * j : 1000 * j + m], seed=(trial << 6) ^ j))
+        m = int(rng.integers(0, 301))
+        xs = rng.integers(0, 40, size=m)
+        ys = xs + rng.integers(1, 40, size=m)
+        sidx = SampleRangeIndex(xs, ys, rng.permutation(4000)[:m], seed=trial)
         r = 50
         x1 = rng.integers(-2, 40, size=r)
         x2 = x1 + rng.integers(-3, 30, size=r)
         y1 = rng.integers(-2, 80, size=r)
         y2 = y1 + rng.integers(-3, 60, size=r)
         k = int(rng.integers(1, 20))
-        if trial % 2:  # a few rows per pass
-            cells = sum(ix.m for ix in strata) * int(rng.integers(1, 7))
-            monkeypatch.setattr(rangeindex, "SAMPLE_CHUNK_CELLS", max(cells, 1))
-        rows, got = rangeindex.sample_rects(strata, x1, x2, y1, y2, k)
-        assert (np.diff(rows) >= 0).all()
-        for i in range(r):
-            want = [reference_sample_rect(ix, x1[i], x2[i], y1[i], y2[i], k).tolist() for ix in strata]
-            assert got[rows == i].tolist() == sum(want, [])
-            for ix, w in zip(strata, want):
-                assert ix.sample_rect(x1[i], x2[i], y1[i], y2[i], k).tolist() == w
-        monkeypatch.undo()
+        for rect in zip(x1, x2, y1, y2):
+            assert sidx.sample_rect(*rect, k).tolist() == reference_sample_rect(sidx, *rect, k).tolist()
 
 
-@pytest.mark.parametrize("wmax", [10, 1 << 32])
-@pytest.mark.parametrize("shape", ["path", "star", "random"])
-def test_subtree_boundary_samples_match_scalar_reference(monkeypatch, shape, wmax):
-    # the rectangles Step 4 really sends: both boundary rectangles of every subtree in
-    # every weight class; a path rooted at one end has the deepest subtrees, so the
-    # longest runs, and small chunk caps split the pairs across passes
-    import twocut.rangeindex as rangeindex
+def test_sample_index_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        SampleRangeIndex([0, 1], [5, 6], [7, 8, 9], seed=1)
 
-    rng = np.random.default_rng(105 + wmax % 7)
-    n = 40
-    tree = {
-        "path": [(i, i + 1) for i in range(n - 1)],
-        "star": [(0, i) for i in range(1, n)],
-        "random": [(i, int(rng.integers(0, i))) for i in range(1, n)],
-    }[shape]
-    edges = {tuple(sorted(e)): int(rng.integers(1, wmax + 1)) for e in tree}
-    while len(edges) < 6 * n:
-        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-        edges[u, v] = int(rng.integers(1, wmax + 1))
-    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
-    t = build_rooted_tree(g, tree, root=0)
-    wc = build_weight_classes(g, t, seed=int(rng.integers(1 << 40)))
-    us = np.delete(np.arange(n), t.root)
-    k = sample_k(n, multiplier=1)  # small enough that most pairs stop above level 0
-    want_e, want_id = [], []
-    for right in (False, True):
-        for u in us.tolist():
-            a, b = int(t.lo[u]), int(t.hi[u])
-            rect = (a, b, b + 1, n - 1) if right else (0, a - 1, a, b)
-            for sidx in wc.values():
-                got = reference_sample_rect(sidx, *rect, k).tolist()
-                want_e += [u] * len(got)
-                want_id += got
-    for cells in (None, 1, 37, 500):
-        if cells is not None:
-            monkeypatch.setattr(rangeindex, "SAMPLE_CHUNK_CELLS", cells)
-        es, eids = sample_cross_candidates(wc, t, us, multiplier=1)
-        assert es.tolist() == want_e and eids.tolist() == want_id
+
+def test_weight_index_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        WeightRangeIndex([0, 1], [2, 3], [1, 2, 3])
