@@ -1,8 +1,10 @@
 """Weighted graphs, rooted spanning trees, and brute-force cut oracles.
 
-Everything downstream compares cut values for exact equality, so all cut
-arithmetic here is carried in Python ints (input edge weights are capped at
-2**32 but merged weights and cut sums may exceed it).
+TreeStack roots many spanning trees at once in array passes; a
+RootedSpanTree views one of its rows. Everything downstream compares cut
+values for exact equality, so all cut arithmetic here is carried in Python
+ints (input edge weights are capped at 2**32 but merged weights and cut
+sums may exceed it).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .util import DisjointSets, bit_lengths
+from .util import DisjointSets, bit_lengths, ceil_log2
 
 MAX_EDGE_WEIGHT = 1 << 32
 EXHAUSTIVE_CUT_LIMIT = 18
@@ -165,66 +167,104 @@ def load_graph(text) -> WeightedGraph:
     return WeightedGraph(n, raw)
 
 
+class TreeStack:
+    """k spanning trees of the vertices 0..n-1, rooted at once by array passes.
+
+    ends holds each tree's n-1 edges as (k, n-1, 2) vertex pairs, either way
+    round. Row i of each (k, n) table in FIELDS is tree i's field. An Euler
+    tour ranked by pointer doubling (Tarjan-Vishkin) roots every tree and sizes
+    every subtree; lo[v] sums the sizes of the smaller siblings of the vertices
+    on v's root path, a doubling sum that also counts depth. A cycle or a
+    repeated edge leaves a vertex on no edge or an arc off the root's tour.
+    """
+
+    FIELDS = ("parent", "size", "depth", "lo", "po", "order")
+
+    def __init__(self, n: int, ends, roots):
+        k, rounds = len(roots), ceil_log2(n) + 1
+        self.n, self.k, self.root = n, k, np.asarray(roots, dtype=np.int64)
+        at = np.arange(k) * n  # tree i's vertex v is i * n + v in the flat forms
+        r, e = self.root + at, (np.reshape(ends, (k, n - 1, 2)).astype(np.int64) + at[:, None, None]).reshape(-1, 2)
+        m, parent, size, off = len(e), np.full(k * n, -1), np.ones(k * n, np.int64), np.zeros(k * n, np.int64)
+        if m:
+            src, dst = np.concatenate((e, e[:, ::-1])).T
+            arc = np.argsort(src * n + dst % n)  # every adjacency list in ascending id
+            src, dst, place = src[arc], dst[arc], np.empty_like(arc)
+            place[arc] = np.arange(2 * m)
+            twin, deg = place[(arc + m) % (2 * m)], np.bincount(src, minlength=k * n)
+            first = np.cumsum(deg) - deg
+            self._refuse(deg.reshape(k, n).min(axis=1) == 0)
+            # the tour leaves a vertex by the arc after the one it came in by, cyclically
+            nxt = np.where(twin + 1 < first[dst] + deg[dst], twin + 1, first[dst])
+            tail = twin[first[r] + deg[r] - 1]  # each tree's last arc, back into the root
+            dist = np.ones(2 * m, dtype=np.int64)
+            dist[tail], nxt[tail] = 0, tail
+            for _ in range(rounds):  # list ranking: dist becomes the count of arcs left to the tail
+                dist, nxt = dist + dist[nxt], nxt[nxt]
+            self._refuse(np.bincount(src[nxt != tail[src // n]] // n, minlength=k) > 0)
+            a, b = place[:m], place[m:]
+            down = np.where(dist[a] > dist[b], a, b)  # an edge's first arc on the tour goes down
+            kid = dst[down]
+            parent[kid], size[kid] = src[down], (dist[down] - dist[a + b - down] + 1) // 2
+            w = np.zeros(2 * m, dtype=np.int64)
+            w[down] = size[kid]
+            w = np.cumsum(w) - w  # a list's down arcs are its vertex's children in ascending id
+            off[kid] = w[down] - w[first[src[down]]]
+        size[r] = n
+        hop, lo, depth = np.where(parent >= 0, parent, np.arange(k * n)), off, (parent >= 0).astype(np.int64)
+        for _ in range(rounds):  # sums along the root paths
+            lo, depth, hop = lo + lo[hop], depth + depth[hop], hop[hop]
+        order = np.empty(k * n, dtype=np.int64)
+        order[lo + size - 1 + np.repeat(at, n)] = np.tile(np.arange(n), k)
+        tables = np.where(parent >= 0, parent % n, -1), size, depth, lo, lo + size - 1, order
+        vars(self).update({name: a.reshape(k, n) for name, a in zip(self.FIELDS, tables)})
+        self.paths = None  # the trees' hld.PathStack, built once for all of them
+
+    def trees(self):
+        """Each row as a RootedSpanTree (which refers to its stack, not back)."""
+        return [RootedSpanTree.__new__(RootedSpanTree)._view(self, i) for i in range(self.k)]
+
+    def _refuse(self, bad):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TreeStructureError(f"tree {i}: its edges hold a cycle or a repeated edge and miss a vertex")
+
+
 class RootedSpanTree:
     """Spanning tree with post-order numbering and contiguous subtree ranges.
 
     Children are visited in ascending vertex id, so the numbering (and every
     tie-break derived from it) is deterministic. For each vertex v the
     subtree below v occupies post-order positions lo[v]..hi[v] with
-    hi[v] == po[v]. Tree edges are identified by their child vertex. A
-    parent array that is not a tree on 0..n-1 raises TreeStructureError.
+    hi[v] == po[v]. Tree edges are identified by their child vertex. The
+    fields view row `row` of a TreeStack `stack`. A parent array that is not
+    a tree on 0..n-1 raises TreeStructureError.
     """
 
     def __init__(self, n: int, root: int, parent: Sequence[int]):
-        self.n = n
-        self.root = root
-        self.parent = np.asarray(parent, dtype=np.int64)
-        par = self.parent
+        par = np.asarray(parent, dtype=np.int64)
         if len(par) != n or not (0 <= root < n) or par[root] != -1 or ((par < 0) | (par >= n)).sum() != 1:
             raise TreeStructureError(f"need {n} parents in 0..{n - 1}, except parent[root] == -1 at root {root}")
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):  # in ascending id, so every child list is sorted
-            if v != root:
-                children[parent[v]].append(v)
-        self.children = children
+        kids = np.flatnonzero(par >= 0)
+        self._view(TreeStack(n, np.stack((par[kids], kids), axis=1), [root]), 0)
 
-        po = np.zeros(n, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-        order = np.zeros(n, dtype=np.int64)
-        size = [1] * n
-        counter = 0
-        cursor = [0] * n
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            if cursor[v] < len(children[v]):
-                c = children[v][cursor[v]]
-                cursor[v] += 1
-                depth[c] = depth[v] + 1
-                stack.append(c)
-            else:
-                stack.pop()
-                po[v] = counter
-                order[counter] = v
-                counter += 1
-                if v != root:
-                    size[parent[v]] += size[v]
-        if counter < n:
-            raise TreeStructureError(f"the walk from root {root} reaches {counter} of {n} vertices")
-        self.size = np.asarray(size, dtype=np.int64)
-        self.po = po
-        self.lo = lo = po - self.size + 1
-        self.hi = po  # post-order index of v closes its own range
-        self.depth = depth
-        self.order = order
-        # plain-int mirrors: scalar reads of numpy arrays are far slower than
-        # list indexing, and the tree walks live on these
-        self._po = po.tolist()
-        self._lo = lo.tolist()
-        self._hi = self._po
+    def _view(self, stack, row):
+        self.stack, self.row, self.n, self.root = stack, row, stack.n, int(stack.root[row])
+        self.parent, self.size, self.depth, self.lo, self.po, self.order = (
+            getattr(stack, a)[row] for a in TreeStack.FIELDS)
+        self.hi = self.po  # post-order index of v closes its own range
+        # plain-int mirrors for the tree walks: numpy scalar reads are far slower than list indexing
+        self._po = self._hi = self.po.tolist()
+        self._lo = self.lo.tolist()
+        return self
+
+    @cached_property
+    def children(self):
+        """children[v]: v's children in ascending id."""
+        return [np.flatnonzero(self.parent == v).tolist() for v in range(self.n)]
 
     def edge_children(self):
-        return [v for v in range(self.n) if v != self.root]
+        return np.flatnonzero(self.parent >= 0).tolist()
 
     def subtree(self, v: int):
         """Vertices of v's subtree, in post-order."""
@@ -243,9 +283,8 @@ def build_rooted_tree(g: WeightedGraph, tree_edges, root: int) -> RootedSpanTree
     """Root the given spanning-tree edges of g at `root`.
 
     Each edge is a (u, v) pair or a (u, v, w) triple, in either orientation.
-    n-1 edges of g whose walk from the root reaches every vertex form a
-    spanning tree; a cycle, a repeated edge or an unreached vertex leaves
-    some vertex out and raises TreeStructureError.
+    n-1 edges of g that reach every vertex form a spanning tree; a cycle or
+    a repeated edge leaves some vertex out and raises TreeStructureError.
     """
     n = g.n
     if not (0 <= root < n):
@@ -260,29 +299,19 @@ def build_rooted_tree(g: WeightedGraph, tree_edges, root: int) -> RootedSpanTree
     if ends.dtype.kind not in "iu" or not ((ends >= 0) & (ends < n)).all():
         raise TreeStructureError("a tree edge endpoint is not a vertex of the graph")
     ends = np.sort(ends.astype(np.int64), axis=1)
-    want = ends[:, 0] * n + ends[:, 1]
-    keys = np.append(g.eu * n + g.ev, n * n)  # ascending, as edges are sorted by (u, v); n * n ends it
-    missing = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
+    return root_trees(g, (ends[:, 0] * n + ends[:, 1])[None], root).trees()[0]
+
+
+def root_trees(g: WeightedGraph, keys, root: int) -> TreeStack:
+    """Root at `root` the spanning trees of g whose edges are the rows of
+    keys, a (k, n-1) table of edge keys u * n + v with u < v."""
+    n = g.n
+    known = np.append(g.eu * n + g.ev, n * n)  # ascending, as edges are sorted by (u, v); n * n ends it
+    missing = np.argwhere(known[np.searchsorted(known, keys)] != keys)
     if len(missing):
-        raise TreeStructureError(f"edge {tuple(ends[missing[0]].tolist())} is not in the graph")
-    a, b = np.concatenate((ends, ends[:, ::-1])).T  # both directions of every edge
-    order = np.argsort(a)
-    nbr = b[order].tolist()
-    start = np.searchsorted(a[order], np.arange(n + 1)).tolist()
-    parent = [-1] * n
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in nbr[start[v] : start[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    if not all(seen):
-        raise TreeStructureError("edges do not span all vertices: they hold a cycle or a repeated edge")
-    return RootedSpanTree(n, root, parent)
+        i, j = missing[0]
+        raise TreeStructureError(f"tree {i}: edge {divmod(int(keys[i, j]), n)} is not in the graph")
+    return TreeStack(n, np.stack(np.divmod(keys, n), axis=-1), np.full(len(keys), root))
 
 
 SINGLE = "single"

@@ -17,7 +17,7 @@ filtered rows are exactly the segment-top rows that filter keeps. Pairs
 within one decomposition path are excluded here; the path solver already
 covers them. Unlike the source paper, Step 4 samples no boundary edges.
 
-Every stage handles all tree edges of a group of trees (hld.stack: tree i's
+Every stage handles all tree edges of a group of trees (PathStack.gather: tree i's
 vertex v is i * n + v) in one batch: one binary search for all witnesses, one
 walk of the stacked per-vertex path tables from all of them, and one proxy
 filter call per interest kind, each rectangle read at its tree's table offset.
@@ -52,7 +52,7 @@ class ProxyFilter:
     when the caller already holds them (as CostProvider.proxy_filter does),
     else they are read from idx. Both checks take aligned (or scalar) edge
     arrays us, fs and return one boolean per row. On a GridBlock idx, tree and
-    deg stack several trees (hld.stack) and at[v] is the offset of v's table.
+    deg stack several trees (PathStack.gather) and at[v] is the offset of v's table.
     """
 
     def __init__(self, idx, tree, deg=None, at=None):

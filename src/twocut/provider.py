@@ -194,7 +194,7 @@ class CostProvider:
     def proxy_filter(self, *trees: RootedSpanTree):
         """Step 4's unmetered ProxyFilter over the proxy under trees: for trees of
         one filter_key, their GridBlock at each tree's table offset and their Step 1
-        degrees, stacked as in hld.stack; for one tree, the same on its own index
+        degrees, stacked as in PathStack.gather; for one tree, the same on its own index
         when the proxy nets to the hidden edges, else a grid over the proxy."""
         s = [self._slots.get(t) for t in trees]  # indexed by each tree's first batch (Step 1)
         if len(s) > 1:

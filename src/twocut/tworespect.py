@@ -39,7 +39,7 @@ from .graph import (
     pair_tie_key,
     reconstruct_partition,
 )
-from .hld import decompose, stack
+from .hld import decompose
 from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
 from .interval import BipartiteSolver, self_pair_instances
 from .provider import run_lockstep
@@ -104,8 +104,8 @@ class Step4Batch:
 
     Trees register their decomposition before Step 1. The first to reach Step 4
     discovers the rows of its group, itself and up to max(1, GROUP_EDGES // n) - 1
-    waiting trees of its provider.filter_key, stacked by hld.stack. The run owns
-    the batch, not the provider: a cycle between them would hold a finished run's grids.
+    waiting trees of its provider.filter_key and PathStack, gathered from it. The run
+    owns the batch, not the provider: a cycle between them would hold a finished run's grids.
     """
 
     def __init__(self):
@@ -116,10 +116,12 @@ class Step4Batch:
 
     def rows(self, t: RootedSpanTree, provider):
         if t not in self._rows:
-            key = provider.filter_key(t)
-            peers = [s for s in self._waiting if key is not None and s is not t and provider.filter_key(s) == key]
+            key, stack = provider.filter_key(t), self._waiting[t].stack
+            peers = [s for s, d in self._waiting.items()
+                     if key is not None and s is not t and d.stack is stack and provider.filter_key(s) == key]
             group = [t] + peers[: max(1, GROUP_EDGES // t.n) - 1]
-            cross, down = interest_checks(stack([self._waiting.pop(s) for s in group]), provider.proxy_filter(*group))
+            rows = stack.gather([self._waiting.pop(s).row for s in group])
+            cross, down = interest_checks(rows, provider.proxy_filter(*group))
             base = np.arange(len(group) + 1) * t.n  # tree i's rows have e in [base[i], base[i + 1])
             cut, nest = np.searchsorted(cross[:, 0], base), np.searchsorted(down[:, 0], base)
             for i, s in enumerate(group):

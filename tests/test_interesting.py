@@ -478,7 +478,7 @@ def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):
 
 def every_witness(d, filt):
     """Every vertex as a witness for every edge of its tree, in tertile_witnesses'
-    form: d may stack several trees (hld.stack), tree i's vertex v at i * n + v."""
+    form: d may stack several trees (PathStack.gather), tree i's vertex v at i * n + v."""
     t, n = d.tree, d.tree.n
     es, xs = np.divmod(np.arange(len(t.lo) * n), n)
     xs += es - es % n

@@ -19,7 +19,7 @@ from twocut.graph import (
     oracle_2respect_min,
 )
 from twocut.grid import PoPrefixGrid
-from twocut.hld import decompose
+from twocut.hld import PathStack, decompose
 from twocut.interesting import ProxyFilter
 from twocut.interval import BipartiteSolver
 from twocut.packing import MODES, PipelineConfig, min_cut_pipeline
@@ -255,7 +255,7 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
     monkeypatch.setattr(tworespect, "GROUP_EDGES", group_edges)
     if case == "thin-proxy":
         monkeypatch.setattr(proxy_module, "FOREST_FACTOR", 0.002)
-    rows, stack, providers = tworespect.Step4Batch.rows, tworespect.stack, packing._providers_for
+    rows, gather, providers = tworespect.Step4Batch.rows, PathStack.gather, packing._providers_for
     taken, groups, own = [], [], []
 
     def spy(self, t, provider):
@@ -270,7 +270,7 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
         return provider, host
 
     monkeypatch.setattr(tworespect.Step4Batch, "rows", spy)
-    monkeypatch.setattr(tworespect, "stack", lambda ds: groups.append(len(ds)) or stack(ds))
+    monkeypatch.setattr(PathStack, "gather", lambda self, rows: groups.append(len(rows)) or gather(self, rows))
     monkeypatch.setattr(packing, "_providers_for", providers_spy)
     runs = 0
     for g, mode, churn in discovery_runs(case):
