@@ -1,16 +1,17 @@
 """Min cut through a counted cut-query oracle.
 
 The graph hides behind one operation: the weight crossing a bipartition.
-Crossings between two sets cost at most 3 queries; sides asked before are
-free. Recovering one boundary edge costs O(log n) by bisection, and the
-whole pipeline stays well under the n log^3 n budget because the search
-prices each candidate cut at one query, and the pipeline's sparsifier and
-search never pay twice for one side or its complement.
+The crossing of two disjoint sets costs at most 3 queries,
+(cut(A) + cut(B) - cut(A + B)) / 2; sides asked before are free. The
+sparsifier recovers boundary edges by bisection, and the whole pipeline
+stays well under the n log^3 n budget because the search prices each
+candidate cut at one query, and the pipeline's sparsifier and search never
+pay twice for one side or its complement.
 """
 
 import numpy as np
 
-from twocut.cutquery import CutOracle, oracle_cross_weight, recover_crossing_edge
+from twocut.cutquery import CutOracle
 from twocut.graph import oracle_min_cut
 from twocut.packing import min_cut_pipeline
 from twocut.util import ceil_log2
@@ -32,12 +33,9 @@ g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 oracle = CutOracle(g)
 print("one cut query:", oracle.cut({0, 1, 2}), f"({oracle.query_count} queries so far)")
-print("a crossing, 3 queries:", oracle_cross_weight(oracle, {0, 1}, {2, 3}),
-      f"({oracle.query_count} total)")
-before = oracle.query_count
-edge = recover_crossing_edge(oracle, set(range(10)))
-print(f"recovered boundary edge {edge} in {oracle.query_count - before} queries "
-      f"(budget {6 * ceil_log2(n)})")
+a, b = set(range(8)), set(range(8, 16))
+crossing = (oracle.cut(a) + oracle.cut(b) - oracle.cut(a | b)) // 2
+print(f"the crossing of vertices 0..7 and 8..15, 3 queries: {crossing} ({oracle.query_count} total)")
 
 res, stats = min_cut_pipeline(g, "cut-query", rng=7)
 budget = 50 * n * ceil_log2(n) ** 3

@@ -6,7 +6,7 @@ harness. `min_cut_pipeline` is the end-to-end entry point; `min_2respect`
 solves one (graph, spanning tree) instance through any cost provider.
 """
 
-from .cutquery import CutOracle, QueryProvider, oracle_cross_weight, query_provider, recover_crossing_edge
+from .cutquery import CutOracle, QueryProvider, query_provider
 from .graph import (
     CutResult,
     DisconnectedError,

@@ -1,13 +1,11 @@
 """The counted cut-query model.
 
 A CutOracle hides the weighted graph behind a single operation: the total
-weight crossing a vertex bipartition, one query per call. Everything else
-is built from that: crossings between disjoint sets cost three queries,
-cut(A) + cut(B) - cut(A + B) (oracle_cross_weight), recovering one edge
-leaving a set costs O(log n) by interval bisection (recover_crossing_edge,
-with the forests already found subtracted locally by PeeledEdges, at no
-query), and the search's requests cost one query per side they ask, because
-the requesting side knows its partition already.
+weight crossing a vertex bipartition, one query per call. The sparsifier
+recovers boundary edges by bisection, and the search's requests cost one
+query per side they ask, because the requesting side knows its partition
+already: a crossing of disjoint sets A and B is (cut(A) + cut(B) -
+cut(A + B)) / 2, three queries.
 
 A querier never asks a side twice. The sparsifier build and QueryProvider
 each keep a CutCache of the sides they have asked, a side and its
@@ -19,22 +17,23 @@ two share a key is below N^2 2^-64; a shared key would only undercount the
 meter, never change a value, since values are read off the hidden edges.
 
 The sparsifier is peeled out of the oracle by proxy.peel_forests: one
-bisection per component still unmerged in its Boruvka sweep. With
-nonnegative weights that bisection is a fixed function of the residual
-graph, since a half has nonzero residual crossing weight exactly when one
-of its vertices has a residual edge to the fixed side. For a component C
-it ends at far, the least vertex outside C joined to C by a positive-weight
-edge, and near, the least vertex of C joined to far, with that edge's
-weight. It asks cut(C); for each halving of the vertices outside C, the
-half H and C + H (and C again); cut({far}) when C has two or more
-vertices; and for each halving of C, H and {far} + H. A halving of L
-candidates in vertex order asks the first floor(L / 2) of them, whichever
-half it keeps, so oracle_cross_weight never skips its third query. When C
-has no such edge it asks cut(C) alone. bisection_outcomes reads every
-component's outcome and the word sums of its sides off the hidden edges in
-one pass per sweep, and build_proxy_via_oracle charges the sides of the
-components peel_forests admits, so query_count is what the bisections would
-have spent, repeats free.
+bisection per component C still unmerged in its Boruvka sweep, on the
+residual graph (the oracle's edges minus the forests already peeled, which
+the querier subtracts locally at no query). It asks cut(C), and stops when
+C's residual cut is 0. Else it pins the far endpoint by halving the
+vertices outside C in vertex order: it asks the first floor(L / 2) of the L
+candidates left as a half H, and C + H (and C again, a repeat), and keeps H
+when H's residual crossing with C is positive, else the rest. It then asks
+cut({far}) when C has two or more vertices and halves C the same way
+against {far}, asking H and {far} + H. With nonnegative weights a half has
+positive residual crossing exactly when one of its vertices has a residual
+edge to the fixed side, so the outcome is a fixed function of the residual
+graph: far is the least vertex outside C joined to C by a positive-weight
+edge, near the least vertex of C joined to far, with that edge's weight.
+bisection_outcomes reads every component's outcome and the word sums of its
+sides off the hidden edges in one pass per sweep, and
+build_proxy_via_oracle charges the sides of the components peel_forests
+admits, so query_count is what the bisections spend, repeats free.
 
 The oracle only answers cut queries. Like the sparsifier build,
 QueryProvider reads the oracle's hidden edges as a simulator speed path: it
@@ -88,93 +87,9 @@ class CutOracle:
         return mask
 
 
-def oracle_cross_weight(oracle: CutOracle, a, b) -> int:
-    """Weight between two disjoint vertex sets via three cut queries."""
-    ma = oracle._mask(a)
-    mb = oracle._mask(b)
-    if (ma & mb).any():
-        raise ValueError("sets overlap")
-    if not ma.any() or not mb.any():
-        raise ValueError("sets must be nonempty")
-    both = ma | mb
-    ca = oracle.cut(ma)
-    cb = oracle.cut(mb)
-    cab = 0 if both.all() else oracle.cut(both)
-    return (ca + cb - cab) // 2
-
-
-def _residual_cross(oracle, peeled, ma, mb):
-    return oracle_cross_weight(oracle, ma, mb) - peeled.cross(ma, mb)
-
-
-class PeeledEdges:
-    """Edges already carved out of the oracle's graph, for local subtraction."""
-
-    def __init__(self):
-        self.edges = []
-        self._cache = None
-
-    def extend(self, edges):
-        """Subtract (u, v, w) edges from every later residual value."""
-        self.edges.extend(edges)
-        self._cache = None
-
-    def _arrays(self):
-        if self._cache is None:
-            self._cache = [np.asarray(col, dtype=np.int64) for col in zip(*self.edges)]
-        return self._cache
-
-    def cut(self, mask) -> int:
-        if not self.edges:
-            return 0
-        u, v, w = self._arrays()
-        return int(w[mask[u] != mask[v]].sum())
-
-    def cross(self, ma, mb) -> int:
-        if not self.edges:
-            return 0
-        u, v, w = self._arrays()
-        hit = (ma[u] & mb[v]) | (ma[v] & mb[u])
-        return int(w[hit].sum())
-
-
-def recover_crossing_edge(oracle: CutOracle, side, peeled=None):
-    """One edge leaving `side`, or None, in at most 6 ceil(log2 n) queries.
-
-    Bisects a fixed vertex ordering of the outside to pin the far endpoint,
-    then bisects inside to pin the near one, each time following the first
-    half with nonzero crossing weight. Known peeled edges are subtracted
-    locally, so the recovery works on the residual graph.
-    """
-    if peeled is None:
-        peeled = PeeledEdges()
-    mask = oracle._mask(side)
-    n = oracle.n
-    total = oracle.cut(mask) - peeled.cut(mask)
-    if total == 0:
-        return None
-
-    def pick(cand, against, weight_total):
-        """Bisect cand (vertex list) against the fixed mask `against`."""
-        current = weight_total
-        while len(cand) > 1:
-            half = cand[: len(cand) // 2]
-            mh = np.zeros(n, dtype=bool)
-            mh[half] = True
-            c1 = _residual_cross(oracle, peeled, against, mh)
-            if c1 > 0:
-                cand, current = half, c1
-            else:  # the other half carries all of current
-                cand = cand[len(cand) // 2 :]
-        return cand[0], current
-
-    outside = [v for v in range(n) if not mask[v]]
-    far, far_weight = pick(outside, mask, total)
-    far_mask = np.zeros(n, dtype=bool)
-    far_mask[far] = True
-    inside = [v for v in range(n) if mask[v]]
-    near, weight = pick(inside, far_mask, far_weight)
-    return near, far, weight
+# perfbench's tracer patches this name, which nothing calls;
+# ROADMAP item 2 deletes this line along with the patching
+recover_crossing_edge = None
 
 
 CUT_CACHE_SEED = 2019  # seeds the vertex words of every CutCache
@@ -218,8 +133,8 @@ def _prefix_sums(words):
 
 
 def _halves(problems, p, size):
-    """(problem, lo, mid) of every halving that the bisection of
-    recover_crossing_edge makes to reach rank p[q] among size[q] candidates,
+    """(problem, lo, mid) of every halving that a component's bisection (see
+    the module docstring) makes to reach rank p[q] among size[q] candidates,
     for each q in `problems` (int64 arrays): each asks ranks lo..mid-1, the
     first floor(L / 2) of the L candidates left, and keeps them when p lies
     among them, else the rest."""
@@ -236,14 +151,13 @@ def _halves(problems, p, size):
 
 
 def bisection_outcomes(oracle: CutOracle, words, alive, labels):
-    """For every component of `labels`, what recover_crossing_edge would
-    return on the residual graph of the oracle's edges with alive[i] (in the
-    oracle's edge order), and the sides it would ask, read off those edges in
-    one pass and without a query; the module docstring says why both are
-    fixed. Returns int64 arrays (near, far, weight) over the labels, weight 0
-    where the bisection would return None, then every side asked as its
-    uint64 sum of `words` (one per vertex), with the label of the component
-    that asks it.
+    """The bisection of every component of `labels` on the residual graph of
+    the oracle's edges with alive[i] (in the oracle's edge order): the edge
+    it pins and the sides it asks, read off those edges in one pass and
+    without a query; the module docstring says why both are fixed. Returns
+    int64 arrays (near, far, weight) over the labels, weight 0 where C's
+    residual cut is 0 and no edge is pinned, then every side asked as its uint64 sum of
+    `words` (one per vertex), with the label of the component that asks it.
     """
     n, ew = oracle.n, oracle._ew
     keys = oracle._eu * n + oracle._ev
@@ -297,9 +211,9 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
     A class-restricted peel is not observable through whole-graph cut
     queries, so the forests are peeled from the full residual graph; at the
     scales the budgets are asserted on, peeling exhausts the graph and the
-    proxy is exact. Each sweep's recoveries are recover_crossing_edge's
-    bisections, whose outcomes and sides bisection_outcomes reads at once
-    off the hidden edges. Recovery stays lazy: after the sweep, one CutCache
+    proxy is exact. Each sweep recovers an edge per component by bisection,
+    whose outcomes and sides bisection_outcomes reads at once off the hidden
+    edges. Recovery stays lazy: after the sweep, one CutCache
     for the whole build is charged the sides of the components peel_forests
     admitted, so a component merged earlier in its sweep asks nothing and
     no side is paid for twice. A finished forest is subtracted by clearing

@@ -6,8 +6,8 @@ WeightRangeIndex and answers `rect_weights` under the same contract, from an
 than the merge-sort tree. It goes to the shared subtree formula
 (rangeindex.subtree_sums).
 
-CostProvider builds every grid: the trees it first sees in one batch share
-a GridBlock, their tables back to back in one (trees, n+1, n+1) array with
+CostProvider builds every grid: the trees it admits together share a
+GridBlock, their tables back to back in one (trees, n+1, n+1) array with
 each tree's PoPrefixGrid built in its slice (so no more bytes than separate
 grids), and the block reads rectangles of all its trees in one gather. The
 simulated models give every tree a block grid, the in-memory provider while

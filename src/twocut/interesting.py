@@ -23,8 +23,9 @@ walk of the stacked per-vertex path tables from all of them, and one proxy
 filter call per interest kind, each rectangle read at its tree's table offset.
 Candidates travel as (e, f) rows of tree-edge children; f's decomposition path
 is path_of[f]. The provider builds the filter (CostProvider.proxy_filter) with
-the trees' Step 1 degrees whenever the proxy nets to the hidden edges; a proxy
-that differs is filtered one tree at a time, on degrees off its own index.
+the subtree degrees it computed when it admitted the trees, whenever the proxy
+nets to the hidden edges; a proxy that differs is filtered one tree at a time,
+on degrees off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and

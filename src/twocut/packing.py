@@ -32,7 +32,7 @@ from .provider import run_lockstep
 from .proxy import build_proxy_graph, check_eps, first_leaving, peel_forests
 from .requests import DegSubtree
 from .sequential import SequentialProvider
-from .tworespect import SearchSink, Step4Batch, two_respect_plan
+from .tworespect import SearchSink, step4_rows, two_respect_plan
 from .util import DisjointSets, as_seed, ceil_log2, rng_for
 
 MODES = ("sequential", "cut-query", "streaming")
@@ -267,8 +267,10 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
 
     stack = root_trees(g, trees, 0)
     stack.paths = PathStack(stack)  # every tree rooted and decomposed at once
-    trees, step4, sinks = stack.trees(), Step4Batch(), [SearchSink() for _ in range(stack.k)]
-    run_lockstep([two_respect_plan(t, provider, sink, step4) for t, sink in zip(trees, sinks)], provider)
+    trees, sinks = stack.trees(), [SearchSink() for _ in range(stack.k)]
+    provider.admit(trees)
+    rows = step4_rows(provider, trees)  # Step 4 discovery reads no search value
+    run_lockstep([two_respect_plan(t, sink, r) for t, sink, r in zip(trees, sinks, rows)], provider)
 
     sink, t = min(zip(sinks, trees), key=lambda sink_t: sink_t[0].value)  # the first least value
     stats = provider.stats

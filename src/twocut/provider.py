@@ -12,19 +12,23 @@ holds the only dispatch over request types. Rows are deduplicated with one
 sorted packed key, and a row's value is subtree degrees plus at most one
 crossing, read through small per-kind lookup arrays. Every provider hands
 its hidden (u, v, w) edges (the graph in memory, the oracle's graph, the
-stream's updates) to the constructor, which nets them once; the grids of
-the trees first seen in one batch are built from the net edges into one
-grid.GridBlock, here and nowhere else. One rangeindex.subtree_sums call per
-block gives those trees all their subtree degrees, and one per block and
-batch answers every crossing, each split every CROSSING_ROWS rows. In
-memory a larger graph's trees get a merge-sort tree each instead, read one
-call per tree and batch. Every `_eval_unique` meters before it reads
-values; the formula is shared.
+stream's updates) to the constructor, which nets them once. `admit` is the
+one place a tree gets its slot, tables, index and subtree degrees: the
+pipeline admits all its packed trees before the search, and `batch_eval`
+admits the trees first seen in a batch. The grids of the trees admitted
+together are built from the net edges into one grid.GridBlock, here and
+nowhere else; one rangeindex.subtree_sums call per block gives those trees
+all their subtree degrees, and one per block and batch answers every
+crossing, each split every CROSSING_ROWS rows. In memory a larger graph's
+trees get a merge-sort tree each instead, read one call per tree and
+batch. Every `_eval_unique` meters before it reads values; the formula is
+shared.
 
 Each provider also carries `proxy`, the graph Step 4 finds partners on (its
 own graph in memory, else the sparsifier), and `proxy_filter(*trees)`, Step
-4's 1/3 filter on it: on the trees' own indexes, one filter per `filter_key`
-(GridBlock), when the proxy nets to the hidden edges, else on a grid over it.
+4's 1/3 filter on it: on the admitted trees' own indexes and degrees, one
+filter for the trees of one `filter_key` (GridBlock), when the proxy nets to
+the hidden edges, else on a grid over it, one tree at a time.
 
 Requests are paired with the RootedSpanTree they refer to, which is also
 the key of the tree's slot, so one provider can serve many spanning trees in
@@ -45,7 +49,7 @@ import numpy as np
 from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
 from .grid import GridBlock, PoPrefixGrid
 from .interesting import ProxyFilter
-from .rangeindex import WeightRangeIndex, edge_points, subtree_sums, tree_degrees
+from .rangeindex import WeightRangeIndex, edge_points, subtree_sums
 from .requests import CrossNested, CrossSub, DegSubtree, PairCut
 
 
@@ -100,8 +104,8 @@ class CostProvider:
     A provider differs from the others only in its proxy, in its hidden
     edges, in what its `_eval_unique` meters before calling `_values`, and
     in `_dense`: whether its trees get block grids (else merge-sort trees).
-    Every tree it serves spans the same n vertices and gets a slot on first
-    sight, which is its row in the (slots, n) tables: subtree sizes (the
+    Every tree it serves spans the same n vertices and gets a slot when
+    admitted, which is its row in the (slots, n) tables: subtree sizes (the
     cut-query model checks its sides by them), post-order ranges lo and hi,
     subtree degrees, and which DegSubtree requests were already charged
     (answered again for free); and its GridBlock and table offset there.
@@ -119,7 +123,7 @@ class CostProvider:
         self._slots = {}  # RootedSpanTree -> slot
         self._trees = []
         self._index = []
-        self._blocks = []  # GridBlocks, one per batch that brought new trees
+        self._blocks = []  # GridBlocks, one per admit that brought new trees
         self._size, self._lo, self._hi, self._deg = (np.zeros((0, n), dtype=np.int64) for _ in range(4))
         self._charged = np.zeros((0, n), dtype=bool)
         self._block = np.zeros(0, dtype=np.int64)
@@ -130,12 +134,7 @@ class CostProvider:
         last = slot = None
         for t, req in items:
             if t is not last:
-                if t not in self._slots:
-                    if t.n != self.n:
-                        raise ValueError(f"a tree on {t.n} vertices, the provider's graph has {self.n}")
-                    self._slots[t] = len(self._trees)
-                    self._trees.append(t)
-                last, slot = t, self._slots[t]
+                last, slot = t, self._slot(t)
             if isinstance(req, CrossSub):
                 yield (slot, CROSS_SUB, req.u, req.v) if req.u <= req.v else (slot, CROSS_SUB, req.v, req.u)
             elif isinstance(req, PairCut):
@@ -151,26 +150,17 @@ class CostProvider:
     def batch_eval(self, items):
         """items: list of (RootedSpanTree, request); returns aligned exact values.
 
-        The batch is decoded into one row table and deduplicated by sorting
-        one packed key; the distinct rows come out grouped by tree. Rows
-        other than already-charged DegSubtrees go to `_eval_unique` in one
-        call, so each is metered once.
+        The batch is decoded into one row table, which admits the trees first
+        seen in it together, and deduplicated by sorting one packed key; the
+        distinct rows come out grouped by tree. Rows other than
+        already-charged DegSubtrees go to `_eval_unique` in one call, so each
+        is metered once.
         """
         if not items:
             return []
         flat = itertools.chain.from_iterable(self._rows(items))
         rows = np.fromiter(flat, dtype=np.int64, count=4 * len(items)).reshape(-1, 4)
-        new = self._trees[len(self._index):]
-        if new:
-            k = len(new)
-            self._index += [None] * k
-            self._size = np.vstack([self._size] + [t.size for t in new])
-            self._lo = np.vstack([self._lo] + [t.lo for t in new])
-            self._hi = np.vstack([self._hi] + [t.hi for t in new])
-            self._deg = np.vstack((self._deg, np.zeros((k, self.n), dtype=np.int64)))
-            self._charged = np.vstack((self._charged, np.zeros((k, self.n), dtype=bool)))
-            self._block = np.append(self._block, np.full(k, -1))
-            self._at = np.append(self._at, np.zeros(k, dtype=np.int64))
+        self.admit()
         n = self.n
         keys = rows @ np.array([len(A_DEG) * n * n, n * n, n, 1])
         order = np.argsort(keys)
@@ -191,47 +181,65 @@ class CostProvider:
         """Meter the distinct uncached request rows, then return self._values(rows)."""
         raise NotImplementedError
 
+    def admit(self, trees=()):
+        """Slot the unseen trees, then give every slotted tree that lacks them its
+        rows of the (slots, n) tables, its index over the net hidden edges and
+        all its subtree degrees: Step 1 reads those, Step 4 filters on them and
+        the later steps keep re-reading them. The grids of the trees indexed by
+        one call share one GridBlock. Unmetered; a second call adds nothing."""
+        for t in trees:
+            self._slot(t)
+        new, n, (u, v, w) = self._trees[len(self._index):], self.n, self._hidden
+        if not new:
+            return
+        k, slots = len(new), np.arange(len(self._index), len(self._trees))
+        self._size = np.vstack([self._size] + [t.size for t in new])
+        self._lo = np.vstack([self._lo] + [t.lo for t in new])
+        self._hi = np.vstack([self._hi] + [t.hi for t in new])
+        self._charged = np.vstack((self._charged, np.zeros((k, n), dtype=bool)))
+        points = [(*edge_points(t.po, u, v), w) for t in new]
+        if self._dense:
+            self._blocks.append(GridBlock(n, points))
+        self._index += self._blocks[-1].grids if self._dense else [WeightRangeIndex(*p) for p in points]
+        self._block = np.append(self._block, np.full(k, len(self._blocks) - 1 if self._dense else -1))
+        self._at = np.append(self._at, np.arange(k) * (n + 1) ** 2)  # read on a GridBlock only
+        x = np.tile(np.arange(n), k)
+        deg = self._crossings(np.repeat(slots, n), x, x, np.zeros(len(x), dtype=bool))
+        self._deg = np.vstack((self._deg, deg.reshape(k, n)))
+
+    def _slot(self, t: RootedSpanTree):
+        """t's slot, appending t to the slotted trees on first sight."""
+        if t not in self._slots:
+            if t.n != self.n:
+                raise ValueError(f"a tree on {t.n} vertices, the provider's graph has {self.n}")
+            self._slots[t] = len(self._trees)
+            self._trees.append(t)
+        return self._slots[t]
+
     def proxy_filter(self, *trees: RootedSpanTree):
-        """Step 4's unmetered ProxyFilter over the proxy under trees: for trees of
-        one filter_key, their GridBlock at each tree's table offset and their Step 1
-        degrees, stacked as in PathStack.gather; for one tree, the same on its own index
-        when the proxy nets to the hidden edges, else a grid over the proxy."""
-        s = [self._slots.get(t) for t in trees]  # indexed by each tree's first batch (Step 1)
-        if len(s) > 1:
+        """Step 4's unmetered ProxyFilter over the proxy under admitted trees: for
+        several trees, which must share one filter_key, their GridBlock at each
+        tree's table offset and their subtree degrees, stacked as in
+        PathStack.gather; for one tree, the same on its own index when the proxy
+        nets to the hidden edges, else a grid over the proxy."""
+        if len(trees) > 1:
+            keys = {self.filter_key(t) for t in trees}
+            if None in keys or len(keys) > 1:
+                raise ValueError("trees filtered together must share one GridBlock of a proxy that nets to the graph")
+            s = [self._slots[t] for t in trees]
             flat = SimpleNamespace(n=self.n, lo=self._lo[s].ravel(), hi=self._hi[s].ravel())
-            block = self._blocks[self._block[s[0]]]
-            return ProxyFilter(block, flat, self._deg[s].ravel(), np.repeat(self._at[s], self.n))
+            at = np.repeat(self._at[s], self.n)
+            return ProxyFilter(self._blocks[self._block[s[0]]], flat, self._deg[s].ravel(), at)
+        (t,) = trees
         if self._proxy_is_own:
-            return ProxyFilter(self._index[s[0]], trees[0], self._deg[s[0]])
+            return ProxyFilter(self._index[self._slots[t]], t, self._deg[self._slots[t]])
         h = self.proxy
-        return ProxyFilter(PoPrefixGrid(self.n, *edge_points(trees[0].po, h.eu, h.ev), h.ew), trees[0])
+        return ProxyFilter(PoPrefixGrid(self.n, *edge_points(t.po, h.eu, h.ev), h.ew), t)
 
     def filter_key(self, tree):
         """The GridBlock whose trees share one proxy_filter call; None for a tree filtered alone."""
         s = self._slots.get(tree)
         return int(self._block[s]) if self._proxy_is_own and s is not None and self._block[s] >= 0 else None
-
-    def _add_indexes(self, slots):
-        """Index the net hidden edges under the trees of slots, seen for the
-        first time, and fill in all their subtree degrees: Step 1 needs them
-        all anyway and the later steps keep re-reading them."""
-        u, v, w = self._hidden
-        if not self._dense:
-            for s in slots:
-                t = self._trees[s]
-                self._index[s] = WeightRangeIndex(*edge_points(t.po, u, v), w)
-                self._deg[s] = tree_degrees(self._index[s], t)
-            return
-        block = GridBlock(self.n, [(*edge_points(self._trees[s].po, u, v), w) for s in slots])
-        for s, grid in zip(slots, block.grids):
-            self._index[s] = grid
-        slots = np.asarray(slots)
-        self._block[slots] = len(self._blocks)
-        self._blocks.append(block)
-        self._at[slots] = np.arange(len(slots)) * (self.n + 1) ** 2
-        x = np.tile(np.arange(self.n), len(slots))
-        deg = self._crossings(np.repeat(slots, self.n), x, x, np.zeros(len(x), dtype=bool))
-        self._deg[slots] = deg.reshape(len(slots), self.n)
 
     def _crossings(self, slot, u, v, sub):
         """subtree_sums of rows (slot, u, v, sub) sorted by slot: one call per
@@ -255,16 +263,10 @@ class CostProvider:
         return out
 
     def _values(self, rows):
-        """Exact values of request rows grouped by tree, as an int64 array.
-
-        New trees are indexed first; then every crossing is read in one
-        _crossings call (none in Step 1, which reads degrees only).
-        """
+        """Exact values of request rows grouped by admitted tree, as an int64
+        array: every crossing is read in one _crossings call (none in Step 1,
+        which reads degrees only)."""
         slot, kind, a, b = rows.T
-        slots = slot[_run_starts(slot)].tolist()
-        new = [s for s in slots if self._index[s] is None]
-        if new:
-            self._add_indexes(new)
         value = A_DEG[kind] * self._deg[slot, a] + B_DEG[kind] * self._deg[slot, b]
         r = np.flatnonzero(CROSS_COEF[kind])
         if len(r):

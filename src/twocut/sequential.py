@@ -2,9 +2,10 @@
 
 The graph is both the hidden edges CostProvider nets and the proxy that
 Step 4 searches and 1/3-filters on, so the filter reads the tree's own index
-and its Step 1 degrees. That index is a block grid, as in the simulated
-models, while its (n+1)^2 words are no more than the 2 m words per level of
-a WeightRangeIndex over the tree's edge points, else that merge-sort tree.
+and the subtree degrees computed when the tree was admitted. That index is
+a block grid, as in the simulated models, while its (n+1)^2 words are no
+more than the 2 m words per level of a WeightRangeIndex over the tree's
+edge points, else that merge-sort tree.
 Nothing is metered.
 """
 
@@ -31,7 +32,7 @@ class SequentialProvider(CostProvider):
             (tree,), (u, v, w) = trees, self._hidden
             grid = PoPrefixGrid(self.n, *edge_points(tree.po, u, v), w)
             return ProxyFilter(grid, tree, self._deg[self._slots[tree]])
-        return super().proxy_filter(*trees)  # the trees' own indexes and Step 1 degrees
+        return super().proxy_filter(*trees)  # the trees' own indexes and degrees
 
     def _eval_unique(self, rows):
         return self._values(rows)

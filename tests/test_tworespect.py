@@ -18,12 +18,14 @@ from twocut.graph import (
     cut_of_partition,
     oracle_2respect_min,
 )
-from twocut.grid import PoPrefixGrid
+from twocut.grid import GridBlock, PoPrefixGrid
 from twocut.hld import PathStack, decompose
 from twocut.interesting import ProxyFilter
 from twocut.interval import BipartiteSolver
 from twocut.packing import MODES, PipelineConfig, min_cut_pipeline
-from twocut.rangeindex import WeightRangeIndex
+from twocut.provider import CostProvider
+from twocut.rangeindex import WeightRangeIndex, subtree_sums
+from twocut.requests import DegSubtree
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import interest_checks, min_2respect
 from twocut.util import floor_log2
@@ -145,10 +147,14 @@ def test_lockstep_round_counts():
     # step-5 rounds
     g, t = make_gstar()
     provider = SequentialProvider(g)
-    from twocut.tworespect import SearchSink, Step4Batch, two_respect_plan
+    from twocut.tworespect import SearchSink, step4_rows, two_respect_plan
+
+    def plan(t, provider, sink):
+        provider.admit([t])
+        return two_respect_plan(t, sink, *step4_rows(provider, [t]))
 
     sink = SearchSink()
-    rounds = run_lockstep([two_respect_plan(t, provider, sink, Step4Batch())], provider)
+    rounds = run_lockstep([plan(t, provider, sink)], provider)
     assert sink.value == 2
     assert rounds <= 5
 
@@ -159,9 +165,7 @@ def test_lockstep_round_counts():
     tp = build_rooted_tree(path, [(0, 1), (1, 2), (2, 3)], 0)
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
-    rounds2 = run_lockstep(
-        [two_respect_plan(tp, provider2, sink2, Step4Batch())], provider2
-    )
+    rounds2 = run_lockstep([plan(tp, provider2, sink2)], provider2)
     assert sink2.value == 1
     assert rounds2 <= 4
 
@@ -255,13 +259,14 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
     monkeypatch.setattr(tworespect, "GROUP_EDGES", group_edges)
     if case == "thin-proxy":
         monkeypatch.setattr(proxy_module, "FOREST_FACTOR", 0.002)
-    rows, gather, providers = tworespect.Step4Batch.rows, PathStack.gather, packing._providers_for
+    rows, gather, providers = tworespect.step4_rows, PathStack.gather, packing._providers_for
     taken, groups, own = [], [], []
 
-    def spy(self, t, provider):
-        got = rows(self, t, provider)
-        want = interest_checks(decompose(t), provider.proxy_filter(t))
-        taken.append(all(map(np.array_equal, got, want)))
+    def spy(provider, trees):
+        got = rows(provider, trees)
+        for t, pair in zip(trees, got):
+            want = interest_checks(decompose(t), provider.proxy_filter(t))
+            taken.append(all(map(np.array_equal, pair, want)))
         return got
 
     def providers_spy(*args):
@@ -269,7 +274,7 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
         own.append(provider._proxy_is_own)
         return provider, host
 
-    monkeypatch.setattr(tworespect.Step4Batch, "rows", spy)
+    monkeypatch.setattr(packing, "step4_rows", spy)
     monkeypatch.setattr(PathStack, "gather", lambda self, rows: groups.append(len(rows)) or gather(self, rows))
     monkeypatch.setattr(packing, "_providers_for", providers_spy)
     runs = 0
@@ -288,16 +293,81 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
 
 def test_discovery_runs_once_per_group(monkeypatch):
     # a silent per-tree route would pass every value check; count the witness searches
-    searches, registered = [], []
-    witnesses, register = tworespect.tertile_witnesses, tworespect.Step4Batch.register
+    searches, stacked = [], []
+    witnesses, paths = tworespect.tertile_witnesses, PathStack.__init__
     monkeypatch.setattr(tworespect, "tertile_witnesses", lambda d, filt: searches.append(d) or witnesses(d, filt))
-    monkeypatch.setattr(tworespect.Step4Batch, "register",
-                        lambda self, t, d: registered.append(t) or register(self, t, d))
+    monkeypatch.setattr(PathStack, "__init__", lambda self, ts: stacked.append(ts.k) or paths(self, ts))
     g, mode, _ = next(bench_shaped_runs())
     min_cut_pipeline(g, mode, rng=5)
-    room = tworespect.GROUP_EDGES // g.n
-    assert room > 1 and len(registered) > room
-    assert len(searches) == math.ceil(len(registered) / room)
+    room, (trees,) = tworespect.GROUP_EDGES // g.n, stacked
+    assert room > 1 and trees > room
+    assert len(searches) == math.ceil(trees / room)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_discovery_runs_before_the_search(mode, monkeypatch):
+    # Step 4 reads no search value: every witness search precedes the first round
+    events = []
+    witnesses, batch_eval = tworespect.tertile_witnesses, CostProvider.batch_eval
+    monkeypatch.setattr(tworespect, "tertile_witnesses",
+                        lambda d, filt: events.append("discover") or witnesses(d, filt))
+    monkeypatch.setattr(CostProvider, "batch_eval",
+                        lambda self, items: events.append("round") or batch_eval(self, items))
+    g, _, churn = next(run for run in bench_shaped_runs() if run[1] == mode)
+    min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
+    assert "discover" in events and "discover" not in events[events.index("round") :]
+
+
+def test_dense_own_proxy_run_builds_one_grid_block(monkeypatch):
+    # admit indexes every packed tree at once, so all their grids share one block
+    blocks, held, providers, init = [], [], packing._providers_for, GridBlock.__init__
+
+    def providers_spy(*args):
+        provider, host = providers(*args)
+        held.append(provider)
+        return provider, host
+
+    monkeypatch.setattr(GridBlock, "__init__", lambda self, *a: blocks.append(self) or init(self, *a))
+    monkeypatch.setattr(packing, "_providers_for", providers_spy)
+    g, mode, _ = next(bench_shaped_runs())
+    min_cut_pipeline(g, mode, rng=5)
+    (provider,) = held
+    assert provider._dense and provider._proxy_is_own and provider._blocks == blocks and len(blocks) == 1
+    assert len(provider._trees) > 1 and set(provider._block.tolist()) == {0}
+
+
+def test_second_admit_adds_nothing():
+    g, _, _ = next(bench_shaped_runs())
+    rng = np.random.default_rng(12)
+    trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0) for _ in range(3)]
+    provider = SequentialProvider(g)
+    provider.admit(trees)
+    held = (provider._trees[:], provider._index[:], provider._blocks[:], provider._deg.copy())
+    provider.admit(trees)
+    provider.admit(trees[1:])
+    provider.batch_eval([(t, DegSubtree(v)) for t in trees for v in t.edge_children()])
+    assert provider._trees == held[0] and provider._blocks == held[2] and len(provider._blocks) == 1
+    assert all(a is b for a, b in zip(provider._index, held[1])) and len(provider._index) == 3
+    assert np.array_equal(provider._deg, held[3])
+
+
+def test_proxy_filter_refuses_trees_of_two_blocks():
+    # trees first seen in separate batches hold grids in separate blocks; one filter
+    # over both would read the second tree's rectangles from the first tree's block
+    rng = np.random.default_rng(1)
+    g = random_connected_graph(rng, 24, extra=8.0, wmax=10)
+    a, b = (build_rooted_tree(g, random_spanning_tree_edges(g, rng), 0) for _ in range(2))
+    provider = SequentialProvider(g)
+    for t in (a, b):
+        provider.batch_eval([(t, DegSubtree(1))])
+    assert [provider.filter_key(t) for t in (a, b)] == [0, 1]
+    with pytest.raises(ValueError):
+        provider.proxy_filter(a, b)
+    together = SequentialProvider(g)
+    together.admit([a, b])
+    filt, v = together.proxy_filter(a, b), np.arange(g.n, 2 * g.n)
+    deg = subtree_sums(filt.idx, filt.tree, v, v, np.zeros(g.n, dtype=bool), filt.at[v])
+    assert deg[:6].tolist() == [0, 96, 167, 219, 315, 83] == provider._deg[1, :6].tolist()
 
 
 def test_finished_pipeline_frees_its_provider(monkeypatch):
