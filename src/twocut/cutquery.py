@@ -47,8 +47,9 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph
-from .provider import CROSS_NESTED, CROSS_SUB, CostProvider
+from .provider import CostProvider
 from .proxy import build_proxy_graph, forests_per_class, peel_forests, proxy_edge_budget
+from .requests import CROSS_NESTED, CROSS_SUB
 
 
 class CutOracle:
@@ -244,8 +245,8 @@ def build_proxy_via_oracle(oracle: CutOracle, eps) -> WeightedGraph:
 class QueryProvider(CostProvider):
     """Requests priced per the model, one cut query for each side they ask
     (see _query_sides) that this provider has not asked before, by one
-    CutCache for all its trees. It keeps the word sum of every subtree side
-    of each slot, from one prefix sum over the tree's post-order."""
+    CutCache for all its trees. Admitting a tree also gives it the word sum
+    of every subtree side, from one prefix sum over its post-order."""
 
     def __init__(self, oracle: CutOracle, proxy: WeightedGraph):
         super().__init__(oracle.n, proxy, (oracle._eu, oracle._ev, oracle._ew))
@@ -254,12 +255,15 @@ class QueryProvider(CostProvider):
         self._sub = np.zeros((0, oracle.n), dtype=np.uint64)
         self.stats.queries = oracle.query_count
 
-    def _eval_unique(self, rows):
+    def admit(self, trees=()):
+        super().admit(trees)
         k = len(self._sub)
         if k < len(self._trees):
             prefix = _prefix_sums(self.cache.words[np.array([t.order for t in self._trees[k:]])])
             sub = np.take_along_axis(prefix, self._hi[k:] + 1, 1) - np.take_along_axis(prefix, self._lo[k:], 1)
             self._sub = np.vstack((self._sub, sub))
+
+    def _eval_unique(self, rows):
         self.cache.charge(_query_sides(self._size, self._sub, rows))
         self.stats.queries = self.oracle.query_count
         return self._values(rows)
@@ -277,7 +281,7 @@ SIDE_Y = np.array([[0, 0, 0], [0, 1, 1], [1, 0, -1], [0, 0, 0], [1, 0, 0], [-1, 
 def _query_sides(size, sub, rows):
     """Word sums (uint64) of the sides that the cut queries behind request
     rows (slot, kind, a, b) ask, given the (slots, n) subtree sizes and
-    subtree word sums of their trees (see provider.py for the kinds). The
+    subtree word sums of their trees (see requests.py for the kinds). The
     sides of a CrossNested with a = b cover V, so its third is not asked.
     ValueError when a cut's side, or one of the two sides of a crossing, is
     empty or all of V, as for CutOracle.cut.

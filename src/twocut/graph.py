@@ -253,9 +253,6 @@ class RootedSpanTree:
         self.parent, self.size, self.depth, self.lo, self.po, self.order = (
             getattr(stack, a)[row] for a in TreeStack.FIELDS)
         self.hi = self.po  # post-order index of v closes its own range
-        # plain-int mirrors for the tree walks: numpy scalar reads are far slower than list indexing
-        self._po = self._hi = self.po.tolist()
-        self._lo = self.lo.tolist()
         return self
 
     @cached_property
@@ -272,11 +269,11 @@ class RootedSpanTree:
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """True iff u is an ancestor of v or u == v."""
-        return self._lo[u] <= self._po[v] <= self._hi[u]
+        return bool(self.lo[u] <= self.po[v] <= self.hi[u])
 
     def orthogonal(self, a: int, b: int) -> bool:
         """True iff the subtrees below a and b are disjoint."""
-        return self._hi[a] < self._lo[b] or self._hi[b] < self._lo[a]
+        return bool(self.hi[a] < self.lo[b] or self.hi[b] < self.lo[a])
 
 
 def build_rooted_tree(g: WeightedGraph, tree_edges, root: int) -> RootedSpanTree:
@@ -337,17 +334,22 @@ class TreeEdgePair:
         return (self.a,) if self.kind == SINGLE else (self.a, self.b)
 
 
+def classify_pairs(t: RootedSpanTree, x, y):
+    """classify_pair of each (x[i], y[i]) as arrays (orthogonal, a, b): a is an
+    orthogonal pair's lesser post-order, a nested pair's upper edge."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if (x == y).any():
+        raise ValueError("a pair needs two distinct edges")
+    (px, py), (lx, ly) = t.po[[x, y]], t.lo[[x, y]]  # hi is po
+    orth = (px < ly) | (py < lx)
+    swap = np.where(orth, px > py, (py < lx) | (px < py))  # nested: x is y's ancestor unless swapped
+    return orth, np.where(swap, y, x), np.where(swap, x, y)
+
+
 def classify_pair(t: RootedSpanTree, x: int, y: int) -> TreeEdgePair:
     """Build the pair for tree-edge children x, y with the kind read off ranges."""
-    if x == y:
-        raise ValueError("a pair needs two distinct edges")
-    if t.orthogonal(x, y):
-        if t.po[x] > t.po[y]:
-            x, y = y, x
-        return TreeEdgePair(ORTHOGONAL, x, y)
-    if t.is_ancestor(x, y):
-        return TreeEdgePair(NESTED, x, y)
-    return TreeEdgePair(NESTED, y, x)
+    (orth,), (a,), (b,) = classify_pairs(t, [x], [y])
+    return TreeEdgePair(ORTHOGONAL if orth else NESTED, int(a), int(b))
 
 
 def validate_pair(t: RootedSpanTree, p: TreeEdgePair):

@@ -29,7 +29,7 @@ on degrees off its own index.
 
 Once the exact checks have run, pair_solver_inputs groups the verified rows
 by path pair with one sort of packed (path pair, position of e) keys and
-returns the row and column lists of every Step 5 bipartite instance.
+returns every Step 5 bipartite instance back to back in one interval.Instances.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hld import PathDecomposition
+from .interval import Instances, runs
 from .rangeindex import subtree_sums, tree_degrees
 from .util import ceil_log2
 
@@ -145,8 +146,8 @@ def candidate_tops(d: PathDecomposition, es, xs):
     return np.stack((e[cross], f[cross]), axis=1), np.stack((e[down], f[down]), axis=1)
 
 
-def pair_solver_inputs(d: PathDecomposition, cross, down, ok):
-    """Step 5 instances from the verified Step 4 rows, as (rows, cols) lists.
+def pair_solver_inputs(d: PathDecomposition, cross, down, ok) -> Instances:
+    """Step 5 instances from the verified Step 4 rows, as flat Instances.
 
     cross, down: the (e, f) rows of interest_checks; ok: one bool per row,
     cross rows first, true where the exact check passed. A verified row
@@ -157,30 +158,23 @@ def pair_solver_inputs(d: PathDecomposition, cross, down, ok):
     lies inside e's subtree. Cross instances come first, each kind ordered
     by its (path, path) key.
     """
-    n, paths = d.tree.n, len(d.paths)
-    out = []
-    e, f = cross[ok[: len(cross)]].T
-    p, q = d.path_of[e], d.path_of[f]
-    keys, marks, first, last = _marks_by_pair(d, np.minimum(p, q) * paths + np.maximum(p, q), e)
-    # a pair's marks on its smaller path come first; the larger path's start there
-    pair = keys[first] // n
-    split = np.searchsorted(keys, pair * n + d.start[pair % paths])
-    for a, s, b in zip(first.tolist(), split.tolist(), last.tolist()):
-        if a < s < b:
-            out.append((marks[a:s], marks[s:b]))
-    e, f = down[ok[len(cross) :]].T
-    keys, marks, first, last = _marks_by_pair(d, d.path_of[e] * paths + d.path_of[f], e)
-    for a, b, q in zip(first.tolist(), last.tolist(), (keys[first] // n % paths).tolist()):
-        out.append((marks[a:b][::-1], d.paths[q]))
-    return out
-
-
-def _marks_by_pair(d, pair, e):
-    """Distinct keys pair * n + pos[e] in ascending order, the mark e of each
-    key, and the [first, last) bounds of each pair's run of keys. d.pos
-    orders edges by path, then depth, so a run lists its marks path by
-    path, top down."""
-    n = d.tree.n
-    keys = np.unique(pair * n + d.pos[e])
-    first = np.flatnonzero(np.diff(keys // n, prepend=-1))
-    return keys, d.flat[keys % n].tolist(), first, np.append(first[1:], len(keys))
+    n, paths = d.tree.n, len(d.start)
+    e, f = np.concatenate((cross, down))[ok].T
+    p, q, nested = d.path_of[e], d.path_of[f], np.flatnonzero(ok) >= len(cross)
+    # one sorted key (pair, place of e) per mark, d.pos ordering edges by path, then depth: cross
+    # pairs (smaller path, larger path) with places top down, then down pairs (paths + upper, lower) bottom up
+    pair = np.where(nested, (paths + p) * paths + q, np.minimum(p, q) * paths + np.maximum(p, q))
+    keys = np.unique(pair * n + np.where(nested, n - 2 - d.pos[e], d.pos[e]))
+    pair, place = np.divmod(keys, n)
+    bounds = np.append(np.flatnonzero(np.diff(pair, prepend=-1)), len(keys))
+    first, last, pair = bounds[:-1], bounds[1:], pair[bounds[:-1]]
+    nested, other = pair >= paths * paths, pair % paths  # other: the larger or the lower path
+    # a cross pair's marks on its smaller path come first; the larger path's start there
+    split = np.where(nested, last, np.searchsorted(keys, pair * n + d.start[other]))
+    keep = nested | (first < split) & (split < last)
+    nested, first, split, last, other = (x[keep] for x in (nested, first, split, last, other))
+    size = np.diff(np.append(d.start, n - 1))[other]
+    at = np.append(np.where(keys >= paths * paths * n, n - 2 - place, place), np.arange(n - 1))
+    count = np.where(nested, size, last - split)  # a down pair's columns: its whole lower path
+    cols = runs(np.where(nested, len(keys) + d.start[other], split), count)
+    return Instances(d.flat[at[runs(first, split - first)]], split - first, d.flat[at[cols]], count)

@@ -6,14 +6,16 @@ resource being spent: nothing (in-memory indexes), counted oracle queries,
 or stream passes. Search code is written against this contract only, which
 is what makes the three execution models interchangeable.
 
-All providers turn requests into values the same way. `batch_eval` decodes
-each request once into an int64 row (tree slot, kind, a, b); this module
-holds the only dispatch over request types. Rows are deduplicated with one
-sorted packed key, and a row's value is subtree degrees plus at most one
-crossing, read through small per-kind lookup arrays. Every provider hands
-its hidden (u, v, w) edges (the graph in memory, the oracle's graph, the
-stream's updates) to the constructor, which nets them once. `admit` is the
-one place a tree gets its slot, tables, index and subtree degrees: the
+All providers turn requests into values the same way. `batch_eval` takes a
+requests.RequestTable, the form the search yields, or a list of (tree,
+request) items, which `_rows` encodes into one, and reads its columns as
+int64 rows (tree slot, kind, a, b) with no per-request work. Rows are
+deduplicated with one sorted packed key, and a row's value is subtree
+degrees plus at most one crossing, read through small per-kind lookup
+arrays. Every provider hands its hidden (u, v, w) edges (the graph in
+memory, the oracle's graph, the stream's updates) to the constructor, which
+nets them once. `admit` is the one place a tree gets its slot, tables,
+index and subtree degrees, and a provider's own per-tree tables: the
 pipeline admits all its packed trees before the search, and `batch_eval`
 admits the trees first seen in a batch. The grids of the trees admitted
 together are built from the net edges into one grid.GridBlock, here and
@@ -32,25 +34,24 @@ the hidden edges, else on a grid over it, one tree at a time.
 
 Requests are paired with the RootedSpanTree they refer to, which is also
 the key of the tree's slot, so one provider can serve many spanning trees in
-the same run and a scheduler can merge their rounds: all solver instances
-advance one recursion depth per provider batch, and under the stream model
-one batch is exactly one pass.
+the same run and run_lockstep can join their rounds' tables into one: all
+solver instances advance one recursion depth per provider batch, and under
+the stream model one batch is exactly one pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .graph import NESTED, ORTHOGONAL, SINGLE, RootedSpanTree
+from .graph import RootedSpanTree
 from .grid import GridBlock, PoPrefixGrid
 from .interesting import ProxyFilter
 from .rangeindex import WeightRangeIndex, edge_points, subtree_sums
-from .requests import CrossNested, CrossSub, DegSubtree, PairCut
+from .requests import CROSS_SUB, DEG, RequestTable
 
 
 @dataclass
@@ -80,14 +81,9 @@ class RunStats:
         return json.dumps(payload)
 
 
-# The kind column of a decoded request row (slot, kind, a, b): subtree degree,
-# crossing of disjoint subtrees (a <= b), crossing of subtree b with the
-# outside of its ancestor a, and the single, orthogonal and nested pair cuts
-# (nested: a is the upper edge). One-vertex kinds repeat a in b.
-DEG, CROSS_SUB, CROSS_NESTED, SINGLE_CUT, ORTHOGONAL_CUT, NESTED_CUT = range(6)
-_PAIR_KINDS = {SINGLE: SINGLE_CUT, ORTHOGONAL: ORTHOGONAL_CUT, NESTED: NESTED_CUT}
-# per kind, value = A_DEG deg[a] + B_DEG deg[b] + CROSS_COEF crossing, where
-# crossing is the subtree_sums row (u = a, v = b, sub = IS_SUB)
+# per request kind (requests.py), value = A_DEG deg[a] + B_DEG deg[b] +
+# CROSS_COEF crossing, where crossing is the subtree_sums row (u = a, v = b,
+# sub = IS_SUB)
 A_DEG = np.array([1, 0, 0, 1, 1, 1])
 B_DEG = np.array([0, 0, 0, 0, 1, 1])
 CROSS_COEF = np.array([0, 1, 1, 0, -2, -2])
@@ -130,36 +126,23 @@ class CostProvider:
         self._at = np.zeros(0, dtype=np.int64)
 
     def _rows(self, items):
-        """(slot, kind, a, b) of each (tree, request): the one request decoder."""
-        last = slot = None
-        for t, req in items:
-            if t is not last:
-                last, slot = t, self._slot(t)
-            if isinstance(req, CrossSub):
-                yield (slot, CROSS_SUB, req.u, req.v) if req.u <= req.v else (slot, CROSS_SUB, req.v, req.u)
-            elif isinstance(req, PairCut):
-                p = req.pair
-                yield slot, _PAIR_KINDS[p.kind], p.a, p.a if p.b is None else p.b
-            elif isinstance(req, DegSubtree):
-                yield slot, DEG, req.v, req.v
-            elif isinstance(req, CrossNested):
-                yield slot, CROSS_NESTED, req.u, req.v
-            else:
-                raise TypeError(f"unknown request {req!r}")
+        """(slot, kind, a, b) int64 rows of a RequestTable or of a list of (tree,
+        request) items, with a <= b in CrossSub rows (a mirror is the same row)."""
+        table = items if isinstance(items, RequestTable) else RequestTable.from_items(items)
+        slots = np.array([self._slot(t) for t in table.trees], dtype=np.int64)
+        rows = np.column_stack((slots[table.rows[:, 0]], table.rows[:, 1:]))
+        swap = (rows[:, 1] == CROSS_SUB) & (rows[:, 2] > rows[:, 3])
+        rows[swap, 2:] = rows[swap, 3:1:-1]
+        return rows
 
     def batch_eval(self, items):
-        """items: list of (RootedSpanTree, request); returns aligned exact values.
-
-        The batch is decoded into one row table, which admits the trees first
-        seen in it together, and deduplicated by sorting one packed key; the
-        distinct rows come out grouped by tree. Rows other than
-        already-charged DegSubtrees go to `_eval_unique` in one call, so each
-        is metered once.
-        """
-        if not items:
+        """Aligned exact values, as a list, of a RequestTable or a list of (tree,
+        request) items. The batch admits its new trees together; its rows are
+        deduplicated by sorting one packed key, coming out grouped by tree, and
+        all but already-charged DegSubtrees go to `_eval_unique` in one call."""
+        if not len(items):
             return []
-        flat = itertools.chain.from_iterable(self._rows(items))
-        rows = np.fromiter(flat, dtype=np.int64, count=4 * len(items)).reshape(-1, 4)
+        rows = self._rows(items)
         self.admit()
         n = self.n
         keys = rows @ np.array([len(A_DEG) * n * n, n * n, n, 1])
@@ -290,30 +273,22 @@ def _run_starts(sorted_keys):
 def run_lockstep(tasks, provider: CostProvider):
     """Drive request-yielding generators in rounds, one batch per round.
 
-    Each task yields a list of (tree, request) items and receives the aligned
-    values; tasks that finish early simply drop out of later rounds.
+    Each task yields a RequestTable, or a list of (tree, request) items, and
+    receives the aligned values as an int64 array; the round's tables are
+    joined into one batch. Tasks that finish early drop out of later rounds.
     """
-    live = []
-    for task in tasks:
-        try:
-            live.append((task, task.send(None)))
-        except StopIteration:
-            pass
-    rounds = 0
-    while live:
-        batch = []
-        for _, reqs in live:
-            batch.extend(reqs)
-        values = provider.batch_eval(batch) if batch else []
-        rounds += 1
-        pos = 0
-        advanced = []
-        for task, reqs in live:
-            chunk = values[pos : pos + len(reqs)]
-            pos += len(reqs)
+    sends, rounds = [(task, None) for task in tasks], 0
+    while True:
+        live = []
+        for task, values in sends:
             try:
-                advanced.append((task, task.send(chunk)))
+                live.append((task, task.send(values)))
             except StopIteration:
                 pass
-        live = advanced
-    return rounds
+        if not live:
+            return rounds
+        tables = [r if isinstance(r, RequestTable) else RequestTable.from_items(r) for _, r in live]
+        batch = RequestTable.join(tables)
+        values = np.array(provider.batch_eval(batch) if len(batch) else [], dtype=np.int64)
+        rounds += 1
+        sends = zip([task for task, _ in live], np.split(values, np.cumsum([len(t) for t in tables])[:-1]))

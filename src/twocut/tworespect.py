@@ -9,19 +9,18 @@ reads no search value, only the proxy and the subtree degrees the provider
 computed when it admitted the trees, so step4_rows runs it for all trees
 before the search, once per group of trees; in the search each tree's
 survivors are verified exactly, in every model.
-Step 5 runs one pair solver over a bipartite instance per verified path pair;
-the verified rows stay int64 arrays from the Step 4 values to
-interesting.pair_solver_inputs, which hands back each instance's row and
-column lists. The minimum over everything probed is the answer.
+Step 5 runs one pair solver over a bipartite instance per verified path pair.
+The minimum over everything probed is the answer.
 No step samples: it is the true 2-respecting minimum whenever the 1/3
 filter keeps every true partner, always on the graph itself and on a
 sparsifier within 1 +- eps of it.
 
-The search is a generator yielding (tree, request) batches. Each yield is
-one synchronous round: under the stream provider one pass, under the query
-provider one batch of counted cuts. The probes of every instance at one
-recursion depth travel in the same round, and a pipeline may interleave the
-rounds of many trees.
+The search is a generator yielding one requests.RequestTable per batch.
+Each yield is one synchronous round: under the stream provider one pass,
+under the query provider one batch of counted cuts. The probes of every
+instance at one recursion depth travel in the same round, and a pipeline
+may interleave the rounds of many trees. Probes stay int64 arrays; a round
+makes no object but the sink's new TreeEdgePair.
 """
 
 from __future__ import annotations
@@ -31,22 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (
-    SINGLE,
-    CutResult,
-    GraphError,
-    RootedSpanTree,
-    TreeEdgePair,
-    WeightedGraph,
-    classify_pair,
-    pair_tie_key,
-    reconstruct_partition,
-)
+from .graph import (CutResult, GraphError, RootedSpanTree, TreeEdgePair, WeightedGraph, classify_pairs,
+                    reconstruct_partition)
 from .hld import decompose
 from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
 from .interval import BipartiteSolver, self_pair_instances
 from .provider import run_lockstep
-from .requests import CrossNested, CrossSub, DegSubtree, PairCut
+from .requests import CROSS_NESTED, CROSS_SUB, DEG, NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, RequestTable, pair_of
 
 # perfbench's tracer patches these two names, which nothing calls;
 # ROADMAP item 2 deletes this line along with the patching
@@ -61,26 +51,33 @@ class SearchSink:
     value: Optional[int] = None
     pair: Optional[TreeEdgePair] = None
     probes: int = 0
+    key: tuple = ()  # (value, kind, po a, po b) of the least probe
 
-    def offer(self, tree, values, pairs):
-        """Fold in one round: its least value, and among those pairs the least pair_tie_key;
-        (value,) + pair_tie_key is a total order, so probe by probe gives the same."""
-        v = min(values)
-        p = min((p for p, x in zip(pairs, values) if x == v), key=lambda p: pair_tie_key(tree, p))
-        if self.value is None or (v, pair_tie_key(tree, p)) < (self.value, pair_tie_key(tree, self.pair)):
-            self.value, self.pair = v, p
+    def offer(self, t, values, kind, a, b):
+        """Fold in one round of pair-cut rows (arrays of kind codes, a and b): its least
+        (value, kind, po a, po b), by one lexsort of its least-value rows. Kind codes follow
+        pair_tie_key's rank: a total order, so probe by probe gives the same."""
+        v = np.min(values)
+        if self.value is not None and v > self.value:
+            return
+        i = np.flatnonzero(np.asarray(values) == v)
+        i = i[np.lexsort((t.po[b[i]], t.po[a[i]], kind[i]))[0]]
+        key = (int(v), int(kind[i]), int(t.po[a[i]]), int(t.po[b[i]]))
+        if self.value is None or key < self.key:
+            self.value, self.pair, self.key = key[0], pair_of(key[1], int(a[i]), int(b[i])), key
 
 
 def _drive_solvers(t: RootedSpanTree, solver: BipartiteSolver, sink: SearchSink):
-    """Run the solver's frontier; one yielded batch per depth.
+    """Run the solver's frontier; one yielded table per depth.
 
     Every probe is itself a genuine 2-respecting cut value, so the sink
     sees each round as it streams through and counts its probes.
     """
     while not solver.done():
-        pairs = [classify_pair(t, a, b) for a, b in solver.requests()]
-        values = yield [(t, PairCut(p)) for p in pairs]
-        sink.offer(t, values, pairs)
+        orth, a, b = classify_pairs(t, *solver.requests().T)
+        kind = np.where(orth, ORTHOGONAL_CUT, NESTED_CUT)
+        values = yield RequestTable.of(t, kind, a, b)
+        sink.offer(t, values, kind, a, b)
         sink.probes += len(values)
         solver.advance(values)
 
@@ -128,30 +125,28 @@ def step4_rows(provider, trees):
 
 
 def two_respect_plan(t: RootedSpanTree, sink: SearchSink, rows):
-    """The five-step search for one tree, as a lockstep generator; rows are the
-    tree's Step 4 (cross, down) rows from step4_rows."""
-    kids = t.edge_children()
-    singles = yield [(t, DegSubtree(v)) for v in kids]
+    """The five-step search for one tree, as a lockstep generator of
+    RequestTables; rows are the tree's Step 4 (cross, down) rows from step4_rows."""
+    kids = np.flatnonzero(t.parent >= 0)
+    singles = yield RequestTable.of(t, DEG, kids, kids)
     deg = np.zeros(t.n, dtype=np.int64)
     deg[kids] = singles
-    sink.offer(t, singles, [TreeEdgePair(SINGLE, v) for v in kids])
+    sink.offer(t, singles, np.full(len(kids), SINGLE_CUT), kids, kids)
 
     if len(kids) >= 2:
         d = decompose(t)
-        path_instances = [inst for path in d.paths for inst in self_pair_instances(path)]
-        if path_instances:
+        path_instances = self_pair_instances(d.flat, d.start)
+        if len(path_instances):
             yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
 
+        # CrossSub(e, f) and CrossNested(f, e) are both the row (e, f)
         cross, down = rows
-        (ce, cf), (de, df) = cross.T.tolist(), down.T.tolist()
-        reqs = [(t, CrossSub(e, f)) for e, f in zip(ce, cf)]
-        reqs += [(t, CrossNested(f, e)) for e, f in zip(de, df)]
-        values = yield reqs
+        e, f = np.concatenate((cross, down)).T
+        values = yield RequestTable.of(t, np.repeat([CROSS_SUB, CROSS_NESTED], [len(cross), len(down)]), e, f)
 
-        # 2 v > deg exactly, without doubling v in int64
-        ok = np.asarray(values, dtype=np.int64) > deg[np.concatenate((cross[:, 0], down[:, 0]))] // 2
-        pair_instances = pair_solver_inputs(d, cross, down, ok)
-        if pair_instances:
+        ok = values > deg[e] // 2  # 2 v > deg exactly, without doubling v in int64
+        pair_instances = pair_solver_inputs(d, cross, down, ok) if ok.any() else ()
+        if len(pair_instances):
             yield from _drive_solvers(t, BipartiteSolver(pair_instances), sink)
 
 

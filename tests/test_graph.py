@@ -21,6 +21,7 @@ from twocut.graph import (
     WeightOverflowError,
     build_rooted_tree,
     classify_pair,
+    classify_pairs,
     cut_of_partition,
     load_graph,
     oracle_2respect_min,
@@ -30,6 +31,7 @@ from twocut.graph import (
 )
 
 from conftest import GSTAR_TREE, four_cycle, make_gstar, random_instance
+from search_reference import reference_classify_pair
 
 
 def test_load_triangle():
@@ -172,6 +174,32 @@ def test_build_tree_accepts_any_orientation_and_iterable(gstar):
     for edges in (flipped, triples, (e for e in reversed(GSTAR_TREE))):
         got = build_rooted_tree(g, edges, 0)
         assert got.parent.tolist() == t.parent.tolist() and got.po.tolist() == t.po.tolist()
+
+
+def classify_trees():
+    """50 random trees, then a path, a star and a caterpillar on 9 vertices, each under three roots."""
+    rng = np.random.default_rng(50)
+    for _ in range(50):
+        yield random_instance(rng, 3, 16)[1]
+    path, star = [(i, i + 1) for i in range(8)], [(0, i) for i in range(1, 9)]
+    for edges in (path, star, path[:4] + [(i, i + 5) for i in range(4)]):  # the caterpillar: a spine 0..4, legs 5..8
+        for root in (0, 4, 8):
+            yield build_rooted_tree(WeightedGraph(9, [(u, v, 1) for u, v in edges]), edges, root)
+
+
+def test_classify_pairs_equal_scalar_reference():
+    # the array form agrees with the scalar range tests on every ordered pair
+    # of distinct tree edges, and classify_pair is its one-pair wrapper
+    for t in classify_trees():
+        kids = t.edge_children()
+        x, y = np.array([(p, q) for p in kids for q in kids if p != q]).T
+        want = [reference_classify_pair(t, p, q) for p, q in zip(x.tolist(), y.tolist())]
+        orth, a, b = classify_pairs(t, x, y)
+        assert [TreeEdgePair(ORTHOGONAL if o else NESTED, p, q)
+                for o, p, q in zip(orth.tolist(), a.tolist(), b.tolist())] == want
+        assert [classify_pair(t, p, q) for p, q in zip(x.tolist(), y.tolist())] == want
+    with pytest.raises(ValueError):
+        classify_pairs(t, [1, 2], [3, 2])
 
 
 def test_cut_of_partition_examples(gstar):

@@ -320,7 +320,7 @@ def test_accumulator_canonicalization_and_drain():
     # (e, f) rows mark e on its own path; f only names the partner path
     cross = np.array([[1, 3], [3, 1], [1, 3], [2, 3], [4, 1], [2, 4]])
     ok = np.array([True, True, True, True, True, False])  # repeats are idempotent
-    drained = pair_solver_inputs(d, cross, cross[:0], ok)
+    drained = list(pair_solver_inputs(d, cross, cross[:0], ok))
     assert drained == reference_solver_inputs(d, cross, cross[:0], ok)
     assert len(drained) == 1
     mp, mq = drained[0]
@@ -329,7 +329,7 @@ def test_accumulator_canonicalization_and_drain():
     low, high = (mp, mq) if p == p1 else (mq, mp)
     assert low == [1, 2] and high == [3, 4]
     # marks on one side only make no instance
-    assert pair_solver_inputs(d, cross, cross[:0], ~ok) == []
+    assert list(pair_solver_inputs(d, cross, cross[:0], ~ok)) == []
 
 
 def test_gstar_full_cross_marks():
@@ -457,7 +457,7 @@ def test_pair_solver_inputs_equal_per_row_reference():
         cross, down, ok = verified_rows(g, t, d)
         # every candidate marked as well, so that many pairs form on small trees
         for keep in (ok, np.ones_like(ok)):
-            got = pair_solver_inputs(d, cross, down, keep)
+            got = list(pair_solver_inputs(d, cross, down, keep))
             assert got == reference_solver_inputs(d, cross, down, keep), f"instance {i}"
 
 

@@ -5,14 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from search_reference import ReferenceSolver, reference_self_pair_instances
 from twocut.interval import (
     BipartiteSolver,
     CostMatrixHandle,
+    Instances,
     ProbeLedger,
     bipartite_interval,
     interval_self,
     monge_check,
-    split_pairs,
+    self_pair_instances,
 )
 from twocut.util import ceil_log2
 
@@ -97,13 +99,26 @@ def test_interval_self_equals_exhaustive_pairs():
 def test_split_pairs_covers_each_pair_once():
     items = list(range(13))
     seen = set()
-    for a, b in split_pairs(items):
+    for a, b in self_pair_instances(items):
         for x in a:
             for y in b:
                 key = (min(x, y), max(x, y))
                 assert key not in seen
                 seen.add(key)
     assert len(seen) == 13 * 12 // 2
+
+
+def test_self_pair_instances_equal_per_run_reference():
+    # one call over runs back to back lists the scalar splitter's instances
+    # of each run, run after run, in the splitter's order
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+        items = rng.permutation(int(lengths.sum())) + 100
+        starts = np.cumsum(lengths) - lengths
+        runs = [items[s : s + k].tolist() for s, k in zip(starts, lengths)]
+        want = [inst for run in runs for inst in reference_self_pair_instances(run)]
+        assert list(self_pair_instances(items, starts)) == want
 
 
 def test_probe_budget_and_batch_count():
@@ -193,3 +208,46 @@ def test_empty_inputs_rejected():
         BipartiteSolver([([1], [2]), ([3], [])])
     with pytest.raises(ValueError):
         interval_self(lambda pairs: [0] * len(pairs), [1])
+
+
+def drive_pair(solvers, matrices):
+    """Drive an array solver and the scalar reference side by side over items
+    (instance, index); both must ask the same probes in the same batches."""
+    solver, reference = solvers
+    while not reference.done():
+        assert not solver.done()
+        want = reference.requests()
+        got = solver.requests()
+        assert [tuple(map(tuple, p)) for p in got.tolist()] == want
+        values = [matrices[k][r][c] for (k, r), (_, c) in want]
+        solver.advance(values)
+        reference.advance(values)
+    assert solver.done() and solver.ledger.probes == reference.probes
+    value, row, col = solver.result()
+    assert (value, tuple(row), tuple(col)) == reference.result()
+
+
+@pytest.mark.parametrize("intervals", [4, 60])
+def test_array_solver_equals_scalar_reference(intervals):
+    # the same probes per batch, the same batch count and the same result as
+    # the loop solver, on single and multi-instance runs; few intervals make
+    # many tied minima, which the first/last argmins must break the same way
+    rng = np.random.default_rng(intervals)
+    for _ in range(60):
+        matrices = []
+        while len(matrices) < int(rng.integers(1, 7)):
+            p, ivals = random_interval_instance(rng, max_points=24, max_intervals=intervals)
+            matrices.append(bipartite_matrix(p, ivals)[2])
+        instances = [([(k, r) for r in range(len(m))], [(k, c) for c in range(len(m[0]))])
+                     for k, m in enumerate(matrices)]
+        drive_pair((BipartiteSolver(instances), ReferenceSolver(instances)), matrices)
+        drive_pair((BipartiteSolver(instances[::-1]), ReferenceSolver(instances[::-1])), matrices)
+
+
+def test_array_solver_equals_reference_on_constant_matrices():
+    # every entry tied: the first instance, then the least row and column win
+    matrices = [[[7] * c for _ in range(r)] for r, c in ((3, 5), (1, 4), (6, 1), (2, 2))]
+    instances = [([(k, r) for r in range(len(m))], [(k, c) for c in range(len(m[0]))])
+                 for k, m in enumerate(matrices)]
+    drive_pair((BipartiteSolver(instances), ReferenceSolver(instances)), matrices)
+    assert BipartiteSolver(Instances.of(instances)).instances[1] == ([[1, 0]], [[1, c] for c in range(4)])

@@ -32,7 +32,8 @@ from twocut.packing import PipelineConfig, min_cut_pipeline
 from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums, tree_degrees
 from twocut.proxy import ResourceBudgetError, forests_per_class, peel_forests, proxy_edge_budget
-from twocut.requests import CrossNested, CrossSub, DegSubtree, PairCut
+from twocut.requests import (CROSS_NESTED, CROSS_SUB, DEG, NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, CrossNested,
+                             CrossSub, DegSubtree, PairCut, RequestTable)
 from twocut.reservoir import reservoir_sample
 from twocut.sequential import SequentialProvider
 from twocut import streaming
@@ -446,6 +447,54 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
     }
     assert deltas([item for item in batch if not isinstance(item[1], DegSubtree)]) == want[mode]
     assert [id(idx) for idx in provider._index] == held
+
+
+def tree_requests(t):
+    """All four request kinds on t as one table per kind, built from arrays as
+    the search builds them, each with its request objects built one by one."""
+    from twocut.graph import classify_pair, classify_pairs
+
+    kids = np.array(t.edge_children())
+    x, y = (a.ravel() for a in np.meshgrid(kids, kids))
+    x, y = x[x != y], y[x != y]
+    orth, a, b = classify_pairs(t, x, y)
+    pairs = [classify_pair(t, p, q) for p, q in zip(x.tolist(), y.tolist())]
+    yield RequestTable.of(t, DEG, kids, kids), [DegSubtree(v) for v in kids.tolist()]
+    yield RequestTable.of(t, SINGLE_CUT, kids, kids), [PairCut(TreeEdgePair("single", v)) for v in kids.tolist()]
+    yield RequestTable.of(t, np.where(orth, ORTHOGONAL_CUT, NESTED_CUT), a, b), [PairCut(p) for p in pairs]
+    # CrossSub both ways round; CrossNested(b, a) is the row (a, b)
+    yield (RequestTable.of(t, CROSS_SUB, x[orth], y[orth]),
+           [CrossSub(p, q) for p, q in zip(x[orth].tolist(), y[orth].tolist())])
+    yield (RequestTable.of(t, CROSS_NESTED, a[~orth], b[~orth]),
+           [CrossNested(q, p) for p, q in zip(a[~orth].tolist(), b[~orth].tolist())])
+
+
+@pytest.mark.parametrize("mode", PROVIDERS)
+def test_request_table_reads_and_evaluates_as_its_items(mode):
+    # a table of mixed requests on several trees, shuffled, reads as its
+    # (tree, request) items and evaluates and meters exactly as their list
+    rng = np.random.default_rng(43)
+    g, t0 = random_instance(rng, 9, 13, wmax=1 << 32)
+    trees = [t0] + [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
+                    for _ in range(2)]
+    parts = [part for t in trees for part in tree_requests(t)]
+    table = RequestTable.join([tab for tab, _ in parts])
+    items = [(tab.trees[0], req) for tab, reqs in parts for req in reqs]
+    order = rng.permutation(len(items))
+    table, items = RequestTable(table.trees, table.rows[order]), [items[i] for i in order]
+    assert list(table) == items and table[-1] == items[-1]
+    assert {type(req) for _, req in table} == {DegSubtree, CrossSub, CrossNested, PairCut}
+    runs = []
+    for batch in (table, list(table)):
+        provider = PROVIDERS[mode](g)
+        for _ in range(2):  # the second batch reads its degrees as charged
+            before = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
+            got = provider.batch_eval(batch)
+            after = (provider.stats.queries, provider.stats.passes, provider.stats.tracked_words)
+            runs.append((got, tuple(b - a for a, b in zip(before, after))))
+    assert runs[:2] == runs[2:]
+    assert runs[0][0] == [brute_value(g, t, req) for t, req in items]
+    assert PROVIDERS[mode](g).batch_eval(RequestTable([], np.zeros((0, 4), dtype=np.int64))) == []
 
 
 @pytest.mark.parametrize("mode", PROVIDERS)

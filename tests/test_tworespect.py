@@ -13,8 +13,10 @@ from twocut import packing, tworespect
 from twocut import proxy as proxy_module
 from twocut.graph import (
     GraphError,
+    TreeEdgePair,
     WeightedGraph,
     build_rooted_tree,
+    classify_pairs,
     cut_of_partition,
     oracle_2respect_min,
 )
@@ -25,9 +27,9 @@ from twocut.interval import BipartiteSolver
 from twocut.packing import MODES, PipelineConfig, min_cut_pipeline
 from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums
-from twocut.requests import DegSubtree
+from twocut.requests import NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, CrossNested, CrossSub, DegSubtree, PairCut
 from twocut.sequential import SequentialProvider
-from twocut.tworespect import interest_checks, min_2respect
+from twocut.tworespect import SearchSink, interest_checks, min_2respect
 from twocut.util import floor_log2
 
 from conftest import (
@@ -37,6 +39,7 @@ from conftest import (
     random_instance,
     random_spanning_tree_edges,
 )
+from search_reference import ReferenceSink, reference_classify_pair
 
 
 def test_gstar_value_and_partition():
@@ -116,8 +119,8 @@ def test_step5_work_bound():
                         for e, f in cross.tolist()], dtype=bool)
         okd = np.array([2 * cross_weight(g, t.subtree(f), set(range(n)) - set(t.subtree(e))) > deg[e]
                         for e, f in down.tolist()], dtype=bool)
-        cross_pairs = pair_solver_inputs(d, cross, down[:0], okc)
-        down_pairs = pair_solver_inputs(d, cross[:0], down, okd)
+        cross_pairs = list(pair_solver_inputs(d, cross, down[:0], okc))
+        down_pairs = list(pair_solver_inputs(d, cross[:0], down, okd))
         total = sum(len(mp) + len(mq) for mp, mq in cross_pairs + down_pairs)
         # cross instances mark both sides, down instances only their rows
         appearances = Counter([e for mp, mq in cross_pairs for e in mp + mq] + [e for mp, _ in down_pairs for e in mp])
@@ -389,3 +392,48 @@ def test_finished_pipeline_frees_its_provider(monkeypatch):
             assert refs[-1]() is None, mode
     finally:
         gc.enable()
+
+
+def test_sink_keeps_the_reference_winner_on_tied_rounds():
+    # one lexsort over a round's rows of least value picks the probe the
+    # per-probe tie rule picks, round after round, singles and pairs mixed;
+    # few distinct values tie many probes within rounds and across them
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        _, t = random_instance(rng, 4, 14)
+        kids = np.array(t.edge_children())
+        sink, reference = SearchSink(), ReferenceSink()
+        singles = rng.integers(3, 6, size=len(kids))
+        sink.offer(t, singles, np.full(len(kids), SINGLE_CUT), kids, kids)
+        reference.offer(t, singles.tolist(), [TreeEdgePair("single", v) for v in kids.tolist()])
+        for _ in range(6):
+            x, y = rng.choice(kids, size=(2, 12))
+            x, y = x[x != y], y[x != y]
+            if len(x):
+                orth, a, b = classify_pairs(t, x, y)
+                values = rng.integers(2, 6, size=len(x))
+                sink.offer(t, values, np.where(orth, ORTHOGONAL_CUT, NESTED_CUT), a, b)
+                reference.offer(t, values.tolist(), [reference_classify_pair(t, p, q)
+                                                     for p, q in zip(x.tolist(), y.tolist())])
+            assert (sink.value, sink.pair) == (reference.value, reference.pair)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_search_builds_no_per_probe_objects(mode, monkeypatch):
+    # a plain run keeps every probe in arrays: it builds no request object,
+    # and its only TreeEdgePairs are sink certificates, one per improvement
+    made, improved = Counter(), []
+    for cls in (PairCut, CrossSub, CrossNested, DegSubtree, TreeEdgePair):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _cls=cls, _init=cls.__init__, **k:
+                            made.update([_cls.__name__]) or _init(self, *a, **k))
+    offer = SearchSink.offer
+
+    def spy(self, *args):
+        before = self.pair
+        offer(self, *args)
+        improved.append(self.pair is not before)
+
+    monkeypatch.setattr(SearchSink, "offer", spy)
+    g, _, churn = next(run for run in bench_shaped_runs() if run[1] == mode)
+    min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
+    assert sum(improved) > 0 and made == Counter({"TreeEdgePair": sum(improved)})
