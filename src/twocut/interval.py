@@ -10,9 +10,10 @@ The whole-path search splits the point list in halves, recursively, and
 solves one bipartite instance across each split; every unordered pair is
 covered exactly once, at the level where the two items first separate.
 
-One solver holds many instances, back to back in flat arrays (Instances), on one
-frontier of (rl, rh, cl, ch) int64 columns, and hands out their probes one recursion
-depth per batch: np.repeat expands nodes, segment minima and argmins spawn children.
+One solver holds many instances, back to back in flat arrays (Instances, which join
+concatenates: a tree's Step 3 and Step 5 instances share one solver), on one frontier
+of (rl, rh, cl, ch) int64 columns, and hands out their probes one recursion depth per
+batch: np.repeat expands nodes, segment minima and argmins spawn children.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ class Instances(Sequence):
         """From (rows, cols) pairs of item sequences."""
         rows, cols = ([np.asarray(x) for x in side] for side in zip(*pairs or [([], [])]))
         return cls(np.concatenate(rows), [len(x) for x in rows], np.concatenate(cols), [len(x) for x in cols])
+
+    @classmethod
+    def join(cls, parts):
+        """The instances of several Instances back to back."""
+        return cls(np.concatenate([p.rows for p in parts]), np.concatenate([np.diff(p.row_at) for p in parts]),
+                   np.concatenate([p.cols for p in parts]), np.concatenate([np.diff(p.col_at) for p in parts]))
 
     def __len__(self):
         return len(self.row_at) - 1

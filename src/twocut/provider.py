@@ -1,10 +1,9 @@
 """The cost-provider contract and the lockstep round scheduler.
 
 A provider answers batches of cut-value requests (see requests.py) with
-exact values in the underlying graph; what differs between providers is the
-resource being spent: nothing (in-memory indexes), counted oracle queries,
-or stream passes. Search code is written against this contract only, which
-is what makes the three execution models interchangeable.
+exact values in the underlying graph, spending nothing (in-memory indexes),
+counted oracle queries or stream passes; search code is written against this
+contract only, so the three execution models are interchangeable.
 
 All providers turn requests into values the same way. `batch_eval` takes a
 requests.RequestTable, the form the search yields, or a list of (tree,
@@ -14,17 +13,16 @@ deduplicated with one sorted packed key, and a row's value is subtree
 degrees plus at most one crossing, read through small per-kind lookup
 arrays. Every provider hands its hidden (u, v, w) edges (the graph in
 memory, the oracle's graph, the stream's updates) to the constructor, which
-nets them once. `admit` is the one place a tree gets its slot, tables,
-index and subtree degrees, and a provider's own per-tree tables: the
-pipeline admits all its packed trees before the search, and `batch_eval`
-admits the trees first seen in a batch. The grids of the trees admitted
-together are built from the net edges into one grid.GridBlock, here and
-nowhere else; one rangeindex.subtree_sums call per block gives those trees
-all their subtree degrees, and one per block and batch answers every
-crossing, each split every CROSSING_ROWS rows. In memory a larger graph's
-trees get a merge-sort tree each instead, read one call per tree and
-batch. Every `_eval_unique` meters before it reads values; the formula is
-shared.
+nets them once. `admit` is the one place a tree gets its slot, tables, index
+and subtree degrees, and a provider's own per-tree tables: the pipeline
+admits all its packed trees before the search, and `batch_eval` admits the
+trees first seen in a batch. The grids of the trees admitted together are
+built from the net edges into one grid.GridBlock, here and nowhere else; one
+rangeindex.subtree_sums call per block gives those trees all their subtree
+degrees, and one per block and batch answers every crossing, each split
+every CROSSING_ROWS rows. In memory a larger graph's trees get a merge-sort
+tree each instead, read one call per tree and batch. Every `_eval_unique`
+meters before it reads values; the formula is shared.
 
 Each provider also carries `proxy`, the graph Step 4 finds partners on (its
 own graph in memory, else the sparsifier), and `proxy_filter(*trees)`, Step
@@ -33,10 +31,10 @@ filter for the trees of one `filter_key` (GridBlock), when the proxy nets to
 the hidden edges, else on a grid over it, one tree at a time.
 
 Requests are paired with the RootedSpanTree they refer to, which is also
-the key of the tree's slot, so one provider can serve many spanning trees in
-the same run and run_lockstep can join their rounds' tables into one: all
-solver instances advance one recursion depth per provider batch, and under
-the stream model one batch is exactly one pass.
+the key of the tree's slot, so one provider serves many spanning trees in one
+run and run_lockstep joins their rounds' tables into one batch, each tree's
+first round (Step 1's degrees and Step 4's checks) or one depth of its solver:
+under the stream model one batch is exactly one pass.
 """
 
 from __future__ import annotations

@@ -1,26 +1,27 @@
 """Minimum 2-respecting cut: the five-step search over a cost provider.
 
 Step 2 decomposes the tree into heavy paths and Step 1 reads every
-single-edge cut in one batch. Step 3 runs one pair solver over the split
-halves of every path. Step 4 walks the root lines of each subtree's tertile
-witnesses on the provider's proxy to discover cross-/down-interesting
-partner paths and screens them with the proxy's 1/3-filter. That discovery
-reads no search value, only the proxy and the subtree degrees the provider
-computed when it admitted the trees, so step4_rows runs it for all trees
-before the search, once per group of trees; in the search each tree's
-survivors are verified exactly, in every model.
-Step 5 runs one pair solver over a bipartite instance per verified path pair.
-The minimum over everything probed is the answer.
-No step samples: it is the true 2-respecting minimum whenever the 1/3
-filter keeps every true partner, always on the graph itself and on a
-sparsifier within 1 +- eps of it.
+single-edge cut. Step 3 pairs the split halves of every path. Step 4 walks
+the root lines of each subtree's tertile witnesses on the provider's proxy
+to discover cross-/down-interesting partner paths and screens them with the
+proxy's 1/3-filter; that reads no search value, only the proxy and the
+subtree degrees the provider computed when it admitted the trees, so
+step4_rows runs it for all trees before the search, once per group of
+trees, and each tree's search verifies its survivors exactly, in every
+model. Step 5 pairs the paths of every verified row. The minimum over
+everything probed is the answer. No step samples: it is the true
+2-respecting minimum whenever the 1/3 filter keeps every true partner,
+always on the graph itself and on a sparsifier within 1 +- eps of it.
 
-The search is a generator yielding one requests.RequestTable per batch.
-Each yield is one synchronous round: under the stream provider one pass,
-under the query provider one batch of counted cuts. The probes of every
-instance at one recursion depth travel in the same round, and a pipeline
-may interleave the rounds of many trees. Probes stay int64 arrays; a round
-makes no object but the sink's new TreeEdgePair.
+The search is a generator yielding one requests.RequestTable per round:
+under the stream provider one pass, under the query provider one batch of
+counted cuts. Round 1 reads Step 1's degrees and Step 4's exact checks,
+which need nothing else; then one solver holds the Step 3 instances, which
+read no earlier value, and the Step 5 instances back to back, each depth's
+probes in one round. So a tree takes 1 + max(d3, d5) rounds, d3 and d5
+being the recursion depths of Steps 3 and 5, and a pipeline interleaves the
+rounds of many trees. Probes stay int64 arrays; a round makes no object but
+the sink's new TreeEdgePair.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .graph import (CutResult, GraphError, RootedSpanTree, TreeEdgePair, Weighte
                     reconstruct_partition)
 from .hld import decompose
 from .interesting import ProxyFilter, candidate_tops, pair_solver_inputs, tertile_witnesses
-from .interval import BipartiteSolver, self_pair_instances
+from .interval import BipartiteSolver, Instances, self_pair_instances
 from .provider import run_lockstep
 from .requests import CROSS_NESTED, CROSS_SUB, DEG, NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, RequestTable, pair_of
 
@@ -68,11 +69,8 @@ class SearchSink:
 
 
 def _drive_solvers(t: RootedSpanTree, solver: BipartiteSolver, sink: SearchSink):
-    """Run the solver's frontier; one yielded table per depth.
-
-    Every probe is itself a genuine 2-respecting cut value, so the sink
-    sees each round as it streams through and counts its probes.
-    """
+    """Drive the tree's one solver, a yielded table per depth; every probe is a
+    genuine 2-respecting cut value, so the sink takes each round and counts it."""
     while not solver.done():
         orth, a, b = classify_pairs(t, *solver.requests().T)
         kind = np.where(orth, ORTHOGONAL_CUT, NESTED_CUT)
@@ -125,29 +123,25 @@ def step4_rows(provider, trees):
 
 
 def two_respect_plan(t: RootedSpanTree, sink: SearchSink, rows):
-    """The five-step search for one tree, as a lockstep generator of
-    RequestTables; rows are the tree's Step 4 (cross, down) rows from step4_rows."""
+    """The five-step search for one tree, as a lockstep generator of RequestTables:
+    round 1 holds Step 1's DegSubtree rows, then the tree's Step 4 (cross, down)
+    rows from step4_rows; then one solver runs the Step 3 and Step 5 instances."""
     kids = np.flatnonzero(t.parent >= 0)
-    singles = yield RequestTable.of(t, DEG, kids, kids)
+    # CrossSub(e, f) and CrossNested(f, e) are both the row (e, f)
+    cross, down = rows
+    e, f = np.concatenate((cross, down)).T
+    kind = np.repeat([DEG, CROSS_SUB, CROSS_NESTED], [len(kids), len(cross), len(down)])
+    values = yield RequestTable.of(t, kind, np.concatenate((kids, e)), np.concatenate((kids, f)))
+    singles = values[: len(kids)]
     deg = np.zeros(t.n, dtype=np.int64)
     deg[kids] = singles
     sink.offer(t, singles, np.full(len(kids), SINGLE_CUT), kids, kids)
 
-    if len(kids) >= 2:
-        d = decompose(t)
-        path_instances = self_pair_instances(d.flat, d.start)
-        if len(path_instances):
-            yield from _drive_solvers(t, BipartiteSolver(path_instances), sink)
-
-        # CrossSub(e, f) and CrossNested(f, e) are both the row (e, f)
-        cross, down = rows
-        e, f = np.concatenate((cross, down)).T
-        values = yield RequestTable.of(t, np.repeat([CROSS_SUB, CROSS_NESTED], [len(cross), len(down)]), e, f)
-
-        ok = values > deg[e] // 2  # 2 v > deg exactly, without doubling v in int64
-        pair_instances = pair_solver_inputs(d, cross, down, ok) if ok.any() else ()
-        if len(pair_instances):
-            yield from _drive_solvers(t, BipartiteSolver(pair_instances), sink)
+    ok = values[len(kids) :] > deg[e] // 2  # 2 v > deg exactly, without doubling v in int64
+    d = decompose(t)
+    instances = Instances.join((self_pair_instances(d.flat, d.start), pair_solver_inputs(d, cross, down, ok)))
+    if len(instances):
+        yield from _drive_solvers(t, BipartiteSolver(instances), sink)
 
 
 def min_2respect(g: WeightedGraph, t, provider, rng=None) -> CutResult:

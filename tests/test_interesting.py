@@ -466,7 +466,7 @@ def test_pair_solver_inputs_equal_per_row_reference():
     [
         (11, 10, "sequential", 5, (0, 0, 0, 635)),
         (12, 1 << 32, "cut-query", 6, (2237, 0, 0, 2191)),
-        (13, 10, "streaming", 7, (0, 9, 55262, 715)),
+        (13, 10, "streaming", 7, (0, 5, 55262, 715)),
     ],
 )
 def test_pipeline_ledgers_pinned(graph_seed, wmax, mode, seed, ledgers):

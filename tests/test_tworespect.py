@@ -27,7 +27,8 @@ from twocut.interval import BipartiteSolver
 from twocut.packing import MODES, PipelineConfig, min_cut_pipeline
 from twocut.provider import CostProvider
 from twocut.rangeindex import WeightRangeIndex, subtree_sums
-from twocut.requests import NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, CrossNested, CrossSub, DegSubtree, PairCut
+from twocut.requests import (CROSS_NESTED, CROSS_SUB, DEG, NESTED_CUT, ORTHOGONAL_CUT, SINGLE_CUT, CrossNested,
+                             CrossSub, DegSubtree, PairCut)
 from twocut.sequential import SequentialProvider
 from twocut.tworespect import SearchSink, interest_checks, min_2respect
 from twocut.util import floor_log2
@@ -146,8 +147,8 @@ def test_lockstep_round_counts():
     rounds = run_lockstep([fixed_rounds(3), fixed_rounds(5)], _NullProvider())
     assert rounds == 5
 
-    # worked example: step 1 + one step-3 round + verification + two
-    # step-5 rounds
+    # worked example: step 1 with step 4's checks, then two rounds of the
+    # solver holding step 3's and step 5's instances
     g, t = make_gstar()
     provider = SequentialProvider(g)
     from twocut.tworespect import SearchSink, step4_rows, two_respect_plan
@@ -159,9 +160,9 @@ def test_lockstep_round_counts():
     sink = SearchSink()
     rounds = run_lockstep([plan(t, provider, sink)], provider)
     assert sink.value == 2
-    assert rounds <= 5
+    assert rounds == 3
 
-    # no non-tree edges: nothing interesting, no step-5 rounds
+    # no non-tree edges: nothing interesting, one step-3 round after step 1
     from twocut.graph import WeightedGraph, build_rooted_tree
 
     path = WeightedGraph(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2)])
@@ -170,13 +171,13 @@ def test_lockstep_round_counts():
     provider2 = SequentialProvider(path)
     rounds2 = run_lockstep([plan(tp, provider2, sink2)], provider2)
     assert sink2.value == 1
-    assert rounds2 <= 4
+    assert rounds2 == 2
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
-    # one solver holds every Step 3 instance of a tree, one every Step 5 instance;
-    # every solver built is driven once, under the tree it searches
+    # one solver holds every Step 3 and Step 5 instance of a tree; every solver
+    # built is driven once, under the tree it searches
     trees, built = [], []
     drive, init = tworespect._drive_solvers, BipartiteSolver.__init__
 
@@ -196,7 +197,7 @@ def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
         _, stats = min_cut_pipeline(g, mode, rng=5)
         solvers = Counter(trees)
         assert len(built) == len(trees)
-        assert solvers and max(solvers.values()) <= 2
+        assert solvers and set(solvers.values()) == {1}
         assert len(solvers) <= stats.trees_packed
 
 
@@ -416,6 +417,39 @@ def test_sink_keeps_the_reference_winner_on_tied_rounds():
                 reference.offer(t, values.tolist(), [reference_classify_pair(t, p, q)
                                                      for p, q in zip(x.tolist(), y.tolist())])
             assert (sink.value, sink.pair) == (reference.value, reference.pair)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_round_before_the_solver(mode, monkeypatch):
+    # Step 4's exact checks need only Step 1's degrees: a tree's first table holds
+    # all its DegSubtree rows, then its Step 4 rows, and every later table only its
+    # solver's probes; so a stream run takes the sketch fill's pass plus one per round
+    tables, rounds, plan, lockstep = {}, [], packing.two_respect_plan, packing.run_lockstep
+
+    def plan_spy(t, sink, rows):
+        seen = tables.setdefault(t, (rows, []))[1]
+        gen = plan(t, sink, rows)
+        table = next(gen)
+        while True:
+            seen.append(table.rows[:, 1:].copy())
+            try:
+                table = gen.send((yield table))
+            except StopIteration:
+                return
+
+    monkeypatch.setattr(packing, "two_respect_plan", plan_spy)
+    monkeypatch.setattr(packing, "run_lockstep", lambda tasks, p: rounds.append(lockstep(tasks, p)) or rounds[-1])
+    g, _, churn = next(run for run in bench_shaped_runs() if run[1] == mode)
+    _, stats = min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
+    assert tables and sum(len(seen) > 1 for _, seen in tables.values()) > 0
+    for t, ((cross, down), (first, *later)) in tables.items():
+        kids = t.edge_children()
+        want = [np.column_stack((np.full(len(x), k), x)) for k, x in
+                ((DEG, np.column_stack((kids, kids))), (CROSS_SUB, cross), (CROSS_NESTED, down))]
+        assert np.array_equal(first, np.concatenate(want))
+        assert all((rows[:, 0] >= SINGLE_CUT).all() for rows in later)
+    if mode == "streaming":
+        assert stats.passes == 1 + sum(rounds)
 
 
 @pytest.mark.parametrize("mode", MODES)
