@@ -76,22 +76,28 @@ class PathStack:
         return PathDecomposition(tree=t, stack=self, row=i, **{x: getattr(self, x)[i] for x in self.VERTEX},
                                  **{x: getattr(self, x)[a:b] for x in self.PATH})
 
-    def gather(self, rows):
-        """The decompositions of rows as one, for batched walks: the j-th row's
-        vertex v becomes j * n + v, with path ids and flat positions offset to
-        match; tree holds n and the stacked lo, hi and order tables."""
+    def gather(self, rows, exits=True):
+        """The decompositions of rows as one: the j-th row's vertex v becomes
+        j * n + v, with path ids and flat positions offset to match; tree holds
+        n and the stacked lo, hi (= po) and order tables. exits=False leaves out
+        the exit tables, which only the walks read (the search needs none)."""
         rows, n = np.asarray(rows), self.n
         j, count = np.arange(len(rows))[:, None], self.pid[rows + 1] - self.pid[rows]
-        shift = (np.cumsum(count) - count)[:, None, None]  # each row's first path id
-        at = np.repeat(self.pid[rows] - shift[:, 0, 0], count) + np.arange(count.sum())  # the rows' paths
-        path_of, exits = (np.where(a >= 0, a + shift, -1) for a in (self.path_of[rows, :, None], self.exit_path[rows]))
-        tree = SimpleNamespace(n=n, lo=self.lo[rows].ravel(), hi=self.hi[rows].ravel())
-        tree.order = (self.order[rows] + j * n).ravel()
-        return PathDecomposition(tree=tree, stack=self, row=rows, path_of=path_of.ravel(),
-                                 exit_path=exits.reshape(len(rows) * n, -1),
-                                 exit_depth=self.exit_depth[rows].reshape(len(rows) * n, -1),
-                                 flat=(self.flat[rows] + j * n).ravel(), top_depth=self.top_depth[at],
-                                 start=self.start[at] + np.repeat(j[:, 0] * (n - 1), count))
+        shift = (np.cumsum(count) - count)[:, None]  # each row's first path id
+        at = np.repeat(self.pid[rows] - shift[:, 0], count) + np.arange(count.sum())  # the rows' paths
+        tree = SimpleNamespace(n=n, lo=self.lo[rows].ravel(), po=self.hi[rows].ravel())
+        tree.hi, tree.order = tree.po, (self.order[rows] + j * n).ravel()
+
+        def offset(a, s):  # ids shifted by s, with -1 (none) kept
+            return np.where(a >= 0, a + s, -1)
+
+        d =PathDecomposition(tree=tree, stack=self, row=rows, path_of=offset(self.path_of[rows], shift).ravel(),
+                              pos=offset(self.pos[rows], j * (n - 1)).ravel(), flat=(self.flat[rows] + j * n).ravel(),
+                              top_depth=self.top_depth[at], start=self.start[at] + np.repeat(j[:, 0] * (n - 1), count))
+        if exits:
+            exits = (offset(self.exit_path[rows], shift[:, :, None]), self.exit_depth[rows])
+            d.exit_path, d.exit_depth = (a.reshape(len(rows) * n, -1) for a in exits)
+        return d
 
 
 class PathDecomposition:

@@ -156,25 +156,29 @@ def pair_solver_inputs(d: PathDecomposition, cross, down, ok) -> Instances:
     down instance takes the upper path's marks bottom to top as rows and the
     whole lower path as columns: a path holding an edge below e, but not e,
     lies inside e's subtree. Cross instances come first, each kind ordered
-    by its (path, path) key.
+    by its (path, path) key. d may stack many trees (PathStack.gather): the
+    marks are sorted by one lexsort of (kind, path, path, place) columns
+    rather than one packed key, every column below the stacked edge count
+    m, so nothing can wrap in int64 however many trees are stacked.
     """
-    n, paths = d.tree.n, len(d.start)
+    m = len(d.flat)  # the stacked tree edges, each at its flat position
     e, f = np.concatenate((cross, down))[ok].T
     p, q, nested = d.path_of[e], d.path_of[f], np.flatnonzero(ok) >= len(cross)
-    # one sorted key (pair, place of e) per mark, d.pos ordering edges by path, then depth: cross
-    # pairs (smaller path, larger path) with places top down, then down pairs (paths + upper, lower) bottom up
-    pair = np.where(nested, (paths + p) * paths + q, np.minimum(p, q) * paths + np.maximum(p, q))
-    keys = np.unique(pair * n + np.where(nested, n - 2 - d.pos[e], d.pos[e]))
-    pair, place = np.divmod(keys, n)
-    bounds = np.append(np.flatnonzero(np.diff(pair, prepend=-1)), len(keys))
-    first, last, pair = bounds[:-1], bounds[1:], pair[bounds[:-1]]
-    nested, other = pair >= paths * paths, pair % paths  # other: the larger or the lower path
+    # one column (down, path, other path, place of e) per mark, d.pos ordering edges by path, then depth:
+    # cross pairs (smaller path, larger path) with places top down, then down pairs (upper, lower) bottom up
+    marks = np.stack((nested, np.where(nested, p, np.minimum(p, q)), np.where(nested, q, np.maximum(p, q)),
+                      np.where(nested, m - 1 - d.pos[e], d.pos[e])))
+    marks = marks[:, np.lexsort(marks[::-1])]
+    marks = marks[:, np.diff(marks, prepend=-1).any(axis=0)]  # distinct
+    first = np.flatnonzero(np.diff(marks[:3], prepend=-1).any(axis=0))  # each pair's first mark
+    last, (nested, _, other, place) = np.append(first[1:], marks.shape[1]), marks
     # a cross pair's marks on its smaller path come first; the larger path's start there
-    split = np.where(nested, last, np.searchsorted(keys, pair * n + d.start[other]))
+    on_smaller = np.add.reduceat(place < d.start[other], first) if len(first) else first
+    at = np.append(np.where(nested, m - 1 - place, place), np.arange(m))  # the marks' positions, then all
+    nested, other = nested[first].astype(bool), other[first]  # other: the larger or the lower path
+    split = np.where(nested, last, first + on_smaller)
     keep = nested | (first < split) & (split < last)
     nested, first, split, last, other = (x[keep] for x in (nested, first, split, last, other))
-    size = np.diff(np.append(d.start, n - 1))[other]
-    at = np.append(np.where(keys >= paths * paths * n, n - 2 - place, place), np.arange(n - 1))
-    count = np.where(nested, size, last - split)  # a down pair's columns: its whole lower path
-    cols = runs(np.where(nested, len(keys) + d.start[other], split), count)
+    count = np.where(nested, np.diff(np.append(d.start, m))[other], last - split)  # down: the whole lower path
+    cols = runs(np.where(nested, marks.shape[1] + d.start[other], split), count)
     return Instances(d.flat[at[runs(first, split - first)]], split - first, d.flat[at[cols]], count)

@@ -11,9 +11,10 @@ solves one bipartite instance across each split; every unordered pair is
 covered exactly once, at the level where the two items first separate.
 
 One solver holds many instances, back to back in flat arrays (Instances, which join
-concatenates: a tree's Step 3 and Step 5 instances share one solver), on one frontier
-of (rl, rh, cl, ch) int64 columns, and hands out their probes one recursion depth per
-batch: np.repeat expands nodes, segment minima and argmins spawn children.
+concatenates: a run's one solver holds every packed tree's Step 3 and Step 5
+instances), on one frontier of (rl, rh, cl, ch) int64 columns, and hands out their
+probes one recursion depth per batch: np.repeat expands nodes, segment minima and
+argmins spawn children.
 """
 
 from __future__ import annotations

@@ -267,14 +267,13 @@ def min_cut_pipeline(g: WeightedGraph, mode="sequential", eps=0.1, rng=None,
 
     stack = root_trees(g, trees, 0)
     stack.paths = PathStack(stack)  # every tree rooted and decomposed at once
-    trees, sinks = stack.trees(), [SearchSink() for _ in range(stack.k)]
+    trees, sink = stack.trees(), SearchSink()
     provider.admit(trees)
     rows = step4_rows(provider, trees)  # Step 4 discovery reads no search value
-    run_lockstep([two_respect_plan(t, sink, r) for t, sink, r in zip(trees, sinks, rows)], provider)
+    run_lockstep(two_respect_plan(trees, sink, rows), provider)  # one search over every tree
 
-    sink, t = min(zip(sinks, trees), key=lambda sink_t: sink_t[0].value)  # the first least value
-    stats = provider.stats
-    stats.probes += sum(s.probes for s in sinks)
+    t, stats = trees[sink.tree], provider.stats  # the first tree with the least value
+    stats.probes += sink.probes
     stats.trees_packed = packed_total
     stats.lambda_guesses = len(schedule)
     stats.wall_ms = int((time.monotonic() - started) * 1000)

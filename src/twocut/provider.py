@@ -1,4 +1,4 @@
-"""The cost-provider contract and the lockstep round scheduler.
+"""The cost-provider contract and the round driver of a search.
 
 A provider answers batches of cut-value requests (see requests.py) with
 exact values in the underlying graph, spending nothing (in-memory indexes),
@@ -32,9 +32,10 @@ the hidden edges, else on a grid over it, one tree at a time.
 
 Requests are paired with the RootedSpanTree they refer to, which is also
 the key of the tree's slot, so one provider serves many spanning trees in one
-run and run_lockstep joins their rounds' tables into one batch, each tree's
-first round (Step 1's degrees and Step 4's checks) or one depth of its solver:
-under the stream model one batch is exactly one pass.
+run. run_lockstep hands it the one search of a run a batch per round, each
+batch holding every tree's rows of that round (Step 1's degrees and Step 4's
+checks, or one depth of the run's one solver): under the stream model one
+batch is exactly one pass.
 """
 
 from __future__ import annotations
@@ -268,25 +269,14 @@ def _run_starts(sorted_keys):
     return np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
 
 
-def run_lockstep(tasks, provider: CostProvider):
-    """Drive request-yielding generators in rounds, one batch per round.
-
-    Each task yields a RequestTable, or a list of (tree, request) items, and
-    receives the aligned values as an int64 array; the round's tables are
-    joined into one batch. Tasks that finish early drop out of later rounds.
-    """
-    sends, rounds = [(task, None) for task in tasks], 0
+def run_lockstep(plan, provider: CostProvider):
+    """Drive a request-yielding generator in rounds, one batch per round: it
+    yields a RequestTable, or a list of (tree, request) items, and receives the
+    aligned values as an int64 array. Returns the number of rounds."""
+    values, rounds = None, 0
     while True:
-        live = []
-        for task, values in sends:
-            try:
-                live.append((task, task.send(values)))
-            except StopIteration:
-                pass
-        if not live:
+        try:
+            batch = plan.send(values)
+        except StopIteration:
             return rounds
-        tables = [r if isinstance(r, RequestTable) else RequestTable.from_items(r) for _, r in live]
-        batch = RequestTable.join(tables)
-        values = np.array(provider.batch_eval(batch) if len(batch) else [], dtype=np.int64)
-        rounds += 1
-        sends = zip([task for task, _ in live], np.split(values, np.cumsum([len(t) for t in tables])[:-1]))
+        values, rounds = np.array(provider.batch_eval(batch), dtype=np.int64), rounds + 1

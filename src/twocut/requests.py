@@ -8,10 +8,12 @@ A request names a quantity defined by one spanning tree's subtree ranges:
   subtree, for v inside u's subtree.
 - PairCut(pair): value of the cut crossing exactly the pair's tree edges.
 
-The search yields its batches as RequestTables of int64 rows (tree, kind, a,
-b), the form every provider evaluates (provider.py), built without request
-objects. A table still reads as a sequence of (tree, request) items, built
-when read; RequestTable.from_items encodes a plain list of items.
+The search of a run yields one RequestTable per round, of int64 rows (tree,
+kind, a, b) over all its trees, the form every provider evaluates
+(provider.py), built without request objects: RequestTable.of splits the
+search's stacked vertex ids (vertex v of trees[i] is i * n + v) into the tree
+column and a, b. A table still reads as a sequence of (tree, request) items,
+built when read; RequestTable.from_items encodes a plain list of items.
 """
 
 from __future__ import annotations
@@ -79,11 +81,13 @@ class RequestTable(Sequence):
         self.trees, self.rows = list(trees), rows
 
     @classmethod
-    def of(cls, t, kind, a, b):
-        """One tree's requests from kind codes (or one code) and a, b arrays."""
-        rows = np.zeros((len(a), 4), dtype=np.int64)
-        rows[:, 1], rows[:, 2], rows[:, 3] = kind, a, b
-        return cls([t], rows)
+    def of(cls, trees, kind, a, b):
+        """Requests on trees from kind codes (or one code) and a, b arrays of
+        stacked ids, vertex v of trees[i] being i * n + v; a and b of a row name one tree."""
+        rows = np.empty((len(a), 4), dtype=np.int64)
+        rows[:, 0], rows[:, 2] = np.divmod(a, trees[0].n)
+        rows[:, 1], rows[:, 3] = kind, np.asarray(b) % trees[0].n
+        return cls(trees, rows)
 
     @classmethod
     def from_items(cls, items):
@@ -91,13 +95,6 @@ class RequestTable(Sequence):
         trees = {}
         rows = [(trees.setdefault(t, len(trees)), *_row(req)) for t, req in items]
         return cls(trees, np.array(rows, dtype=np.int64).reshape(-1, 4))
-
-    @classmethod
-    def join(cls, tables):
-        """The tables' items back to back."""
-        shift = np.cumsum([0] + [len(t.trees) for t in tables]).tolist()
-        rows = np.concatenate([t.rows + [s, 0, 0, 0] for t, s in zip(tables, shift)])
-        return cls([x for t in tables for x in t.trees], rows)
 
     def __len__(self):
         return len(self.rows)

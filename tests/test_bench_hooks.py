@@ -63,11 +63,12 @@ def test_traced_solve_matches_plain(mode, monkeypatch):
     assert (traced.value, ledgers(traced_stats)) == (plain.value, ledgers(plain_stats))
     metrics = tracer.layer_metrics(dict(zip(("queries", "passes", "tracked_words", "probes"),
                                             ledgers(traced_stats))))
-    assert metrics["tworespect.trees"] >= 1
-    assert tracer.calls["grid.build"] == metrics["tworespect.trees"]  # one grid per tree, shared with the filter
-    # the solver hooks still wrap the methods the pipeline calls
+    assert metrics["tworespect.trees"] == 1  # one search over every packed tree
+    # one grid per distinct packed tree, shared with the filter
+    assert tracer.calls["grid.build"] == metrics["packing.trees_unique"] >= 1
+    # the solver hooks still wrap the methods the pipeline calls, on the run's one solver
     assert tracer.calls["interval.solver"] > 0
-    assert 1 <= metrics["interval.solvers"] <= 2 * metrics["tworespect.trees"]
+    assert metrics["interval.solvers"] == 1
     assert metrics["interesting.candidates"] > 0
     assert tracer.calls["interesting.sample"] == 0  # Step 4 no longer samples
     assert tracer.calls["interesting.weight_classes"] == 0  # nor builds the sampler's classes

@@ -3,6 +3,7 @@ against a scalar per-edge reference and against exhaustive enumeration, and
 the Step 5 pairing against a scalar per-row reference."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,6 +450,17 @@ def test_tertile_witnesses_at_exact_landings(weights, landing):
     first = [next(v for v in (2, 3, 4, 0) if 3 * running[v] >= k * total) for k in (1, 2)]
     assert xs[es == 1][:2].tolist() == first, landing
     assert as_rows(interest_checks(d, filt)) == list(exhaustive_filtered_rows(t, d, g)), landing
+
+
+def test_pair_solver_inputs_cannot_wrap_on_a_large_stacked_run():
+    # about 2M stacked tree edges, each its own path (flat position = path id =
+    # vertex): a packed (path pair, place) key would pass 2^63 here
+    m = 1 << 21
+    ids = np.arange(m, dtype=np.int64)
+    d = SimpleNamespace(flat=ids, start=ids, path_of=ids, pos=ids)
+    cross, down = np.array([[m - 4, m - 1], [m - 1, m - 4]]), np.array([[m - 3, m - 2], [m - 1, m - 2]])
+    got = list(pair_solver_inputs(d, cross, down, np.ones(4, dtype=bool)))
+    assert got == [([m - 4], [m - 1]), ([m - 3], [m - 2]), ([m - 1], [m - 2])]
 
 
 def test_pair_solver_inputs_equal_per_row_reference():

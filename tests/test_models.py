@@ -449,37 +449,44 @@ def test_batch_meters_mirrors_repeats_and_charged_degrees_once(mode):
     assert [id(idx) for idx in provider._index] == held
 
 
-def tree_requests(t):
-    """All four request kinds on t as one table per kind, built from arrays as
-    the search builds them, each with its request objects built one by one."""
+def tree_requests(trees, i):
+    """All four request kinds on trees[i] as one table per kind over trees, built
+    from stacked ids (vertex v of trees[i] is i * n + v) as the search builds
+    them, each with its (tree, request) items built one by one."""
     from twocut.graph import classify_pair, classify_pairs
 
+    t = trees[i]
     kids = np.array(t.edge_children())
     x, y = (a.ravel() for a in np.meshgrid(kids, kids))
     x, y = x[x != y], y[x != y]
     orth, a, b = classify_pairs(t, x, y)
     pairs = [classify_pair(t, p, q) for p, q in zip(x.tolist(), y.tolist())]
-    yield RequestTable.of(t, DEG, kids, kids), [DegSubtree(v) for v in kids.tolist()]
-    yield RequestTable.of(t, SINGLE_CUT, kids, kids), [PairCut(TreeEdgePair("single", v)) for v in kids.tolist()]
-    yield RequestTable.of(t, np.where(orth, ORTHOGONAL_CUT, NESTED_CUT), a, b), [PairCut(p) for p in pairs]
+
+    def of(kind, a, b, reqs):
+        return RequestTable.of(trees, kind, a + i * t.n, b + i * t.n), [(t, req) for req in reqs]
+
+    yield of(DEG, kids, kids, [DegSubtree(v) for v in kids.tolist()])
+    yield of(SINGLE_CUT, kids, kids, [PairCut(TreeEdgePair("single", v)) for v in kids.tolist()])
+    yield of(np.where(orth, ORTHOGONAL_CUT, NESTED_CUT), a, b, [PairCut(p) for p in pairs])
     # CrossSub both ways round; CrossNested(b, a) is the row (a, b)
-    yield (RequestTable.of(t, CROSS_SUB, x[orth], y[orth]),
-           [CrossSub(p, q) for p, q in zip(x[orth].tolist(), y[orth].tolist())])
-    yield (RequestTable.of(t, CROSS_NESTED, a[~orth], b[~orth]),
-           [CrossNested(q, p) for p, q in zip(a[~orth].tolist(), b[~orth].tolist())])
+    yield of(CROSS_SUB, x[orth], y[orth], [CrossSub(p, q) for p, q in zip(x[orth].tolist(), y[orth].tolist())])
+    yield of(CROSS_NESTED, a[~orth], b[~orth],
+             [CrossNested(q, p) for p, q in zip(a[~orth].tolist(), b[~orth].tolist())])
 
 
 @pytest.mark.parametrize("mode", PROVIDERS)
 def test_request_table_reads_and_evaluates_as_its_items(mode):
-    # a table of mixed requests on several trees, shuffled, reads as its
-    # (tree, request) items and evaluates and meters exactly as their list
+    # a table of mixed requests on several trees, built from stacked ids and
+    # shuffled, reads as its (tree, request) items and evaluates and meters
+    # exactly as their list
     rng = np.random.default_rng(43)
     g, t0 = random_instance(rng, 9, 13, wmax=1 << 32)
     trees = [t0] + [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
                     for _ in range(2)]
-    parts = [part for t in trees for part in tree_requests(t)]
-    table = RequestTable.join([tab for tab, _ in parts])
-    items = [(tab.trees[0], req) for tab, reqs in parts for req in reqs]
+    parts = [part for i in range(len(trees)) for part in tree_requests(trees, i)]
+    assert [len(tab) for tab, _ in parts] == [len(items) for _, items in parts]
+    table = RequestTable(trees, np.concatenate([tab.rows for tab, _ in parts]))
+    items = [item for _, part in parts for item in part]
     order = rng.permutation(len(items))
     table, items = RequestTable(table.trees, table.rows[order]), [items[i] for i in order]
     assert list(table) == items and table[-1] == items[-1]

@@ -102,17 +102,23 @@ def test_gather_matches_concatenated_reference_rows():
         roots = [int(rng.integers(n)) for _ in range(k)]
         ts = TreeStack(n, np.asarray(ends, dtype=np.int64), roots)
         rows = rng.permutation(k)[: int(rng.integers(1, k + 1))]
-        got = PathStack(ts).gather(rows)
+        stack = PathStack(ts)
+        got, light = stack.gather(rows), stack.gather(rows, exits=False)
         refs = [reference_decomposition(reference_tree(n, roots[i], ts.trees()[i].parent)) for i in rows]
         pid = np.cumsum([0] + [len(r.paths) for r in refs])
         j = np.arange(len(rows))
-        shift = {"flat": j * n, "start": j * (n - 1), "path_of": pid, "exit_path": pid}
-        for name in ("flat", "start", "top_depth", "path_of", "exit_path", "exit_depth"):
-            want = [np.where(getattr(r, name) >= 0, getattr(r, name) + s, -1)
-                    for r, s in zip(refs, shift.get(name, 0 * j))]
-            assert np.array_equal(getattr(got, name), np.concatenate(want)), name
-        assert np.array_equal(got.tree.order, np.concatenate([ts.order[i] + a * n for a, i in enumerate(rows)]))
-        assert np.array_equal(got.tree.lo, ts.lo[rows].ravel()) and np.array_equal(got.tree.hi, ts.po[rows].ravel())
+        shift = {"flat": j * n, "start": j * (n - 1), "pos": j * (n - 1), "path_of": pid, "exit_path": pid}
+        for name in ("flat", "start", "pos", "top_depth", "path_of", "exit_path", "exit_depth"):
+            want = np.concatenate([np.where(getattr(r, name) >= 0, getattr(r, name) + s, -1)
+                                   for r, s in zip(refs, shift.get(name, 0 * j))])
+            assert np.array_equal(getattr(got, name), want), name
+            # the search's stacked columns, without the exit tables only the walks read
+            assert name.startswith("exit") != hasattr(light, name) and (
+                name.startswith("exit") or np.array_equal(getattr(light, name), want)), name
+        for d in (got, light):
+            assert np.array_equal(d.tree.order, np.concatenate([ts.order[i] + a * n for a, i in enumerate(rows)]))
+            assert np.array_equal(d.tree.lo, ts.lo[rows].ravel()) and np.array_equal(d.tree.hi, ts.po[rows].ravel())
+            assert d.tree.po is d.tree.hi
 
 
 @pytest.mark.parametrize("n", [3, 17, 1000])

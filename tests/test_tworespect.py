@@ -5,6 +5,7 @@ import gc
 import math
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,9 +144,7 @@ def test_lockstep_round_counts():
         def batch_eval(self, items):
             return []
 
-    # two instances of different depths: the deeper one sets the schedule
-    rounds = run_lockstep([fixed_rounds(3), fixed_rounds(5)], _NullProvider())
-    assert rounds == 5
+    assert run_lockstep(fixed_rounds(3), _NullProvider()) == 3
 
     # worked example: step 1 with step 4's checks, then two rounds of the
     # solver holding step 3's and step 5's instances
@@ -155,10 +154,10 @@ def test_lockstep_round_counts():
 
     def plan(t, provider, sink):
         provider.admit([t])
-        return two_respect_plan(t, sink, *step4_rows(provider, [t]))
+        return two_respect_plan([t], sink, step4_rows(provider, [t]))
 
     sink = SearchSink()
-    rounds = run_lockstep([plan(t, provider, sink)], provider)
+    rounds = run_lockstep(plan(t, provider, sink), provider)
     assert sink.value == 2
     assert rounds == 3
 
@@ -169,36 +168,37 @@ def test_lockstep_round_counts():
     tp = build_rooted_tree(path, [(0, 1), (1, 2), (2, 3)], 0)
     sink2 = SearchSink()
     provider2 = SequentialProvider(path)
-    rounds2 = run_lockstep([plan(tp, provider2, sink2)], provider2)
+    rounds2 = run_lockstep(plan(tp, provider2, sink2), provider2)
     assert sink2.value == 1
     assert rounds2 == 2
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_at_most_two_pair_solvers_per_tree(mode, monkeypatch):
-    # one solver holds every Step 3 and Step 5 instance of a tree; every solver
-    # built is driven once, under the tree it searches
-    trees, built = [], []
-    drive, init = tworespect._drive_solvers, BipartiteSolver.__init__
-
-    def spy(t, solver, sink):
-        trees.append(t)
-        return drive(t, solver, sink)
+    # one search per run: one plan and one sink over every packed tree, and one
+    # solver holding every tree's Step 3 and Step 5 instances, driven to done()
+    plans, sinks, built = [], [], []
+    plan, init, sink = packing.two_respect_plan, BipartiteSolver.__init__, packing.SearchSink
 
     def count(self, instances, ledger=None):
         init(self, instances, ledger)
         built.append(self)
 
-    monkeypatch.setattr(tworespect, "_drive_solvers", spy)
+    monkeypatch.setattr(packing, "two_respect_plan", lambda trees, s, rows: plans.append(trees) or plan(trees, s, rows))
+    monkeypatch.setattr(packing, "SearchSink", lambda: sinks.append(sink()) or sinks[-1])
     monkeypatch.setattr(BipartiteSolver, "__init__", count)
     for g in (make_gstar()[0], random_connected_graph(np.random.default_rng(41), 40, extra=3.0, wmax=1 << 32)):
-        trees.clear()
+        plans.clear()
+        sinks.clear()
         built.clear()
         _, stats = min_cut_pipeline(g, mode, rng=5)
-        solvers = Counter(trees)
-        assert len(built) == len(trees)
-        assert solvers and set(solvers.values()) == {1}
-        assert len(solvers) <= stats.trees_packed
+        (trees,), (solver,) = plans, built
+        assert len(sinks) == 1 and solver.done()
+        assert 1 <= len(trees) <= stats.trees_packed
+        # every tree with a path of two edges has Step 3 instances in the one solver
+        held = set((solver.instances.rows // g.n).tolist()) | set((solver.instances.cols // g.n).tolist())
+        long = {i for i, t in enumerate(trees) if max(map(len, decompose(t).paths)) >= 2}
+        assert long and long <= held <= set(range(len(trees)))
 
 
 @pytest.mark.parametrize("n, extra, index", [(24, 8.0, PoPrefixGrid), (64, 1.5, WeightRangeIndex)])
@@ -258,8 +258,9 @@ def discovery_runs(case):
 @pytest.mark.parametrize("group_edges", [1, tworespect.GROUP_EDGES, 1 << 40])
 @pytest.mark.parametrize("case", ["bench-shaped", "criterion-1", "merge-sort", "thin-proxy"])
 def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
-    # every tree takes from its group's one pass exactly the rows interest_checks
-    # gives it alone, whatever the group bound: one tree, about 1,024 edges, all
+    # every tree's slice of the stacked rows (e // n == j), shifted back, is exactly
+    # what interest_checks gives it alone, whatever the group bound: one tree,
+    # about 1,024 edges, all
     monkeypatch.setattr(tworespect, "GROUP_EDGES", group_edges)
     if case == "thin-proxy":
         monkeypatch.setattr(proxy_module, "FOREST_FACTOR", 0.002)
@@ -267,11 +268,20 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
     taken, groups, own = [], [], []
 
     def spy(provider, trees):
-        got = rows(provider, trees)
-        for t, pair in zip(trees, got):
+        got, n = rows(provider, trees), provider.n
+        for x in got:  # sorted by e, both ends in one tree, which is one of trees
+            assert np.array_equal(x[:, 0] // n, x[:, 1] // n) and (np.diff(x[:, 0]) >= 0).all()
+            assert ((x[:, 0] // n) < len(trees)).all()
+        for j, t in enumerate(trees):
+            mine = [x[x[:, 0] // n == j] - j * n for x in got]
             want = interest_checks(decompose(t), provider.proxy_filter(t))
-            taken.append(all(map(np.array_equal, pair, want)))
+            taken.append(all(map(np.array_equal, mine, want)))
         return got
+
+    def gather_spy(self, rows, exits=True):
+        if exits:  # a Step 4 group; the search gathers every tree without exit tables
+            groups.append(len(rows))
+        return gather(self, rows, exits)
 
     def providers_spy(*args):
         provider, host = providers(*args)
@@ -279,7 +289,7 @@ def test_batched_rows_equal_per_tree_rows(case, group_edges, monkeypatch):
         return provider, host
 
     monkeypatch.setattr(packing, "step4_rows", spy)
-    monkeypatch.setattr(PathStack, "gather", lambda self, rows: groups.append(len(rows)) or gather(self, rows))
+    monkeypatch.setattr(PathStack, "gather", gather_spy)
     monkeypatch.setattr(packing, "_providers_for", providers_spy)
     runs = 0
     for g, mode, churn in discovery_runs(case):
@@ -418,36 +428,75 @@ def test_sink_keeps_the_reference_winner_on_tied_rounds():
                                                      for p, q in zip(x.tolist(), y.tolist())])
             assert (sink.value, sink.pair) == (reference.value, reference.pair)
 
+    # stacked rounds over several trees (vertex v of tree j is j * n + v), values
+    # tying across trees: the first tree with the least value, then its tie rule
+    for _ in range(40):
+        g, _ = random_instance(rng, 4, 14)
+        trees = [build_rooted_tree(g, random_spanning_tree_edges(g, rng), int(rng.integers(g.n)))
+                 for _ in range(int(rng.integers(2, 5)))]
+        stacked = SimpleNamespace(n=g.n, po=np.concatenate([t.po for t in trees]),
+                                  lo=np.concatenate([t.lo for t in trees]))
+        sink, references = SearchSink(), [ReferenceSink() for _ in trees]
+        kids = [np.array(t.edge_children()) for t in trees]
+        singles = [rng.integers(3, 6, size=len(k)) for k in kids]
+        a = np.concatenate([k + j * g.n for j, k in enumerate(kids)])
+        sink.offer(stacked, np.concatenate(singles), np.full(len(a), SINGLE_CUT), a, a)
+        for t, k, v, reference in zip(trees, kids, singles, references):
+            reference.offer(t, v.tolist(), [TreeEdgePair("single", x) for x in k.tolist()])
+        for _ in range(6):
+            j = rng.integers(len(trees), size=16)
+            x, y = (np.array([rng.choice(kids[i]) for i in j]) for _ in range(2))
+            j, x, y = j[x != y], x[x != y], y[x != y]
+            if not len(x):
+                continue
+            values = rng.integers(2, 6, size=len(x))
+            orth, a, b = classify_pairs(stacked, x + j * g.n, y + j * g.n)
+            sink.offer(stacked, values, np.where(orth, ORTHOGONAL_CUT, NESTED_CUT), a, b)
+            for i, (t, reference) in enumerate(zip(trees, references)):
+                mine = j == i
+                if mine.any():
+                    reference.offer(t, values[mine].tolist(), [reference_classify_pair(t, p, q)
+                                                               for p, q in zip(x[mine].tolist(), y[mine].tolist())])
+            least = min(range(len(trees)), key=lambda i: references[i].value)
+            assert (sink.value, sink.tree, sink.pair) == (references[least].value, least, references[least].pair)
+
 
 @pytest.mark.parametrize("mode", MODES)
 def test_one_round_before_the_solver(mode, monkeypatch):
-    # Step 4's exact checks need only Step 1's degrees: a tree's first table holds
-    # all its DegSubtree rows, then its Step 4 rows, and every later table only its
-    # solver's probes; so a stream run takes the sketch fill's pass plus one per round
-    tables, rounds, plan, lockstep = {}, [], packing.two_respect_plan, packing.run_lockstep
+    # Step 4's exact checks need only Step 1's degrees: the first table holds, for
+    # each tree, all its DegSubtree rows, then its Step 4 cross rows, then its down
+    # rows, and every later table only solver probes; so a stream run takes the
+    # sketch fill's pass plus one per round
+    runs, rounds, plan, lockstep = [], [], packing.two_respect_plan, packing.run_lockstep
 
-    def plan_spy(t, sink, rows):
-        seen = tables.setdefault(t, (rows, []))[1]
-        gen = plan(t, sink, rows)
+    def plan_spy(trees, sink, rows):
+        tables = []
+        runs.append((trees, rows, tables))
+        gen = plan(trees, sink, rows)
         table = next(gen)
         while True:
-            seen.append(table.rows[:, 1:].copy())
+            tables.append(table.rows.copy())
             try:
                 table = gen.send((yield table))
             except StopIteration:
                 return
 
     monkeypatch.setattr(packing, "two_respect_plan", plan_spy)
-    monkeypatch.setattr(packing, "run_lockstep", lambda tasks, p: rounds.append(lockstep(tasks, p)) or rounds[-1])
+    monkeypatch.setattr(packing, "run_lockstep", lambda plan, p: rounds.append(lockstep(plan, p)) or rounds[-1])
     g, _, churn = next(run for run in bench_shaped_runs() if run[1] == mode)
     _, stats = min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
-    assert tables and sum(len(seen) > 1 for _, seen in tables.values()) > 0
-    for t, ((cross, down), (first, *later)) in tables.items():
+    ((trees, (cross, down), (first, *later)),) = runs
+    assert len(trees) > 1 and later and first[0, 1] == DEG  # the tracer reads round 1's head as Step 1
+    n = g.n
+    for j, t in enumerate(trees):
         kids = t.edge_children()
         want = [np.column_stack((np.full(len(x), k), x)) for k, x in
-                ((DEG, np.column_stack((kids, kids))), (CROSS_SUB, cross), (CROSS_NESTED, down))]
-        assert np.array_equal(first, np.concatenate(want))
-        assert all((rows[:, 0] >= SINGLE_CUT).all() for rows in later)
+                ((DEG, np.column_stack((kids, kids))), (CROSS_SUB, cross[cross[:, 0] // n == j] - j * n),
+                 (CROSS_NESTED, down[down[:, 0] // n == j] - j * n))]
+        assert np.array_equal(first[first[:, 0] == j, 1:], np.concatenate(want))
+    assert set(first[:, 0].tolist()) == set(range(len(trees)))
+    assert all((rows[:, 1] >= SINGLE_CUT).all() for rows in later)
+    assert rounds == [1 + len(later)]
     if mode == "streaming":
         assert stats.passes == 1 + sum(rounds)
 
@@ -471,3 +520,23 @@ def test_search_builds_no_per_probe_objects(mode, monkeypatch):
     g, _, churn = next(run for run in bench_shaped_runs() if run[1] == mode)
     min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
     assert sum(improved) > 0 and made == Counter({"TreeEdgePair": sum(improved)})
+
+
+@pytest.mark.parametrize("case", ["bench-shaped", "criterion-1"])
+def test_one_search_equals_the_first_least_tree(case, monkeypatch):
+    # the run's one search over every packed tree answers as min_2respect on each
+    # tree alone, through a provider built as the run's, keeping the first least
+    # value; in every mode its probes are the sum of the per-tree probes
+    seen, plan, providers = [], packing.two_respect_plan, packing._providers_for
+    monkeypatch.setattr(packing, "two_respect_plan", lambda trees, s, rows: seen.append(trees) or plan(trees, s, rows))
+    monkeypatch.setattr(packing, "_providers_for", lambda *args: seen.append(args) or providers(*args))
+    runs = list(bench_shaped_runs()) if case == "bench-shaped" else list(discovery_runs(case))[:12]
+    for g, mode, churn in runs:
+        seen.clear()
+        res, stats = min_cut_pipeline(g, mode, rng=5, config=PipelineConfig(churn=churn))
+        args, trees = seen
+        alone = providers(*args)[0]
+        each = [min_2respect(g, t, alone) for t in trees]
+        least = min(each, key=lambda r: r.value)
+        assert (res.value, res.certificate, res.partition) == (least.value, least.certificate, least.partition)
+        assert stats.probes == alone.stats.probes, mode
